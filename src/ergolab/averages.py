@@ -27,6 +27,9 @@ from .systems import (
     ShiftSystem,
     TorusAutomorphism,
     TorusPoint,
+    _markov_path,
+    _symbol_dtype,
+    _thresholds,
     cylinder_values_at,
     evaluate,
     exact_mean,
@@ -401,13 +404,10 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
         raise DomainError("term generators are implemented for shift systems")
     system = spec.system
     m = system.alphabet_size
-    pi_cum = np.concatenate([[0.0], np.cumsum(system.stationary)])
-    fwd_cum = np.concatenate(
-        [np.zeros((m, 1)), np.cumsum(system.transition, axis=1)], axis=1
-    )
-    bwd_cum = np.concatenate(
-        [np.zeros((m, 1)), np.cumsum(system.reversed_transition, axis=1)], axis=1
-    )
+    dtype = _symbol_dtype(m)
+    pi_thresholds = _thresholds(system.stationary)
+    fwd_thresholds = _thresholds(system.transition)
+    bwd_thresholds = _thresholds(system.reversed_transition)
     width = max(obs.radius for obs in spec.observables)
 
     def generator(point_indices: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -425,19 +425,12 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
         u = np.empty((count, 1 + fwd_len + bwd_len), dtype=np.float64)
         for row, j in enumerate(point_indices):
             u[row] = rng_for(master_seed, ROLE_TERMS, int(j)).random(u.shape[1])
-        symbols = np.empty((count, fwd_len + bwd_len + 1), dtype=np.int8)
+        symbols = np.empty((count, fwd_len + bwd_len + 1), dtype=dtype)
         origin = bwd_len
-        symbols[:, origin] = (u[:, 0][:, None] >= pi_cum[None, 1:-1]).sum(axis=1)
-        current = symbols[:, origin].copy()
-        for i in range(1, fwd_len + 1):
-            rows = fwd_cum[current]
-            current = (u[:, i][:, None] >= rows[:, 1:-1]).sum(axis=1).astype(np.int8)
-            symbols[:, origin + i] = current
-        current = symbols[:, origin].copy()
-        for i in range(1, bwd_len + 1):
-            rows = bwd_cum[current]
-            current = (u[:, fwd_len + i][:, None] >= rows[:, 1:-1]).sum(axis=1).astype(np.int8)
-            symbols[:, origin - i] = current
+        start = np.searchsorted(pi_thresholds, u[:, 0], side="right")
+        symbols[:, origin] = start
+        symbols[:, origin + 1:] = _markov_path(fwd_thresholds, start, u[:, 1:fwd_len + 1], dtype)
+        symbols[:, :origin][:, ::-1] = _markov_path(bwd_thresholds, start, u[:, fwd_len + 1:], dtype)
         out = np.ones((count, ks.size), dtype=np.float64)
         from .correlations import _cylinder_lookup
 

@@ -170,17 +170,36 @@ def build_system(desc: dict):
     raise ConfigError(f"unknown system kind {kind!r}")
 
 
-def build_observable(desc: dict, system) -> systems.Observable:
+def parse_table_entry(entry, system, where: str) -> tuple[tuple[int, ...], float]:
+    """One cylinder table entry; symbols must lie in a shift's alphabet."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be an object with 'word' and 'value'")
+    reject_unknown(entry, {"word", "value"}, where)
+    for key in ("word", "value"):
+        if key not in entry:
+            raise ConfigError(f"{where}.{key} is missing")
+    if not isinstance(entry["word"], list):
+        raise ConfigError(f"{where}.word must be a list of symbols")
+    word = tuple(parse_int(s, f"{where}.word symbol") for s in entry["word"])
+    if isinstance(system, systems.ShiftSystem):
+        m = system.alphabet_size
+        for s in word:
+            if not 0 <= s < m:
+                raise ConfigError(f"{where}.word: symbol {s} is outside the alphabet 0..{m - 1}")
+    return word, parse_exact(entry["value"])
+
+
+def build_observable(desc: dict, system, where: str = "observable") -> systems.Observable:
     if not isinstance(desc, dict) or "variant" not in desc:
-        raise ConfigError("observable descriptor must be an object with a 'variant'")
+        raise ConfigError(f"{where} must be an object with a 'variant'")
     variant = desc["variant"]
     if variant == "cylinder":
-        reject_unknown(desc, {"variant", "radius", "table", "default", "centered"}, "observable")
+        reject_unknown(desc, {"variant", "radius", "table", "default", "centered"}, where)
         radius = parse_int(desc.get("radius", 0), "radius")
-        table = {}
-        for entry in desc.get("table", []):
-            reject_unknown(entry, {"word", "value"}, "observable table entry")
-            table[tuple(entry["word"])] = parse_exact(entry["value"])
+        table = dict(
+            parse_table_entry(entry, system, f"{where}.table[{j}]")
+            for j, entry in enumerate(desc.get("table", []))
+        )
         obs = systems.cylinder_observable(radius, table, parse_exact(desc.get("default", 0.0)))
         if desc.get("centered", False):
             mean = systems.exact_mean(obs, system)
@@ -188,7 +207,7 @@ def build_observable(desc: dict, system) -> systems.Observable:
             obs = systems.cylinder_observable(radius, table, obs.default - mean)
         return obs
     if variant == "trig":
-        reject_unknown(desc, {"variant", "terms"}, "observable")
+        reject_unknown(desc, {"variant", "terms"}, where)
         terms = []
         for entry in desc.get("terms", []):
             reject_unknown(entry, {"freq", "cos", "sin"}, "trig term")
@@ -256,7 +275,10 @@ class ValidatedConfig:
             obs_desc = cfg.get("observables", [])
             if not obs_desc:
                 raise ConfigError(f"experiment {experiment!r} needs 'observables'")
-            self.observables = tuple(build_observable(d, self.system) for d in obs_desc)
+            self.observables = tuple(
+                build_observable(d, self.system, f"observables[{i}]")
+                for i, d in enumerate(obs_desc)
+            )
         self.derived: dict = {}
         getattr(self, f"_validate_{experiment}")()
 
@@ -341,7 +363,8 @@ class ValidatedConfig:
         eff = [t for q in self.queries for t in q.effective_times()]
         radius = max(obs.radius for obs in self.observables)
         self.derived["required_window_radius"] = max(abs(t) for t in eff) + radius
-        self.derived["transfer_span"] = max(eff) - min(eff) + 2 * radius + 1
+        # The oracle walks each query's span separately; report the largest.
+        self.derived["transfer_span"] = max(correlations.transfer_span(q) for q in self.queries)
 
     def _validate_cumulants(self):
         reject_unknown(self.params, {"time_tuples", "multipliers"}, "params")

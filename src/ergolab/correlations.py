@@ -241,6 +241,19 @@ def mc_correlation(
 # Exact transfer-matrix oracle on shifts
 # ---------------------------------------------------------------------------
 
+def _transfer_bounds(query: CorrelationQuery) -> tuple[int, int]:
+    eff = query.effective_times()
+    lo = min(t - obs.radius for t, obs in zip(eff, query.observables))
+    hi = max(t + obs.radius for t, obs in zip(eff, query.observables))
+    return lo, hi
+
+
+def transfer_span(query: CorrelationQuery) -> int:
+    """Positions the transfer oracle walks: first window start to last window end."""
+    lo, hi = _transfer_bounds(query)
+    return hi - lo + 1
+
+
 def exact_correlation_shift(
     query: CorrelationQuery, span_limit: int = DEFAULT_SPAN_LIMIT
 ) -> float:
@@ -252,12 +265,11 @@ def exact_correlation_shift(
     the position where its window completes.
     """
     system = _require_shift_cylinder(query)
-    eff = query.effective_times()
-    lo = min(t - obs.radius for t, obs in zip(eff, query.observables))
-    hi = max(t + obs.radius for t, obs in zip(eff, query.observables))
-    span = hi - lo + 1
+    span = transfer_span(query)
     if span > span_limit:
         raise SpanTooLarge(f"span {span} exceeds the limit {span_limit}")
+    lo, hi = _transfer_bounds(query)
+    eff = query.effective_times()
     m = system.alphabet_size
     context = max(2 * obs.radius + 1 for obs in query.observables)
     if m ** context > STATE_LIMIT:
@@ -363,10 +375,7 @@ def has_exact_oracle(query: CorrelationQuery, span_limit: int = DEFAULT_SPAN_LIM
     if not oracle_variants_match(query.system, query.observables):
         return False
     if isinstance(query.system, ShiftSystem):
-        eff = query.effective_times()
-        lo = min(t - obs.radius for t, obs in zip(eff, query.observables))
-        hi = max(t + obs.radius for t, obs in zip(eff, query.observables))
-        return hi - lo + 1 <= span_limit
+        return transfer_span(query) <= span_limit
     return True
 
 

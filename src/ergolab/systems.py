@@ -16,6 +16,7 @@ trigonometric polynomials on the torus; both support exact means.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -186,11 +187,82 @@ def shift_apply(point: ShiftPoint, n: int) -> ShiftPoint:
     return point.shift(n)
 
 
-def _sample_step(transition_cum: np.ndarray, current: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Vectorized one-step Markov draw given uniforms u in [0, 1)."""
-    rows = transition_cum[current]
-    # Thresholds exclude the leading 0 and trailing 1 of each cumulative row.
-    return (u[:, None] >= rows[:, 1:-1]).sum(axis=1).astype(current.dtype)
+# Items per vectorized slab: bounds the uniforms a batch holds at once and
+# the i.i.d. path's scratch arrays, whatever the batch width.
+_SLAB_ITEMS = 1 << 16
+
+
+def _symbol_dtype(alphabet_size: int):
+    return np.int8 if alphabet_size <= 127 else np.int64
+
+
+def _thresholds(weights: np.ndarray) -> np.ndarray:
+    """Cumulative weights without the total: uniform u draws #{t <= u}."""
+    return np.cumsum(weights, axis=-1)[..., :-1]
+
+
+def _next_symbols(thresholds: np.ndarray, current: np.ndarray, u: np.ndarray) -> np.ndarray:
+    symbols = (u >= thresholds[current, 0]).astype(np.intp)
+    for j in range(1, thresholds.shape[1]):
+        symbols += u >= thresholds[current, j]
+    return symbols
+
+
+def _markov_path(thresholds: np.ndarray, start: np.ndarray, u: np.ndarray, dtype) -> np.ndarray:
+    """Symbols of ``count`` chain runs resolved from fixed uniforms.
+
+    ``thresholds`` is (m, m - 1), row s holding ``_thresholds`` of the
+    transition weights out of state s; ``start`` is (count,) and ``u`` is
+    (count, L).  Column i of the result is ``#{thresholds[s] <= u[:, i]}``
+    with s the symbol of column i - 1 (``start`` for column 0): exactly
+    the symbols a per-step loop gives.
+
+    An i.i.d. chain (all rows equal) needs no chaining: m - 1 vectorized
+    comparisons per slab of uniforms.  Otherwise the run is cut into a head and ``blocks - 1`` equal blocks.  The blocks
+    run from every state at once, which gives each block's exit state per
+    entry state; the head runs from ``start``; the entries are chained block
+    to block; and the blocks run again from their entries.  That is about
+    3 L / blocks + blocks vectorized steps in place of L.
+    """
+    count, length = u.shape
+    out = np.empty((count, length), dtype=dtype)
+    lanes = max(count, 1)
+    if (thresholds == thresholds[0]).all():
+        step = max(1, _SLAB_ITEMS // lanes)
+        for lo in range(0, length, step):
+            block = u[:, lo:lo + step]
+            symbols = out[:, lo:lo + step]
+            symbols[...] = block >= thresholds[0, 0]
+            for t in thresholds[0, 1:]:
+                symbols += block >= t
+        return out
+    m = thresholds.shape[0]
+    blocks = math.isqrt(length // lanes)
+    if blocks < 4:  # fewer blocks cost more steps than they save
+        blocks = 1
+    size = length // blocks
+    head = length - (blocks - 1) * size
+    current = start
+    for i in range(head):
+        current = _next_symbols(thresholds, current, u[:, i])
+        out[:, i] = current
+    if blocks == 1:
+        return out
+    body = u[:, head:].reshape(count, blocks - 1, size)
+    exits = np.broadcast_to(np.arange(m), (count, blocks - 1, m))
+    for i in range(size):
+        exits = _next_symbols(thresholds, exits, body[:, :, i, None])
+    entry = np.empty((count, blocks - 1), dtype=np.int64)
+    entry[:, 0] = current
+    rows = np.arange(count)
+    for k in range(1, blocks - 1):
+        entry[:, k] = exits[rows, k - 1, entry[:, k - 1]]
+    path = out[:, head:].reshape(count, blocks - 1, size)
+    current = entry
+    for i in range(size):
+        current = _next_symbols(thresholds, current, body[:, :, i])
+        path[:, :, i] = current
+    return out
 
 
 def sample_windows(
@@ -201,59 +273,31 @@ def sample_windows(
     Index 0 is drawn from the stationary vector, forward symbols from the
     transition matrix, backward symbols from the time-reversed chain; by
     stationarity the two-sided law is consistent.  Draw order is fixed:
-    origin, all forward columns, all backward columns.
+    one uniform per window for the origin, then for each forward column
+    and after them each backward column, one uniform per window.  Columns
+    are drawn in slabs of several columns at once, which is the same
+    stream, and ``_markov_path`` resolves each slab; a single window and a
+    batch see the same symbols as the per-symbol loops of earlier versions.
     """
     if radius < 0:
         raise DomainError("window radius must be >= 0")
-    m = system.alphabet_size
-    width = 2 * radius + 1
-    dtype = np.int8 if m <= 127 else np.int64
-    if count == 1:
-        return _sample_window_scalar(system, radius, rng, dtype)
-    out = np.empty((count, width), dtype=dtype)
-    pi_cum = np.concatenate([[0.0], np.cumsum(system.stationary)])
-    fwd_cum = np.concatenate(
-        [np.zeros((m, 1)), np.cumsum(system.transition, axis=1)], axis=1
+    dtype = _symbol_dtype(system.alphabet_size)
+    out = np.empty((count, 2 * radius + 1), dtype=dtype)
+    origin = np.searchsorted(_thresholds(system.stationary), rng.random(count), side="right")
+    out[:, radius] = origin
+    step = max(1, _SLAB_ITEMS // max(count, 1))
+    runs = (
+        (system.transition, out[:, radius + 1:]),
+        (system.reversed_transition, out[:, :radius][:, ::-1]),
     )
-    bwd_cum = np.concatenate(
-        [np.zeros((m, 1)), np.cumsum(system.reversed_transition, axis=1)], axis=1
-    )
-    u0 = rng.random(count)
-    out[:, radius] = (u0[:, None] >= pi_cum[None, 1:-1]).sum(axis=1)
-    current = out[:, radius].copy()
-    for i in range(1, radius + 1):
-        current = _sample_step(fwd_cum, current, rng.random(count))
-        out[:, radius + i] = current
-    current = out[:, radius].copy()
-    for i in range(1, radius + 1):
-        current = _sample_step(bwd_cum, current, rng.random(count))
-        out[:, radius - i] = current
-    return out
-
-
-def _sample_window_scalar(
-    system: ShiftSystem, radius: int, rng: np.random.Generator, dtype
-) -> np.ndarray:
-    """Single-window sampler consuming the uniform stream in the exact
-    order of the vectorized path, so both produce identical windows."""
-    import bisect
-
-    width = 2 * radius + 1
-    u = rng.random(width)
-    pi_thresholds = list(np.cumsum(system.stationary)[:-1])
-    fwd = [list(np.cumsum(row)[:-1]) for row in system.transition]
-    bwd = [list(np.cumsum(row)[:-1]) for row in system.reversed_transition]
-    out = np.empty((1, width), dtype=dtype)
-    origin = bisect.bisect_right(pi_thresholds, u[0])
-    out[0, radius] = origin
-    current = origin
-    for i in range(1, radius + 1):
-        current = bisect.bisect_right(fwd[current], u[i])
-        out[0, radius + i] = current
-    current = origin
-    for i in range(1, radius + 1):
-        current = bisect.bisect_right(bwd[current], u[radius + i])
-        out[0, radius - i] = current
+    for weights, columns in runs:
+        thresholds = _thresholds(weights)
+        current = origin
+        for lo in range(0, radius, step):
+            u = rng.random((min(step, radius - lo), count)).T
+            path = _markov_path(thresholds, current, u, dtype)
+            columns[:, lo:lo + path.shape[1]] = path
+            current = path[:, -1]
     return out
 
 

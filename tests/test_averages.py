@@ -303,6 +303,16 @@ class TestTermGenerator:
         short = generator(np.array([0, 1]), np.arange(1, 33, dtype=np.int64))
         assert np.array_equal(first[:, :32], short)
 
+    def test_large_alphabet_symbols_do_not_wrap(self):
+        # Symbol 129 does not fit an int8; a wrapped -127 would index the
+        # lookup from its end and the indicator would never fire.
+        system = systems.bernoulli_system(np.full(130, 1 / 130))
+        spec = make_spec(system, [systems.cylinder_indicator([129])], (1,), 64)
+        generator = averages.product_term_generator(spec, master_seed=130)
+        block = generator(np.arange(400), np.arange(1, 65, dtype=np.int64))
+        p = 1 / 130
+        assert abs(block.mean() - p) <= 4 * math.sqrt(p * (1 - p) / block.size)
+
     def test_term_values_in_product_range(self, bernoulli):
         f = systems.centered_cylinder_indicator(bernoulli, [1])
         spec = make_spec(bernoulli, [f, f], (1, 2), 32)

@@ -111,6 +111,34 @@ class TestValidate:
         assert not report["ok"]
         assert any("row 0" in msg for msg in report["errors"])
 
+    def test_transfer_span_is_largest_per_query(self, tmp_path):
+        # The union of the two queries' times spans 1000010 positions, over
+        # the oracle limit, but the oracle walks each query on its own.
+        cfg = minimal_correlate()
+        cfg["params"]["queries"] = [{"times": [0, 1]}, {"times": [999990, 1000009]}]
+        _, report = cli.validate_config(cfg)
+        assert report["ok"]
+        assert report["derived"]["transfer_span"] == 20
+        path = write_config(tmp_path, cfg)
+        assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 0
+
+    @pytest.mark.parametrize(
+        "index, entry, field",
+        [
+            (0, {"word": [2], "value": 1.0}, "observables[0].table[0].word"),
+            (1, {"value": 1.0}, "observables[1].table[0].word"),
+        ],
+    )
+    def test_bad_table_word_names_field(self, tmp_path, capsys, index, entry, field):
+        cfg = minimal_correlate()
+        cfg["observables"] = [dict(INDICATOR_0), dict(INDICATOR_1)]
+        cfg["observables"][index]["table"] = [entry]
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert any(field in msg for msg in report["errors"]), report["errors"]
+        assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
+
     def test_schema_version_enforced(self):
         cfg = minimal_correlate()
         cfg["schema_version"] = 99

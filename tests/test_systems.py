@@ -1,9 +1,13 @@
 """Systems module: construction, sampling, exact actions and means."""
 
+import bisect
+
 import numpy as np
 import pytest
 
-from ergolab import systems
+from ergolab import averages, systems
+from ergolab.seeding import ROLE_TERMS, rng_for
+from ergolab.sequences import SequenceSpec, generate
 from ergolab.errors import (
     DomainError,
     IncompatibleSupport,
@@ -232,3 +236,188 @@ class TestExactMean:
         product = systems.cylinder_observable(1, {(1, s, 1): 1.0 for s in (0, 1)})
         mean_left = systems.exact_mean(left, bernoulli)
         assert systems.exact_mean(product, bernoulli) == pytest.approx(mean_left ** 2)
+
+
+# ---------------------------------------------------------------------------
+# Path kernel against the per-symbol reference loop
+# ---------------------------------------------------------------------------
+
+def _reference_thresholds(system):
+    pi = list(np.cumsum(system.stationary)[:-1])
+    fwd = [list(np.cumsum(row)[:-1]) for row in system.transition]
+    bwd = [list(np.cumsum(row)[:-1]) for row in system.reversed_transition]
+    return pi, fwd, bwd
+
+
+def _reference_path(thresholds, u, fwd_len, bwd_len):
+    """One window by a ``bisect`` per symbol.
+
+    ``u`` holds the origin uniform, then ``fwd_len`` forward ones, then
+    ``bwd_len`` backward ones; the result is indexed from -bwd_len to
+    fwd_len.  This is the sampler that the vectorized kernel replaced.
+    """
+    pi, fwd, bwd = thresholds
+    out = [0] * (fwd_len + bwd_len + 1)
+    origin = bisect.bisect_right(pi, u[0])
+    out[bwd_len] = origin
+    current = origin
+    for i in range(1, fwd_len + 1):
+        current = bisect.bisect_right(fwd[current], u[i])
+        out[bwd_len + i] = current
+    current = origin
+    for i in range(1, bwd_len + 1):
+        current = bisect.bisect_right(bwd[current], u[fwd_len + i])
+        out[bwd_len - i] = current
+    return out
+
+
+def _reference_windows(system, radius, count, seed):
+    # Column-major draw order: window j's uniform for column c is draw c * count + j.
+    u = np.random.default_rng(seed).random((2 * radius + 1, count))
+    thresholds = _reference_thresholds(system)
+    return np.array(
+        [_reference_path(thresholds, u[:, j], radius, radius) for j in range(count)]
+    )
+
+
+def _reference_terms(spec, master_seed, point_indices, ks):
+    width = max(obs.radius for obs in spec.observables)
+    terms = generate(spec.sequence, int(max(ks)))
+    positions = [[m * int(terms[k - 1]) for k in ks] for m in spec.multipliers]
+    fwd_len = max(max(max(row) for row in positions), 0) + width
+    bwd_len = max(-min(min(row) for row in positions), 0) + width
+    thresholds = _reference_thresholds(spec.system)
+    out = np.empty((len(point_indices), len(ks)))
+    for row, j in enumerate(point_indices):
+        u = rng_for(master_seed, ROLE_TERMS, int(j)).random(1 + fwd_len + bwd_len)
+        path = _reference_path(thresholds, u, fwd_len, bwd_len)
+        for col in range(len(ks)):
+            value = 1.0
+            for obs, pos in zip(spec.observables, positions):
+                at = bwd_len + pos[col]
+                word = tuple(path[at - obs.radius: at + obs.radius + 1])
+                value *= obs.table.get(word, obs.default)
+            out[row, col] = value
+    return out
+
+
+CHAINS = {
+    "bernoulli2": lambda: systems.bernoulli_system([0.5, 0.5]),
+    "bernoulli3": lambda: systems.bernoulli_system([0.2, 0.3, 0.5]),
+    "markov": lambda: systems.build_shift(ONES, MARKOV),
+    "golden": lambda: systems.build_shift([[1, 1], [1, 0]], [[0.6, 0.4], [1.0, 0.0]]),
+    "three_with_zeros": lambda: systems.build_shift(
+        [[1, 1, 0], [0, 1, 1], [1, 1, 1]],
+        [[0.3, 0.7, 0.0], [0.0, 0.4, 0.6], [0.2, 0.2, 0.6]],
+    ),
+    # Runs from different states never merge under shared uniforms, so a
+    # block entered from the wrong state shows in the output.
+    "slow_cycle": lambda: systems.build_shift(
+        [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+        [[0.05, 0.95, 0.0], [0.0, 0.05, 0.95], [0.95, 0.0, 0.05]],
+    ),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CHAINS))
+def chain(request):
+    return CHAINS[request.param]()
+
+
+class TestPathKernel:
+    # Radii 1001 and 5000 do not divide into the kernel's blocks; 70001
+    # spans two slabs of uniforms for a single window.
+    @pytest.mark.parametrize(
+        "radius, count",
+        [(0, 1), (0, 17), (1, 1), (1, 2), (1, 17), (7, 2), (1001, 1), (1001, 2),
+         (5000, 17), (70001, 1)],
+    )
+    def test_windows_match_reference(self, chain, radius, count):
+        got = systems.sample_windows(chain, radius, count, np.random.default_rng(radius + count))
+        assert got.dtype == np.int8
+        want = _reference_windows(chain, radius, count, radius + count)
+        assert np.array_equal(got, want)
+
+    def test_ties_resolve_like_bisect_right(self, chain):
+        # A uniform equal to a threshold draws the next symbol up: #{t <= u}.
+        thresholds = systems._thresholds(chain.transition)
+        rng = np.random.default_rng(5)
+        u = rng.random((3, 2000))
+        ties = rng.random(u.shape) < 0.5
+        u[ties] = rng.choice(thresholds.ravel(), size=int(ties.sum()))
+        start = np.array([0, 1, chain.alphabet_size - 1])
+        got = systems._markov_path(thresholds, start, u, np.int8)
+        fwd = _reference_thresholds(chain)[1]
+        for row in range(3):
+            state, want = start[row], []
+            for x in u[row]:
+                state = bisect.bisect_right(fwd[state], x)
+                want.append(state)
+            assert got[row].tolist() == want
+
+    @pytest.mark.parametrize("name", ["markov", "three_with_zeros"])
+    def test_wide_batch_matches_reference(self, name):
+        # Wider than a slab: uniforms are drawn one column at a time.
+        system = CHAINS[name]()
+        count = (1 << 16) + 3
+        got = systems.sample_windows(system, 2, count, np.random.default_rng(3))
+        assert np.array_equal(got, _reference_windows(system, 2, count, 3))
+
+    def test_single_window_draws_one_stream(self, chain):
+        point = systems.sample_shift_point(chain, 300, 21)
+        want = _reference_windows(chain, 300, 1, 21)[0]
+        assert np.array_equal(point.symbols, want)
+
+    def test_large_alphabet_dtype(self):
+        system = systems.bernoulli_system(np.full(130, 1 / 130))
+        got = systems.sample_windows(system, 40, 3, np.random.default_rng(8))
+        assert got.dtype == np.int64
+        assert np.array_equal(got, _reference_windows(system, 40, 3, 8))
+
+    @pytest.mark.parametrize("multipliers", [(1, 2), (-1, 3)])
+    @pytest.mark.parametrize("kind", ["linear", "primes"])
+    def test_term_generator_matches_reference(self, chain, multipliers, kind):
+        left = systems.cylinder_observable(1, {(0, 1, 0): 1.5, (1, 1, 0): -0.5}, default=0.25)
+        right = systems.cylinder_indicator([1])
+        spec = averages.AverageSpec(
+            system=chain,
+            observables=(left, right),
+            multipliers=multipliers,
+            sequence=SequenceSpec(kind=kind),
+            n_max=64,
+        )
+        generator = averages.product_term_generator(spec, master_seed=91)
+        points = np.array([0, 5, 2, 11])
+        for ks in (np.arange(1, 65), np.arange(20, 41), np.arange(1, 2)):
+            got = generator(points, ks)
+            assert np.array_equal(got, _reference_terms(spec, 91, points, ks))
+
+    @pytest.mark.parametrize(
+        "multipliers",
+        [
+            (1, 2),
+            pytest.param(
+                (1, -2),
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the backward run's uniforms follow the forward run, "
+                    "whose length depends on max(ks)",
+                ),
+            ),
+        ],
+    )
+    def test_term_generator_prefixes_agree(self, chain, multipliers):
+        obs = systems.centered_cylinder_indicator(chain, [1])
+        spec = averages.AverageSpec(
+            system=chain,
+            observables=(obs, obs),
+            multipliers=multipliers,
+            sequence=SequenceSpec(kind="primes"),
+            n_max=256,
+        )
+        generator = averages.product_term_generator(spec, master_seed=4)
+        points = np.arange(6)
+        full = generator(points, np.arange(1, 257))
+        for lo, hi in ((1, 100), (37, 200), (256, 256)):
+            part = generator(points, np.arange(lo, hi + 1))
+            assert np.array_equal(part, full[:, lo - 1: hi])
