@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, PrecisionBudget, VariantMismatch
-from .seeding import ROLE_POINT, ROLE_TERMS, rng_for
+from .errors import DomainError, VariantMismatch
+from .seeding import ROLE_POINT, ROLE_TERMS, ROLE_TERMS_BACKWARD, rng_for
 from .sequences import SequenceSpec, generate
 from .systems import (
     CYLINDER,
@@ -35,13 +35,10 @@ from .systems import (
     exact_mean,
     sample_shift_point,
     sample_torus_point,
-    torus_matrix_power,
+    torus_limbs,
+    torus_orbit,
+    trig_values,
 )
-from . import intmat
-
-# Cached modular matrix powers are tuples of q-bit ints; cap the cache at
-# a size that stays within tens of megabytes for the default precision.
-EXPONENT_CACHE_BUDGET = 1 << 17
 
 
 def rho(n: int, epsilon: float, delta: float) -> float:
@@ -133,44 +130,25 @@ def _factor_values_shift(
 
 
 def _factor_values_torus(
-    spec: AverageSpec,
-    point: TorusPoint,
-    positions: np.ndarray,
-    cache_budget: int,
+    spec: AverageSpec, point: TorusPoint, positions: np.ndarray
 ) -> np.ndarray:
     auto = spec.system
-    mod = auto.modulus
-    cache: dict[int, intmat.IntMatrix] = {}
-    count = positions.shape[1]
-    values = np.ones(count, dtype=np.float64)
-    for n in range(count):
-        prod = 1.0
-        for i, obs in enumerate(spec.observables):
-            exponent = int(positions[i, n])
-            power = cache.get(exponent)
-            if power is None:
-                if len(cache) >= cache_budget:
-                    raise PrecisionBudget(
-                        f"exponent cache exceeded {cache_budget} entries"
-                    )
-                power = torus_matrix_power(auto, exponent)
-                cache[exponent] = power
-            coords = intmat.mat_vec(power, point.coords, mod)
-            prod *= evaluate(obs, TorusPoint(coords, auto.precision_bits))
-        values[n] = prod
+    exponents = sorted(set(positions.ravel().tolist()))
+    index = np.searchsorted(np.array(exponents, dtype=np.int64), positions)
+    orbit = torus_limbs(torus_orbit(auto, point, exponents), auto.precision_bits)
+    values = np.ones(positions.shape[1], dtype=np.float64)
+    for i, obs in enumerate(spec.observables):
+        values *= trig_values(obs.terms, orbit[index[i]], auto.precision_bits)
     return values
 
 
-def ergodic_average_stream(
-    spec: AverageSpec,
-    point,
-    cache_budget: int = EXPONENT_CACHE_BUDGET,
-) -> AverageSeries:
+def ergodic_average_stream(spec: AverageSpec, point) -> AverageSeries:
     """Stream F_n = prod_i f_i(h^{m_i r_n} x) and emit checkpoint rows.
 
     Cylinder factors on shifts are evaluated by vectorized table lookups
-    over the whole orbit; torus powers go through an exponent-keyed cache
-    of exact modular matrix powers.
+    over the whole orbit.  On the torus the point's orbit is walked once
+    over the sorted distinct exponents m_i r_n, and the trig factors are
+    evaluated on all orbit points at once by exact limb arithmetic.
     """
     terms = generate(spec.sequence, spec.n_max)
     positions = np.asarray(spec.multipliers, dtype=np.int64)[:, None] * terms[None, :]
@@ -181,7 +159,7 @@ def ergodic_average_stream(
     else:
         if not isinstance(point, TorusPoint):
             raise VariantMismatch("torus averages need a TorusPoint")
-        values = _factor_values_torus(spec, point, positions, cache_budget)
+        values = _factor_values_torus(spec, point, positions)
     target = spec.target()
     sums = np.cumsum(values)
     entries = []
@@ -396,9 +374,9 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     F[j, k] is the product of factors at shifts m_i r_k along point j's
     orbit.  Each point's symbols are regenerated deterministically from
     (master_seed, point index), so calls with different k ranges stay
-    consistent on shared prefixes.  Shift systems with cylinder factors
-    only; use centered observables when the framework expects mean-zero
-    terms.
+    consistent on shared prefixes, for multipliers of either sign.  Shift
+    systems with cylinder factors only; use centered observables when the
+    framework expects mean-zero terms.
     """
     if not isinstance(spec.system, ShiftSystem):
         raise DomainError("term generators are implemented for shift systems")
@@ -418,19 +396,25 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
             np.asarray(spec.multipliers, dtype=np.int64)[:, None] * terms[ks - 1][None, :]
         )
         fwd_len = max(int(positions.max()), 0) + width
-        bwd_len = max(-int(positions.min()), 0) + width
+        bwd_len = max(width - int(positions.min()), 0)
         count = point_indices.size
-        # One uniform block per point, drawn in a fixed layout (origin,
-        # forward run, backward run) so path prefixes agree across calls.
-        u = np.empty((count, 1 + fwd_len + bwd_len), dtype=np.float64)
+        # Per point, the origin and the forward run come from one stream and
+        # the backward run from another, so a run's uniforms never depend on
+        # the other run's length and path prefixes agree across calls.  The
+        # backward stream is made only when some factor reads left of 0.
+        u = np.empty((count, 1 + fwd_len), dtype=np.float64)
         for row, j in enumerate(point_indices):
             u[row] = rng_for(master_seed, ROLE_TERMS, int(j)).random(u.shape[1])
         symbols = np.empty((count, fwd_len + bwd_len + 1), dtype=dtype)
         origin = bwd_len
         start = np.searchsorted(pi_thresholds, u[:, 0], side="right")
         symbols[:, origin] = start
-        symbols[:, origin + 1:] = _markov_path(fwd_thresholds, start, u[:, 1:fwd_len + 1], dtype)
-        symbols[:, :origin][:, ::-1] = _markov_path(bwd_thresholds, start, u[:, fwd_len + 1:], dtype)
+        symbols[:, origin + 1:] = _markov_path(fwd_thresholds, start, u[:, 1:], dtype)
+        if bwd_len:
+            back = np.empty((count, bwd_len), dtype=np.float64)
+            for row, j in enumerate(point_indices):
+                back[row] = rng_for(master_seed, ROLE_TERMS_BACKWARD, int(j)).random(bwd_len)
+            symbols[:, :origin][:, ::-1] = _markov_path(bwd_thresholds, start, back, dtype)
         out = np.ones((count, ks.size), dtype=np.float64)
         from .correlations import _cylinder_lookup
 

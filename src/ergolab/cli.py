@@ -189,6 +189,23 @@ def parse_table_entry(entry, system, where: str) -> tuple[tuple[int, ...], float
     return word, parse_exact(entry["value"])
 
 
+def parse_trig_term(entry, system, where: str) -> tuple[tuple[int, ...], float, float]:
+    """One trig term; on a torus its frequency has one entry per dimension."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be an object with 'freq', 'cos' and 'sin'")
+    reject_unknown(entry, {"freq", "cos", "sin"}, where)
+    if "freq" not in entry:
+        raise ConfigError(f"{where}.freq is missing")
+    if not isinstance(entry["freq"], list):
+        raise ConfigError(f"{where}.freq must be a list of integers")
+    freq = tuple(parse_int(k, f"{where}.freq entry") for k in entry["freq"])
+    if isinstance(system, systems.TorusAutomorphism) and len(freq) != system.dimension:
+        raise ConfigError(
+            f"{where}.freq has {len(freq)} entries, the torus dimension is {system.dimension}"
+        )
+    return freq, parse_exact(entry.get("cos", 0.0)), parse_exact(entry.get("sin", 0.0))
+
+
 def build_observable(desc: dict, system, where: str = "observable") -> systems.Observable:
     if not isinstance(desc, dict) or "variant" not in desc:
         raise ConfigError(f"{where} must be an object with a 'variant'")
@@ -196,9 +213,12 @@ def build_observable(desc: dict, system, where: str = "observable") -> systems.O
     if variant == "cylinder":
         reject_unknown(desc, {"variant", "radius", "table", "default", "centered"}, where)
         radius = parse_int(desc.get("radius", 0), "radius")
+        entries = desc.get("table", [])
+        if not isinstance(entries, list):
+            raise ConfigError(f"{where}.table must be a list of entries")
         table = dict(
             parse_table_entry(entry, system, f"{where}.table[{j}]")
-            for j, entry in enumerate(desc.get("table", []))
+            for j, entry in enumerate(entries)
         )
         obs = systems.cylinder_observable(radius, table, parse_exact(desc.get("default", 0.0)))
         if desc.get("centered", False):
@@ -208,17 +228,13 @@ def build_observable(desc: dict, system, where: str = "observable") -> systems.O
         return obs
     if variant == "trig":
         reject_unknown(desc, {"variant", "terms"}, where)
-        terms = []
-        for entry in desc.get("terms", []):
-            reject_unknown(entry, {"freq", "cos", "sin"}, "trig term")
-            terms.append(
-                (
-                    tuple(parse_int(k, "frequency") for k in entry["freq"]),
-                    parse_exact(entry.get("cos", 0.0)),
-                    parse_exact(entry.get("sin", 0.0)),
-                )
-            )
-        return systems.trig_observable(terms)
+        entries = desc.get("terms", [])
+        if not isinstance(entries, list):
+            raise ConfigError(f"{where}.terms must be a list of terms")
+        return systems.trig_observable(
+            parse_trig_term(entry, system, f"{where}.terms[{j}]")
+            for j, entry in enumerate(entries)
+        )
     raise ConfigError(f"unknown observable variant {variant!r}")
 
 
@@ -360,11 +376,16 @@ class ValidatedConfig:
                 else None,
             )
             self.queries.append(query)
-        eff = [t for q in self.queries for t in q.effective_times()]
-        radius = max(obs.radius for obs in self.observables)
-        self.derived["required_window_radius"] = max(abs(t) for t in eff) + radius
-        # The oracle walks each query's span separately; report the largest.
-        self.derived["transfer_span"] = max(correlations.transfer_span(q) for q in self.queries)
+        if isinstance(self.system, systems.TorusAutomorphism):
+            self.derived["torus_precision_bits"] = self.system.precision_bits
+        else:
+            eff = [t for q in self.queries for t in q.effective_times()]
+            radius = max(obs.radius for obs in self.observables)
+            self.derived["required_window_radius"] = max(abs(t) for t in eff) + radius
+            # The oracle walks each query's span separately; report the largest.
+            self.derived["transfer_span"] = max(
+                correlations.transfer_span(q) for q in self.queries
+            )
 
     def _validate_cumulants(self):
         reject_unknown(self.params, {"time_tuples", "multipliers"}, "params")

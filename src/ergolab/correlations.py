@@ -13,7 +13,6 @@ identity relating them to joint moments.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -34,12 +33,15 @@ from .errors import (
 from .seeding import MC_CHUNK, ROLE_MC, rng_for
 from .systems import (
     CYLINDER,
+    TORUS_SLAB,
     TRIG,
     Observable,
     ShiftSystem,
     TorusAutomorphism,
     exact_mean,
+    sample_torus_limbs,
     sample_windows,
+    trig_values,
 )
 
 DEFAULT_SPAN_LIMIT = 10 ** 6
@@ -152,6 +154,12 @@ def _transformed_terms(
     auto: TorusAutomorphism, obs: Observable, time: int
 ) -> list[tuple[tuple[int, ...], float, float]]:
     """Frequency vectors pushed through (matrix^T)^time, exactly over Z."""
+    for freq, _a, _b in obs.terms:
+        if len(freq) != auto.dimension:
+            raise VariantMismatch(
+                f"frequency {list(freq)} has {len(freq)} entries, "
+                f"the torus dimension is {auto.dimension}"
+            )
     transpose = tuple(zip(*auto.matrix))
     if time >= 0:
         power = intmat.mat_pow(transpose, time)
@@ -169,33 +177,20 @@ def _transformed_terms(
 def _mc_products_torus(
     query: CorrelationQuery, count: int, rng: np.random.Generator
 ) -> np.ndarray:
+    """Products of the factors at ``count`` uniform lattice points, by the
+    limb kernel: factor i is its trig polynomial with frequencies pushed
+    through time t_i, evaluated at the sampled points."""
     auto = query.system
-    q = auto.precision_bits
-    mod = auto.modulus
     factors = [
         _transformed_terms(auto, obs, t)
         for obs, t in zip(query.observables, query.effective_times())
     ]
-    words = (q + 63) // 64
-    raw = rng.integers(0, 1 << 64, size=(count, auto.dimension, words), dtype=np.uint64)
     prod = np.ones(count, dtype=np.float64)
-    two_pi = 2.0 * math.pi
-    for s in range(count):
-        coords = []
-        for i in range(auto.dimension):
-            value = 0
-            for w in range(words):
-                value |= int(raw[s, i, w]) << (64 * w)
-            coords.append(value % mod)
-        sample_prod = 1.0
+    # Successive draws continue one stream, so slabs see the same points.
+    for lo in range(0, count, TORUS_SLAB):
+        points = sample_torus_limbs(auto, min(TORUS_SLAB, count - lo), rng)
         for terms in factors:
-            value = 0.0
-            for freq, a, b in terms:
-                dot = sum(k * c for k, c in zip(freq, coords)) % mod
-                phase = two_pi * (dot / mod)
-                value += a * math.cos(phase) + b * math.sin(phase)
-            sample_prod *= value
-        prod[s] = sample_prod
+            prod[lo:lo + TORUS_SLAB] *= trig_values(terms, points, auto.precision_bits)
     return prod
 
 

@@ -103,14 +103,6 @@ class InsufficientData(ErgolabError):
     code = "correlations.insufficient_data"
 
 
-# -- averages --------------------------------------------------------------
-
-class PrecisionBudget(ErgolabError):
-    """Torus exponent cache exceeded its configured memory budget."""
-
-    code = "averages.precision_budget"
-
-
 # -- dyadic ----------------------------------------------------------------
 
 class ShapeMismatch(ErgolabError):

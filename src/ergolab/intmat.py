@@ -46,6 +46,8 @@ def mat_mul(a: IntMatrix, b: IntMatrix, mod: int | None = None) -> IntMatrix:
 
 
 def mat_vec(a: IntMatrix, v: Sequence[int], mod: int | None = None) -> tuple[int, ...]:
+    if len(v) != len(a[0]):
+        raise ValueError(f"vector has {len(v)} entries, the matrix has {len(a[0])} columns")
     if mod is None:
         return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
     return tuple(sum(x * y for x, y in zip(row, v)) % mod for row in a)

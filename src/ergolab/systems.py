@@ -7,7 +7,8 @@ Two families are implemented exactly:
   symbol windows ``[-W, W]``;
 * hyperbolic toral automorphisms acting on the fixed-point lattice
   ``2^-q Z^d / Z^d``, where an integer unimodular matrix acts exactly by
-  modular square-and-multiply.
+  modular square-and-multiply; many lattice points at once are numpy
+  arrays of 32-bit limbs with exact schoolbook arithmetic mod 2^q.
 
 Observables are locally constant (cylinder) functions on shifts and real
 trigonometric polynomials on the torus; both support exact means.
@@ -409,6 +410,209 @@ def torus_apply_power(auto: TorusAutomorphism, point: TorusPoint, n: int) -> Tor
         raise VariantMismatch("point and automorphism precision differ")
     power = torus_matrix_power(auto, n)
     return TorusPoint(intmat.mat_vec(power, point.coords, auto.modulus), auto.precision_bits)
+
+
+def _walk(matrix: intmat.IntMatrix, coords: tuple[int, ...], targets, mod: int) -> list:
+    """matrix^n coords mod ``mod`` for ascending n >= 0 in ``targets``.
+
+    Each gap from one target to the next is crossed with the powers
+    matrix^(2^j) of its set bits, from a table grown by squaring.
+    """
+    table = [tuple(tuple(x % mod for x in row) for row in matrix)]
+    out = []
+    at = 0
+    for n in targets:
+        gap, j = n - at, 0
+        while gap:
+            if j == len(table):
+                table.append(intmat.mat_mul(table[-1], table[-1], mod))
+            if gap & 1:
+                coords = intmat.mat_vec(table[j], coords, mod)
+            gap >>= 1
+            j += 1
+        out.append(coords)
+        at = n
+    return out
+
+
+def torus_orbit(auto: TorusAutomorphism, point: TorusPoint, exponents) -> list[tuple[int, ...]]:
+    """Coordinates of matrix^n point for sorted distinct exponents n, exactly.
+
+    The orbit is walked outward from n = 0, forward with the matrix and
+    backward with its inverse; each step costs one modular ``mat_vec`` per
+    set bit of the gap, and the power tables hold O(log max |n|) matrices.
+    """
+    if point.precision_bits != auto.precision_bits:
+        raise VariantMismatch("point and automorphism precision differ")
+    exponents = [int(n) for n in exponents]
+    mod = auto.modulus
+    back = [-n for n in reversed(exponents) if n < 0]
+    ahead = [n for n in exponents if n >= 0]
+    out = _walk(auto.inverse_matrix(), point.coords, back, mod)[::-1] if back else []
+    return out + _walk(auto.matrix, point.coords, ahead, mod)
+
+
+# ---------------------------------------------------------------------------
+# Exact limb arithmetic on the torus model
+# ---------------------------------------------------------------------------
+#
+# Many lattice points at once are uint64 arrays of 32-bit limbs, least
+# significant first, shaped (count, d, ceil(q / 32)).  A product of two
+# limbs fits in 64 bits, so <k, x> mod 2^q is schoolbook multiplication
+# (Knuth, TAOCP vol. 2, 4.3.1): each limb product is split into its low
+# and high halves, the halves are summed per result limb, and the carries
+# are propagated once at the end.  ``intmat`` and ``evaluate`` stay the
+# big-integer reference.
+
+_LIMB_BITS = 32
+_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
+# Points per vectorized slab: keeps each scratch array of the limb kernel
+# small whatever the number of points.
+TORUS_SLAB = 1 << 11
+
+
+def _limb_count(precision_bits: int) -> int:
+    return -(-precision_bits // _LIMB_BITS)
+
+
+def _top_limb_mask(precision_bits: int) -> np.uint64:
+    top_bits = precision_bits - _LIMB_BITS * (_limb_count(precision_bits) - 1)
+    return np.uint64((1 << top_bits) - 1)
+
+
+def sample_torus_limbs(auto: TorusAutomorphism, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` uniform lattice points as limbs, shape (count, d, ceil(q / 32)).
+
+    One ``rng.integers`` call draws the 64-bit words in the order that
+    ``count`` successive ``sample_torus_point`` calls draw them, so the
+    points are the same.  The array is a view of (d, L, count) memory,
+    the layout ``trig_values`` works in.
+    """
+    q = auto.precision_bits
+    words = (q + 63) // 64
+    raw = rng.integers(0, 1 << 64, size=(count, auto.dimension, words), dtype=np.uint64)
+    halves = raw.astype("<u8", copy=False).view("<u4")  # low 32 bits first
+    limbs = halves[..., :_limb_count(q)].transpose(1, 2, 0).astype(np.uint64, order="C")
+    limbs[:, -1] &= _top_limb_mask(q)
+    return limbs.transpose(2, 0, 1)
+
+
+def torus_limbs(coords: Sequence[Sequence[int]], precision_bits: int) -> np.ndarray:
+    """Limbs of integer vectors reduced mod 2^q, shape (len(coords), d, ceil(q / 32))."""
+    width = _limb_count(precision_bits)
+    mod = 1 << precision_bits
+    data = b"".join((int(c) % mod).to_bytes(4 * width, "little") for v in coords for c in v)
+    words = np.frombuffer(data, dtype="<u4").astype(np.uint64)
+    return words.reshape(len(coords), -1, width)
+
+
+def _negated(x: np.ndarray, precision_bits: int) -> np.ndarray:
+    """-x mod 2^q for (d, L, count) limbs: invert every limb, then add 1."""
+    out = x ^ _LIMB_MASK
+    out[:, 0] += np.uint64(1)
+    for t in range(x.shape[1] - 1):  # a carry leaves limb t only when x's limbs 0..t are all 0
+        out[:, t + 1] += out[:, t] >> np.uint64(_LIMB_BITS)
+        out[:, t] &= _LIMB_MASK
+    out[:, -1] &= _top_limb_mask(precision_bits)
+    return out
+
+
+def _limb_dot(magnitude, negative, x, x_neg, precision_bits: int) -> np.ndarray:
+    """<k, x> mod 2^q as limbs (L, count).
+
+    ``magnitude`` is (d, L), the limbs of |k_i| mod 2^q, and a coordinate
+    with k_i < 0 multiplies -x_i (``x_neg``, or None when no k_i < 0), so a
+    small negative frequency costs as few limb products as a positive one.
+    ``x`` is (d, L, count).
+    """
+    d, width, count = x.shape
+    acc = np.zeros((width + 1, count), dtype=np.uint64)
+    shift = np.uint64(_LIMB_BITS)
+    for i in range(d):
+        xi = x_neg[i] if negative[i] else x[i]
+        for a in range(width):
+            k = magnitude[i, a]
+            if not k:
+                continue
+            prod = xi[:width - a] * k
+            acc[a:width] += prod & _LIMB_MASK
+            acc[a + 1:] += prod >> shift
+    for t in range(width - 1):
+        acc[t + 1] += acc[t] >> shift
+        acc[t] &= _LIMB_MASK
+    acc[width - 1] &= _top_limb_mask(precision_bits)
+    return acc[:width]
+
+
+def _limb_phases(dot: np.ndarray, precision_bits: int) -> np.ndarray:
+    """dot / 2^q rounded to nearest, ties to even: Python's exact ``int / int``.
+
+    Each value is first moved up by whole limbs until its top limb is
+    nonzero (no move at all for most values).  The top limb and the two
+    below it then hold the 64 bits below the leading one; any bit lower
+    down is ORed into bit 0 as a sticky bit, and the uint64 -> float64
+    cast does the one rounding.  ``ldexp`` scales exactly while 2^-q is a
+    normal double (q <= 1022).
+    """
+    width, count = dot.shape
+    padded = np.concatenate([np.zeros((2, count), dtype=np.uint64), dot])
+    exponent = np.full(count, _LIMB_BITS * (width - 2) - precision_bits, dtype=np.int64)
+    for _ in range(width - 1):
+        empty = padded[-1] == 0
+        if not empty.any():
+            break
+        padded = np.where(empty, np.roll(padded, 1, axis=0), padded)
+        exponent -= _LIMB_BITS * empty
+    lo, mid, hi = padded[-3:]
+    sticky = (padded[:-3] != 0).any(axis=0)
+    # Leading zeros of the 32-bit top limb, from its exact float exponent.
+    zeros = np.where(hi == 0, 0, _LIMB_BITS - np.frexp(hi.astype(np.float64))[1]).astype(np.uint64)
+    room = np.uint64(_LIMB_BITS) - zeros
+    sticky |= (lo & ((np.uint64(1) << room) - np.uint64(1))) != 0
+    bits = (hi << (np.uint64(_LIMB_BITS) + zeros)) | (mid << zeros) | (lo >> room)
+    bits |= sticky.astype(np.uint64)
+    return np.ldexp(bits.astype(np.float64), exponent - zeros.astype(np.int64))
+
+
+def _trig_term(a: float, b: float, phase: np.ndarray) -> np.ndarray:
+    """a cos(phase) + b sin(phase).  A zero coefficient's product is a
+    signed zero, which leaves a sum that starts at +0.0 bit for bit as it
+    is, so its sine or cosine is not computed."""
+    if not b:
+        return a * np.cos(phase)
+    if not a:
+        return b * np.sin(phase)
+    return a * np.cos(phase) + b * np.sin(phase)
+
+
+def trig_values(terms, limbs: np.ndarray, precision_bits: int) -> np.ndarray:
+    """Sum of a cos(2 pi <k, x>) + b sin(2 pi <k, x>) over ``terms`` (k, a, b)
+    at every point of a (count, d, L) limb array.
+
+    Integer frequencies of any size and sign are reduced mod 2^q.  The
+    phases equal the big-integer ``dot / 2^q`` bit for bit and the terms
+    are summed in the same order, so each value is the one ``evaluate``
+    gives at that point.  Points are taken in slabs of ``TORUS_SLAB``,
+    which bounds the scratch memory.
+    """
+    count, d, _width = limbs.shape
+    freqs = []
+    for freq, a, b in terms:
+        if len(freq) != d:
+            raise VariantMismatch("frequency dimension does not match the point")
+        magnitude = torus_limbs([[abs(k) for k in freq]], precision_bits)[0]
+        freqs.append((magnitude, [k < 0 for k in freq], a, b))
+    signed = any(any(negative) for _, negative, _, _ in freqs)
+    two_pi = 2.0 * math.pi
+    total = np.zeros(count, dtype=np.float64)
+    for lo in range(0, count, TORUS_SLAB):
+        x = np.ascontiguousarray(np.moveaxis(limbs[lo:lo + TORUS_SLAB], 0, -1))
+        x_neg = _negated(x, precision_bits) if signed else None
+        part = total[lo:lo + TORUS_SLAB]
+        for magnitude, negative, a, b in freqs:
+            dot = _limb_dot(magnitude, negative, x, x_neg, precision_bits)
+            part += _trig_term(a, b, two_pi * _limb_phases(dot, precision_bits))
+    return total
 
 
 # ---------------------------------------------------------------------------

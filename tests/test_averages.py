@@ -7,7 +7,7 @@ import pytest
 
 from ergolab import averages, correlations as co, sequences, systems
 from ergolab.averages import AverageSpec, ergodic_average_stream, rate_statistic, rho
-from ergolab.errors import DomainError, PrecisionBudget, VariantMismatch, WindowExhausted
+from ergolab.errors import DomainError, VariantMismatch, WindowExhausted
 from ergolab.sequences import SequenceSpec
 
 MARKOV = [[0.9, 0.1], [0.5, 0.5]]
@@ -36,6 +36,24 @@ def make_spec(system, observables, multipliers, n_max, kind="linear"):
         sequence=SequenceSpec(kind=kind),
         n_max=n_max,
     )
+
+
+def _torus_values(spec, point):
+    terms = sequences.generate(spec.sequence, spec.n_max)
+    positions = np.asarray(spec.multipliers, dtype=np.int64)[:, None] * terms[None, :]
+    return averages._factor_values_torus(spec, point, positions)
+
+
+def _reference_torus_values(spec, point):
+    """Each term by scalar ``evaluate`` at ``torus_apply_power`` images."""
+    terms = sequences.generate(spec.sequence, spec.n_max)
+    out = []
+    for r in terms.tolist():
+        prod = 1.0
+        for obs, m in zip(spec.observables, spec.multipliers):
+            prod *= systems.evaluate(obs, systems.torus_apply_power(spec.system, point, m * r))
+        out.append(prod)
+    return out
 
 
 class TestRho:
@@ -177,12 +195,50 @@ class TestStream:
         with pytest.raises(WindowExhausted):
             ergodic_average_stream(spec, point)
 
-    def test_precision_budget(self, cat):
-        f = systems.trig_cosine((1, 0))
-        spec = make_spec(cat, [f], (1,), 64)
+    def test_polynomial_stream_needs_no_cap(self, cat):
+        # r_n = n^2 + 1: every gap between exponents is new, which filled
+        # the exponent cache of earlier versions; the orbit walk has no cap.
+        f = systems.trig_observable([((1, 0), 1.0, 0.5), ((2, -3), 0.0, -1.0)])
+        spec = AverageSpec(
+            system=cat,
+            observables=(f,),
+            multipliers=(1,),
+            sequence=SequenceSpec(kind="polynomial", coefficients=(1, 0, 1)),
+            n_max=400,
+        )
         point = averages.sample_spec_point(spec, 0, 0)
-        with pytest.raises(PrecisionBudget):
-            ergodic_average_stream(spec, point, cache_budget=4)
+        assert _torus_values(spec, point).tolist() == _reference_torus_values(spec, point)
+        series = ergodic_average_stream(spec, point)
+        assert series.entries[-1][1] == pytest.approx(
+            averages.direct_average(spec, point, 400), rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "kind, coefficients, multipliers",
+        [
+            ("linear", (), (1, 2)),
+            ("primes", (), (1, -2)),
+            ("polynomial", (0, 1, 1), (3, 1)),
+            ("linear", (), (-1, 2, -3)),
+        ],
+    )
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_torus_values_match_reference(self, kind, coefficients, multipliers, bits):
+        auto = systems.build_torus([[2, 1], [1, 1]], bits)
+        pool = [
+            systems.trig_observable([((-2, -1), 1.0, 0.0)]),
+            systems.trig_observable([((1, 0), 0.5, 1.5), ((0, 0), 0.25, 0.0)]),
+            systems.trig_observable([((3, -7), -1.0, 0.75), ((-1, -4), 0.0, 2.0)]),
+        ]
+        spec = AverageSpec(
+            system=auto,
+            observables=tuple(pool[: len(multipliers)]),
+            multipliers=multipliers,
+            sequence=SequenceSpec(kind=kind, coefficients=coefficients),
+            n_max=150,
+        )
+        point = averages.sample_spec_point(spec, bits, 1)
+        assert _torus_values(spec, point).tolist() == _reference_torus_values(spec, point)
 
     def test_markov_birkhoff_concentration(self, markov):
         # CLT scale: |A_N - 5/6| < 0.01 at N = 2^14 for >= 95% of seeds.

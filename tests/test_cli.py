@@ -39,6 +39,33 @@ def minimal_cumulants(time_tuples):
     }
 
 
+def torus_config(experiment, params, bits=64):
+    return {
+        "schema_version": 1,
+        "experiment": experiment,
+        "seed": 8,
+        "system": {"kind": "torus", "matrix": [[2, 1], [1, 1]], "precision_bits": bits},
+        "observables": [
+            {"variant": "trig", "terms": [{"freq": [-2, -1], "cos": 1.0}]},
+            {"variant": "trig", "terms": [{"freq": [1, 0], "cos": 1.0, "sin": 0.5}]},
+        ],
+        "params": params,
+    }
+
+
+TORUS_CORRELATE = {
+    "queries": [{"times": [0, 1]}, {"times": [0, 2]}, {"times": [1, 3]}],
+    "method": "both",
+    "samples": 3000,
+}
+TORUS_AVERAGE = {
+    "multipliers": [1, -2],
+    "sequence": {"kind": "primes"},
+    "n_max": 96,
+    "point_count": 3,
+}
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -138,6 +165,39 @@ class TestValidate:
         report = json.loads(capsys.readouterr().out)
         assert any(field in msg for msg in report["errors"]), report["errors"]
         assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            ([{"cos": 1.0}], "observables[0].terms[0].freq is missing"),
+            ([5], "observables[0].terms[0] must be an object"),
+            ([{"freq": 3, "cos": 1.0}], "observables[0].terms[0].freq must be a list"),
+            (7, "observables[0].terms must be a list"),
+            (
+                [{"freq": [1, 0, 0], "cos": 1.0}],
+                "observables[0].terms[0].freq has 3 entries, the torus dimension is 2",
+            ),
+        ],
+    )
+    def test_bad_trig_term_names_field(self, tmp_path, capsys, terms, message):
+        cfg = torus_config("correlate", TORUS_CORRELATE)
+        cfg["observables"][0] = {"variant": "trig", "terms": terms}
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert any(message in msg for msg in report["errors"]), report["errors"]
+        assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["correlate", "average"])
+    def test_torus_reports_precision_bits(self, experiment):
+        params = TORUS_CORRELATE if experiment == "correlate" else TORUS_AVERAGE
+        _, report = cli.validate_config(torus_config(experiment, params, bits=96))
+        assert report["ok"]
+        derived = report["derived"]
+        assert derived["torus_precision_bits"] == 96
+        assert "required_window_radius" not in derived
+        assert "transfer_span" not in derived
 
     def test_schema_version_enforced(self):
         cfg = minimal_correlate()
@@ -253,6 +313,19 @@ class TestRun:
         hashes_a = {e["name"]: e["sha256"] for e in manifest_a["artifacts"]}
         hashes_b = {e["name"]: e["sha256"] for e in manifest_b["artifacts"]}
         assert hashes_a == hashes_b
+
+    @pytest.mark.parametrize(
+        "experiment, params", [("correlate", TORUS_CORRELATE), ("average", TORUS_AVERAGE)]
+    )
+    def test_torus_artifacts_identical_across_workers(self, tmp_path, experiment, params):
+        path = write_config(tmp_path, torus_config(experiment, params))
+        hashes = []
+        for name, workers in (("a", 1), ("b", 2), ("c", 1)):
+            out = tmp_path / name
+            assert cli.run(path, out, workers=workers, emit_svg=False) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            hashes.append({e["name"]: e["sha256"] for e in manifest["artifacts"]})
+        assert hashes[0] == hashes[1] == hashes[2]
 
     def test_counting_run(self, tmp_path):
         cfg = {

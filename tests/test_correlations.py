@@ -1,6 +1,7 @@
 """Correlations: Monte Carlo vs exact oracles, cumulants, rate fits."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ergolab.errors import (
     NotCylinder,
     SpanTooLarge,
     SubsetMissing,
+    VariantMismatch,
 )
 
 MARKOV = [[0.9, 0.1], [0.5, 0.5]]
@@ -209,6 +211,73 @@ class TestExactTorus:
         q = query(cat, [f0, f1], (0, 1))
         estimate, std_error = co.mc_correlation(q, 30_000, 6)
         assert abs(estimate - 0.5) <= 4 * std_error
+
+
+def _reference_mc_products_torus(query, count, rng):
+    """The per-sample big-integer loop that the limb kernel replaced."""
+    auto = query.system
+    q = auto.precision_bits
+    mod = auto.modulus
+    factors = [
+        co._transformed_terms(auto, obs, t)
+        for obs, t in zip(query.observables, query.effective_times())
+    ]
+    words = (q + 63) // 64
+    raw = rng.integers(0, 1 << 64, size=(count, auto.dimension, words), dtype=np.uint64)
+    prod = np.ones(count, dtype=np.float64)
+    two_pi = 2.0 * math.pi
+    for s in range(count):
+        coords = []
+        for i in range(auto.dimension):
+            value = 0
+            for w in range(words):
+                value |= int(raw[s, i, w]) << (64 * w)
+            coords.append(value % mod)
+        sample_prod = 1.0
+        for terms in factors:
+            value = 0.0
+            for freq, a, b in terms:
+                dot = sum(k * c for k, c in zip(freq, coords)) % mod
+                phase = two_pi * (dot / mod)
+                value += a * math.cos(phase) + b * math.sin(phase)
+            sample_prod *= value
+        prod[s] = sample_prod
+    return prod
+
+
+class TestTorusMonteCarloKernel:
+    @pytest.mark.parametrize("bits", [31, 64, 96, 128])
+    @pytest.mark.parametrize(
+        "times, multipliers",
+        [((0, 1), None), ((1, 3), None), ((2, 5), (1, -2)), ((0, 40), (3, 1))],
+    )
+    def test_products_match_reference(self, bits, times, multipliers):
+        auto = systems.build_torus([[2, 1], [1, 1]], bits)
+        f0 = systems.trig_observable([((-2, -1), 1.0, 0.0), ((3, 5), 0.25, -0.5)])
+        f1 = systems.trig_observable([((1, 0), 0.5, 1.5), ((2, 3), 0.0, -0.75)])
+        q = query(auto, [f0, f1], times, multipliers)
+        count = systems.TORUS_SLAB + 77  # crosses a slab boundary
+        got = co._mc_products_torus(q, count, np.random.default_rng(bits))
+        want = _reference_mc_products_torus(q, count, np.random.default_rng(bits))
+        assert np.array_equal(got, want)
+
+    def test_three_dimensional_reference(self):
+        auto = systems.build_torus([[1, 1, 0], [1, 2, 1], [0, 1, 2]], 96)
+        f = systems.trig_observable([((1, -1, 2), 1.0, 0.5)])
+        g = systems.trig_observable([((0, 1, 0), -0.5, 0.0), ((2, 0, 1), 0.0, 1.0)])
+        q = query(auto, [f, g, f], (0, 2, 7))
+        got = co._mc_products_torus(q, 500, np.random.default_rng(3))
+        want = _reference_mc_products_torus(q, 500, np.random.default_rng(3))
+        assert np.array_equal(got, want)
+
+    def test_wrong_dimension_frequency_rejected(self, cat):
+        bad = systems.trig_cosine((1, 0, 0))
+        with pytest.raises(VariantMismatch):
+            co._transformed_terms(cat, bad, 1)
+        with pytest.raises(VariantMismatch):
+            co.mc_correlation(query(cat, [bad], (0,)), 100, 1)
+        with pytest.raises(VariantMismatch):
+            co.exact_correlation_torus(query(cat, [bad], (0,)))
 
 
 class TestMixingDefect:

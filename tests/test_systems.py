@@ -1,12 +1,13 @@
 """Systems module: construction, sampling, exact actions and means."""
 
 import bisect
+import random
 
 import numpy as np
 import pytest
 
-from ergolab import averages, systems
-from ergolab.seeding import ROLE_TERMS, rng_for
+from ergolab import averages, intmat, systems
+from ergolab.seeding import ROLE_TERMS, ROLE_TERMS_BACKWARD, rng_for
 from ergolab.sequences import SequenceSpec, generate
 from ergolab.errors import (
     DomainError,
@@ -171,6 +172,128 @@ class TestTorus:
         assert len(images) == 256 * 256
 
 
+# ---------------------------------------------------------------------------
+# Limb kernel against the big-integer reference
+# ---------------------------------------------------------------------------
+
+PRECISIONS = (31, 64, 96, 128)
+
+
+def _random_unimodular(rnd: random.Random, d: int) -> intmat.IntMatrix:
+    """Product of random integer shears and a sign flip (determinant +-1)
+    whose powers grow, so pushed frequencies leave [-2^q, 2^q)."""
+    while True:
+        matrix = intmat.mat_identity(d)
+        for _ in range(3 * d):
+            i, j = rnd.sample(range(d), 2)
+            shear = [list(row) for row in intmat.mat_identity(d)]
+            shear[i][j] = rnd.choice([-2, -1, 1, 2])
+            matrix = intmat.mat_mul(matrix, tuple(tuple(row) for row in shear))
+        if rnd.random() < 0.5:
+            matrix = (tuple(-x for x in matrix[0]),) + matrix[1:]
+        if max(abs(x) for row in intmat.mat_pow(matrix, 60) for x in row) > 1 << 30:
+            return matrix
+
+
+def _pushed_frequencies(rnd: random.Random, d: int, count: int) -> list[tuple[int, ...]]:
+    """Frequencies pushed through (M^T)^t for t up to 300: huge and of both signs."""
+    transpose = tuple(zip(*_random_unimodular(rnd, d)))
+    times = [0, 1, 300] + [rnd.randint(0, 300) for _ in range(count - 3)]
+    out = []
+    for time in times:
+        freq = tuple(rnd.randint(-3, 3) for _ in range(d))
+        out.append(intmat.mat_vec(intmat.mat_pow(transpose, time), freq))
+    return out
+
+
+def _limb_int(limbs) -> int:
+    return sum(int(x) << (32 * j) for j, x in enumerate(limbs))
+
+
+def _limb_dots(freq, coords, q):
+    x = np.ascontiguousarray(np.moveaxis(systems.torus_limbs(coords, q), 0, -1))
+    magnitude = systems.torus_limbs([[abs(k) for k in freq]], q)[0]
+    negative = [k < 0 for k in freq]
+    return systems._limb_dot(magnitude, negative, x, systems._negated(x, q), q)
+
+
+class TestLimbKernel:
+    @pytest.mark.parametrize("q", PRECISIONS)
+    def test_sampled_limbs_are_the_scalar_draws(self, q):
+        auto = systems.build_torus([[2, 1], [1, 1]], q)
+        got = systems.sample_torus_limbs(auto, 50, np.random.default_rng(q))
+        rng = np.random.default_rng(q)
+        points = [systems.sample_torus_point(auto, rng).coords for _ in range(50)]
+        assert got.shape == (50, 2, -(-q // 32))
+        assert np.array_equal(got, systems.torus_limbs(points, q))
+        assert [[_limb_int(c) for c in p] for p in got] == [list(p) for p in points]
+
+    @pytest.mark.parametrize("q", PRECISIONS)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_dot_matches_intmat(self, q, d):
+        rnd = random.Random(1000 * q + d)
+        mod = 1 << q
+        coords = [tuple(rnd.getrandbits(q) for _ in range(d)) for _ in range(200)]
+        coords += [(0,) * d, (mod - 1,) * d]
+        freqs = _pushed_frequencies(rnd, d, 12)
+        assert any(abs(k) >= mod for f in freqs for k in f)
+        assert any(k < 0 for f in freqs for k in f)
+        for freq in freqs:
+            dots = _limb_dots(freq, coords, q)
+            want = [intmat.mat_vec((freq,), c, mod)[0] for c in coords]
+            assert [_limb_int(dots[:, s]) for s in range(len(coords))] == want
+
+    @pytest.mark.parametrize("q", PRECISIONS + (1, 33, 200))
+    def test_phases_are_python_division(self, q):
+        rnd = random.Random(q)
+        mod = 1 << q
+        values = [0, 1, mod - 1, mod >> 1]
+        values += [rnd.getrandbits(rnd.randint(1, q)) for _ in range(3000)]
+        # Halfway cases and their neighbours wherever 54 bits fit.
+        for shift in range(0, q - 53):
+            tie = ((1 << 53) + 1) << shift
+            values += [tie - 1, tie, tie + 1, (((1 << 53) + 3) << shift)]
+        values = [v % mod for v in values]
+        limbs = systems.torus_limbs([(v,) for v in values], q)
+        phases = systems._limb_phases(np.ascontiguousarray(limbs[:, 0, :].T), q)
+        assert [float(p) for p in phases] == [v / mod for v in values]
+
+    @pytest.mark.parametrize("q", PRECISIONS)
+    def test_trig_values_match_evaluate(self, q):
+        rnd = random.Random(q + 7)
+        auto = systems.build_torus([[2, 1], [1, 1]], q)
+        freqs = dict.fromkeys(_pushed_frequencies(rnd, 2, 4) + [(0, 0), (1, -1)])
+        obs = systems.trig_observable(
+            [(f, rnd.uniform(-2, 2), rnd.uniform(-2, 2)) for f in freqs]
+        )
+        rng = np.random.default_rng(q)
+        points = [systems.sample_torus_point(auto, rng) for _ in range(300)]
+        limbs = systems.torus_limbs([p.coords for p in points], q)
+        got = systems.trig_values(obs.terms, limbs, q)
+        assert got.tolist() == [systems.evaluate(obs, p) for p in points]
+
+    def test_trig_values_cross_slabs(self):
+        auto = systems.build_torus([[2, 1], [1, 1]], 64)
+        limbs = systems.sample_torus_limbs(auto, systems.TORUS_SLAB + 5, np.random.default_rng(2))
+        terms = [((3, -1), 1.0, 0.5)]
+        whole = systems.trig_values(terms, limbs, 64)
+        parts = [systems.trig_values(terms, limbs[i:i + 1], 64)[0] for i in range(len(limbs))]
+        assert whole.tolist() == parts
+
+    def test_orbit_matches_apply_power(self, cat):
+        point = systems.sample_torus_point(cat, 12)
+        exponents = [-300, -17, -1, 0, 1, 2, 3, 64, 1000, 4097]
+        orbit = systems.torus_orbit(cat, point, exponents)
+        assert orbit == [systems.torus_apply_power(cat, point, n).coords for n in exponents]
+
+    def test_wrong_dimension_rejected(self, cat):
+        limbs = systems.torus_limbs([(1, 2)], cat.precision_bits)
+        with pytest.raises(VariantMismatch):
+            systems.trig_values([((1, 0, 0), 1.0, 0.0)], limbs, cat.precision_bits)
+        with pytest.raises(ValueError):
+            intmat.mat_vec(cat.matrix, (1, 0, 0))
+
+
 class TestObservables:
     def test_constant_cylinder(self, markov):
         obs = systems.cylinder_observable(0, {(0,): 3.5, (1,): 3.5})
@@ -285,11 +408,16 @@ def _reference_terms(spec, master_seed, point_indices, ks):
     terms = generate(spec.sequence, int(max(ks)))
     positions = [[m * int(terms[k - 1]) for k in ks] for m in spec.multipliers]
     fwd_len = max(max(max(row) for row in positions), 0) + width
-    bwd_len = max(-min(min(row) for row in positions), 0) + width
+    bwd_len = max(width - min(min(row) for row in positions), 0)
     thresholds = _reference_thresholds(spec.system)
     out = np.empty((len(point_indices), len(ks)))
     for row, j in enumerate(point_indices):
-        u = rng_for(master_seed, ROLE_TERMS, int(j)).random(1 + fwd_len + bwd_len)
+        # Origin and forward run from one stream; the backward run, when
+        # some factor reads left of 0, from its own.
+        u = rng_for(master_seed, ROLE_TERMS, int(j)).random(1 + fwd_len)
+        if bwd_len:
+            back = rng_for(master_seed, ROLE_TERMS_BACKWARD, int(j)).random(bwd_len)
+            u = np.concatenate([u, back])
         path = _reference_path(thresholds, u, fwd_len, bwd_len)
         for col in range(len(ks)):
             value = 1.0
@@ -392,20 +520,7 @@ class TestPathKernel:
             got = generator(points, ks)
             assert np.array_equal(got, _reference_terms(spec, 91, points, ks))
 
-    @pytest.mark.parametrize(
-        "multipliers",
-        [
-            (1, 2),
-            pytest.param(
-                (1, -2),
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="the backward run's uniforms follow the forward run, "
-                    "whose length depends on max(ks)",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("multipliers", [(1, 2), (1, -2)])
     def test_term_generator_prefixes_agree(self, chain, multipliers):
         obs = systems.centered_cylinder_indicator(chain, [1])
         spec = averages.AverageSpec(
