@@ -122,24 +122,46 @@ def pmap(fn, tasks, workers: int) -> list:
 # Config parsing
 # ---------------------------------------------------------------------------
 
-def parse_exact(value) -> float:
-    """Accept JSON numbers or rational strings 'p/q', exactly."""
-    if isinstance(value, bool):
-        raise ConfigError(f"expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
+def parse_exact(value, where: str) -> float:
+    """Accept JSON numbers or rational strings 'p/q', exactly; ``where`` is
+    the value's JSON path, named in errors."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     if isinstance(value, str):
         try:
             return float(Fraction(value))
         except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"cannot parse rational {value!r}: {exc}") from exc
-    raise ConfigError(f"expected a number or 'p/q' string, got {value!r}")
+            raise ConfigError(f"{where}: cannot parse rational {value!r}: {exc}") from exc
+    raise ConfigError(f"{where} must be a number or a 'p/q' string, got {value!r}")
 
 
-def parse_int(value, what: str) -> int:
+def parse_int(value, where: str) -> int:
+    """Accept JSON integers only; ``where`` is the value's JSON path."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what} must be an integer, got {value!r}")
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
     return value
+
+
+def parse_positive(value, where: str) -> float:
+    number = parse_exact(value, where)
+    if number <= 0:
+        raise ConfigError(f"{where} must be positive, got {value!r}")
+    return number
+
+
+def parse_int_list(values, where: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ConfigError(f"{where} must be a list of integers, got {values!r}")
+    return tuple(parse_int(v, f"{where}[{j}]") for j, v in enumerate(values))
+
+
+def parse_matrix(rows, where: str) -> list[list[float]]:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ConfigError(f"{where} must be a list of rows")
+    return [
+        [parse_exact(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
+        for i, row in enumerate(rows)
+    ]
 
 
 def reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
@@ -158,14 +180,15 @@ def build_system(desc: dict):
         transition = desc.get("transition")
         if adjacency is None or transition is None:
             raise ConfigError("shift systems need 'adjacency' and 'transition'")
-        rows = [[parse_exact(v) for v in row] for row in transition]
-        return systems.build_shift(adjacency, rows)
+        return systems.build_shift(adjacency, parse_matrix(transition, "system.transition"))
     if kind == "torus":
         reject_unknown(desc, {"kind", "matrix", "precision_bits"}, "system")
         matrix = desc.get("matrix")
         if matrix is None:
             raise ConfigError("torus systems need a 'matrix'")
-        bits = parse_int(desc.get("precision_bits", systems.DEFAULT_PRECISION_BITS), "precision_bits")
+        bits = parse_int(
+            desc.get("precision_bits", systems.DEFAULT_PRECISION_BITS), "system.precision_bits"
+        )
         return systems.build_torus(matrix, bits)
     raise ConfigError(f"unknown system kind {kind!r}")
 
@@ -180,13 +203,13 @@ def parse_table_entry(entry, system, where: str) -> tuple[tuple[int, ...], float
             raise ConfigError(f"{where}.{key} is missing")
     if not isinstance(entry["word"], list):
         raise ConfigError(f"{where}.word must be a list of symbols")
-    word = tuple(parse_int(s, f"{where}.word symbol") for s in entry["word"])
+    word = tuple(parse_int(s, f"{where}.word[{k}]") for k, s in enumerate(entry["word"]))
     if isinstance(system, systems.ShiftSystem):
         m = system.alphabet_size
         for s in word:
             if not 0 <= s < m:
                 raise ConfigError(f"{where}.word: symbol {s} is outside the alphabet 0..{m - 1}")
-    return word, parse_exact(entry["value"])
+    return word, parse_exact(entry["value"], f"{where}.value")
 
 
 def parse_trig_term(entry, system, where: str) -> tuple[tuple[int, ...], float, float]:
@@ -198,12 +221,13 @@ def parse_trig_term(entry, system, where: str) -> tuple[tuple[int, ...], float, 
         raise ConfigError(f"{where}.freq is missing")
     if not isinstance(entry["freq"], list):
         raise ConfigError(f"{where}.freq must be a list of integers")
-    freq = tuple(parse_int(k, f"{where}.freq entry") for k in entry["freq"])
+    freq = tuple(parse_int(k, f"{where}.freq[{j}]") for j, k in enumerate(entry["freq"]))
     if isinstance(system, systems.TorusAutomorphism) and len(freq) != system.dimension:
         raise ConfigError(
             f"{where}.freq has {len(freq)} entries, the torus dimension is {system.dimension}"
         )
-    return freq, parse_exact(entry.get("cos", 0.0)), parse_exact(entry.get("sin", 0.0))
+    cos, sin = (parse_exact(entry.get(key, 0.0), f"{where}.{key}") for key in ("cos", "sin"))
+    return freq, cos, sin
 
 
 def build_observable(desc: dict, system, where: str = "observable") -> systems.Observable:
@@ -212,7 +236,7 @@ def build_observable(desc: dict, system, where: str = "observable") -> systems.O
     variant = desc["variant"]
     if variant == "cylinder":
         reject_unknown(desc, {"variant", "radius", "table", "default", "centered"}, where)
-        radius = parse_int(desc.get("radius", 0), "radius")
+        radius = parse_int(desc.get("radius", 0), f"{where}.radius")
         entries = desc.get("table", [])
         if not isinstance(entries, list):
             raise ConfigError(f"{where}.table must be a list of entries")
@@ -220,7 +244,8 @@ def build_observable(desc: dict, system, where: str = "observable") -> systems.O
             parse_table_entry(entry, system, f"{where}.table[{j}]")
             for j, entry in enumerate(entries)
         )
-        obs = systems.cylinder_observable(radius, table, parse_exact(desc.get("default", 0.0)))
+        default = parse_exact(desc.get("default", 0.0), f"{where}.default")
+        obs = systems.cylinder_observable(radius, table, default)
         if desc.get("centered", False):
             mean = systems.exact_mean(obs, system)
             table = {w: v - mean for w, v in obs.table.items()}
@@ -238,15 +263,17 @@ def build_observable(desc: dict, system, where: str = "observable") -> systems.O
     raise ConfigError(f"unknown observable variant {variant!r}")
 
 
-def build_sequence(desc: dict) -> sequences.SequenceSpec:
+def build_sequence(desc: dict, where: str) -> sequences.SequenceSpec:
     if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError("sequence descriptor must be an object with a 'kind'")
-    reject_unknown(desc, {"kind", "coefficients", "values", "multiplicity_bound"}, "sequence")
+        raise ConfigError(f"{where} must be an object with a 'kind'")
+    reject_unknown(desc, {"kind", "coefficients", "values", "multiplicity_bound"}, where)
     return sequences.SequenceSpec(
         kind=desc["kind"],
-        coefficients=tuple(parse_int(c, "coefficient") for c in desc.get("coefficients", [])),
-        values=tuple(parse_int(v, "sequence value") for v in desc.get("values", [])),
-        multiplicity_bound=parse_int(desc.get("multiplicity_bound", 1), "multiplicity_bound"),
+        coefficients=parse_int_list(desc.get("coefficients", []), f"{where}.coefficients"),
+        values=parse_int_list(desc.get("values", []), f"{where}.values"),
+        multiplicity_bound=parse_int(
+            desc.get("multiplicity_bound", 1), f"{where}.multiplicity_bound"
+        ),
     )
 
 
@@ -295,37 +322,50 @@ class ValidatedConfig:
                 build_observable(d, self.system, f"observables[{i}]")
                 for i, d in enumerate(obs_desc)
             )
+            self._require_matching_variants()
         self.derived: dict = {}
         getattr(self, f"_validate_{experiment}")()
+
+    def _require_matching_variants(self) -> None:
+        # Every experiment evaluates its observables on the system, so a
+        # mismatch fails whatever the method; name the first one.
+        shift = isinstance(self.system, systems.ShiftSystem)
+        need = systems.CYLINDER if shift else systems.TRIG
+        for i, obs in enumerate(self.observables):
+            if obs.variant != need:
+                raise ConfigError(
+                    f"observable variants do not match the system: observables[{i}] is "
+                    f"{obs.variant!r}, a {'shift' if shift else 'torus'} system needs "
+                    f"{need!r} observables"
+                )
 
     # -- per-experiment validation ----------------------------------------
 
     def _average_spec(self, params: dict) -> averages.AverageSpec:
-        multipliers = params.get("multipliers")
-        if not multipliers:
-            raise ConfigError("need 'multipliers'")
-        if len(set(multipliers)) != len(multipliers):
-            raise ConfigError("multipliers must be pairwise distinct")
-        sequence = build_sequence(params.get("sequence", {"kind": "linear"}))
-        n_max = parse_int(params.get("n_max", 1024), "n_max")
+        # AverageSpec checks the multiplier count and distinctness.
         checkpoints = params.get("checkpoints")
         return averages.AverageSpec(
             system=self.system,
             observables=self.observables,
-            multipliers=tuple(parse_int(m, "multiplier") for m in multipliers),
-            sequence=sequence,
-            n_max=n_max,
-            checkpoints=tuple(checkpoints) if checkpoints else None,
+            multipliers=parse_int_list(params.get("multipliers"), "params.multipliers"),
+            sequence=build_sequence(params.get("sequence", {"kind": "linear"}), "params.sequence"),
+            n_max=parse_int(params.get("n_max", 1024), "params.n_max"),
+            checkpoints=parse_int_list(checkpoints, "params.checkpoints") if checkpoints else None,
         )
 
     def _rate_params(self, params: dict) -> tuple[float, float]:
-        epsilon = parse_exact(params.get("epsilon", 1.0))
-        delta = parse_exact(params.get("delta", 2.0))
-        if epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-        if delta <= 0:
-            raise ConfigError("delta must be positive")
-        return epsilon, delta
+        return (
+            parse_positive(params.get("epsilon", 1.0), "params.epsilon"),
+            parse_positive(params.get("delta", 2.0), "params.delta"),
+        )
+
+    def _point_count(self, default: int, minimum: int) -> int:
+        count = parse_int(self.params.get("point_count", default), "params.point_count")
+        if count < minimum:
+            raise ConfigError(
+                f"{self.experiment} needs params.point_count >= {minimum}, got {count}"
+            )
+        return count
 
     def _derive_window(self, spec: averages.AverageSpec, points: int) -> None:
         if isinstance(spec.system, systems.ShiftSystem):
@@ -337,41 +377,34 @@ class ValidatedConfig:
             self.derived["torus_precision_bits"] = spec.system.precision_bits
             self.derived["estimated_memory_bytes"] = points * 16 * spec.n_max
 
-    def _require_oracle_variants(self, what: str) -> None:
-        # Only the variants are checked here: the transfer span depends on
-        # the query times and is a runtime limit (correlations.span_too_large).
-        if not correlations.oracle_variants_match(self.system, self.observables):
-            raise ConfigError(
-                f"{what} needs the exact oracle, but the observable variants do not "
-                "match the system (shift needs cylinder, torus needs trig)"
-            )
-
     def _validate_correlate(self):
         reject_unknown(self.params, {"queries", "method", "samples"}, "params")
         queries = self.params.get("queries")
-        if not queries:
-            raise ConfigError("correlate needs 'queries'")
-        method = self.params.get("method", "exact")
-        if method not in ("exact", "mc", "both"):
-            raise ConfigError("method must be exact, mc or both")
-        if method in ("mc", "both"):
-            samples = parse_int(self.params.get("samples", 0), "samples")
-            if samples < 2:
-                raise ConfigError("Monte Carlo methods need samples >= 2")
-        if method in ("exact", "both"):
-            self._require_oracle_variants(f"method {method!r}")
+        if not queries or not isinstance(queries, list):
+            raise ConfigError("correlate needs params.queries, a non-empty list of objects")
+        self.method = self.params.get("method", "exact")
+        if self.method not in ("exact", "mc", "both"):
+            raise ConfigError("params.method must be exact, mc or both")
+        self.samples = 0
+        if self.method in ("mc", "both"):
+            self.samples = parse_int(self.params.get("samples", 0), "params.samples")
+            if self.samples < 2:
+                raise ConfigError("Monte Carlo methods need params.samples >= 2")
         self.queries = []
-        for desc in queries:
-            reject_unknown(desc, {"times", "multipliers"}, "query")
-            times = desc.get("times")
-            if not times or len(times) != len(self.observables):
-                raise ConfigError("each query needs one time per observable")
+        for q, desc in enumerate(queries):
+            where = f"params.queries[{q}]"
+            if not isinstance(desc, dict):
+                raise ConfigError(f"{where} must be an object with 'times'")
+            reject_unknown(desc, {"times", "multipliers"}, where)
+            times = parse_int_list(desc.get("times"), f"{where}.times")
+            if len(times) != len(self.observables):
+                raise ConfigError(f"{where}.times needs one time per observable")
             multipliers = desc.get("multipliers")
             query = correlations.CorrelationQuery(
                 system=self.system,
                 observables=self.observables,
-                times=tuple(parse_int(t, "time") for t in times),
-                multipliers=tuple(parse_int(m, "multiplier") for m in multipliers)
+                times=times,
+                multipliers=parse_int_list(multipliers, f"{where}.multipliers")
                 if multipliers
                 else None,
             )
@@ -394,13 +427,14 @@ class ValidatedConfig:
             raise ConfigError("cumulants needs 'time_tuples'")
         if len(self.observables) > correlations.MAX_CUMULANT_ORDER + 1:
             raise ConfigError("too many observables for the cumulant guard")
-        for times in tuples:
+        self.time_tuples = [
+            parse_int_list(row, f"params.time_tuples[{r}]") for r, row in enumerate(tuples)
+        ]
+        for r, times in enumerate(self.time_tuples):
             if len(times) != len(self.observables):
-                raise ConfigError("each time tuple needs one time per observable")
-        self._require_oracle_variants("cumulant scans")
-        self.time_tuples = [tuple(parse_int(t, "time") for t in row) for row in tuples]
+                raise ConfigError(f"params.time_tuples[{r}] needs one time per observable")
         self.multipliers = (
-            tuple(parse_int(m, "multiplier") for m in self.params["multipliers"])
+            parse_int_list(self.params["multipliers"], "params.multipliers")
             if self.params.get("multipliers")
             else None
         )
@@ -421,9 +455,7 @@ class ValidatedConfig:
         )
         self.spec = self._average_spec(self.params)
         self.epsilon, self.delta = self._rate_params(self.params)
-        self.point_count = parse_int(self.params.get("point_count", 1), "point_count")
-        if self.point_count < 1:
-            raise ConfigError("point_count must be >= 1")
+        self.point_count = self._point_count(1, 1)
         self._derive_window(self.spec, self.point_count)
 
     def _validate_ratecheck(self):
@@ -443,11 +475,9 @@ class ValidatedConfig:
         )
         self.spec = self._average_spec(self.params)
         self.epsilon, self.delta = self._rate_params(self.params)
-        self.point_count = parse_int(self.params.get("point_count", 10), "point_count")
-        if self.point_count < 10:
-            raise ConfigError("ratecheck needs point_count >= 10")
+        self.point_count = self._point_count(10, 10)
         self.min_checkpoint = (
-            parse_int(self.params["min_checkpoint"], "min_checkpoint")
+            parse_int(self.params["min_checkpoint"], "params.min_checkpoint")
             if "min_checkpoint" in self.params
             else None
         )
@@ -459,57 +489,73 @@ class ValidatedConfig:
             {"multipliers", "sequence", "point_count", "n_grid", "exceptional"},
             "params",
         )
+        if not isinstance(self.system, systems.ShiftSystem):
+            raise ConfigError("dyadic needs a shift system: its terms are sampled on shift paths")
         grid = self.params.get("n_grid")
-        if not grid or len(grid) < 4:
-            raise ConfigError("dyadic needs an 'n_grid' with at least 4 entries")
-        self.n_grid = [parse_int(n, "grid entry") for n in grid]
-        for n in self.n_grid:
+        if not isinstance(grid, list) or len(grid) < 4:
+            raise ConfigError("dyadic needs a params.n_grid list with at least 4 entries")
+        self.n_grid = parse_int_list(grid, "params.n_grid")
+        for j, n in enumerate(self.n_grid):
             if n < 2 or n & (n - 1):
-                raise ConfigError(f"n_grid entries must be powers of two >= 2, got {n}")
-        params = dict(self.params)
-        params.setdefault("n_max", max(self.n_grid))
-        self.spec = self._average_spec(
-            {k: params[k] for k in ("multipliers", "sequence", "n_max") if k in params}
-        )
-        self.point_count = parse_int(self.params.get("point_count", 1000), "point_count")
-        if self.point_count < 2:
-            raise ConfigError("dyadic needs point_count >= 2")
+                raise ConfigError(f"params.n_grid[{j}] must be a power of two >= 2, got {n}")
+        params = {k: self.params[k] for k in ("multipliers", "sequence") if k in self.params}
+        self.spec = self._average_spec(dict(params, n_max=max(self.n_grid)))
+        self.point_count = self._point_count(1000, 2)
+        self.s_values: tuple[int, ...] = ()
         exceptional = self.params.get("exceptional")
-        if exceptional is not None:
-            reject_unknown(exceptional, {"s_values", "epsilon", "sigma"}, "exceptional")
+        self.exceptional = exceptional is not None
+        if self.exceptional:
+            where = "params.exceptional"
+            if not isinstance(exceptional, dict):
+                raise ConfigError(f"{where} must be an object")
+            reject_unknown(exceptional, {"s_values", "epsilon", "sigma"}, where)
             if not exceptional.get("s_values"):
-                raise ConfigError("exceptional needs 's_values'")
-        self.exceptional = exceptional
-        self._derive_window(self.spec, self.point_count)
+                raise ConfigError(f"{where}.s_values must be a non-empty list of integers")
+            self.s_values = parse_int_list(exceptional["s_values"], f"{where}.s_values")
+            for j, s in enumerate(self.s_values):
+                # Term indices are int64, so 2^s columns need s <= 62.
+                if not 1 <= s <= 62:
+                    raise ConfigError(f"{where}.s_values[{j}] must be in 1..62, got {s}")
+            self.epsilon = parse_positive(exceptional.get("epsilon", 1.0), f"{where}.epsilon")
+            self.sigma = parse_positive(exceptional.get("sigma", 1.0), f"{where}.sigma")
+        # One (points, W) term matrix serves every grid N and every L_s.
+        columns = dyadic.term_columns(self.n_grid, self.s_values)
+        self.derived["term_columns"] = columns
+        self.derived["term_entries"] = self.point_count * columns
 
     def _validate_growth(self):
         reject_unknown(self.params, {"matrices", "n_max", "pair"}, "params")
         matrices = self.params.get("matrices", [])
-        self.n_max = parse_int(self.params.get("n_max", 64), "n_max")
+        self.n_max = parse_int(self.params.get("n_max", 64), "params.n_max")
         if self.n_max < 16:
-            raise ConfigError("growth needs n_max >= 16")
-        self.matrices = [np.array([[parse_exact(v) for v in row] for row in m]) for m in matrices]
+            raise ConfigError("growth needs params.n_max >= 16")
+        self.matrices = [
+            np.array(parse_matrix(m, f"params.matrices[{k}]")) for k, m in enumerate(matrices)
+        ]
         pair = self.params.get("pair")
         self.pair = None
         self.pair_grid = None
         self.balance = None
         if pair is not None:
-            reject_unknown(pair, {"g", "h", "m_grid", "k_max", "n_max", "balance"}, "pair")
-            g = np.array([[parse_exact(v) for v in row] for row in pair["g"]])
-            h = np.array([[parse_exact(v) for v in row] for row in pair["h"]])
+            reject_unknown(pair, {"g", "h", "m_grid", "k_max", "n_max", "balance"}, "params.pair")
+            for key in ("g", "h"):
+                if key not in pair:
+                    raise ConfigError(f"params.pair.{key} is missing")
+            g = np.array(parse_matrix(pair["g"], "params.pair.g"))
+            h = np.array(parse_matrix(pair["h"], "params.pair.h"))
             self.pair = matrix_growth.CommutingPair(g=g, h=h)
-            m_max = parse_int(pair.get("m_grid", 32), "m_grid")
+            m_max = parse_int(pair.get("m_grid", 32), "params.pair.m_grid")
             self.pair_grid = (
                 list(range(1, m_max + 1)),
-                parse_int(pair.get("k_max", 512), "k_max"),
-                parse_int(pair.get("n_max", 512), "n_max"),
+                parse_int(pair.get("k_max", 512), "params.pair.k_max"),
+                parse_int(pair.get("n_max", 512), "params.pair.n_max"),
             )
             balance = pair.get("balance")
             if balance is not None:
-                reject_unknown(balance, {"m", "n_max"}, "balance")
+                reject_unknown(balance, {"m", "n_max"}, "params.pair.balance")
                 self.balance = (
-                    parse_int(balance.get("m", 10), "balance m"),
-                    parse_int(balance.get("n_max", 40), "balance n_max"),
+                    parse_int(balance.get("m", 10), "params.pair.balance.m"),
+                    parse_int(balance.get("n_max", 40), "params.pair.balance.n_max"),
                 )
         if not matrices and pair is None:
             raise ConfigError("growth needs 'matrices' or a 'pair'")
@@ -520,35 +566,33 @@ class ValidatedConfig:
         if not checks:
             raise ConfigError("counting needs 'checks'")
         self.checks = []
-        for desc in checks:
+        for c, desc in enumerate(checks):
+            where = f"params.checks[{c}]"
             reject_unknown(
                 desc,
                 {"type", "sequence", "values", "t_first", "t_second", "K", "n_max", "s_max", "M_claim", "m_max"},
-                "counting check",
+                where,
             )
             kind = desc.get("type")
             if kind not in ("c", "b", "band"):
-                raise ConfigError("check type must be c, b or band")
-            k_max = parse_int(desc.get("K", 1000), "K")
+                raise ConfigError(f"{where}.type must be c, b or band")
+            k_max = parse_int(desc.get("K", 1000), f"{where}.K")
             if desc.get("values") is not None:
-                values = [parse_exact(v) for v in desc["values"]]
+                values = desc["values"]
+                if not isinstance(values, list):
+                    raise ConfigError(f"{where}.values must be a list of numbers")
+                values = [parse_exact(x, f"{where}.values[{j}]") for j, x in enumerate(values)]
                 if len(values) < k_max:
-                    raise ConfigError("'values' must supply at least K entries")
+                    raise ConfigError(f"{where}.values must supply at least K entries")
                 source = ("values", values)
             else:
-                seq = build_sequence(desc.get("sequence", {"kind": "linear"}))
-                t_first = parse_int(desc.get("t_first", 1), "t_first")
-                t_second = parse_int(desc.get("t_second", 2), "t_second")
+                seq = build_sequence(desc.get("sequence", {"kind": "linear"}), f"{where}.sequence")
+                t_first = parse_int(desc.get("t_first", 1), f"{where}.t_first")
+                t_second = parse_int(desc.get("t_second", 2), f"{where}.t_second")
                 source = ("sequence", seq, t_first, t_second)
-            entry = {
-                "type": kind,
-                "source": source,
-                "K": k_max,
-                "n_max": parse_int(desc.get("n_max", 1000), "n_max"),
-                "s_max": parse_int(desc.get("s_max", 1000), "s_max"),
-                "M_claim": parse_int(desc.get("M_claim", 1), "M_claim"),
-                "m_max": parse_int(desc.get("m_max", 100), "m_max"),
-            }
+            entry = {"type": kind, "source": source, "K": k_max}
+            for key, default in (("n_max", 1000), ("s_max", 1000), ("M_claim", 1), ("m_max", 100)):
+                entry[key] = parse_int(desc.get(key, default), f"{where}.{key}")
             self.checks.append(entry)
 
 
@@ -581,10 +625,10 @@ def _task_series(args):
     return averages.ergodic_average_stream(spec, point)
 
 
-def _task_empirical_e(args):
-    spec, seed, points, n = args
+def _task_dyadic_batch(args):
+    spec, seed, lo, hi, ns, s_values = args
     generator = averages.product_term_generator(spec, seed)
-    return dyadic.empirical_E(generator, points, 0, n)
+    return dyadic.batch_moments(generator, lo, hi, ns, s_values)
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +636,7 @@ def _task_empirical_e(args):
 # ---------------------------------------------------------------------------
 
 def run_correlate(v: ValidatedConfig, ctx: RunContext) -> dict:
-    method = v.params.get("method", "exact")
-    samples = parse_int(v.params.get("samples", 0), "samples") if method != "exact" else 0
+    method = v.method
     k = len(v.observables) - 1
     header = [f"t_{i}" for i in range(k + 1)] + ["estimate", "std_error", "exact", "defect"]
     rows = []
@@ -604,7 +647,7 @@ def run_correlate(v: ValidatedConfig, ctx: RunContext) -> dict:
     if method in ("exact", "both"):
         exact_values = [correlations.exact_correlation(q) for q in v.queries]
     if method in ("mc", "both"):
-        tasks = [(q, samples, v.seed + ROLE_QUERY, i) for i, q in enumerate(v.queries)]
+        tasks = [(q, v.samples, v.seed + ROLE_QUERY, i) for i, q in enumerate(v.queries)]
         mc_results = pmap(_task_mc_query, tasks, ctx.workers)
     summary_rows = []
     gaps = []
@@ -736,30 +779,30 @@ def run_ratecheck(v: ValidatedConfig, ctx: RunContext) -> dict:
 
 
 def run_dyadic(v: ValidatedConfig, ctx: RunContext) -> dict:
-    tasks = [(v.spec, v.seed, v.point_count, n) for n in v.n_grid]
-    results = pmap(_task_empirical_e, tasks, ctx.workers)
-    rows = [[n, e, se] for n, (e, se) in zip(v.n_grid, results)]
+    # One term matrix per fixed point batch feeds every E(0, N) and every
+    # L_s profile; fixed batches keep the merge the same for any workers.
+    batches = dyadic.point_batches(v.point_count)
+    tasks = [(v.spec, v.seed, lo, hi, v.n_grid, v.s_values) for lo, hi in batches]
+    blocks = pmap(_task_dyadic_batch, tasks, ctx.workers)
+    ctx.count("term_entries", sum(b.points * b.columns for b in blocks))
+    moments = dyadic.merge_moments(blocks)
+    e_values = [e for e, _ in moments.e_values]
+    rows = [[n, e, se] for n, (e, se) in zip(v.n_grid, moments.e_values)]
     ctx.csv("dyadic_e.csv", ["N", "E", "std_error"], rows)
-    fit = dyadic.sigma_fit(v.n_grid, [e for e, _ in results])
+    fit = dyadic.sigma_fit(v.n_grid, e_values)
     ctx.json("sigma_fit.json", fit.to_json_dict())
     ctx.count("grid_points", len(v.n_grid))
-    summary = {"sigma_fit": fit.to_json_dict(), "E": {str(n): e for n, (e, _) in zip(v.n_grid, results)}}
+    summary = {"sigma_fit": fit.to_json_dict(), "E": dict(zip(map(str, v.n_grid), e_values))}
     if v.exceptional:
-        generator = averages.product_term_generator(v.spec, v.seed)
-        eps = parse_exact(v.exceptional.get("epsilon", 1.0))
-        sigma = parse_exact(v.exceptional.get("sigma", 1.0))
         exc_rows = []
         profile_rows = []
         partial = 0.0
-        for s in v.exceptional["s_values"]:
-            s = parse_int(s, "s value")
-            ks = np.arange(1, (1 << s) + 1, dtype=np.int64)
-            terms = generator(np.arange(v.point_count, dtype=np.int64), ks)
-            profile = dyadic.variance_profile(terms, s)
+        for profile in moments.profiles:
+            s = profile.s
             for level, mean in enumerate(profile.level_means):
                 profile_rows.append([s, level, mean])
             profile_rows.append([s, "total", profile.total_mean])
-            fraction, bound = dyadic.exceptional_fraction(terms, s, eps, sigma)
+            fraction, bound = dyadic.exceptional_fraction(profile, v.epsilon, v.sigma)
             partial += fraction
             exc_rows.append([s, fraction, bound, partial])
         ctx.csv(
@@ -776,7 +819,7 @@ def run_dyadic(v: ValidatedConfig, ctx: RunContext) -> dict:
     ctx.chart(
         "dyadic_e.svg",
         v.n_grid,
-        [("E(0,N)", [e for e, _ in results])],
+        [("E(0,N)", e_values)],
         "ensemble second moment growth",
         log_x=True,
         log_y=True,

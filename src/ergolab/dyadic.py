@@ -86,8 +86,23 @@ def decompose(n: int, s: int) -> list[DyadicInterval]:
 
 
 # ---------------------------------------------------------------------------
-# Variance profiles and the exceptional-set bound
+# One-pass reduction of term blocks
 # ---------------------------------------------------------------------------
+#
+# Every dyadic N is a prefix of the largest one and every block of L_s lies
+# in {1..2^s}, so one (points, W) term block with W = max(max N, 2^max s)
+# feeds every E(0, N) and every L_s profile.  No statistic depends on W:
+# each row prefix is summed on its own, batch sums are added in point order
+# and level means are taken over all points at once, so the results are the
+# same floats as a separate pass per N or per s over the same points.
+
+# Term generators are vectorized callbacks (point_indices, ks) -> 2D array.
+TermGenerator = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+# Fixed point batches keep memory at one block of terms at a time, and the
+# merge sees the same partial sums in the same order for any worker count.
+BATCH_POINTS = 512
+
 
 @dataclass(frozen=True, eq=False)
 class VarianceProfile:
@@ -103,40 +118,149 @@ class VarianceProfile:
     per_point_totals: np.ndarray
 
 
-def _as_term_matrix(terms, s: int) -> np.ndarray:
-    arr = np.asarray(terms, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != (1 << s):
-        raise ShapeMismatch(
-            f"term matrix must have 2^s = {1 << s} columns, got shape {arr.shape}"
+@dataclass(frozen=True, eq=False)
+class BlockMoments:
+    """Reduction of one (points, columns) term block.
+
+    prefix_sums[j] holds (sum of S^2, sum of S^4) over the block's points,
+    S being a point's sum of its first ns[j] terms; level_totals[i] is the
+    (s, points) array of per-point sums of squared L_s block sums at each
+    level r, for s = s_values[i].
+    """
+
+    points: int
+    columns: int
+    prefix_sums: tuple[tuple[float, float], ...]
+    level_totals: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class DyadicMoments:
+    """Ensemble statistics merged from blocks in point order: e_values[j]
+    is (E, standard error) of the squared ns[j]-term sum, profiles[i] the
+    VarianceProfile at s_values[i]."""
+
+    e_values: tuple[tuple[float, float], ...]
+    profiles: tuple[VarianceProfile, ...]
+
+
+def term_columns(ns: Sequence[int], s_values: Sequence[int] = ()) -> int:
+    """Columns W of a term block that serves every N in ns and every L_s."""
+    if any(s < 1 for s in s_values):
+        raise DomainError("need s >= 1")
+    return max([int(n) for n in ns] + [1 << int(s) for s in s_values])
+
+
+def point_batches(n_points: int) -> list[tuple[int, int]]:
+    """Fixed [lo, hi) point ranges of at most BATCH_POINTS points."""
+    return [
+        (lo, min(lo + BATCH_POINTS, n_points)) for lo in range(0, n_points, BATCH_POINTS)
+    ]
+
+
+def block_moments(terms, ns: Sequence[int], s_values: Sequence[int] = ()) -> BlockMoments:
+    """Prefix moments for each N in ns and L_s level totals for each s."""
+    arr = np.atleast_2d(np.asarray(terms, dtype=np.float64))
+    width = term_columns(ns, s_values)
+    if arr.ndim != 2 or arr.shape[1] < width:
+        raise ShapeMismatch(f"term matrix needs at least {width} columns, got shape {arr.shape}")
+    points = arr.shape[0]
+    prefix = []
+    for n in ns:
+        # Each row of the strided prefix view is summed like a contiguous row.
+        sums_sq = arr[:, :n].sum(axis=1) ** 2
+        prefix.append((float(sums_sq.sum()), float((sums_sq ** 2).sum())))
+    levels = []
+    for s in s_values:
+        head = arr[:, : 1 << s]
+        totals = np.empty((s, points), dtype=np.float64)
+        for r in range(s):
+            block_sums = head.reshape(points, 1 << (s - r), 1 << r).sum(axis=2)
+            totals[r] = (block_sums ** 2).sum(axis=1)
+        levels.append(totals)
+    return BlockMoments(points, arr.shape[1], tuple(prefix), tuple(levels))
+
+
+def merge_moments(blocks: Sequence[BlockMoments]) -> DyadicMoments:
+    """E(0, N) with standard errors and the L_s profiles, from blocks in order."""
+    n_points = sum(b.points for b in blocks)
+    e_values = []
+    for j in range(len(blocks[0].prefix_sums)):
+        total = 0.0
+        total_sq = 0.0
+        for b in blocks:
+            total += b.prefix_sums[j][0]
+            total_sq += b.prefix_sums[j][1]
+        mean = total / n_points
+        var = max(total_sq / n_points - mean ** 2, 0.0)
+        e_values.append((mean, (var / n_points) ** 0.5))
+    profiles = []
+    for i in range(len(blocks[0].level_totals)):
+        levels = np.concatenate([b.level_totals[i] for b in blocks], axis=1)
+        totals = np.zeros(n_points, dtype=np.float64)
+        for row in levels:
+            totals += row
+        profiles.append(
+            VarianceProfile(
+                s=levels.shape[0],
+                level_means=np.array([row.mean() for row in levels], dtype=np.float64),
+                total_mean=float(totals.mean()),
+                per_point_totals=totals,
+            )
         )
-    return arr
+    return DyadicMoments(tuple(e_values), tuple(profiles))
+
+
+def batch_moments(
+    generator: TermGenerator,
+    lo: int,
+    hi: int,
+    ns: Sequence[int],
+    s_values: Sequence[int] = (),
+    m: int = 0,
+) -> BlockMoments:
+    """Block moments of points lo..hi-1 from one generator call over
+    ks = m+1..m+W, so ns count terms after m."""
+    idx = np.arange(lo, hi, dtype=np.int64)
+    ks = np.arange(m + 1, m + term_columns(ns, s_values) + 1, dtype=np.int64)
+    block = np.asarray(generator(idx, ks), dtype=np.float64)
+    if block.shape != (idx.size, ks.size):
+        raise ShapeMismatch(
+            f"generator returned shape {block.shape}, expected {(idx.size, ks.size)}"
+        )
+    return block_moments(block, ns, s_values)
+
+
+def ensemble_moments(
+    generator: TermGenerator,
+    n_points: int,
+    ns: Sequence[int],
+    s_values: Sequence[int] = (),
+    m: int = 0,
+) -> DyadicMoments:
+    """E(m, m+N) for each N in ns and the L_s profiles of the terms after
+    m, one generator call per point batch."""
+    if n_points < 2:
+        raise DomainError("need at least 2 ensemble points")
+    return merge_moments(
+        [batch_moments(generator, lo, hi, ns, s_values, m) for lo, hi in point_batches(n_points)]
+    )
 
 
 def variance_profile(terms, s: int) -> VarianceProfile:
     """Sum of squared block sums over L_s, per point and per level."""
     if s < 1:
         raise DomainError("need s >= 1")
-    arr = _as_term_matrix(terms, s)
-    points = arr.shape[0]
-    level_means = np.empty(s, dtype=np.float64)
-    totals = np.zeros(points, dtype=np.float64)
-    for r in range(s):
-        block_sums = arr.reshape(points, 1 << (s - r), 1 << r).sum(axis=2)
-        level_totals = (block_sums ** 2).sum(axis=1)
-        totals += level_totals
-        level_means[r] = level_totals.mean()
-    return VarianceProfile(
-        s=s,
-        level_means=level_means,
-        total_mean=float(totals.mean()),
-        per_point_totals=totals,
-    )
+    arr = np.atleast_2d(np.asarray(terms, dtype=np.float64))
+    if arr.ndim != 2 or arr.shape[1] != (1 << s):
+        raise ShapeMismatch(
+            f"term matrix must have 2^s = {1 << s} columns, got shape {arr.shape}"
+        )
+    return merge_moments([block_moments(arr, (), (s,))]).profiles[0]
 
 
 def exceptional_fraction(
-    terms, s: int, epsilon: float, sigma: float
+    profile: VarianceProfile, epsilon: float, sigma: float
 ) -> tuple[float, float]:
     """Fraction of points whose L_s total exceeds s^(2+eps) 2^(sigma s),
     and its Chebyshev bound C s^-(1+eps) with C = mean total / (s 2^(sigma s)).
@@ -146,7 +270,7 @@ def exceptional_fraction(
     """
     if epsilon <= 0 or sigma <= 0:
         raise DomainError("epsilon and sigma must be positive")
-    profile = variance_profile(terms, s)
+    s = profile.s
     threshold = s ** (2.0 + epsilon) * 2.0 ** (sigma * s)
     fraction = float(np.mean(profile.per_point_totals > threshold))
     constant = profile.total_mean / (s * 2.0 ** (sigma * s))
@@ -225,38 +349,13 @@ def ks_ratio_bound(sigma: float, epsilon: float, n_max: int) -> tuple[float, int
 # Ensemble second moments and the growth-exponent fit
 # ---------------------------------------------------------------------------
 
-# Term generators are vectorized callbacks (point_indices, ks) -> 2D array;
-# batches keep memory at one dyadic block of terms at a time.
-TermGenerator = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-BATCH_POINTS = 512
-
-
 def empirical_E(
     generator: TermGenerator, n_points: int, m: int, n: int
 ) -> tuple[float, float]:
     """Ensemble estimate of E (sum_{m<k<=n} F_k)^2 with its standard error."""
     if not (0 <= m < n):
         raise DomainError("need 0 <= m < n")
-    if n_points < 2:
-        raise DomainError("need at least 2 ensemble points")
-    ks = np.arange(m + 1, n + 1, dtype=np.int64)
-    total = 0.0
-    total_sq = 0.0
-    for lo in range(0, n_points, BATCH_POINTS):
-        idx = np.arange(lo, min(lo + BATCH_POINTS, n_points), dtype=np.int64)
-        block = np.asarray(generator(idx, ks), dtype=np.float64)
-        if block.shape != (idx.size, ks.size):
-            raise ShapeMismatch(
-                f"generator returned shape {block.shape}, expected {(idx.size, ks.size)}"
-            )
-        sums_sq = block.sum(axis=1) ** 2
-        total += float(sums_sq.sum())
-        total_sq += float((sums_sq ** 2).sum())
-    mean = total / n_points
-    var = max(total_sq / n_points - mean ** 2, 0.0)
-    std_error = (var / n_points) ** 0.5
-    return mean, std_error
+    return ensemble_moments(generator, n_points, (n - m,), m=m).e_values[0]
 
 
 def sigma_fit(ns: Sequence[int], e_values: Sequence[float]) -> RateFit:

@@ -158,11 +158,9 @@ def test_criterion_06_variance_exponent(bernoulli):
         spec = _pair_product_spec(bernoulli, 1 << 13)
         generator = averages.product_term_generator(spec, master_seed=606)
         grid = [1 << j for j in range(6, 14)]
-        e_values = []
-        for n in grid:
-            estimate, _ = dyadic.empirical_E(generator, 10 ** 4, 0, n)
-            e_values.append(estimate)
-        fit = dyadic.sigma_fit(grid, e_values)
+        # One term matrix per point batch serves every grid N.
+        moments = dyadic.ensemble_moments(generator, 10 ** 4, grid)
+        fit = dyadic.sigma_fit(grid, [e for e, _ in moments.e_values])
         assert 0.85 <= fit.exponent <= 1.15, f"slope {fit.exponent}"
 
 

@@ -66,6 +66,24 @@ TORUS_AVERAGE = {
 }
 
 
+def minimal_dyadic(exceptional=None):
+    params = {
+        "multipliers": [1, 2],
+        "point_count": 600,
+        "n_grid": [16, 32, 64, 128],
+    }
+    if exceptional is not None:
+        params["exceptional"] = exceptional
+    return {
+        "schema_version": 1,
+        "experiment": "dyadic",
+        "seed": 3,
+        "system": BERNOULLI_SYSTEM,
+        "observables": [dict(INDICATOR_1, centered=True), dict(INDICATOR_0, centered=True)],
+        "params": params,
+    }
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -199,6 +217,83 @@ class TestValidate:
         assert "required_window_radius" not in derived
         assert "transfer_span" not in derived
 
+    @pytest.mark.parametrize(
+        "exceptional, message",
+        [
+            ({"s_values": ["x"]}, "params.exceptional.s_values[0] must be an integer"),
+            ({"s_values": [0]}, "params.exceptional.s_values[0] must be in 1..62"),
+            ({"s_values": [3, 63]}, "params.exceptional.s_values[1] must be in 1..62"),
+            ({"s_values": 5}, "params.exceptional.s_values must be a list"),
+            ({"s_values": []}, "params.exceptional.s_values must be a non-empty list"),
+            ({"s_values": [3], "epsilon": -1}, "params.exceptional.epsilon must be positive"),
+            ({"s_values": [3], "sigma": "x"}, "params.exceptional.sigma: cannot parse"),
+            ({"s_values": [3], "sigma": True}, "params.exceptional.sigma must be a number"),
+            ({"s_values": [3], "extra": 1}, "in params.exceptional"),
+            (7, "params.exceptional must be an object"),
+        ],
+    )
+    def test_bad_exceptional_names_field(self, tmp_path, capsys, exceptional, message):
+        path = write_config(tmp_path, minimal_dyadic(exceptional))
+        assert cli.main(["validate", str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert any(message in msg for msg in report["errors"]), report["errors"]
+        assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "path_to, value, message",
+        [
+            (("observables", 0, "radius"), "x", "observables[0].radius must be an integer"),
+            (("observables", 1, "default"), [1], "observables[1].default must be a number"),
+            (("params", "n_grid", 2), "x", "params.n_grid[2] must be an integer"),
+            (("params", "n_grid", 1), 48, "params.n_grid[1] must be a power of two"),
+            (("params", "multipliers", 1), 2.5, "params.multipliers[1] must be an integer"),
+            (("params", "point_count"), "9", "params.point_count must be an integer"),
+            (("system", "transition", 0, 1), "1/x", "system.transition[0][1]: cannot parse"),
+        ],
+    )
+    def test_bad_value_names_json_path(self, tmp_path, capsys, path_to, value, message):
+        cfg = json.loads(json.dumps(minimal_dyadic()))
+        target = cfg
+        for key in path_to[:-1]:
+            target = target[key]
+        target[path_to[-1]] = value
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert any(message in msg for msg in report["errors"]), report["errors"]
+        assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
+
+    @pytest.mark.parametrize(
+        "queries, message",
+        [
+            (
+                [{"times": [0, 3]}, {"times": [0, "5"]}],
+                "params.queries[1].times[1] must be an integer, got '5'",
+            ),
+            ([{"times": [0, 3]}, 5], "params.queries[1] must be an object with 'times'"),
+            ("x", "correlate needs params.queries, a non-empty list of objects"),
+        ],
+    )
+    def test_bad_query_names_json_path(self, queries, message):
+        cfg = minimal_correlate()
+        cfg["params"]["queries"] = queries
+        _, report = cli.validate_config(cfg)
+        assert report["errors"] == [message]
+
+    def test_dyadic_reports_term_matrix(self):
+        # W = max(max N, 2^max s): the grid sets it, then s = 8 does.
+        for exceptional, columns in ((None, 128), ({"s_values": [3, 8]}, 256)):
+            _, report = cli.validate_config(minimal_dyadic(exceptional))
+            assert report["ok"]
+            assert report["derived"] == {"term_columns": columns, "term_entries": 600 * columns}
+
+    def test_dyadic_on_torus_is_config_error(self):
+        cfg = torus_config("dyadic", minimal_dyadic()["params"])
+        _, report = cli.validate_config(cfg)
+        assert not report["ok"]
+        assert "dyadic needs a shift system" in report["errors"][0]
+
     def test_schema_version_enforced(self):
         cfg = minimal_correlate()
         cfg["schema_version"] = 99
@@ -261,7 +356,7 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"]["error"]["code"] == "correlations.span_too_large"
 
-    @pytest.mark.parametrize("case", ["exact", "both", "cumulants"])
+    @pytest.mark.parametrize("case", ["exact", "both", "mc", "cumulants"])
     def test_variant_mismatch_is_config_error(self, tmp_path, case):
         if case == "cumulants":
             cfg = minimal_cumulants([[0, 1], [0, 2]])
@@ -275,6 +370,17 @@ class TestRun:
         path = write_config(tmp_path, cfg)
         assert cli.main(["validate", str(path)]) == 2
         assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
+
+    def test_torus_cylinder_mc_is_config_error(self, tmp_path, capsys):
+        cfg = torus_config("correlate", dict(TORUS_CORRELATE, method="mc"))
+        cfg["observables"][1] = INDICATOR_0
+        message = "observables[1] is 'cylinder', a torus system needs 'trig' observables"
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert message in report["errors"][0]
+        assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
+        assert message in capsys.readouterr().err
 
     def test_cumulant_repeated_time_in_later_tuple_is_config_error(self):
         _, report = cli.validate_config(minimal_cumulants([[0, 1], [2, 2]]))
@@ -326,6 +432,24 @@ class TestRun:
             manifest = json.loads((out / "manifest.json").read_text())
             hashes.append({e["name"]: e["sha256"] for e in manifest["artifacts"]})
         assert hashes[0] == hashes[1] == hashes[2]
+
+    @pytest.mark.parametrize("exceptional", [None, {"s_values": [8, 3], "sigma": "3/4"}])
+    def test_dyadic_artifacts_identical_across_workers(self, tmp_path, exceptional):
+        path = write_config(tmp_path, minimal_dyadic(exceptional))
+        _, report = cli.validate_config(minimal_dyadic(exceptional))
+        hashes = []
+        for name, workers in (("a", 1), ("b", 2), ("c", 1)):
+            out = tmp_path / name
+            assert cli.run(path, out, workers=workers, emit_svg=False) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            hashes.append({e["name"]: e["sha256"] for e in manifest["artifacts"]})
+            # The planner's term count is what the batches generated.
+            assert manifest["steps"]["term_entries"] == report["derived"]["term_entries"]
+            summary = json.loads((out / "summary.json").read_text())
+            assert "term_entries" not in json.dumps(summary)
+        assert hashes[0] == hashes[1] == hashes[2]
+        names = set(hashes[0])
+        assert ("dyadic_exceptional.csv" in names) == (exceptional is not None)
 
     def test_counting_run(self, tmp_path):
         cfg = {

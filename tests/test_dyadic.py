@@ -1,15 +1,18 @@
 """Dyadic decomposition, variance profiles, chaining and scale bounds."""
 
+import json
+
 import numpy as np
 import pytest
 
-from ergolab import dyadic
+from ergolab import averages, cli, dyadic, sequences, systems
 from ergolab.dyadic import (
     DyadicInterval,
     chain_inequality_check,
     decompose,
     dyadic_classes,
     empirical_E,
+    ensemble_moments,
     exceptional_fraction,
     ks_ratio_bound,
     power_gap_check,
@@ -90,21 +93,21 @@ class TestVarianceProfile:
 
 class TestExceptionalFraction:
     def test_zeros(self):
-        fraction, _bound = exceptional_fraction(np.zeros((50, 32)), 5, 1.0, 1.0)
+        fraction, _bound = exceptional_fraction(variance_profile(np.zeros((50, 32)), 5), 1.0, 1.0)
         assert fraction == 0.0
 
     def test_iid_markov_bound(self):
         rng = np.random.default_rng(1)
         s = 10
         terms = (rng.integers(0, 2, size=(2000, 1 << s)) - 0.5)
-        fraction, bound = exceptional_fraction(terms, s, 1.0, 1.0)
+        fraction, bound = exceptional_fraction(variance_profile(terms, s), 1.0, 1.0)
         assert fraction <= bound + 1e-12
         constant = bound * s ** 2  # C from bound = C s^-(1+eps)
         assert constant == pytest.approx(0.25, rel=0.15)
 
     def test_deterministic_terms_exceed(self):
         s = 12
-        fraction, _ = exceptional_fraction(np.ones((4, 1 << s)), s, 1.0, 1.0)
+        fraction, _ = exceptional_fraction(variance_profile(np.ones((4, 1 << s)), s), 1.0, 1.0)
         assert fraction == 1.0
 
 
@@ -175,6 +178,169 @@ class TestEmpiricalE:
             es.append(estimate)
         fit = sigma_fit(grid, es)
         assert 0.85 <= fit.exponent <= 1.15
+
+
+# Reference: the per-N and per-s loops the one-pass reduction replaced.  E
+# regenerates each point batch for every N; a profile generates all points
+# over ks = 1..2^s at once.
+
+
+def _reference_e(generator, n_points, m, n):
+    ks = np.arange(m + 1, n + 1, dtype=np.int64)
+    total = 0.0
+    total_sq = 0.0
+    for lo in range(0, n_points, 512):
+        idx = np.arange(lo, min(lo + 512, n_points), dtype=np.int64)
+        sums_sq = np.asarray(generator(idx, ks), dtype=np.float64).sum(axis=1) ** 2
+        total += float(sums_sq.sum())
+        total_sq += float((sums_sq ** 2).sum())
+    mean = total / n_points
+    var = max(total_sq / n_points - mean ** 2, 0.0)
+    return mean, (var / n_points) ** 0.5
+
+
+def _reference_profile(generator, n_points, s):
+    arr = generator(np.arange(n_points, dtype=np.int64), np.arange(1, (1 << s) + 1))
+    level_means = np.empty(s, dtype=np.float64)
+    totals = np.zeros(n_points, dtype=np.float64)
+    for r in range(s):
+        block_sums = arr.reshape(n_points, 1 << (s - r), 1 << r).sum(axis=2)
+        level_totals = (block_sums ** 2).sum(axis=1)
+        totals += level_totals
+        level_means[r] = level_totals.mean()
+    return level_means, float(totals.mean()), totals
+
+
+def _reference_exceptional(totals, total_mean, s, epsilon, sigma):
+    threshold = s ** (2.0 + epsilon) * 2.0 ** (sigma * s)
+    fraction = float(np.mean(totals > threshold))
+    bound = total_mean / (s * 2.0 ** (sigma * s)) * s ** (-1.0 - epsilon)
+    return fraction, bound
+
+
+BERNOULLI = systems.bernoulli_system([0.5, 0.5])
+MARKOV = systems.build_shift([[1, 1], [1, 1]], [[0.9, 0.1], [0.5, 0.5]])
+
+
+def _pair_spec(system, left, n_max, kind="linear"):
+    return averages.AverageSpec(
+        system=system,
+        observables=(left, systems.centered_cylinder_indicator(system, [0])),
+        multipliers=(1, 2),
+        sequence=sequences.SequenceSpec(kind=kind),
+        n_max=n_max,
+    )
+
+
+# (system, left factor radius, sequence, points, grid N, s values)
+ONE_PASS_CASES = {
+    # 2^8 = 256 lies inside the grid: N below and above 2^max s.
+    "bernoulli-1100": (BERNOULLI, 0, "linear", 1100, (16, 32, 64, 128, 512), (3, 8, 5)),
+    "bernoulli-512": (BERNOULLI, 0, "linear", 512, (16, 32, 64, 128), (2, 7)),
+    "markov-radius1": (MARKOV, 1, "linear", 700, (8, 16, 32, 64), (4, 6)),
+    "markov-primes-no-s": (MARKOV, 0, "primes", 1100, (8, 16, 32, 64), ()),
+}
+
+
+@pytest.fixture(params=sorted(ONE_PASS_CASES))
+def one_pass_case(request):
+    system, radius, kind, points, ns, s_values = ONE_PASS_CASES[request.param]
+    if radius:
+        raw = systems.cylinder_observable(1, {(1, 0, 1): 1.0, (0, 0, 0): -0.5}, default=0.25)
+        mean = systems.exact_mean(raw, system)
+        table = {w: v - mean for w, v in raw.table.items()}
+        left = systems.cylinder_observable(1, table, raw.default - mean)
+    else:
+        left = systems.centered_cylinder_indicator(system, [1])
+    spec = _pair_spec(system, left, max(ns), kind)
+    return averages.product_term_generator(spec, master_seed=31), points, ns, s_values
+
+
+class TestOnePass:
+    def test_matches_reference_loops(self, one_pass_case):
+        generator, points, ns, s_values = one_pass_case
+        moments = ensemble_moments(generator, points, ns, s_values)
+        assert moments.e_values == tuple(_reference_e(generator, points, 0, n) for n in ns)
+        assert len(moments.profiles) == len(s_values)
+        for s, profile in zip(s_values, moments.profiles):
+            level_means, total_mean, totals = _reference_profile(generator, points, s)
+            assert profile.s == s
+            assert np.array_equal(profile.level_means, level_means)
+            assert profile.total_mean == total_mean
+            assert np.array_equal(profile.per_point_totals, totals)
+            for epsilon, sigma in ((1.0, 1.0), (0.5, 0.75)):
+                assert exceptional_fraction(profile, epsilon, sigma) == _reference_exceptional(
+                    totals, total_mean, s, epsilon, sigma
+                )
+
+    def test_one_generator_call_per_batch(self, one_pass_case):
+        generator, points, ns, s_values = one_pass_case
+        calls = []
+
+        def counting(idx, ks):
+            calls.append((int(idx[0]), int(idx[-1]), int(ks[0]), int(ks[-1])))
+            return generator(idx, ks)
+
+        ensemble_moments(counting, points, ns, s_values)
+        width = dyadic.term_columns(ns, s_values)
+        assert width == max(max(ns), max((1 << s for s in s_values), default=0))
+        batches = dyadic.point_batches(points)
+        assert calls == [(lo, hi - 1, 1, width) for lo, hi in batches]
+
+    def test_empirical_e_offset_matches_reference(self):
+        generator = TestEmpiricalE.iid_generator()
+        assert empirical_E(generator, 600, 24, 88) == _reference_e(generator, 600, 24, 88)
+
+    def test_shape_checks(self):
+        with pytest.raises(ShapeMismatch):
+            dyadic.block_moments(np.ones((3, 63)), (64,))
+        with pytest.raises(ShapeMismatch):
+            dyadic.block_moments(np.ones((3, 64)), (16,), (7,))
+        with pytest.raises(ShapeMismatch):
+            ensemble_moments(lambda p, k: np.ones((p.size, 3)), 10, (8,))
+
+    def test_cli_artifacts_match_reference(self, tmp_path):
+        cfg = {
+            "schema_version": 1,
+            "experiment": "dyadic",
+            "seed": 12,
+            "system": {
+                "kind": "shift",
+                "adjacency": [[1, 1], [1, 1]],
+                "transition": [["9/10", "1/10"], ["1/2", "1/2"]],
+            },
+            "observables": [
+                {"variant": "cylinder", "radius": 0, "table": [{"word": [1], "value": 1.0}],
+                 "centered": True},
+                {"variant": "cylinder", "radius": 0, "table": [{"word": [0], "value": 1.0}],
+                 "centered": True},
+            ],
+            "params": {
+                "multipliers": [1, 2],
+                "point_count": 1100,
+                "n_grid": [16, 32, 64, 128],
+                "exceptional": {"s_values": [8, 3], "epsilon": "1/2", "sigma": 1.0},
+            },
+        }
+        path = tmp_path / "dyadic.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert cli.run(path, out, workers=1, emit_svg=False) == 0
+        validated, _ = cli.validate_config(cfg)
+        generator = averages.product_term_generator(validated.spec, 12)
+        rows = ["N,E,std_error"]
+        for n in (16, 32, 64, 128):
+            e, se = _reference_e(generator, 1100, 0, n)
+            rows.append(",".join(cli.fmt_value(v) for v in (n, e, se)))
+        assert (out / "dyadic_e.csv").read_text().splitlines() == rows
+        rows = ["s,fraction,chebyshev_bound,partial_sum"]
+        partial = 0.0
+        for s in (8, 3):
+            _, total_mean, totals = _reference_profile(generator, 1100, s)
+            fraction, bound = _reference_exceptional(totals, total_mean, s, 0.5, 1.0)
+            partial += fraction
+            rows.append(",".join(cli.fmt_value(v) for v in (s, fraction, bound, partial)))
+        assert (out / "dyadic_exceptional.csv").read_text().splitlines() == rows
 
 
 class TestSigmaFit:
