@@ -33,8 +33,9 @@ from .systems import (
     cylinder_values_at,
     evaluate,
     exact_mean,
-    sample_shift_point,
+    sample_at,
     sample_torus_point,
+    sorted_union,
     torus_limbs,
     torus_orbit,
     trig_values,
@@ -101,12 +102,17 @@ class AverageSpec:
     def target(self) -> float:
         return float(np.prod([exact_mean(obs, self.system) for obs in self.observables]))
 
-    def required_radius(self) -> int:
-        """Largest window radius any evaluation can touch (shift systems)."""
+    def read_positions(self) -> np.ndarray:
+        """Sorted distinct positions a shift orbit reads: the union of
+        m_i r_n + [-radius_i, radius_i] over factors i and n <= n_max."""
         terms = generate(self.sequence, self.n_max)
         reach = max(abs(m) for m in self.multipliers) * int(terms.max())
-        width = max((obs.radius for obs in self.observables), default=0)
-        return reach + width
+        if reach + max(obs.radius for obs in self.observables) >= 1 << 62:
+            raise DomainError("read positions m_i r_n exceed the int64 range")
+        return sorted_union(
+            (m * terms)[:, None] + np.arange(-obs.radius, obs.radius + 1)
+            for m, obs in zip(self.multipliers, self.observables)
+        )
 
 
 @dataclass(frozen=True)
@@ -280,24 +286,21 @@ class EnsembleSummary:
         }
 
 
-def sample_spec_point(spec: AverageSpec, seed: int, point_index: int, radius: int | None = None):
-    """Deterministic per-point draw from the spec's invariant measure."""
+def sample_spec_point(spec: AverageSpec, seed: int, point_index: int):
+    """Deterministic per-point draw from the spec's invariant measure; a
+    shift point is sampled only at the positions its orbit reads."""
     rng = rng_for(seed, ROLE_POINT, point_index)
     if isinstance(spec.system, ShiftSystem):
-        return sample_shift_point(spec.system, radius if radius is not None else spec.required_radius(), rng)
+        positions = spec.read_positions()
+        symbols = sample_at(spec.system, positions, 1, rng)[0]
+        return ShiftPoint(positions=positions, symbols=symbols)
     return sample_torus_point(spec.system, rng)
 
 
 def ensemble_member_statistics(
-    spec: AverageSpec,
-    epsilon: float,
-    delta: float,
-    seed: int,
-    point_index: int,
-    radius: int | None = None,
+    spec: AverageSpec, point, epsilon: float, delta: float
 ) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Rate-statistic row of one ensemble member (picklable worker task)."""
-    point = sample_spec_point(spec, seed, point_index, radius)
+    """Rate-statistic row of one ensemble member's orbit."""
     series = ergodic_average_stream(spec, point)
     table = rate_statistic(series, epsilon, delta, series.target)
     return tuple(n for n, _ in table.rows), table.values()
@@ -345,19 +348,17 @@ def ensemble_rate_experiment(
     delta: float,
     seed: int,
     min_checkpoint: int | None = None,
-    radius: int | None = None,
 ) -> EnsembleSummary:
     """Run independent orbits with per-point derived seeds and report the
     exceedance fractions and medians relative to the first reported
     checkpoint."""
     if point_count < 10:
         raise DomainError("need at least 10 ensemble points")
-    if radius is None and isinstance(spec.system, ShiftSystem):
-        radius = spec.required_radius()
     rows = []
     checkpoints = None
     for j in range(point_count):
-        ns, values = ensemble_member_statistics(spec, epsilon, delta, seed, j, radius)
+        point = sample_spec_point(spec, seed, j)
+        ns, values = ensemble_member_statistics(spec, point, epsilon, delta)
         if checkpoints is None:
             checkpoints = ns
         rows.append(values)
@@ -384,8 +385,8 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     m = system.alphabet_size
     dtype = _symbol_dtype(m)
     pi_thresholds = _thresholds(system.stationary)
-    fwd_thresholds = _thresholds(system.transition)
-    bwd_thresholds = _thresholds(system.reversed_transition)
+    fwd_thresholds = _thresholds(system.transition)[None]
+    bwd_thresholds = _thresholds(system.reversed_transition)[None]
     width = max(obs.radius for obs in spec.observables)
 
     def generator(point_indices: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -397,6 +398,7 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
         )
         fwd_len = max(int(positions.max()), 0) + width
         bwd_len = max(width - int(positions.min()), 0)
+        steps = np.zeros(max(fwd_len, bwd_len), dtype=np.intp)  # one table per run
         count = point_indices.size
         # Per point, the origin and the forward run come from one stream and
         # the backward run from another, so a run's uniforms never depend on
@@ -409,12 +411,12 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
         origin = bwd_len
         start = np.searchsorted(pi_thresholds, u[:, 0], side="right")
         symbols[:, origin] = start
-        symbols[:, origin + 1:] = _markov_path(fwd_thresholds, start, u[:, 1:], dtype)
+        symbols[:, origin + 1:] = _markov_path(fwd_thresholds, steps[:fwd_len], start, u[:, 1:], dtype)
         if bwd_len:
             back = np.empty((count, bwd_len), dtype=np.float64)
             for row, j in enumerate(point_indices):
                 back[row] = rng_for(master_seed, ROLE_TERMS_BACKWARD, int(j)).random(bwd_len)
-            symbols[:, :origin][:, ::-1] = _markov_path(bwd_thresholds, start, back, dtype)
+            symbols[:, :origin][:, ::-1] = _markov_path(bwd_thresholds, steps[:bwd_len], start, back, dtype)
         out = np.ones((count, ks.size), dtype=np.float64)
         from .correlations import _cylinder_lookup
 

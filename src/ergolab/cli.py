@@ -155,11 +155,15 @@ def parse_int_list(values, where: str) -> tuple[int, ...]:
     return tuple(parse_int(v, f"{where}[{j}]") for j, v in enumerate(values))
 
 
-def parse_matrix(rows, where: str) -> list[list[float]]:
-    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-        raise ConfigError(f"{where} must be a list of rows")
+def parse_matrix(rows, where: str, entry=parse_exact) -> list[list]:
+    """A square matrix as a non-empty list of rows; ``entry`` parses each value."""
+    if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
+        raise ConfigError(f"{where} must be a non-empty list of rows")
+    for i, row in enumerate(rows):
+        if len(row) != len(rows):
+            raise ConfigError(f"{where}[{i}] has {len(row)} entries, expected {len(rows)}")
     return [
-        [parse_exact(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
+        [entry(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
         for i, row in enumerate(rows)
     ]
 
@@ -180,7 +184,10 @@ def build_system(desc: dict):
         transition = desc.get("transition")
         if adjacency is None or transition is None:
             raise ConfigError("shift systems need 'adjacency' and 'transition'")
-        return systems.build_shift(adjacency, parse_matrix(transition, "system.transition"))
+        return systems.build_shift(
+            parse_matrix(adjacency, "system.adjacency", parse_int),
+            parse_matrix(transition, "system.transition"),
+        )
     if kind == "torus":
         reject_unknown(desc, {"kind", "matrix", "precision_bits"}, "system")
         matrix = desc.get("matrix")
@@ -189,7 +196,7 @@ def build_system(desc: dict):
         bits = parse_int(
             desc.get("precision_bits", systems.DEFAULT_PRECISION_BITS), "system.precision_bits"
         )
-        return systems.build_torus(matrix, bits)
+        return systems.build_torus(parse_matrix(matrix, "system.matrix", parse_int), bits)
     raise ConfigError(f"unknown system kind {kind!r}")
 
 
@@ -369,10 +376,10 @@ class ValidatedConfig:
 
     def _derive_window(self, spec: averages.AverageSpec, points: int) -> None:
         if isinstance(spec.system, systems.ShiftSystem):
-            radius = spec.required_radius()
-            self.derived["required_window_radius"] = radius
-            self.derived["window_bytes_per_point"] = 2 * radius + 1
-            self.derived["estimated_memory_bytes"] = points * (2 * radius + 1 + 16 * spec.n_max)
+            # A point holds each read position (8 bytes) and its symbol.
+            symbols = spec.read_positions().size
+            self.derived["symbols_per_point"] = symbols
+            self.derived["estimated_memory_bytes"] = points * (9 * symbols + 16 * spec.n_max)
         else:
             self.derived["torus_precision_bits"] = spec.system.precision_bits
             self.derived["estimated_memory_bytes"] = points * 16 * spec.n_max
@@ -412,9 +419,10 @@ class ValidatedConfig:
         if isinstance(self.system, systems.TorusAutomorphism):
             self.derived["torus_precision_bits"] = self.system.precision_bits
         else:
-            eff = [t for q in self.queries for t in q.effective_times()]
-            radius = max(obs.radius for obs in self.observables)
-            self.derived["required_window_radius"] = max(abs(t) for t in eff) + radius
+            if self.method in ("mc", "both"):
+                self.derived["symbols_per_sample"] = max(
+                    q.read_positions().size for q in self.queries
+                )
             # The oracle walks each query's span separately; report the largest.
             self.derived["transfer_span"] = max(
                 correlations.transfer_span(q) for q in self.queries
@@ -609,20 +617,29 @@ def validate_config(cfg: dict) -> tuple[ValidatedConfig | None, dict]:
 # Worker task functions (top level: picklable)
 # ---------------------------------------------------------------------------
 
+def _shift_symbols(point) -> int:
+    return point.symbols.size if isinstance(point, systems.ShiftPoint) else 0
+
+
 def _task_mc_query(args):
+    """(estimate, std_error) and the shift symbols the estimate sampled."""
     query, samples, seed, index = args
-    return correlations.mc_correlation(query, samples, seed + index)
+    symbols = 0
+    if isinstance(query.system, systems.ShiftSystem):
+        symbols = samples * query.read_positions().size
+    return correlations.mc_correlation(query, samples, seed + index), symbols
 
 
 def _task_member_stats(args):
-    spec, epsilon, delta, seed, index, radius = args
-    return averages.ensemble_member_statistics(spec, epsilon, delta, seed, index, radius)
+    spec, epsilon, delta, seed, index = args
+    point = averages.sample_spec_point(spec, seed, index)
+    return averages.ensemble_member_statistics(spec, point, epsilon, delta), _shift_symbols(point)
 
 
 def _task_series(args):
-    spec, seed, index, radius = args
-    point = averages.sample_spec_point(spec, seed, index, radius)
-    return averages.ergodic_average_stream(spec, point)
+    spec, seed, index = args
+    point = averages.sample_spec_point(spec, seed, index)
+    return averages.ergodic_average_stream(spec, point), _shift_symbols(point)
 
 
 def _task_dyadic_batch(args):
@@ -648,7 +665,8 @@ def run_correlate(v: ValidatedConfig, ctx: RunContext) -> dict:
         exact_values = [correlations.exact_correlation(q) for q in v.queries]
     if method in ("mc", "both"):
         tasks = [(q, v.samples, v.seed + ROLE_QUERY, i) for i, q in enumerate(v.queries)]
-        mc_results = pmap(_task_mc_query, tasks, ctx.workers)
+        mc_results, symbols = zip(*pmap(_task_mc_query, tasks, ctx.workers))
+        ctx.count("symbols_sampled", sum(symbols))
     summary_rows = []
     gaps = []
     defects = []
@@ -705,11 +723,9 @@ def run_cumulants(v: ValidatedConfig, ctx: RunContext) -> dict:
 
 
 def run_average(v: ValidatedConfig, ctx: RunContext) -> dict:
-    radius = (
-        v.spec.required_radius() if isinstance(v.system, systems.ShiftSystem) else None
-    )
-    tasks = [(v.spec, v.seed, i, radius) for i in range(v.point_count)]
-    series_list = pmap(_task_series, tasks, ctx.workers)
+    tasks = [(v.spec, v.seed, i) for i in range(v.point_count)]
+    series_list, symbols = zip(*pmap(_task_series, tasks, ctx.workers))
+    ctx.count("symbols_sampled", sum(symbols))
     header = ["seed", "N", "A_N", "S_N", "rate_statistic"]
     rows = []
     for index, series in enumerate(series_list):
@@ -735,13 +751,9 @@ def run_average(v: ValidatedConfig, ctx: RunContext) -> dict:
 
 
 def run_ratecheck(v: ValidatedConfig, ctx: RunContext) -> dict:
-    radius = (
-        v.spec.required_radius() if isinstance(v.system, systems.ShiftSystem) else None
-    )
-    tasks = [
-        (v.spec, v.epsilon, v.delta, v.seed, i, radius) for i in range(v.point_count)
-    ]
-    results = pmap(_task_member_stats, tasks, ctx.workers)
+    tasks = [(v.spec, v.epsilon, v.delta, v.seed, i) for i in range(v.point_count)]
+    results, symbols = zip(*pmap(_task_member_stats, tasks, ctx.workers))
+    ctx.count("symbols_sampled", sum(symbols))
     checkpoints = results[0][0]
     summary = averages.summarize_ensemble(
         v.spec,

@@ -39,8 +39,9 @@ from .systems import (
     ShiftSystem,
     TorusAutomorphism,
     exact_mean,
+    sample_at,
     sample_torus_limbs,
-    sample_windows,
+    sorted_union,
     trig_values,
 )
 
@@ -89,6 +90,14 @@ class CorrelationQuery:
             return self.times
         return tuple(m * t for m, t in zip(self.multipliers, self.times))
 
+    def read_positions(self) -> np.ndarray:
+        """Sorted distinct positions the cylinder factors read: the union of
+        t_i + [-radius_i, radius_i] over effective times t_i."""
+        return sorted_union(
+            np.arange(t - obs.radius, t + obs.radius + 1)
+            for t, obs in zip(self.effective_times(), self.observables)
+        )
+
     @property
     def order(self) -> int:
         """k in a (k+1)-factor query."""
@@ -115,13 +124,6 @@ def _require_torus_trig(query: CorrelationQuery) -> TorusAutomorphism:
 # Monte Carlo estimator
 # ---------------------------------------------------------------------------
 
-def _window_codes(windows: np.ndarray, start: int, width: int, m: int) -> np.ndarray:
-    codes = np.zeros(windows.shape[0], dtype=np.int64)
-    for j in range(width):
-        codes = codes * m + windows[:, start + j]
-    return codes
-
-
 def _cylinder_lookup(obs: Observable, m: int) -> np.ndarray:
     width = 2 * obs.radius + 1
     lookup = np.full(m ** width, obs.default, dtype=np.float64)
@@ -136,16 +138,16 @@ def _cylinder_lookup(obs: Observable, m: int) -> np.ndarray:
 def _mc_products_shift(
     query: CorrelationQuery, count: int, rng: np.random.Generator
 ) -> np.ndarray:
-    system = query.system
-    eff = query.effective_times()
-    radius = max(abs(t) + obs.radius for t, obs in zip(eff, query.observables))
-    windows = sample_windows(system, radius, count, rng)
-    m = system.alphabet_size
+    """Products of the cylinder factors over ``count`` stationary sequences
+    sampled only at the positions the factors read."""
+    positions = query.read_positions()
+    symbols = sample_at(query.system, positions, count, rng)
+    m = query.system.alphabet_size
     prod = np.ones(count, dtype=np.float64)
-    for obs, t in zip(query.observables, eff):
-        width = 2 * obs.radius + 1
-        start = radius + t - obs.radius
-        codes = _window_codes(windows, start, width, m)
+    for obs, t in zip(query.observables, query.effective_times()):
+        codes = np.zeros(count, dtype=np.int64)
+        for col in np.searchsorted(positions, np.arange(t - obs.radius, t + obs.radius + 1)):
+            codes = codes * m + symbols[:, col]
         prod *= _cylinder_lookup(obs, m)[codes]
     return prod
 

@@ -3,8 +3,8 @@
 Two families are implemented exactly:
 
 * subshifts of finite type carrying a stationary Markov measure (the
-  Gibbs measure of a locally constant potential), sampled on finite
-  symbol windows ``[-W, W]``;
+  Gibbs measure of a locally constant potential), sampled only at the
+  finite set of positions an experiment reads;
 * hyperbolic toral automorphisms acting on the fixed-point lattice
   ``2^-q Z^d / Z^d``, where an integer unimodular matrix acts exactly by
   modular square-and-multiply; many lattice points at once are numpy
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,6 +50,24 @@ class ShiftSystem:
     adjacency: np.ndarray      # (m, m) 0/1
     transition: np.ndarray     # (m, m) row-stochastic, support = adjacency
     stationary: np.ndarray     # (m,) positive left fixed vector
+    _powers: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def iid(self) -> bool:
+        """All transition rows are equal: symbols are independent and P^g = P."""
+        return bool((self.transition == self.transition[0]).all())
+
+    def transition_power(self, gap: int) -> np.ndarray:
+        """P^gap for gap >= 1 by square-and-multiply, cached on the system
+        per gap; an i.i.d. chain returns P itself."""
+        if gap < 1:
+            raise DomainError(f"gap must be >= 1, got {gap}")
+        if self.iid:
+            return self.transition
+        if gap not in self._powers:
+            self._powers[gap] = np.linalg.matrix_power(self.transition, gap)
+            self._powers[gap].setflags(write=False)
+        return self._powers[gap]
 
     @property
     def reversed_transition(self) -> np.ndarray:
@@ -151,33 +169,34 @@ def bernoulli_system(probabilities: Sequence[float]) -> ShiftSystem:
 
 @dataclass(frozen=True, eq=False)
 class ShiftPoint:
-    """Finite window of a bi-infinite admissible sequence.
+    """A bi-infinite admissible sequence, known at the positions sampled.
 
-    ``symbols[radius + offset + i]`` is the symbol the current point sees
-    at index ``i``; shifting only moves ``offset``.  Reaching outside the
-    stored window is a hard error, never a silent extension.
+    ``symbols[k]`` is the symbol at absolute position ``positions[k]``
+    (sorted, distinct); the current point sees index ``i`` at absolute
+    position ``offset + i``, so shifting only moves ``offset``.  Reading a
+    position that was not sampled is a hard error, never a silent
+    extension.
     """
 
+    positions: np.ndarray
     symbols: np.ndarray
-    radius: int
     offset: int = 0
 
+    def columns(self, indices) -> np.ndarray:
+        """Entries of ``symbols`` holding the given indices of the current point."""
+        at = np.asarray(indices, dtype=np.int64) + self.offset
+        cols = np.searchsorted(self.positions, at)
+        found = np.take(self.positions, cols, mode="clip") == at
+        if not found.all():
+            index = int(np.ravel(at)[~np.ravel(found)][0]) - self.offset
+            raise WindowExhausted(f"index {index} at offset {self.offset} was not sampled")
+        return cols
+
     def symbol(self, index: int) -> int:
-        pos = self.offset + index
-        if abs(pos) > self.radius:
-            raise WindowExhausted(
-                f"index {index} at offset {self.offset} leaves window [-{self.radius}, {self.radius}]"
-            )
-        return int(self.symbols[pos + self.radius])
+        return int(self.symbols[self.columns(index)])
 
     def word(self, radius: int) -> tuple[int, ...]:
-        lo = self.offset - radius
-        hi = self.offset + radius
-        if lo < -self.radius or hi > self.radius:
-            raise WindowExhausted(
-                f"word of radius {radius} at offset {self.offset} leaves window"
-            )
-        return tuple(int(s) for s in self.symbols[lo + self.radius: hi + self.radius + 1])
+        return tuple(int(s) for s in self.symbols[self.columns(np.arange(-radius, radius + 1))])
 
     def shift(self, n: int) -> "ShiftPoint":
         return dataclasses.replace(self, offset=self.offset + int(n))
@@ -202,42 +221,49 @@ def _thresholds(weights: np.ndarray) -> np.ndarray:
     return np.cumsum(weights, axis=-1)[..., :-1]
 
 
-def _next_symbols(thresholds: np.ndarray, current: np.ndarray, u: np.ndarray) -> np.ndarray:
-    symbols = (u >= thresholds[current, 0]).astype(np.intp)
-    for j in range(1, thresholds.shape[1]):
-        symbols += u >= thresholds[current, j]
+def _next_symbols(tables: np.ndarray, table, current: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One chain step: #{tables[table, current] <= u}, elementwise."""
+    symbols = (u >= tables[table, current, 0]).astype(np.intp)
+    for j in range(1, tables.shape[2]):
+        symbols += u >= tables[table, current, j]
     return symbols
 
 
-def _markov_path(thresholds: np.ndarray, start: np.ndarray, u: np.ndarray, dtype) -> np.ndarray:
+def _markov_path(
+    tables: np.ndarray, which: np.ndarray, start: np.ndarray, u: np.ndarray, dtype
+) -> np.ndarray:
     """Symbols of ``count`` chain runs resolved from fixed uniforms.
 
-    ``thresholds`` is (m, m - 1), row s holding ``_thresholds`` of the
-    transition weights out of state s; ``start`` is (count,) and ``u`` is
-    (count, L).  Column i of the result is ``#{thresholds[s] <= u[:, i]}``
-    with s the symbol of column i - 1 (``start`` for column 0): exactly
-    the symbols a per-step loop gives.
+    ``tables`` is (K, m, m - 1): row s of table k holds ``_thresholds`` of
+    the weights out of state s, and column i of the run steps by table
+    ``which[i]``.  ``start`` is (count,) and ``u`` is (count, L).  Column i
+    of the result is ``#{tables[which[i], s] <= u[:, i]}`` with s the
+    symbol of column i - 1 (``start`` for column 0): exactly the symbols a
+    per-step loop gives.
 
-    An i.i.d. chain (all rows equal) needs no chaining: m - 1 vectorized
-    comparisons per slab of uniforms.  Otherwise the run is cut into a head and ``blocks - 1`` equal blocks.  The blocks
-    run from every state at once, which gives each block's exit state per
-    entry state; the head runs from ``start``; the entries are chained block
-    to block; and the blocks run again from their entries.  That is about
-    3 L / blocks + blocks vectorized steps in place of L.
+    An i.i.d. chain (every row of every table equal) needs no chaining:
+    m - 1 vectorized comparisons per slab of uniforms.  Otherwise the run
+    is cut into a head and ``blocks - 1`` equal blocks.  The blocks run
+    from every state at once, each column by its own table, which gives
+    each block's exit state per entry state; the head runs from ``start``;
+    the entries are chained block to block; and the blocks run again from
+    their entries.  That is about 3 L / blocks + blocks vectorized steps
+    in place of L.
     """
     count, length = u.shape
     out = np.empty((count, length), dtype=dtype)
     lanes = max(count, 1)
-    if (thresholds == thresholds[0]).all():
+    if (tables == tables[0, 0]).all():
+        thresholds = tables[0, 0]
         step = max(1, _SLAB_ITEMS // lanes)
         for lo in range(0, length, step):
             block = u[:, lo:lo + step]
             symbols = out[:, lo:lo + step]
-            symbols[...] = block >= thresholds[0, 0]
-            for t in thresholds[0, 1:]:
+            symbols[...] = block >= thresholds[0]
+            for t in thresholds[1:]:
                 symbols += block >= t
         return out
-    m = thresholds.shape[0]
+    m = tables.shape[1]
     blocks = math.isqrt(length // lanes)
     if blocks < 4:  # fewer blocks cost more steps than they save
         blocks = 1
@@ -245,14 +271,15 @@ def _markov_path(thresholds: np.ndarray, start: np.ndarray, u: np.ndarray, dtype
     head = length - (blocks - 1) * size
     current = start
     for i in range(head):
-        current = _next_symbols(thresholds, current, u[:, i])
+        current = _next_symbols(tables, which[i], current, u[:, i])
         out[:, i] = current
     if blocks == 1:
         return out
     body = u[:, head:].reshape(count, blocks - 1, size)
+    steps = which[head:].reshape(blocks - 1, size)
     exits = np.broadcast_to(np.arange(m), (count, blocks - 1, m))
     for i in range(size):
-        exits = _next_symbols(thresholds, exits, body[:, :, i, None])
+        exits = _next_symbols(tables, steps[:, i, None], exits, body[:, :, i, None])
     entry = np.empty((count, blocks - 1), dtype=np.int64)
     entry[:, 0] = current
     rows = np.arange(count)
@@ -261,53 +288,62 @@ def _markov_path(thresholds: np.ndarray, start: np.ndarray, u: np.ndarray, dtype
     path = out[:, head:].reshape(count, blocks - 1, size)
     current = entry
     for i in range(size):
-        current = _next_symbols(thresholds, current, body[:, :, i])
+        current = _next_symbols(tables, steps[:, i], current, body[:, :, i])
         path[:, :, i] = current
     return out
 
 
-def sample_windows(
-    system: ShiftSystem, radius: int, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Sample ``count`` stationary windows of shape (count, 2*radius + 1).
+def sorted_union(arrays) -> np.ndarray:
+    """Sorted distinct values of integer arrays, by a sort and a neighbour
+    test (many times faster than ``np.unique``'s hash table here)."""
+    values = np.sort(np.concatenate([np.ravel(a) for a in arrays]).astype(np.int64, copy=False))
+    keep = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
-    Index 0 is drawn from the stationary vector, forward symbols from the
-    transition matrix, backward symbols from the time-reversed chain; by
-    stationarity the two-sided law is consistent.  Draw order is fixed:
-    one uniform per window for the origin, then for each forward column
-    and after them each backward column, one uniform per window.  Columns
-    are drawn in slabs of several columns at once, which is the same
-    stream, and ``_markov_path`` resolves each slab; a single window and a
-    batch see the same symbols as the per-symbol loops of earlier versions.
+
+def _gap_tables(system: ShiftSystem, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Threshold tables of P^g, one per distinct gap g, and each gap's table."""
+    if system.iid:
+        return _thresholds(system.transition)[None], np.zeros(gaps.size, dtype=np.intp)
+    distinct, which = np.unique(gaps, return_inverse=True)
+    powers = [system.transition_power(int(g)) for g in distinct] or [system.transition]
+    return _thresholds(np.stack(powers)), which
+
+
+def sample_at(
+    system: ShiftSystem, positions, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Symbols of ``count`` stationary sequences at sorted distinct
+    ``positions``, shape (count, len(positions)); no other position is drawn.
+
+    The first position is drawn from the stationary vector and each later
+    one from row ``P^g[previous]``, g the gap to the previous position: by
+    Chapman-Kolmogorov that is the exact joint law of the chain at those
+    positions.  Draw order is fixed: uniform ``c * count + j`` resolves
+    position c of sequence j.  Positions are drawn in slabs of several at
+    once, which is the same stream, and ``_markov_path`` resolves each slab.
     """
-    if radius < 0:
-        raise DomainError("window radius must be >= 0")
-    dtype = _symbol_dtype(system.alphabet_size)
-    out = np.empty((count, 2 * radius + 1), dtype=dtype)
-    origin = np.searchsorted(_thresholds(system.stationary), rng.random(count), side="right")
-    out[:, radius] = origin
+    positions = np.asarray(positions, dtype=np.int64)
+    gaps = np.diff(positions)
+    if positions.ndim != 1 or (gaps <= 0).any():
+        raise DomainError("sample positions must be a sorted 1-d array of distinct integers")
+    out = np.empty((count, positions.size), dtype=_symbol_dtype(system.alphabet_size))
+    tables, which = _gap_tables(system, gaps)
     step = max(1, _SLAB_ITEMS // max(count, 1))
-    runs = (
-        (system.transition, out[:, radius + 1:]),
-        (system.reversed_transition, out[:, :radius][:, ::-1]),
-    )
-    for weights, columns in runs:
-        thresholds = _thresholds(weights)
-        current = origin
-        for lo in range(0, radius, step):
-            u = rng.random((min(step, radius - lo), count)).T
-            path = _markov_path(thresholds, current, u, dtype)
-            columns[:, lo:lo + path.shape[1]] = path
+    for lo in range(0, positions.size, step):
+        hi = min(lo + step, positions.size)
+        u = rng.random((hi - lo, count)).T
+        if lo == 0:
+            # The first position steps from the stationary vector: a one-state table.
+            current = _next_symbols(_thresholds(system.stationary)[None, None], 0, 0, u[:, 0])
+            out[:, 0] = current
+            u, lo = u[:, 1:], 1
+        path = _markov_path(tables, which[lo - 1:hi - 1], current, u, out.dtype)
+        out[:, lo:hi] = path
+        if path.shape[1]:
             current = path[:, -1]
     return out
-
-
-def sample_shift_point(system: ShiftSystem, radius: int, seed) -> ShiftPoint:
-    """Draw one window from the stationary Markov measure, deterministically."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    symbols = sample_windows(system, radius, 1, rng)[0]
-    symbols.setflags(write=False)
-    return ShiftPoint(symbols=symbols, radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -752,24 +788,17 @@ def cylinder_values_at(point: ShiftPoint, observable: Observable, positions) -> 
     """
     if observable.variant != CYLINDER:
         raise VariantMismatch("cylinder_values_at requires a cylinder observable")
-    positions = np.asarray(positions, dtype=np.int64) + point.offset
+    positions = np.asarray(positions, dtype=np.int64)
     w = observable.radius
-    if positions.size and (
-        positions.min() - w < -point.radius or positions.max() + w > point.radius
-    ):
-        raise WindowExhausted(
-            f"positions reach outside window [-{point.radius}, {point.radius}]"
-        )
-    base = positions + point.radius
+    columns = [point.columns(positions + j) for j in range(-w, w + 1)]
     values = np.full(positions.shape, observable.default, dtype=np.float64)
     if not observable.table:
         return values
-    width = 2 * w + 1
     m = int(point.symbols.max()) + 1 if point.symbols.size else 1
     m = max(m, max((max(word) for word in observable.table), default=0) + 1)
     codes = np.zeros(positions.shape, dtype=np.int64)
-    for j in range(width):
-        codes = codes * m + point.symbols[base - w + j]
+    for cols in columns:
+        codes = codes * m + point.symbols[cols]
     lookup = {}
     for word, value in observable.table.items():
         code = 0

@@ -105,16 +105,29 @@ class TestSpecValidation:
         assert schedule[0] == 1 and schedule[-1] == 100
         assert 64 in schedule and 128 not in schedule
 
-    def test_required_radius(self, bernoulli):
+    def test_read_positions(self, bernoulli):
         f = systems.cylinder_observable(3, {})
         spec = AverageSpec(
             system=bernoulli,
             observables=(f, systems.cylinder_indicator([0])),
-            multipliers=(1, 2),
+            multipliers=(1, -2),
             sequence=SequenceSpec(kind="polynomial", coefficients=(0, 0, 1)),
             n_max=1 << 10,
         )
-        assert spec.required_radius() == 2 * (1 << 10) ** 2 + 3
+        want = {n * n + j for n in range(1, 1025) for j in range(-3, 4)}
+        want |= {-2 * n * n for n in range(1, 1025)}
+        assert spec.read_positions().tolist() == sorted(want)
+
+    def test_read_positions_fit_int64(self, bernoulli):
+        spec = AverageSpec(
+            system=bernoulli,
+            observables=(systems.cylinder_indicator([0]),),
+            multipliers=(4,),
+            sequence=SequenceSpec(kind="explicit", values=(1, 1 << 60)),
+            n_max=2,
+        )
+        with pytest.raises(DomainError):
+            spec.read_positions()
 
 
 class TestStream:
@@ -183,7 +196,7 @@ class TestStream:
         g = systems.centered_cylinder_indicator(bernoulli, [0])
         spec_a = make_spec(bernoulli, [f, g], (1, 3), 128)
         spec_b = make_spec(bernoulli, [g, f], (3, 1), 128)
-        point = averages.sample_spec_point(spec_a, 9, 0, radius=spec_a.required_radius())
+        point = averages.sample_spec_point(spec_a, 9, 0)
         series_a = ergodic_average_stream(spec_a, point)
         series_b = ergodic_average_stream(spec_b, point)
         assert series_a.entries == series_b.entries
@@ -191,7 +204,9 @@ class TestStream:
     def test_window_exhausted(self, markov):
         f = systems.cylinder_indicator([0])
         spec = make_spec(markov, [f], (1,), 64)
-        point = systems.sample_shift_point(markov, 10, 0)
+        positions = np.arange(-10, 11)
+        symbols = systems.sample_at(markov, positions, 1, np.random.default_rng(0))[0]
+        point = systems.ShiftPoint(positions=positions, symbols=symbols)
         with pytest.raises(WindowExhausted):
             ergodic_average_stream(spec, point)
 
@@ -246,7 +261,7 @@ class TestStream:
         spec = make_spec(markov, [f], (1,), 1 << 14)
         hits = 0
         for seed in range(100):
-            point = averages.sample_spec_point(spec, seed, seed, radius=1 << 14)
+            point = averages.sample_spec_point(spec, seed, seed)
             series = ergodic_average_stream(spec, point)
             if abs(series.entries[-1][1] - 5 / 6) < 0.01:
                 hits += 1
@@ -268,7 +283,7 @@ class TestRateStatistic:
         spec = make_spec(bernoulli, [f], (1,), 1 << 14)
         negative = 0
         for seed in range(15):
-            point = averages.sample_spec_point(spec, seed, seed, radius=1 << 14)
+            point = averages.sample_spec_point(spec, seed, seed)
             series = ergodic_average_stream(spec, point)
             table = rate_statistic(series, 1.0, 2.0, series.target)
             if table.slope is not None and table.slope < 0:
@@ -326,8 +341,13 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("kind", ["linear", "primes"])
     def test_fraction_trend_over_last_checkpoints(self, bernoulli, kind):
-        # The per-point exceedance fraction drifts down as the statistic
-        # shrinks; allow one ensemble point of jitter at this resolution.
+        # The per-point exceedance fraction drifts down from its peak after
+        # the reference checkpoint to a floor, then stays there: a point
+        # with S_16 = 0 has statistic 0 at the reference and exceeds it
+        # whenever S_N != 0, and P(S_16 = 0) is about 0.2.  The last three
+        # checkpoints sit on that floor (mean 0.19-0.20 over 120 seeds),
+        # so they are compared with the peak at N = 32 (mean 0.28), not
+        # with each other; 600 points put the gap over 5 standard errors.
         f = systems.centered_cylinder_indicator(bernoulli, [1])
         g = systems.centered_cylinder_indicator(bernoulli, [0])
         spec = AverageSpec(
@@ -338,11 +358,10 @@ class TestEnsemble:
             n_max=1 << 11,
         )
         summary = averages.ensemble_rate_experiment(
-            spec, 60, 1.0, 2.0, seed=17, min_checkpoint=16
+            spec, 600, 1.0, 2.0, seed=17, min_checkpoint=16
         )
-        tolerance = 1.0 / summary.point_count
-        tail = summary.fractions_above_own[-3:]
-        assert all(b <= a + tolerance for a, b in zip(tail, tail[1:]))
+        assert summary.checkpoints[1] == 32
+        assert max(summary.fractions_above_own[-3:]) < summary.fractions_above_own[1]
 
 
 class TestTermGenerator:

@@ -91,7 +91,7 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 class TestValidate:
-    def test_required_window_derivation(self, tmp_path):
+    def test_symbols_per_point_derivation(self, tmp_path):
         cfg = {
             "schema_version": 1,
             "experiment": "average",
@@ -111,7 +111,13 @@ class TestValidate:
         }
         _, report = cli.validate_config(cfg)
         assert report["ok"]
-        assert report["derived"]["required_window_radius"] == 2 * 1024 ** 2 + 3
+        # The union of n^2 + [-3, 3] and 2 n^2, not a window of radius 2 * 1024^2 + 3.
+        read = {n * n + j for n in range(1, 1025) for j in range(-3, 4)}
+        read |= {2 * n * n for n in range(1, 1025)}
+        derived = report["derived"]
+        assert derived["symbols_per_point"] == len(read)
+        assert "required_window_radius" not in derived
+        assert "window_bytes_per_point" not in derived
 
     def test_duplicate_multipliers_invalid(self):
         cfg = {
@@ -214,8 +220,8 @@ class TestValidate:
         assert report["ok"]
         derived = report["derived"]
         assert derived["torus_precision_bits"] == 96
-        assert "required_window_radius" not in derived
-        assert "transfer_span" not in derived
+        for key in ("symbols_per_sample", "symbols_per_point", "transfer_span"):
+            assert key not in derived
 
     @pytest.mark.parametrize(
         "exceptional, message",
@@ -280,6 +286,33 @@ class TestValidate:
         cfg["params"]["queries"] = queries
         _, report = cli.validate_config(cfg)
         assert report["errors"] == [message]
+
+    @pytest.mark.parametrize(
+        "kind, key, value, message",
+        [
+            ("shift", "adjacency", "x", "system.adjacency must be a non-empty list of rows"),
+            ("shift", "adjacency", [[1, 1], [1]], "system.adjacency[1] has 1 entries, expected 2"),
+            ("shift", "adjacency", [[1, "x"], [1, 1]], "system.adjacency[0][1] must be an integer"),
+            (
+                "shift",
+                "transition",
+                [["1/2", "1/2"], ["1/2"]],
+                "system.transition[1] has 1 entries, expected 2",
+            ),
+            ("torus", "matrix", "x", "system.matrix must be a non-empty list of rows"),
+            ("torus", "matrix", [[2, "a"], [1, 1]], "system.matrix[0][1] must be an integer"),
+            ("torus", "matrix", [[2, 1, 0], [1, 1]], "system.matrix[0] has 3 entries, expected 2"),
+        ],
+    )
+    def test_bad_matrix_names_field(self, tmp_path, capsys, kind, key, value, message):
+        cfg = minimal_correlate() if kind == "shift" else torus_config("correlate", TORUS_CORRELATE)
+        cfg["system"] = dict(cfg["system"], **{key: value})
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert any(message in msg for msg in report["errors"]), report["errors"]
+        assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
+        assert message in capsys.readouterr().err
 
     def test_dyadic_reports_term_matrix(self):
         # W = max(max N, 2^max s): the grid sets it, then s = 8 does.
@@ -450,6 +483,60 @@ class TestRun:
         assert hashes[0] == hashes[1] == hashes[2]
         names = set(hashes[0])
         assert ("dyadic_exceptional.csv" in names) == (exceptional is not None)
+
+    def test_correlate_planner_counts_read_positions(self, tmp_path):
+        # Query 0 reads {-1, 0, 1}, query 1 reads {-1, 0, 1, 5}: the
+        # planner's largest count and the manifest's total agree with them.
+        cfg = minimal_correlate()
+        cfg["observables"][0] = {"variant": "cylinder", "radius": 1, "table": [], "default": 1.0}
+        cfg["params"] = {
+            "queries": [{"times": [0, 1]}, {"times": [0, 5]}],
+            "method": "mc",
+            "samples": 300,
+        }
+        _, report = cli.validate_config(cfg)
+        assert report["derived"]["symbols_per_sample"] == 4
+        for queries in (cfg["params"]["queries"], cfg["params"]["queries"][1:]):
+            cfg["params"]["queries"] = queries
+            path = write_config(tmp_path, cfg)
+            out = tmp_path / f"out{len(queries)}"
+            assert cli.run(path, out, workers=1, emit_svg=False) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["steps"]["symbols_sampled"] == 300 * (7 if len(queries) == 2 else 4)
+        _, report = cli.validate_config(cfg)
+        assert manifest["steps"]["symbols_sampled"] == 300 * report["derived"]["symbols_per_sample"]
+        assert "symbols_sampled" not in (out / "summary.json").read_text()
+
+    @pytest.mark.parametrize("experiment", ["average", "ratecheck"])
+    def test_stream_planner_counts_read_positions(self, tmp_path, experiment):
+        cfg = {
+            "schema_version": 1,
+            "experiment": experiment,
+            "seed": 2,
+            "system": BERNOULLI_SYSTEM,
+            "observables": [
+                {"variant": "cylinder", "radius": 1, "table": [], "default": 1.0},
+                INDICATOR_0,
+            ],
+            "params": {
+                "multipliers": [1, -2],
+                "sequence": {"kind": "primes"},
+                "n_max": 96,
+                "point_count": 10,
+            },
+        }
+        _, report = cli.validate_config(cfg)
+        assert report["ok"]
+        per_point = report["derived"]["symbols_per_point"]
+        path = write_config(tmp_path, cfg)
+        for name, workers in (("a", 1), ("b", 2)):
+            out = tmp_path / name
+            assert cli.run(path, out, workers=workers, emit_svg=False) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["steps"]["symbols_sampled"] == 10 * per_point
+        assert (tmp_path / "a" / "summary.json").read_bytes() == (
+            tmp_path / "b" / "summary.json"
+        ).read_bytes()
 
     def test_counting_run(self, tmp_path):
         cfg = {

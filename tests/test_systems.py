@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ergolab import averages, intmat, systems
-from ergolab.seeding import ROLE_TERMS, ROLE_TERMS_BACKWARD, rng_for
+from ergolab.seeding import ROLE_POINT, ROLE_TERMS, ROLE_TERMS_BACKWARD, rng_for
 from ergolab.sequences import SequenceSpec, generate
 from ergolab.errors import (
     DomainError,
@@ -20,6 +20,17 @@ from ergolab.errors import (
 
 ONES = [[1, 1], [1, 1]]
 MARKOV = [[0.9, 0.1], [0.5, 0.5]]
+
+
+def window(system, radius, count, rng):
+    """``count`` sequences at the contiguous indices -radius..radius."""
+    return systems.sample_at(system, np.arange(-radius, radius + 1), count, rng)
+
+
+def window_point(system, radius, seed):
+    positions = np.arange(-radius, radius + 1)
+    symbols = window(system, radius, 1, np.random.default_rng(seed))[0]
+    return systems.ShiftPoint(positions=positions, symbols=symbols)
 
 
 @pytest.fixture(scope="module")
@@ -72,26 +83,26 @@ class TestBuildShift:
 
 class TestSampling:
     def test_determinism(self, markov):
-        a = systems.sample_shift_point(markov, 40, 123)
-        b = systems.sample_shift_point(markov, 40, 123)
+        a = window_point(markov, 40, 123)
+        b = window_point(markov, 40, 123)
         assert (a.symbols == b.symbols).all()
 
     def test_bernoulli_frequency(self, bernoulli):
         rng = np.random.default_rng(5)
-        windows = systems.sample_windows(bernoulli, 0, 10 ** 6, rng)
+        windows = window(bernoulli, 0, 10 ** 6, rng)
         freq = float((windows[:, 0] == 1).mean())
         assert abs(freq - 0.5) <= 4 * 0.5 / 1000.0
 
     def test_markov_origin_frequency(self, markov):
         rng = np.random.default_rng(6)
-        windows = systems.sample_windows(markov, 0, 10 ** 6, rng)
+        windows = window(markov, 0, 10 ** 6, rng)
         freq = float((windows[:, 0] == 0).mean())
         se = np.sqrt((5 / 6) * (1 / 6) / 10 ** 6)
         assert abs(freq - 5 / 6) <= 4 * se
 
     def test_forward_transition_frequency(self, markov):
         rng = np.random.default_rng(7)
-        windows = systems.sample_windows(markov, 1, 200_000, rng)
+        windows = window(markov, 1, 200_000, rng)
         at0 = windows[:, 1] == 0
         freq = float((windows[at0, 2] == 0).mean())
         assert abs(freq - 0.9) <= 4 * np.sqrt(0.09 / at0.sum())
@@ -99,32 +110,32 @@ class TestSampling:
     def test_backward_is_stationary(self, markov):
         # Two-sided law: the word at indices (-1, 0) has probability pi P.
         rng = np.random.default_rng(8)
-        windows = systems.sample_windows(markov, 1, 200_000, rng)
+        windows = window(markov, 1, 200_000, rng)
         freq = float(((windows[:, 0] == 0) & (windows[:, 1] == 0)).mean())
         assert abs(freq - 0.75) <= 4 * np.sqrt(0.75 * 0.25 / 200_000)
 
     def test_admissibility(self):
         golden = systems.build_shift([[1, 1], [1, 0]], [[0.6, 0.4], [1.0, 0.0]])
         rng = np.random.default_rng(9)
-        windows = systems.sample_windows(golden, 20, 5000, rng)
+        windows = window(golden, 20, 5000, rng)
         pairs = windows[:, :-1] * 2 + windows[:, 1:]
         assert not np.any(pairs == 3)  # word (1, 1) is forbidden
 
 
 class TestShiftApply:
     def test_identity(self, markov):
-        p = systems.sample_shift_point(markov, 10, 1)
+        p = window_point(markov, 10, 1)
         assert systems.shift_apply(p, 0).word(10) == p.word(10)
 
     def test_composition(self, markov):
-        p = systems.sample_shift_point(markov, 10, 1)
+        p = window_point(markov, 10, 1)
         lhs = systems.shift_apply(p, 3 + 4)
         rhs = systems.shift_apply(systems.shift_apply(p, 3), 4)
         assert lhs.offset == rhs.offset
         assert lhs.symbol(0) == rhs.symbol(0)
 
     def test_window_exhausted(self, markov):
-        p = systems.sample_shift_point(markov, 10, 1)
+        p = window_point(markov, 10, 1)
         shifted = systems.shift_apply(p, 11)
         with pytest.raises(WindowExhausted):
             shifted.symbol(0)
@@ -297,7 +308,7 @@ class TestLimbKernel:
 class TestObservables:
     def test_constant_cylinder(self, markov):
         obs = systems.cylinder_observable(0, {(0,): 3.5, (1,): 3.5})
-        p = systems.sample_shift_point(markov, 5, 2)
+        p = window_point(markov, 5, 2)
         assert systems.evaluate(obs, p) == 3.5
 
     def test_zero_frequency_trig(self, cat):
@@ -307,7 +318,7 @@ class TestObservables:
 
     def test_cylinder_lookup(self, markov):
         obs = systems.cylinder_observable(0, {(0,): 1.0, (1,): 0.0})
-        p = systems.ShiftPoint(symbols=np.array([1], dtype=np.int8), radius=0)
+        p = systems.ShiftPoint(positions=np.array([0]), symbols=np.array([1], dtype=np.int8))
         assert systems.evaluate(obs, p) == 0.0
 
     def test_variant_mismatch(self, markov, cat):
@@ -342,7 +353,7 @@ class TestExactMean:
         # Monte Carlo mean of a cylinder observable matches the exact mean.
         obs = systems.cylinder_observable(1, {(0, 0, 1): 2.0, (1, 0, 1): -1.0})
         rng = np.random.default_rng(11)
-        windows = systems.sample_windows(markov, 1, 10 ** 6, rng)
+        windows = window(markov, 1, 10 ** 6, rng)
         lookup = {(0, 0, 1): 2.0, (1, 0, 1): -1.0}
         values = np.zeros(10 ** 6)
         for word, value in lookup.items():
@@ -373,11 +384,11 @@ def _reference_thresholds(system):
 
 
 def _reference_path(thresholds, u, fwd_len, bwd_len):
-    """One window by a ``bisect`` per symbol.
+    """One two-sided run by a ``bisect`` per symbol, as the term generator draws it.
 
     ``u`` holds the origin uniform, then ``fwd_len`` forward ones, then
     ``bwd_len`` backward ones; the result is indexed from -bwd_len to
-    fwd_len.  This is the sampler that the vectorized kernel replaced.
+    fwd_len.
     """
     pi, fwd, bwd = thresholds
     out = [0] * (fwd_len + bwd_len + 1)
@@ -394,13 +405,31 @@ def _reference_path(thresholds, u, fwd_len, bwd_len):
     return out
 
 
+def _reference_at(system, positions, count, seed):
+    """Sequences at sorted distinct positions by a ``bisect`` per symbol.
+
+    The first position is drawn from the stationary vector and each later
+    one from row P^g[previous] for gap g.  Column-major draw order: uniform
+    c * count + j resolves position c of sequence j.
+    """
+    positions = [int(p) for p in positions]
+    u = np.random.default_rng(seed).random((len(positions), count))  # seed may be a Generator
+    pi = list(np.cumsum(system.stationary)[:-1])
+    rows = {}
+    for g in {b - a for a, b in zip(positions, positions[1:])}:
+        rows[g] = [list(np.cumsum(row)[:-1]) for row in system.transition_power(g)]
+    out = np.empty((count, len(positions)), dtype=np.int64)
+    for j in range(count):
+        state = bisect.bisect_right(pi, u[0, j])
+        out[j, 0] = state
+        for c in range(1, len(positions)):
+            state = bisect.bisect_right(rows[positions[c] - positions[c - 1]][state], u[c, j])
+            out[j, c] = state
+    return out
+
+
 def _reference_windows(system, radius, count, seed):
-    # Column-major draw order: window j's uniform for column c is draw c * count + j.
-    u = np.random.default_rng(seed).random((2 * radius + 1, count))
-    thresholds = _reference_thresholds(system)
-    return np.array(
-        [_reference_path(thresholds, u[:, j], radius, radius) for j in range(count)]
-    )
+    return _reference_at(system, range(-radius, radius + 1), count, seed)
 
 
 def _reference_terms(spec, master_seed, point_indices, ks):
@@ -461,25 +490,27 @@ class TestPathKernel:
          (5000, 17), (70001, 1)],
     )
     def test_windows_match_reference(self, chain, radius, count):
-        got = systems.sample_windows(chain, radius, count, np.random.default_rng(radius + count))
+        got = window(chain, radius, count, np.random.default_rng(radius + count))
         assert got.dtype == np.int8
         want = _reference_windows(chain, radius, count, radius + count)
         assert np.array_equal(got, want)
 
     def test_ties_resolve_like_bisect_right(self, chain):
-        # A uniform equal to a threshold draws the next symbol up: #{t <= u}.
-        thresholds = systems._thresholds(chain.transition)
+        # A uniform equal to a threshold draws the next symbol up: #{t <= u},
+        # with each column stepping by its own table of P^g.
+        gaps = (1, 2, 5)
+        tables = np.stack([systems._thresholds(chain.transition_power(g)) for g in gaps])
         rng = np.random.default_rng(5)
         u = rng.random((3, 2000))
+        which = rng.integers(0, len(gaps), size=u.shape[1])
         ties = rng.random(u.shape) < 0.5
-        u[ties] = rng.choice(thresholds.ravel(), size=int(ties.sum()))
+        u[ties] = rng.choice(tables.ravel(), size=int(ties.sum()))
         start = np.array([0, 1, chain.alphabet_size - 1])
-        got = systems._markov_path(thresholds, start, u, np.int8)
-        fwd = _reference_thresholds(chain)[1]
+        got = systems._markov_path(tables, which, start, u, np.int8)
         for row in range(3):
             state, want = start[row], []
-            for x in u[row]:
-                state = bisect.bisect_right(fwd[state], x)
+            for x, k in zip(u[row], which):
+                state = bisect.bisect_right(list(tables[k, state]), x)
                 want.append(state)
             assert got[row].tolist() == want
 
@@ -488,17 +519,30 @@ class TestPathKernel:
         # Wider than a slab: uniforms are drawn one column at a time.
         system = CHAINS[name]()
         count = (1 << 16) + 3
-        got = systems.sample_windows(system, 2, count, np.random.default_rng(3))
+        got = window(system, 2, count, np.random.default_rng(3))
         assert np.array_equal(got, _reference_windows(system, 2, count, 3))
 
     def test_single_window_draws_one_stream(self, chain):
-        point = systems.sample_shift_point(chain, 300, 21)
+        point = window_point(chain, 300, 21)
         want = _reference_windows(chain, 300, 1, 21)[0]
+        assert np.array_equal(point.symbols, want)
+        # An orbit's point is one sequence drawn at the positions it reads.
+        spec = averages.AverageSpec(
+            system=chain,
+            observables=(systems.cylinder_indicator([0, 1, 0]), systems.cylinder_indicator([1])),
+            multipliers=(1, -2),
+            sequence=SequenceSpec(kind="primes"),
+            n_max=200,
+        )
+        point = averages.sample_spec_point(spec, 21, 3)
+        positions = spec.read_positions()
+        want = _reference_at(chain, positions, 1, rng_for(21, ROLE_POINT, 3))[0]
+        assert np.array_equal(point.positions, positions)
         assert np.array_equal(point.symbols, want)
 
     def test_large_alphabet_dtype(self):
         system = systems.bernoulli_system(np.full(130, 1 / 130))
-        got = systems.sample_windows(system, 40, 3, np.random.default_rng(8))
+        got = window(system, 40, 3, np.random.default_rng(8))
         assert got.dtype == np.int64
         assert np.array_equal(got, _reference_windows(system, 40, 3, 8))
 
@@ -536,3 +580,132 @@ class TestPathKernel:
         for lo, hi in ((1, 100), (37, 200), (256, 256)):
             part = generator(points, np.arange(lo, hi + 1))
             assert np.array_equal(part, full[:, lo - 1: hi])
+
+
+# ---------------------------------------------------------------------------
+# Sparse sampling at the positions that are read
+# ---------------------------------------------------------------------------
+
+# Gaps from 1 to 10^4 on both sides of 0; a random set; one position.
+POSITION_SETS = {
+    "mixed_gaps": [-3, 0, 1, 2, 10, 11, 1011, 11011],
+    "random": sorted(set(np.random.default_rng(77).integers(-10 ** 4, 10 ** 4, 300).tolist())),
+    "single": [7],
+}
+
+
+class TestSampleAt:
+    @pytest.mark.parametrize("name", sorted(POSITION_SETS))
+    @pytest.mark.parametrize("count", [1, 17])
+    def test_matches_reference(self, chain, name, count):
+        positions = POSITION_SETS[name]
+        got = systems.sample_at(chain, positions, count, np.random.default_rng(count))
+        assert got.dtype == np.int8
+        assert np.array_equal(got, _reference_at(chain, positions, count, count))
+
+    @pytest.mark.parametrize("name", ["markov", "slow_cycle", "bernoulli3"])
+    def test_wide_batch_matches_reference(self, name):
+        # Wider than a slab: one position per draw.
+        system = CHAINS[name]()
+        positions = [-1, 0, 5, 10 ** 4]
+        count = (1 << 16) + 3
+        got = systems.sample_at(system, positions, count, np.random.default_rng(4))
+        assert np.array_equal(got, _reference_at(system, positions, count, 4))
+
+    def test_long_sequence_with_many_gaps(self, chain):
+        # 70001 positions span two slabs of uniforms, and the blocked path
+        # steps every column by the table of its own gap.
+        positions = np.cumsum(np.random.default_rng(3).integers(1, 40, 70001)) - 1000
+        got = systems.sample_at(chain, positions, 1, np.random.default_rng(6))
+        assert np.array_equal(got, _reference_at(chain, positions, 1, 6))
+
+    def test_rejects_unsorted_or_repeated_positions(self, markov):
+        for positions in ([0, 0, 1], [3, 1], [[0, 1]]):
+            with pytest.raises(DomainError):
+                systems.sample_at(markov, positions, 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", ["markov", "golden", "three_with_zeros", "slow_cycle"])
+    def test_law_matches_transfer_oracle(self, name):
+        # Joint word frequencies at sampled gaps lie within 4 standard
+        # errors of the exact transfer oracle, which steps P one position
+        # at a time; a word the oracle gives probability 0 never occurs.
+        from ergolab import correlations as co
+
+        system = CHAINS[name]()
+        positions = [-7, 0, 3, 250]
+        n = 200_000
+        symbols = systems.sample_at(system, positions, n, np.random.default_rng(12))
+        m = system.alphabet_size
+        for i, j in [(0, 1), (1, 2), (0, 3), (2, 3)]:
+            for word in np.ndindex(m, m):
+                query = co.CorrelationQuery(
+                    system=system,
+                    observables=tuple(systems.cylinder_indicator([s]) for s in word),
+                    times=(positions[i], positions[j]),
+                )
+                exact = co.exact_correlation_shift(query)
+                freq = float(((symbols[:, i] == word[0]) & (symbols[:, j] == word[1])).mean())
+                if exact == 0.0:
+                    assert freq == 0.0
+                else:
+                    assert abs(freq - exact) <= 4 * np.sqrt(exact * (1 - exact) / n)
+
+    def test_unsampled_position_is_exhausted(self, markov):
+        f = systems.cylinder_indicator([0])
+        spec = averages.AverageSpec(
+            system=markov,
+            observables=(f, f),
+            multipliers=(1, 2),
+            sequence=SequenceSpec(kind="primes"),
+            n_max=64,
+        )
+        point = averages.sample_spec_point(spec, 5, 0)
+        assert point.positions.tolist() == spec.read_positions().tolist()
+        assert {2, 3, 4, 6, 7}.issubset(point.positions.tolist())
+        point.symbol(4)
+        for index in (1, 8, 10 ** 6):
+            with pytest.raises(WindowExhausted):
+                point.symbol(index)
+        with pytest.raises(WindowExhausted):
+            systems.shift_apply(point, 8).word(0)
+        with pytest.raises(WindowExhausted):
+            systems.cylinder_values_at(point, systems.cylinder_indicator([0, 0, 0]), [3, 7])
+        wider = averages.AverageSpec(
+            system=markov,
+            observables=(f, f),
+            multipliers=(1, 3),
+            sequence=SequenceSpec(kind="primes"),
+            n_max=64,
+        )
+        with pytest.raises(WindowExhausted):
+            averages.ergodic_average_stream(wider, point)
+
+
+class TestTransitionPower:
+    def test_iid_power_is_the_transition(self, bernoulli):
+        assert bernoulli.iid
+        assert bernoulli.transition_power(12345) is bernoulli.transition
+
+    def test_matches_repeated_steps(self, chain):
+        want = np.eye(chain.alphabet_size)
+        for gap in range(1, 1001):
+            want = want @ chain.transition
+            if gap in (1, 2, 3, 7, 64, 1000):
+                assert np.allclose(chain.transition_power(gap), want, rtol=1e-12, atol=1e-15)
+
+    def test_bits_do_not_depend_on_order(self):
+        first = CHAINS["three_with_zeros"]()
+        second = CHAINS["three_with_zeros"]()
+        for gap in (2, 5, 1000, 7):
+            first.transition_power(gap)
+        assert np.array_equal(first.transition_power(7), second.transition_power(7))
+        assert first.transition_power(7) is first.transition_power(7)
+
+    def test_support_zeros_stay_exact(self):
+        golden = CHAINS["golden"]()
+        assert golden.transition_power(1)[1, 1] == 0.0
+        assert (golden.transition_power(2) > 0).all()
+
+    def test_gap_below_one_rejected(self, markov):
+        with pytest.raises(DomainError):
+            markov.transition_power(0)
