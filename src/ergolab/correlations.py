@@ -196,14 +196,34 @@ def _mc_products_torus(
     return prod
 
 
+def _merge_moments(a: tuple, b: tuple) -> tuple:
+    """Count, mean and sum of squared deviations of two parts together
+    (Chan, Golub & LeVeque, 1979): no sum of squares is ever formed."""
+    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    return n, mean_a + delta * n_b / n, m2_a + m2_b + delta * delta * n_a * n_b / n
+
+
+def _pairwise_moments(parts: Sequence[tuple]) -> tuple:
+    """Merge per-chunk (count, mean, M2) parts in chunk order, adjacent pairs
+    first, level by level; the result depends only on the parts' order."""
+    parts = list(parts)
+    while len(parts) > 1:
+        merged = [_merge_moments(a, b) for a, b in zip(parts[::2], parts[1::2])]
+        parts = merged + parts[len(merged) * 2:]
+    return parts[0]
+
+
 def mc_correlation(
     query: CorrelationQuery, samples: int, seed: int
 ) -> tuple[float, float]:
     """Sample mean and standard error of the product over ``samples`` draws.
 
-    Sampling is chunked with one derived stream per fixed-size chunk and
-    reduced in chunk order, so the result is independent of how chunks are
-    scheduled over workers.
+    Sampling is chunked with one derived stream per fixed-size chunk; each
+    chunk's mean and squared deviations are merged pairwise in chunk order,
+    so the result is independent of how chunks are scheduled over workers
+    and the variance has no sum-of-squares cancellation.
     """
     if samples < 2:
         raise DomainError("need at least 2 samples")
@@ -217,21 +237,13 @@ def mc_correlation(
         for obs in query.observables:
             if obs.variant != TRIG:
                 raise VariantMismatch("torus queries need trig observables")
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_index = 0
-    while done < samples:
-        count = min(MC_CHUNK, samples - done)
-        rng = rng_for(seed, ROLE_MC, chunk_index)
-        prod = kernel(query, count, rng)
-        total += float(prod.sum())
-        total_sq += float((prod ** 2).sum())
-        done += count
-        chunk_index += 1
-    estimate = total / samples
-    var = max((total_sq - samples * estimate ** 2) / (samples - 1), 0.0)
-    return estimate, (var / samples) ** 0.5
+    parts = []
+    for chunk_index, lo in enumerate(range(0, samples, MC_CHUNK)):
+        prod = kernel(query, min(MC_CHUNK, samples - lo), rng_for(seed, ROLE_MC, chunk_index))
+        mean = float(prod.mean())
+        parts.append((prod.size, mean, float(((prod - mean) ** 2).sum())))
+    _, estimate, m2 = _pairwise_moments(parts)
+    return estimate, (m2 / (samples - 1) / samples) ** 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,31 @@ class TestMonteCarlo:
         q = query(markov, [f, f], (0, 2))
         assert co.mc_correlation(q, 50_000, 9) == co.mc_correlation(q, 50_000, 9)
 
+    @pytest.mark.parametrize("chunk", [7, 4096, 65536])
+    def test_pairwise_moments_match_two_pass(self, chunk):
+        # Mean 1e8, spread 1: sum x^2 - n mean^2 cancels every digit.
+        data = 1e8 + np.random.default_rng(chunk).standard_normal(200_003)
+        n = data.size
+        old = (float((data ** 2).sum()) - n * float(data.mean()) ** 2) / (n - 1)
+        want = float(((data - data.mean()) ** 2).sum()) / (n - 1)
+        assert abs(old - want) > 0.1 * want
+        parts = [
+            (part.size, float(part.mean()), float(((part - part.mean()) ** 2).sum()))
+            for part in np.array_split(data, range(chunk, n, chunk))
+        ]
+        count, mean, m2 = co._pairwise_moments(parts)
+        assert count == n
+        assert mean == pytest.approx(float(data.mean()), rel=1e-15)
+        assert m2 / (n - 1) == pytest.approx(want, rel=1e-7)
+
+    def test_large_mean_standard_error(self, bernoulli):
+        # Products 1e8 +- 1 with equal odds: the sample variance is near 1.
+        f = systems.cylinder_observable(0, {(0,): 1e8 + 1, (1,): 1e8 - 1})
+        n = 200_000
+        estimate, std_error = co.mc_correlation(query(bernoulli, [f], (0,)), n, 4)
+        assert abs(estimate - 1e8) <= 4 * std_error
+        assert std_error * math.sqrt(n) == pytest.approx(1.0, abs=0.01)
+
 
 class TestExactShift:
     def test_adjacent_pair(self, markov):
