@@ -168,7 +168,15 @@ def parse_matrix(rows, where: str, entry=parse_exact) -> list[list]:
     ]
 
 
+def parse_bit(value, where: str) -> int:
+    if parse_int(value, where) not in (0, 1):
+        raise ConfigError(f"{where} must be 0 or 1, got {value!r}")
+    return value
+
+
 def reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
@@ -185,7 +193,7 @@ def build_system(desc: dict):
         if adjacency is None or transition is None:
             raise ConfigError("shift systems need 'adjacency' and 'transition'")
         return systems.build_shift(
-            parse_matrix(adjacency, "system.adjacency", parse_int),
+            parse_matrix(adjacency, "system.adjacency", parse_bit),
             parse_matrix(transition, "system.transition"),
         )
     if kind == "torus":
@@ -554,7 +562,7 @@ class ValidatedConfig:
             self.pair = matrix_growth.CommutingPair(g=g, h=h)
             m_max = parse_int(pair.get("m_grid", 32), "params.pair.m_grid")
             self.pair_grid = (
-                list(range(1, m_max + 1)),
+                range(1, m_max + 1),
                 parse_int(pair.get("k_max", 512), "params.pair.k_max"),
                 parse_int(pair.get("n_max", 512), "params.pair.n_max"),
             )

@@ -84,6 +84,8 @@ class CorrelationQuery:
         eff = self.effective_times()
         if len(set(eff)) != len(eff):
             raise DomainError(f"effective times must be pairwise distinct, got {eff}")
+        if any(abs(t) >= 1 << 62 for t in eff):
+            raise DomainError(f"effective times must lie within +-2^62, got {eff}")
 
     def effective_times(self) -> tuple[int, ...]:
         if self.multipliers is None:

@@ -1,6 +1,9 @@
 """CLI: config validation, artifact determinism, exit codes."""
 
+import copy
 import json
+import random
+from pathlib import Path
 
 import pytest
 
@@ -591,3 +594,70 @@ class TestCommands:
 @pytest.mark.parametrize("value,expected", [(0.1, "0.10000000000000001"), (1.0, "1"), (True, "true")])
 def test_float_formatting(value, expected):
     assert cli.fmt_value(value) == expected
+
+
+# ---------------------------------------------------------------------------
+# Seeded config fuzzer
+# ---------------------------------------------------------------------------
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+WRONG_TYPES = ["x", 1.5, True, None, [], {}, [1, "a"], {"z": 1}, "1/0"]
+
+
+def _nodes(node, path=()):
+    """Every (path, value) pair inside a JSON value, the root included."""
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def mutate(cfg, rnd):
+    """One random edit: drop a key or entry, change a value's type, put a
+    number out of range, or add an unknown key to an object."""
+    cfg = copy.deepcopy(cfg)
+    op = rnd.choice(["drop", "type", "range", "unknown"])
+    if op == "unknown":
+        rnd.choice([n for _, n in _nodes(cfg) if isinstance(n, dict)])["unknown_key"] = 1
+        return cfg
+    numbers = [
+        p for p, n in _nodes(cfg)
+        if p and isinstance(n, (int, float)) and not isinstance(n, bool)
+    ]
+    path = rnd.choice(numbers if op == "range" else [p for p, _ in _nodes(cfg) if p])
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if op == "drop":
+        del parent[key]
+    elif op == "type":
+        parent[key] = rnd.choice(WRONG_TYPES)
+    else:
+        value = parent[key]
+        parent[key] = rnd.choice([-1, 0, -value, value + 0.5, 2 ** 63])
+    return cfg
+
+
+def test_config_fuzzer_exits_cleanly(tmp_path, capsys):
+    # validate exits 0 or 2 (never 3, never a traceback) on every mutant,
+    # and a mutant it rejects also exits 2 at run.
+    rnd = random.Random(2024)
+    bases = [json.loads(path.read_text()) for path in CONFIGS]
+    assert len(bases) == 7
+    rejected = 0
+    for i in range(600):
+        cfg = mutate(rnd.choice(bases), rnd)
+        if rnd.random() < 0.3:
+            cfg = mutate(cfg, rnd)
+        path = write_config(tmp_path, cfg, f"mutant{i}.json")
+        code = cli.main(["validate", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert code in (0, 2), cfg
+        assert report["ok"] == (code == 0)
+        if code == 2:
+            rejected += 1
+            assert cli.run(path, tmp_path / f"out{i}", workers=1, emit_svg=False) == 2, cfg
+            assert not (tmp_path / f"out{i}").exists()
+    capsys.readouterr()
+    assert rejected > 300
