@@ -78,6 +78,21 @@ class TestMonteCarlo:
         q = query(markov, [f, f], (0, 2))
         assert co.mc_correlation(q, 50_000, 9) == co.mc_correlation(q, 50_000, 9)
 
+    def test_samples_only_read_positions(self, markov, monkeypatch):
+        # The manifest's symbols_sampled counts these positions per sample.
+        seen = []
+
+        def spy(system, positions, count, rng):
+            seen.append((np.asarray(positions).tolist(), count))
+            return systems.sample_at(system, positions, count, rng)
+
+        monkeypatch.setattr(co, "sample_at", spy)
+        f = systems.cylinder_observable(1, {(0, 1, 0): 1.0})
+        q = query(markov, [f, systems.cylinder_indicator([1])], (0, 7))
+        assert q.read_positions().tolist() == [-1, 0, 1, 7]
+        co.mc_correlation(q, 70_000, 1)
+        assert seen == [([-1, 0, 1, 7], 1 << 16), ([-1, 0, 1, 7], 70_000 - (1 << 16))]
+
     @pytest.mark.parametrize("chunk", [7, 4096, 65536])
     def test_pairwise_moments_match_two_pass(self, chunk):
         # Mean 1e8, spread 1: sum x^2 - n mean^2 cancels every digit.
