@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +36,6 @@ from .systems import (
     exact_mean,
     sample_at,
     sample_torus_point,
-    sorted_union,
     torus_limbs,
     torus_orbit,
     trig_values,
@@ -102,17 +102,21 @@ class AverageSpec:
     def target(self) -> float:
         return float(np.prod([exact_mean(obs, self.system) for obs in self.observables]))
 
+    @cached_property
     def read_positions(self) -> np.ndarray:
         """Sorted distinct positions a shift orbit reads: the union of
-        m_i r_n + [-radius_i, radius_i] over factors i and n <= n_max."""
+        m_i r_n + [-radius_i, radius_i] over factors i and n <= n_max.
+        Worked out once per spec and shared, read-only, by its points."""
         terms = generate(self.sequence, self.n_max)
         reach = max(abs(m) for m in self.multipliers) * int(terms.max())
         if reach + max(obs.radius for obs in self.observables) >= 1 << 62:
             raise DomainError("read positions m_i r_n exceed the int64 range")
-        return sorted_union(
-            (m * terms)[:, None] + np.arange(-obs.radius, obs.radius + 1)
+        positions = np.unique(np.concatenate([
+            ((m * terms)[:, None] + np.arange(-obs.radius, obs.radius + 1)).ravel()
             for m, obs in zip(self.multipliers, self.observables)
-        )
+        ]))
+        positions.setflags(write=False)
+        return positions
 
 
 @dataclass(frozen=True)
@@ -291,7 +295,7 @@ def sample_spec_point(spec: AverageSpec, seed: int, point_index: int):
     shift point is sampled only at the positions its orbit reads."""
     rng = rng_for(seed, ROLE_POINT, point_index)
     if isinstance(spec.system, ShiftSystem):
-        positions = spec.read_positions()
+        positions = spec.read_positions
         symbols = sample_at(spec.system, positions, 1, rng)[0]
         return ShiftPoint(positions=positions, symbols=symbols)
     return sample_torus_point(spec.system, rng)

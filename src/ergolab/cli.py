@@ -385,7 +385,7 @@ class ValidatedConfig:
     def _derive_window(self, spec: averages.AverageSpec, points: int) -> None:
         if isinstance(spec.system, systems.ShiftSystem):
             # A point holds each read position (8 bytes) and its symbol.
-            symbols = spec.read_positions().size
+            symbols = spec.read_positions.size
             self.derived["symbols_per_point"] = symbols
             self.derived["estimated_memory_bytes"] = points * (9 * symbols + 16 * spec.n_max)
         else:
@@ -429,7 +429,7 @@ class ValidatedConfig:
         else:
             if self.method in ("mc", "both"):
                 self.derived["symbols_per_sample"] = max(
-                    q.read_positions().size for q in self.queries
+                    q.read_positions.size for q in self.queries
                 )
             # The oracle walks each query's span separately; report the largest.
             self.derived["transfer_span"] = max(
@@ -634,7 +634,7 @@ def _task_mc_query(args):
     query, samples, seed, index = args
     symbols = 0
     if isinstance(query.system, systems.ShiftSystem):
-        symbols = samples * query.read_positions().size
+        symbols = samples * query.read_positions.size
     return correlations.mc_correlation(query, samples, seed + index), symbols
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -41,7 +42,6 @@ from .systems import (
     exact_mean,
     sample_at,
     sample_torus_limbs,
-    sorted_union,
     trig_values,
 )
 
@@ -92,13 +92,16 @@ class CorrelationQuery:
             return self.times
         return tuple(m * t for m, t in zip(self.multipliers, self.times))
 
+    @cached_property
     def read_positions(self) -> np.ndarray:
         """Sorted distinct positions the cylinder factors read: the union of
         t_i + [-radius_i, radius_i] over effective times t_i."""
-        return sorted_union(
+        positions = np.unique(np.concatenate([
             np.arange(t - obs.radius, t + obs.radius + 1)
             for t, obs in zip(self.effective_times(), self.observables)
-        )
+        ]))
+        positions.setflags(write=False)
+        return positions
 
     @property
     def order(self) -> int:
@@ -142,7 +145,7 @@ def _mc_products_shift(
 ) -> np.ndarray:
     """Products of the cylinder factors over ``count`` stationary sequences
     sampled only at the positions the factors read."""
-    positions = query.read_positions()
+    positions = query.read_positions
     symbols = sample_at(query.system, positions, count, rng)
     m = query.system.alphabet_size
     prod = np.ones(count, dtype=np.float64)

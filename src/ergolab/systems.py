@@ -52,18 +52,11 @@ class ShiftSystem:
     stationary: np.ndarray     # (m,) positive left fixed vector
     _powers: dict = field(default_factory=dict, init=False, repr=False)
 
-    @property
-    def iid(self) -> bool:
-        """All transition rows are equal: symbols are independent and P^g = P."""
-        return bool((self.transition == self.transition[0]).all())
-
     def transition_power(self, gap: int) -> np.ndarray:
         """P^gap for gap >= 1 by square-and-multiply, cached on the system
-        per gap; an i.i.d. chain returns P itself."""
+        per gap."""
         if gap < 1:
             raise DomainError(f"gap must be >= 1, got {gap}")
-        if self.iid:
-            return self.transition
         if gap not in self._powers:
             self._powers[gap] = np.linalg.matrix_power(self.transition, gap)
             self._powers[gap].setflags(write=False)
@@ -293,18 +286,9 @@ def _markov_path(
     return out
 
 
-def sorted_union(arrays) -> np.ndarray:
-    """Sorted distinct values of integer arrays, by a sort and a neighbour
-    test (many times faster than ``np.unique``'s hash table here)."""
-    values = np.sort(np.concatenate([np.ravel(a) for a in arrays]).astype(np.int64, copy=False))
-    keep = np.ones(values.size, dtype=bool)
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
-
-
 def _gap_tables(system: ShiftSystem, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Threshold tables of P^g, one per distinct gap g, and each gap's table."""
-    if system.iid:
+    if (system.transition == system.transition[0]).all():  # i.i.d.: P^g = P
         return _thresholds(system.transition)[None], np.zeros(gaps.size, dtype=np.intp)
     distinct, which = np.unique(gaps, return_inverse=True)
     powers = [system.transition_power(int(g)) for g in distinct] or [system.transition]
@@ -329,20 +313,17 @@ def sample_at(
     if positions.ndim != 1 or (gaps <= 0).any():
         raise DomainError("sample positions must be a sorted 1-d array of distinct integers")
     out = np.empty((count, positions.size), dtype=_symbol_dtype(system.alphabet_size))
+    if not positions.size:
+        return out
     tables, which = _gap_tables(system, gaps)
+    current = np.searchsorted(_thresholds(system.stationary), rng.random(count), side="right")
+    out[:, 0] = current
     step = max(1, _SLAB_ITEMS // max(count, 1))
-    for lo in range(0, positions.size, step):
+    for lo in range(1, positions.size, step):
         hi = min(lo + step, positions.size)
         u = rng.random((hi - lo, count)).T
-        if lo == 0:
-            # The first position steps from the stationary vector: a one-state table.
-            current = _next_symbols(_thresholds(system.stationary)[None, None], 0, 0, u[:, 0])
-            out[:, 0] = current
-            u, lo = u[:, 1:], 1
-        path = _markov_path(tables, which[lo - 1:hi - 1], current, u, out.dtype)
-        out[:, lo:hi] = path
-        if path.shape[1]:
-            current = path[:, -1]
+        out[:, lo:hi] = _markov_path(tables, which[lo - 1:hi - 1], current, u, out.dtype)
+        current = out[:, hi - 1]
     return out
 
 

@@ -89,7 +89,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(co, "sample_at", spy)
         f = systems.cylinder_observable(1, {(0, 1, 0): 1.0})
         q = query(markov, [f, systems.cylinder_indicator([1])], (0, 7))
-        assert q.read_positions().tolist() == [-1, 0, 1, 7]
+        assert q.read_positions.tolist() == [-1, 0, 1, 7]
         co.mc_correlation(q, 70_000, 1)
         assert seen == [([-1, 0, 1, 7], 1 << 16), ([-1, 0, 1, 7], 70_000 - (1 << 16))]
 

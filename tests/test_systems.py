@@ -535,7 +535,7 @@ class TestPathKernel:
             n_max=200,
         )
         point = averages.sample_spec_point(spec, 21, 3)
-        positions = spec.read_positions()
+        positions = spec.read_positions
         want = _reference_at(chain, positions, 1, rng_for(21, ROLE_POINT, 3))[0]
         assert np.array_equal(point.positions, positions)
         assert np.array_equal(point.symbols, want)
@@ -658,7 +658,7 @@ class TestSampleAt:
             n_max=64,
         )
         point = averages.sample_spec_point(spec, 5, 0)
-        assert point.positions.tolist() == spec.read_positions().tolist()
+        assert point.positions.tolist() == spec.read_positions.tolist()
         assert {2, 3, 4, 6, 7}.issubset(point.positions.tolist())
         point.symbol(4)
         for index in (1, 8, 10 ** 6):
@@ -680,10 +680,6 @@ class TestSampleAt:
 
 
 class TestTransitionPower:
-    def test_iid_power_is_the_transition(self, bernoulli):
-        assert bernoulli.iid
-        assert bernoulli.transition_power(12345) is bernoulli.transition
-
     def test_matches_repeated_steps(self, chain):
         want = np.eye(chain.alphabet_size)
         for gap in range(1, 1001):
