@@ -36,6 +36,7 @@ from .systems import (
     exact_mean,
     sample_at,
     sample_torus_point,
+    sorted_union,
     torus_limbs,
     torus_orbit,
     trig_values,
@@ -111,10 +112,10 @@ class AverageSpec:
         reach = max(abs(m) for m in self.multipliers) * int(terms.max())
         if reach + max(obs.radius for obs in self.observables) >= 1 << 62:
             raise DomainError("read positions m_i r_n exceed the int64 range")
-        positions = np.unique(np.concatenate([
-            ((m * terms)[:, None] + np.arange(-obs.radius, obs.radius + 1)).ravel()
+        positions = sorted_union(
+            (m * terms)[:, None] + np.arange(-obs.radius, obs.radius + 1)
             for m, obs in zip(self.multipliers, self.observables)
-        ]))
+        )
         positions.setflags(write=False)
         return positions
 

@@ -42,6 +42,7 @@ from .systems import (
     exact_mean,
     sample_at,
     sample_torus_limbs,
+    sorted_union,
     trig_values,
 )
 
@@ -96,10 +97,10 @@ class CorrelationQuery:
     def read_positions(self) -> np.ndarray:
         """Sorted distinct positions the cylinder factors read: the union of
         t_i + [-radius_i, radius_i] over effective times t_i."""
-        positions = np.unique(np.concatenate([
+        positions = sorted_union(
             np.arange(t - obs.radius, t + obs.radius + 1)
             for t, obs in zip(self.effective_times(), self.observables)
-        ]))
+        )
         positions.setflags(write=False)
         return positions
 
