@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, VariantMismatch
-from .seeding import ROLE_POINT, ROLE_TERMS, ROLE_TERMS_BACKWARD, rng_for
+from .seeding import ROLE_POINT, ROLE_TERMS, rng_for
 from .sequences import SequenceSpec, generate
 from .systems import (
     CYLINDER,
@@ -28,13 +28,11 @@ from .systems import (
     ShiftSystem,
     TorusAutomorphism,
     TorusPoint,
-    _markov_path,
-    _symbol_dtype,
-    _thresholds,
     cylinder_values_at,
     evaluate,
     exact_mean,
     sample_at,
+    sample_rows,
     sample_torus_point,
     sorted_union,
     torus_limbs,
@@ -103,19 +101,23 @@ class AverageSpec:
     def target(self) -> float:
         return float(np.prod([exact_mean(obs, self.system) for obs in self.observables]))
 
-    @cached_property
-    def read_positions(self) -> np.ndarray:
-        """Sorted distinct positions a shift orbit reads: the union of
-        m_i r_n + [-radius_i, radius_i] over factors i and n <= n_max.
-        Worked out once per spec and shared, read-only, by its points."""
-        terms = generate(self.sequence, self.n_max)
+    def positions_read(self, terms: np.ndarray) -> np.ndarray:
+        """Sorted distinct positions the factors read at sequence values
+        ``terms``: the union of m_i r + [-radius_i, radius_i] over factors i
+        and r in ``terms``."""
         reach = max(abs(m) for m in self.multipliers) * int(terms.max())
         if reach + max(obs.radius for obs in self.observables) >= 1 << 62:
             raise DomainError("read positions m_i r_n exceed the int64 range")
-        positions = sorted_union(
+        return sorted_union(
             (m * terms)[:, None] + np.arange(-obs.radius, obs.radius + 1)
             for m, obs in zip(self.multipliers, self.observables)
         )
+
+    @cached_property
+    def read_positions(self) -> np.ndarray:
+        """Positions a shift orbit reads up to n_max, worked out once per
+        spec and shared, read-only, by its points."""
+        positions = self.positions_read(generate(self.sequence, self.n_max))
         positions.setflags(write=False)
         return positions
 
@@ -136,7 +138,7 @@ def _factor_values_shift(
 ) -> np.ndarray:
     values = np.ones(positions.shape[1], dtype=np.float64)
     for i, obs in enumerate(spec.observables):
-        values *= cylinder_values_at(point, obs, positions[i])
+        values *= cylinder_values_at(point, obs, positions[i], spec.system.alphabet_size)
     return values
 
 
@@ -378,61 +380,29 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     """Vectorized (point_indices, ks) -> F matrix callback for dyadic ops.
 
     F[j, k] is the product of factors at shifts m_i r_k along point j's
-    orbit.  Each point's symbols are regenerated deterministically from
-    (master_seed, point index), so calls with different k ranges stay
-    consistent on shared prefixes, for multipliers of either sign.  Shift
-    systems with cylinder factors only; use centered observables when the
-    framework expects mean-zero terms.
+    orbit.  A call samples each point only at the positions its factors
+    read for the given ks, P(ks) = ``spec.positions_read(r_ks)``: row j is
+    the factor products on ``sample_at(system, P(ks), 1, rng_for(master_seed,
+    ROLE_TERMS, j))``, so it does not depend on which other points share
+    the call or their order.  Calls with different ks sample different
+    positions, so they do not agree on shared k.  Shift systems with
+    cylinder factors only; use centered observables when the framework
+    expects mean-zero terms.
     """
     if not isinstance(spec.system, ShiftSystem):
         raise DomainError("term generators are implemented for shift systems")
     system = spec.system
-    m = system.alphabet_size
-    dtype = _symbol_dtype(m)
-    pi_thresholds = _thresholds(system.stationary)
-    fwd_thresholds = _thresholds(system.transition)[None]
-    bwd_thresholds = _thresholds(system.reversed_transition)[None]
-    width = max(obs.radius for obs in spec.observables)
+    multipliers = np.asarray(spec.multipliers, dtype=np.int64)
 
     def generator(point_indices: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        point_indices = np.asarray(point_indices, dtype=np.int64)
         ks = np.asarray(ks, dtype=np.int64)
-        terms = generate(spec.sequence, int(ks.max()))
-        positions = (
-            np.asarray(spec.multipliers, dtype=np.int64)[:, None] * terms[ks - 1][None, :]
-        )
-        fwd_len = max(int(positions.max()), 0) + width
-        bwd_len = max(width - int(positions.min()), 0)
-        steps = np.zeros(max(fwd_len, bwd_len), dtype=np.intp)  # one table per run
-        count = point_indices.size
-        # Per point, the origin and the forward run come from one stream and
-        # the backward run from another, so a run's uniforms never depend on
-        # the other run's length and path prefixes agree across calls.  The
-        # backward stream is made only when some factor reads left of 0.
-        u = np.empty((count, 1 + fwd_len), dtype=np.float64)
-        for row, j in enumerate(point_indices):
-            u[row] = rng_for(master_seed, ROLE_TERMS, int(j)).random(u.shape[1])
-        symbols = np.empty((count, fwd_len + bwd_len + 1), dtype=dtype)
-        origin = bwd_len
-        start = np.searchsorted(pi_thresholds, u[:, 0], side="right")
-        symbols[:, origin] = start
-        symbols[:, origin + 1:] = _markov_path(fwd_thresholds, steps[:fwd_len], start, u[:, 1:], dtype)
-        if bwd_len:
-            back = np.empty((count, bwd_len), dtype=np.float64)
-            for row, j in enumerate(point_indices):
-                back[row] = rng_for(master_seed, ROLE_TERMS_BACKWARD, int(j)).random(bwd_len)
-            symbols[:, :origin][:, ::-1] = _markov_path(bwd_thresholds, steps[:bwd_len], start, back, dtype)
-        out = np.ones((count, ks.size), dtype=np.float64)
-        from .correlations import _cylinder_lookup
-
-        for i, obs in enumerate(spec.observables):
-            w = obs.radius
-            lookup = _cylinder_lookup(obs, m)
-            codes = np.zeros((count, ks.size), dtype=np.int64)
-            for jj in range(2 * w + 1):
-                cols = origin + positions[i][None, :] - w + jj
-                codes = codes * m + symbols[np.arange(count)[:, None], cols]
-            out *= lookup[codes]
+        terms = generate(spec.sequence, int(ks.max()))[ks - 1]
+        positions = spec.positions_read(terms)
+        rngs = [rng_for(master_seed, ROLE_TERMS, int(j)) for j in np.ravel(point_indices)]
+        block = ShiftPoint(positions, sample_rows(system, positions, rngs))
+        out = np.ones((len(rngs), ks.size), dtype=np.float64)
+        for obs, mult in zip(spec.observables, multipliers):
+            out *= cylinder_values_at(block, obs, mult * terms, system.alphabet_size)
         return out
 
     return generator

@@ -34,11 +34,15 @@ from .errors import (
 from .seeding import MC_CHUNK, ROLE_MC, rng_for
 from .systems import (
     CYLINDER,
+    STATE_LIMIT,
     TORUS_SLAB,
     TRIG,
     Observable,
+    ShiftPoint,
     ShiftSystem,
     TorusAutomorphism,
+    cylinder_table,
+    cylinder_values_at,
     exact_mean,
     sample_at,
     sample_torus_limbs,
@@ -47,7 +51,6 @@ from .systems import (
 )
 
 DEFAULT_SPAN_LIMIT = 10 ** 6
-STATE_LIMIT = 1 << 22
 FREQUENCY_BUDGET = 1 << 512
 MAX_CUMULANT_ORDER = 10
 
@@ -130,31 +133,17 @@ def _require_torus_trig(query: CorrelationQuery) -> TorusAutomorphism:
 # Monte Carlo estimator
 # ---------------------------------------------------------------------------
 
-def _cylinder_lookup(obs: Observable, m: int) -> np.ndarray:
-    width = 2 * obs.radius + 1
-    lookup = np.full(m ** width, obs.default, dtype=np.float64)
-    for word, value in obs.table.items():
-        code = 0
-        for s in word:
-            code = code * m + s
-        lookup[code] = value
-    return lookup
-
-
 def _mc_products_shift(
     query: CorrelationQuery, count: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Products of the cylinder factors over ``count`` stationary sequences
     sampled only at the positions the factors read."""
     positions = query.read_positions
-    symbols = sample_at(query.system, positions, count, rng)
+    block = ShiftPoint(positions, sample_at(query.system, positions, count, rng))
     m = query.system.alphabet_size
     prod = np.ones(count, dtype=np.float64)
     for obs, t in zip(query.observables, query.effective_times()):
-        codes = np.zeros(count, dtype=np.int64)
-        for col in np.searchsorted(positions, np.arange(t - obs.radius, t + obs.radius + 1)):
-            codes = codes * m + symbols[:, col]
-        prod *= _cylinder_lookup(obs, m)[codes]
+        prod *= cylinder_values_at(block, obs, t, m)
     return prod
 
 
@@ -300,7 +289,7 @@ def exact_correlation_shift(
     vec = system.stationary.copy()
     length = 1
     for obs in completions.get(lo, ()):  # radius-0 factors at the first position
-        vec = vec * _cylinder_lookup(obs, m)
+        vec = vec * cylinder_table(obs, m)
     for p in range(lo + 1, hi + 1):
         last = np.arange(vec.size, dtype=np.int64) % m
         vec = (vec[:, None] * transition[last, :]).ravel()
@@ -311,7 +300,7 @@ def exact_correlation_shift(
             length += 1
         for obs in completions.get(p, ()):
             width = 2 * obs.radius + 1
-            lookup = _cylinder_lookup(obs, m)
+            lookup = cylinder_table(obs, m)
             codes = np.arange(vec.size, dtype=np.int64) % (m ** width)
             vec = vec * lookup[codes]
     return float(vec.sum())

@@ -21,7 +21,6 @@ ROLE_MC = 1
 ROLE_POINT = 2
 ROLE_TERMS = 3
 ROLE_QUERY = 4
-ROLE_TERMS_BACKWARD = 5
 
 
 def seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:

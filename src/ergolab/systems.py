@@ -36,6 +36,8 @@ from .errors import (
 ROW_SUM_TOLERANCE = 1e-9
 STATIONARY_RESIDUAL = 1e-12
 UNIT_MODULUS_TOLERANCE = 1e-9
+# Largest dense table over words (cylinder values, transfer-oracle states).
+STATE_LIMIT = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +63,6 @@ class ShiftSystem:
             self._powers[gap] = np.linalg.matrix_power(self.transition, gap)
             self._powers[gap].setflags(write=False)
         return self._powers[gap]
-
-    @property
-    def reversed_transition(self) -> np.ndarray:
-        """Time-reversed chain R[i, j] = pi[j] P[j, i] / pi[i]."""
-        pi = self.stationary
-        return self.transition.T * pi[None, :] / pi[:, None]
 
     def word_probability(self, word: Sequence[int]) -> float:
         """Stationary probability of a finite admissible word; 0 otherwise."""
@@ -168,7 +164,9 @@ class ShiftPoint:
     (sorted, distinct); the current point sees index ``i`` at absolute
     position ``offset + i``, so shifting only moves ``offset``.  Reading a
     position that was not sampled is a hard error, never a silent
-    extension.
+    extension.  ``symbols`` may also be a (count, len(positions)) block of
+    sequences sampled at the same positions, which ``cylinder_values_at``
+    evaluates row by row.
     """
 
     positions: np.ndarray
@@ -305,6 +303,28 @@ def _gap_tables(system: ShiftSystem, gaps: np.ndarray) -> tuple[np.ndarray, np.n
     return _thresholds(np.stack(powers)), which
 
 
+def _sample_path(system: ShiftSystem, positions, count: int, uniforms) -> np.ndarray:
+    """Symbols of ``count`` stationary sequences at sorted distinct
+    ``positions``, resolved from ``uniforms(lo, hi)``: the (count, hi - lo)
+    uniforms of positions lo..hi-1, asked for in ascending slabs."""
+    positions = np.asarray(positions, dtype=np.int64)
+    gaps = np.diff(positions)
+    if positions.ndim != 1 or (gaps <= 0).any():
+        raise DomainError("sample positions must be a sorted 1-d array of distinct integers")
+    out = np.empty((count, positions.size), dtype=_symbol_dtype(system.alphabet_size))
+    if not positions.size:
+        return out
+    tables, which = _gap_tables(system, gaps)
+    current = np.searchsorted(_thresholds(system.stationary), uniforms(0, 1)[:, 0], side="right")
+    out[:, 0] = current
+    step = max(1, _SLAB_ITEMS // max(count, 1))
+    for lo in range(1, positions.size, step):
+        hi = min(lo + step, positions.size)
+        out[:, lo:hi] = _markov_path(tables, which[lo - 1:hi - 1], current, uniforms(lo, hi), out.dtype)
+        current = out[:, hi - 1]
+    return out
+
+
 def sample_at(
     system: ShiftSystem, positions, count: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -318,23 +338,19 @@ def sample_at(
     position c of sequence j.  Positions are drawn in slabs of several at
     once, which is the same stream, and ``_markov_path`` resolves each slab.
     """
-    positions = np.asarray(positions, dtype=np.int64)
-    gaps = np.diff(positions)
-    if positions.ndim != 1 or (gaps <= 0).any():
-        raise DomainError("sample positions must be a sorted 1-d array of distinct integers")
-    out = np.empty((count, positions.size), dtype=_symbol_dtype(system.alphabet_size))
-    if not positions.size:
-        return out
-    tables, which = _gap_tables(system, gaps)
-    current = np.searchsorted(_thresholds(system.stationary), rng.random(count), side="right")
-    out[:, 0] = current
-    step = max(1, _SLAB_ITEMS // max(count, 1))
-    for lo in range(1, positions.size, step):
-        hi = min(lo + step, positions.size)
-        u = rng.random((hi - lo, count)).T
-        out[:, lo:hi] = _markov_path(tables, which[lo - 1:hi - 1], current, u, out.dtype)
-        current = out[:, hi - 1]
-    return out
+    return _sample_path(system, positions, count, lambda lo, hi: rng.random((hi - lo, count)).T)
+
+
+def sample_rows(system: ShiftSystem, positions, rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """Row j is ``sample_at(system, positions, 1, rngs[j])[0]``.
+
+    Each row draws its ``len(positions)`` uniforms from its own stream, and
+    all rows are resolved together by the kernel ``sample_at`` uses.
+    """
+    u = np.empty((len(rngs), np.size(positions)), dtype=np.float64)
+    for row, rng in enumerate(rngs):
+        rng.random(out=u[row])
+    return _sample_path(system, positions, len(rngs), lambda lo, hi: u[:, lo:hi])
 
 
 # ---------------------------------------------------------------------------
@@ -772,34 +788,43 @@ def exact_mean(observable: Observable, system) -> float:
     return float(mean)
 
 
-def cylinder_values_at(point: ShiftPoint, observable: Observable, positions) -> np.ndarray:
-    """Vectorized cylinder evaluation at many shifted origins of one point.
+def cylinder_table(observable: Observable, alphabet_size: int) -> np.ndarray:
+    """Dense values of a cylinder factor, indexed by the base-m code of its
+    word; m^(2 radius + 1) entries, at most ``STATE_LIMIT``.  A table word
+    with a symbol outside the alphabet never occurs, so it is left out."""
+    width = 2 * observable.radius + 1
+    # m >= 2, so a width past the limit's bit length is over it.
+    if width > STATE_LIMIT.bit_length() or alphabet_size ** width > STATE_LIMIT:
+        raise DomainError(
+            f"a radius-{observable.radius} factor on {alphabet_size} letters has "
+            f"{alphabet_size}^{width} words, more than the {STATE_LIMIT} a table holds"
+        )
+    lookup = np.full(alphabet_size ** width, observable.default, dtype=np.float64)
+    for word, value in observable.table.items():
+        if all(0 <= s < alphabet_size for s in word):
+            code = 0
+            for s in word:
+                code = code * alphabet_size + s
+            lookup[code] = value
+    return lookup
 
-    positions are absolute indices relative to the point's current origin.
+
+def cylinder_values_at(
+    point: ShiftPoint, observable: Observable, positions, alphabet_size: int
+) -> np.ndarray:
+    """Cylinder values at many shifted origins of a point or a block of points.
+
+    ``positions`` are indices relative to the point's current origin.  For
+    a (count, P) block of symbols the result is (count,) + positions.shape;
+    for one sequence it is positions.shape.  Each word is coded in base
+    ``alphabet_size`` and read from ``cylinder_table``.
     """
     if observable.variant != CYLINDER:
         raise VariantMismatch("cylinder_values_at requires a cylinder observable")
-    positions = np.asarray(positions, dtype=np.int64)
-    w = observable.radius
-    columns = [point.columns(positions + j) for j in range(-w, w + 1)]
-    values = np.full(positions.shape, observable.default, dtype=np.float64)
-    if not observable.table:
-        return values
-    m = int(point.symbols.max()) + 1 if point.symbols.size else 1
-    m = max(m, max((max(word) for word in observable.table), default=0) + 1)
-    codes = np.zeros(positions.shape, dtype=np.int64)
-    for cols in columns:
-        codes = codes * m + point.symbols[cols]
-    lookup = {}
-    for word, value in observable.table.items():
-        code = 0
-        for s in word:
-            code = code * m + s
-        lookup[code] = value
-    table_codes = np.array(sorted(lookup), dtype=np.int64)
-    table_vals = np.array([lookup[c] for c in sorted(lookup)], dtype=np.float64)
-    idx = np.searchsorted(table_codes, codes)
-    idx_clip = np.minimum(idx, table_codes.size - 1)
-    hit = table_codes[idx_clip] == codes
-    values[hit] = table_vals[idx_clip[hit]]
-    return values
+    at = np.asarray(positions, dtype=np.int64)
+    lookup = cylinder_table(observable, alphabet_size)
+    codes = 0
+    for j in range(-observable.radius, observable.radius + 1):
+        symbols = np.take(point.symbols, point.columns(at + j), axis=-1)
+        codes = codes * alphabet_size + symbols.astype(np.intp)
+    return lookup[codes]

@@ -8,6 +8,7 @@ import pytest
 from ergolab import averages, correlations as co, sequences, systems
 from ergolab.averages import AverageSpec, ergodic_average_stream, rate_statistic, rho
 from ergolab.errors import DomainError, VariantMismatch, WindowExhausted
+from ergolab.seeding import ROLE_TERMS, rng_for
 from ergolab.sequences import SequenceSpec
 
 MARKOV = [[0.9, 0.1], [0.5, 0.5]]
@@ -370,9 +371,15 @@ class TestTermGenerator:
         first = generator(np.array([0, 1]), ks)
         again = generator(np.array([0, 1]), ks)
         assert np.array_equal(first, again)
-        # Prefix consistency between calls with different horizons.
-        short = generator(np.array([0, 1]), np.arange(1, 33, dtype=np.int64))
-        assert np.array_equal(first[:, :32], short)
+        # Row j is the streamed orbit of the point sampled from row j's stream
+        # at the positions the spec reads up to n_max = 64.
+        for j, row in enumerate(first):
+            positions = spec.read_positions
+            symbols = systems.sample_at(bernoulli, positions, 1, rng_for(33, ROLE_TERMS, j))[0]
+            series = ergodic_average_stream(spec, systems.ShiftPoint(positions, symbols))
+            sums = np.cumsum(row)
+            for n, a_n, _ in series.entries:
+                assert a_n == float(sums[n - 1]) / n
 
     def test_large_alphabet_symbols_do_not_wrap(self):
         # Symbol 129 does not fit an int8; a wrapped -127 would index the

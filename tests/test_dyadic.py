@@ -182,7 +182,18 @@ class TestEmpiricalE:
 
 # Reference: the per-N and per-s loops the one-pass reduction replaced.  E
 # regenerates each point batch for every N; a profile generates all points
-# over ks = 1..2^s at once.
+# over ks = 1..2^s at once.  A product term generator samples the positions
+# of the ks it is given, so both sides read one materialized block.
+
+
+def _materialized(generator, n_points, width):
+    """The terms ensemble_moments reads (one call per point batch over
+    ks = 1..width), served as a generator that slices them."""
+    ks = np.arange(1, width + 1, dtype=np.int64)
+    block = np.concatenate(
+        [generator(np.arange(lo, hi, dtype=np.int64), ks) for lo, hi in dyadic.point_batches(n_points)]
+    )
+    return lambda idx, ks: block[np.ix_(np.asarray(idx), np.asarray(ks) - 1)]
 
 
 def _reference_e(generator, n_points, m, n):
@@ -260,6 +271,8 @@ class TestOnePass:
     def test_matches_reference_loops(self, one_pass_case):
         generator, points, ns, s_values = one_pass_case
         moments = ensemble_moments(generator, points, ns, s_values)
+        generator = _materialized(generator, points, dyadic.term_columns(ns, s_values))
+        assert ensemble_moments(generator, points, ns, s_values).e_values == moments.e_values
         assert moments.e_values == tuple(_reference_e(generator, points, 0, n) for n in ns)
         assert len(moments.profiles) == len(s_values)
         for s, profile in zip(s_values, moments.profiles):
@@ -327,7 +340,11 @@ class TestOnePass:
         out = tmp_path / "out"
         assert cli.run(path, out, workers=1, emit_svg=False) == 0
         validated, _ = cli.validate_config(cfg)
-        generator = averages.product_term_generator(validated.spec, 12)
+        generator = _materialized(
+            averages.product_term_generator(validated.spec, 12),
+            1100,
+            validated.derived["term_columns"],
+        )
         rows = ["N,E,std_error"]
         for n in (16, 32, 64, 128):
             e, se = _reference_e(generator, 1100, 0, n)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ergolab import averages, intmat, systems
-from ergolab.seeding import ROLE_POINT, ROLE_TERMS, ROLE_TERMS_BACKWARD, rng_for
+from ergolab.seeding import ROLE_POINT, ROLE_TERMS, rng_for
 from ergolab.sequences import SequenceSpec, generate
 from ergolab.errors import (
     DomainError,
@@ -376,35 +376,6 @@ class TestExactMean:
 # Path kernel against the per-symbol reference loop
 # ---------------------------------------------------------------------------
 
-def _reference_thresholds(system):
-    pi = list(np.cumsum(system.stationary)[:-1])
-    fwd = [list(np.cumsum(row)[:-1]) for row in system.transition]
-    bwd = [list(np.cumsum(row)[:-1]) for row in system.reversed_transition]
-    return pi, fwd, bwd
-
-
-def _reference_path(thresholds, u, fwd_len, bwd_len):
-    """One two-sided run by a ``bisect`` per symbol, as the term generator draws it.
-
-    ``u`` holds the origin uniform, then ``fwd_len`` forward ones, then
-    ``bwd_len`` backward ones; the result is indexed from -bwd_len to
-    fwd_len.
-    """
-    pi, fwd, bwd = thresholds
-    out = [0] * (fwd_len + bwd_len + 1)
-    origin = bisect.bisect_right(pi, u[0])
-    out[bwd_len] = origin
-    current = origin
-    for i in range(1, fwd_len + 1):
-        current = bisect.bisect_right(fwd[current], u[i])
-        out[bwd_len + i] = current
-    current = origin
-    for i in range(1, bwd_len + 1):
-        current = bisect.bisect_right(bwd[current], u[fwd_len + i])
-        out[bwd_len - i] = current
-    return out
-
-
 def _reference_at(system, positions, count, seed):
     """Sequences at sorted distinct positions by a ``bisect`` per symbol.
 
@@ -433,26 +404,23 @@ def _reference_windows(system, radius, count, seed):
 
 
 def _reference_terms(spec, master_seed, point_indices, ks):
-    width = max(obs.radius for obs in spec.observables)
+    """Row j: the factor products on one sequence drawn by ``_reference_at``
+    from ``rng_for(master_seed, ROLE_TERMS, j)`` at every position the
+    factors read for these ks."""
     terms = generate(spec.sequence, int(max(ks)))
-    positions = [[m * int(terms[k - 1]) for k in ks] for m in spec.multipliers]
-    fwd_len = max(max(max(row) for row in positions), 0) + width
-    bwd_len = max(width - min(min(row) for row in positions), 0)
-    thresholds = _reference_thresholds(spec.system)
+    values = [int(terms[k - 1]) for k in ks]
+    factors = list(zip(spec.multipliers, spec.observables))
+    positions = sorted(
+        {m * r + d for m, obs in factors for r in values for d in range(-obs.radius, obs.radius + 1)}
+    )
+    column = {p: c for c, p in enumerate(positions)}
     out = np.empty((len(point_indices), len(ks)))
     for row, j in enumerate(point_indices):
-        # Origin and forward run from one stream; the backward run, when
-        # some factor reads left of 0, from its own.
-        u = rng_for(master_seed, ROLE_TERMS, int(j)).random(1 + fwd_len)
-        if bwd_len:
-            back = rng_for(master_seed, ROLE_TERMS_BACKWARD, int(j)).random(bwd_len)
-            u = np.concatenate([u, back])
-        path = _reference_path(thresholds, u, fwd_len, bwd_len)
-        for col in range(len(ks)):
+        path = _reference_at(spec.system, positions, 1, rng_for(master_seed, ROLE_TERMS, int(j)))[0]
+        for col, r in enumerate(values):
             value = 1.0
-            for obs, pos in zip(spec.observables, positions):
-                at = bwd_len + pos[col]
-                word = tuple(path[at - obs.radius: at + obs.radius + 1])
+            for m, obs in factors:
+                word = tuple(int(path[column[m * r + d]]) for d in range(-obs.radius, obs.radius + 1))
                 value *= obs.table.get(word, obs.default)
             out[row, col] = value
     return out
@@ -565,7 +533,7 @@ class TestPathKernel:
             assert np.array_equal(got, _reference_terms(spec, 91, points, ks))
 
     @pytest.mark.parametrize("multipliers", [(1, 2), (1, -2)])
-    def test_term_generator_prefixes_agree(self, chain, multipliers):
+    def test_term_rows_do_not_depend_on_other_points(self, chain, multipliers):
         obs = systems.centered_cylinder_indicator(chain, [1])
         spec = averages.AverageSpec(
             system=chain,
@@ -575,11 +543,11 @@ class TestPathKernel:
             n_max=256,
         )
         generator = averages.product_term_generator(spec, master_seed=4)
-        points = np.arange(6)
-        full = generator(points, np.arange(1, 257))
-        for lo, hi in ((1, 100), (37, 200), (256, 256)):
-            part = generator(points, np.arange(lo, hi + 1))
-            assert np.array_equal(part, full[:, lo - 1: hi])
+        ks = np.arange(1, 257)
+        full = generator(np.arange(6), ks)
+        # Subsets, other orders, a repeated point and one single point.
+        for points in ([5, 0, 3], [2], [4, 1, 1, 5]):
+            assert np.array_equal(generator(np.array(points), ks), full[points])
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +635,7 @@ class TestSampleAt:
         with pytest.raises(WindowExhausted):
             systems.shift_apply(point, 8).word(0)
         with pytest.raises(WindowExhausted):
-            systems.cylinder_values_at(point, systems.cylinder_indicator([0, 0, 0]), [3, 7])
+            systems.cylinder_values_at(point, systems.cylinder_indicator([0, 0, 0]), [3, 7], 2)
         wider = averages.AverageSpec(
             system=markov,
             observables=(f, f),
