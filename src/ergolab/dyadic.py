@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .correlations import RateFit
+from .correlations import RateFit, _pairwise_moments
 from .errors import DomainError, InsufficientData, ShapeMismatch
 
 
@@ -91,10 +91,11 @@ def decompose(n: int, s: int) -> list[DyadicInterval]:
 #
 # Every dyadic N is a prefix of the largest one and every block of L_s lies
 # in {1..2^s}, so one (points, W) term block with W = max(max N, 2^max s)
-# feeds every E(0, N) and every L_s profile.  No statistic depends on W:
-# each row prefix is summed on its own, batch sums are added in point order
-# and level means are taken over all points at once, so the results are the
-# same floats as a separate pass per N or per s over the same points.
+# feeds every E(0, N) and every L_s profile.  Given the terms, no statistic
+# depends on W: each row prefix is summed on its own, batch moments are
+# merged pairwise in point order and level means are taken over all points
+# at once, so the results are the same floats as a separate pass per N or
+# per s over the same terms.
 
 # Term generators are vectorized callbacks (point_indices, ks) -> 2D array.
 TermGenerator = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -122,15 +123,16 @@ class VarianceProfile:
 class BlockMoments:
     """Reduction of one (points, columns) term block.
 
-    prefix_sums[j] holds (sum of S^2, sum of S^4) over the block's points,
-    S being a point's sum of its first ns[j] terms; level_totals[i] is the
+    prefix_moments[j] holds (count, mean, sum of squared deviations) of S^2
+    over the block's points, S being a point's sum of its first ns[j]
+    terms; level_totals[i] is the
     (s, points) array of per-point sums of squared L_s block sums at each
     level r, for s = s_values[i].
     """
 
     points: int
     columns: int
-    prefix_sums: tuple[tuple[float, float], ...]
+    prefix_moments: tuple[tuple[int, float, float], ...]
     level_totals: tuple[np.ndarray, ...]
 
 
@@ -169,7 +171,8 @@ def block_moments(terms, ns: Sequence[int], s_values: Sequence[int] = ()) -> Blo
     for n in ns:
         # Each row of the strided prefix view is summed like a contiguous row.
         sums_sq = arr[:, :n].sum(axis=1) ** 2
-        prefix.append((float(sums_sq.sum()), float((sums_sq ** 2).sum())))
+        mean = float(sums_sq.mean())
+        prefix.append((points, mean, float(((sums_sq - mean) ** 2).sum())))
     levels = []
     for s in s_values:
         head = arr[:, : 1 << s]
@@ -182,18 +185,13 @@ def block_moments(terms, ns: Sequence[int], s_values: Sequence[int] = ()) -> Blo
 
 
 def merge_moments(blocks: Sequence[BlockMoments]) -> DyadicMoments:
-    """E(0, N) with standard errors and the L_s profiles, from blocks in order."""
+    """E(0, N) with standard errors and the L_s profiles, from blocks in
+    order; block variances are merged pairwise, with no sum of squares."""
     n_points = sum(b.points for b in blocks)
     e_values = []
-    for j in range(len(blocks[0].prefix_sums)):
-        total = 0.0
-        total_sq = 0.0
-        for b in blocks:
-            total += b.prefix_sums[j][0]
-            total_sq += b.prefix_sums[j][1]
-        mean = total / n_points
-        var = max(total_sq / n_points - mean ** 2, 0.0)
-        e_values.append((mean, (var / n_points) ** 0.5))
+    for j in range(len(blocks[0].prefix_moments)):
+        _, mean, m2 = _pairwise_moments([b.prefix_moments[j] for b in blocks])
+        e_values.append((mean, (m2 / n_points / n_points) ** 0.5))
     profiles = []
     for i in range(len(blocks[0].level_totals)):
         levels = np.concatenate([b.level_totals[i] for b in blocks], axis=1)

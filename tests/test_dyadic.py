@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ergolab import averages, cli, dyadic, sequences, systems
+from ergolab import averages, cli, correlations as co, dyadic, sequences, systems
 from ergolab.dyadic import (
     DyadicInterval,
     chain_inequality_check,
@@ -198,16 +198,14 @@ def _materialized(generator, n_points, width):
 
 def _reference_e(generator, n_points, m, n):
     ks = np.arange(m + 1, n + 1, dtype=np.int64)
-    total = 0.0
-    total_sq = 0.0
+    parts = []
     for lo in range(0, n_points, 512):
         idx = np.arange(lo, min(lo + 512, n_points), dtype=np.int64)
         sums_sq = np.asarray(generator(idx, ks), dtype=np.float64).sum(axis=1) ** 2
-        total += float(sums_sq.sum())
-        total_sq += float((sums_sq ** 2).sum())
-    mean = total / n_points
-    var = max(total_sq / n_points - mean ** 2, 0.0)
-    return mean, (var / n_points) ** 0.5
+        mean = float(sums_sq.mean())
+        parts.append((idx.size, mean, float(((sums_sq - mean) ** 2).sum())))
+    _, mean, m2 = co._pairwise_moments(parts)
+    return mean, (m2 / n_points / n_points) ** 0.5
 
 
 def _reference_profile(generator, n_points, s):
@@ -285,6 +283,18 @@ class TestOnePass:
                 assert exceptional_fraction(profile, epsilon, sigma) == _reference_exceptional(
                     totals, total_mean, s, epsilon, sigma
                 )
+
+    def test_variance_on_large_offset(self):
+        # S^2 = 1e8 + z with z of spread 1: sum S^4 / n - mean^2 cancels every
+        # digit; the batches' moments are merged against a two-pass variance.
+        terms = np.sqrt(1e8 + np.random.default_rng(5).standard_normal(1100))[:, None]
+        squares = terms[:, 0] ** 2
+        want = float(((squares - squares.mean()) ** 2).mean())
+        old = float((squares ** 2).mean()) - float(squares.mean()) ** 2
+        assert abs(old - want) > 0.1 * want
+        ((e, se),) = ensemble_moments(lambda idx, ks: terms[np.ix_(idx, ks - 1)], 1100, (1,)).e_values
+        assert e == pytest.approx(float(squares.mean()), rel=1e-15)
+        assert se == pytest.approx((want / squares.size) ** 0.5, rel=1e-7)
 
     def test_one_generator_call_per_batch(self, one_pass_case):
         generator, points, ns, s_values = one_pass_case
