@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .correlations import least_squares
 from .errors import DomainError, VariantMismatch
 from .seeding import ROLE_POINT, ROLE_TERMS, rng_for
 from .sequences import SequenceSpec, generate
@@ -238,9 +239,7 @@ def rate_statistic(
     slope = None
     if len(positive) >= 2:
         x = np.log([float(n) for n, _ in positive])
-        y = np.log([v for _, v in positive])
-        design = np.vstack([x, np.ones_like(x)]).T
-        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        coef, _ = least_squares([x, np.ones_like(x)], np.log([v for _, v in positive]))
         slope = float(coef[0])
     return RateTable(
         rows=tuple(rows),

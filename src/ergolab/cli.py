@@ -854,8 +854,7 @@ def run_growth(v: ValidatedConfig, ctx: RunContext) -> dict:
     for idx, matrix in enumerate(v.matrices):
         profile = matrix_growth.growth_profile(matrix, v.n_max)
         profiles.append(profile)
-        for n in range(1, v.n_max + 1):
-            norm = matrix_growth.norm_power(matrix, n)
+        for n, norm in enumerate(profile.norms, start=1):
             rows.append([idx, n, norm.value, norm.log])
         summary[f"matrix_{idx}"] = {
             "base": profile.base,

@@ -471,18 +471,25 @@ class RateFit:
         return out
 
 
-def _fit_single(
-    xs: np.ndarray, ys: np.ndarray, model: str, dropped: int
-) -> RateFit:
+def least_squares(columns: Sequence[np.ndarray], y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients of y against the design ``columns``, in
+    their order, and the residual sum of squares."""
+    design = np.vstack(columns).T
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    return coef, float(resid @ resid)
+
+
+def fit_model(xs: np.ndarray, ys: np.ndarray, model: str, dropped: int = 0) -> RateFit:
+    """Fit log ys = log amplitude - exponent * (log xs or xs) for the
+    polynomial or the exponential model."""
     predictor = np.log(xs) if model == POLYNOMIAL_MODEL else xs
-    design = np.vstack([predictor, np.ones_like(predictor)]).T
-    coef, *_ = np.linalg.lstsq(design, np.log(ys), rcond=None)
-    resid = np.log(ys) - design @ coef
+    coef, rss = least_squares([predictor, np.ones_like(predictor)], np.log(ys))
     return RateFit(
         model=model,
         exponent=float(-coef[0]),
         amplitude=float(np.exp(coef[1])),
-        rss=float(resid @ resid),
+        rss=rss,
         data_range=(float(xs.min()), float(xs.max())),
         n_points=int(xs.size),
         dropped_zeros=dropped,
@@ -515,8 +522,8 @@ def fit_decay(xs: Sequence[float], ys: Sequence[float]) -> RateFit:
             dropped_zeros=dropped,
         )
     xs, ys = xs[keep], ys[keep]
-    poly = _fit_single(xs, ys, POLYNOMIAL_MODEL, dropped)
-    expo = _fit_single(xs, ys, EXPONENTIAL_MODEL, dropped)
+    poly = fit_model(xs, ys, POLYNOMIAL_MODEL, dropped)
+    expo = fit_model(xs, ys, EXPONENTIAL_MODEL, dropped)
     if abs(poly.rss - expo.rss) <= RSS_TIE * max(1.0, poly.rss, expo.rss):
         best, other = (expo, poly) if expo.rss <= poly.rss else (poly, expo)
         return RateFit(**{**best.__dict__, "alternate": other})
@@ -755,7 +762,7 @@ def cumulant_decay_scan(
             dropped_zeros=dropped,
         )
     else:
-        fit = _fit_single(
+        fit = fit_model(
             np.asarray([xs[i] for i in keep], dtype=np.float64),
             np.asarray([ys[i] for i in keep], dtype=np.float64),
             EXPONENTIAL_MODEL,

@@ -9,12 +9,13 @@ variances by Cauchy-Schwarz.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .correlations import RateFit, _pairwise_moments
+from .correlations import POLYNOMIAL_MODEL, RateFit, _pairwise_moments, fit_model
 from .errors import DomainError, InsufficientData, ShapeMismatch
 
 
@@ -371,16 +372,5 @@ def sigma_fit(ns: Sequence[int], e_values: Sequence[float]) -> RateFit:
     e = np.asarray(e_values, dtype=np.float64)
     if e.size != len(ns) or (e <= 0).any():
         raise DomainError("need one positive E value per grid point")
-    x = np.log(np.asarray(ns, dtype=np.float64))
-    y = np.log(e)
-    design = np.vstack([x, np.ones_like(x)]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    return RateFit(
-        model="polynomial",
-        exponent=float(coef[0]),
-        amplitude=float(np.exp(coef[1])),
-        rss=float(resid @ resid),
-        data_range=(float(min(ns)), float(max(ns))),
-        n_points=len(ns),
-    )
+    fit = fit_model(np.asarray(ns, dtype=np.float64), e, POLYNOMIAL_MODEL)
+    return dataclasses.replace(fit, exponent=-fit.exponent)

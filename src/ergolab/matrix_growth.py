@@ -15,6 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import intmat
+from .correlations import least_squares
 from .errors import (
     DomainError,
     FitInconsistent,
@@ -114,30 +115,11 @@ def norm_power(matrix, n: int) -> NormPower:
     if n < 0:
         raise DomainError("need n >= 0")
     arr = _as_matrix(matrix)
-    d = arr.shape[0]
     if n == 0:
         return NormPower(1.0, 0.0)
-    result = np.eye(d)
-    log_result = 0.0
-    base = arr.copy()
-    base_norm = spectral_norm(base)
-    if base_norm == 0.0:
+    if spectral_norm(arr) == 0.0:
         return NormPower(0.0, -math.inf)
-    log_base = math.log(base_norm)
-    base = base / base_norm
-    remaining = n
-    while remaining:
-        if remaining & 1:
-            result = result @ base
-            scale = spectral_norm(result)
-            log_result += log_base + math.log(scale)
-            result = result / scale
-        remaining >>= 1
-        if remaining:
-            base = base @ base
-            scale = spectral_norm(base)
-            log_base = 2.0 * log_base + math.log(scale)
-            base = base / scale
+    _, log_result = _scaled_power(arr, n)
     value = math.exp(log_result) if log_result < 709.0 else math.inf
     return NormPower(value, log_result)
 
@@ -170,6 +152,7 @@ class GrowthProfile:
     base: float
     poly_degree: int
     residual: float
+    norms: tuple[NormPower, ...]  # norm_power(M, n) for n = 1..n_max
 
 
 def _max_jordan_block(arr: np.ndarray, modulus: float) -> int:
@@ -214,10 +197,9 @@ def growth_profile(matrix, n_max: int = 64) -> GrowthProfile:
     if radius < 1.0 - UNIT_TOLERANCE:
         raise DomainError("spectral radius below 1: not a growth setting")
     ns = np.arange(1, n_max + 1, dtype=np.float64)
-    logs = np.array([norm_power(arr, int(n)).log for n in ns])
-    design = np.vstack([ns, np.log(ns), np.ones_like(ns)]).T
-    coef, *_ = np.linalg.lstsq(design, logs, rcond=None)
-    resid = logs - design @ coef
+    norms = tuple(norm_power(arr, n) for n in range(1, n_max + 1))
+    logs = np.array([norm.log for norm in norms])
+    coef, rss = least_squares([ns, np.log(ns), np.ones_like(ns)], logs)
     base = float(math.exp(coef[0]))
     degree = int(round(coef[1]))
     if abs(base - radius) > 0.01 * max(radius, 1.0):
@@ -229,7 +211,7 @@ def growth_profile(matrix, n_max: int = 64) -> GrowthProfile:
         raise FitInconsistent(
             f"fitted degree {degree} disagrees with Jordan structure {expected_degree}"
         )
-    return GrowthProfile(base=base, poly_degree=degree, residual=float(resid @ resid))
+    return GrowthProfile(base=base, poly_degree=degree, residual=rss, norms=norms)
 
 
 # ---------------------------------------------------------------------------
