@@ -23,10 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, averages, correlations, dyadic, matrix_growth, sequences, svg, systems
-from .errors import ConfigError, ErgolabError
+from .errors import ConfigError, DomainError, ErgolabError
 from .seeding import ROLE_QUERY
 
 SCHEMA_VERSION = 1
+
+# Largest params.n_max of average and ratecheck, whose validate builds the
+# first n_max terms: 2^20 primes take about 0.25 s and 20 MB to sieve.
+MAX_TERMS = 1 << 20
 
 EXPERIMENTS = (
     "correlate",
@@ -252,6 +256,11 @@ def build_observable(desc: dict, system, where: str = "observable") -> systems.O
     if variant == "cylinder":
         reject_unknown(desc, {"variant", "radius", "table", "default", "centered"}, where)
         radius = parse_int(desc.get("radius", 0), f"{where}.radius")
+        if isinstance(system, systems.ShiftSystem):
+            try:
+                systems.cylinder_table_size(system.alphabet_size, radius)
+            except DomainError as exc:
+                raise ConfigError(f"{where}.radius is too large: {exc}") from exc
         entries = desc.get("table", [])
         if not isinstance(entries, list):
             raise ConfigError(f"{where}.table must be a list of entries")
@@ -383,6 +392,9 @@ class ValidatedConfig:
         return count
 
     def _derive_window(self, spec: averages.AverageSpec, points: int) -> None:
+        # Everything below builds the first n_max terms of the sequence.
+        if spec.n_max > MAX_TERMS:
+            raise ConfigError(f"params.n_max must be at most {MAX_TERMS}, got {spec.n_max}")
         if isinstance(spec.system, systems.ShiftSystem):
             # A point holds each read position (8 bytes) and its symbol.
             symbols = spec.read_positions.size

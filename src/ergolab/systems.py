@@ -788,18 +788,25 @@ def exact_mean(observable: Observable, system) -> float:
     return float(mean)
 
 
-def cylinder_table(observable: Observable, alphabet_size: int) -> np.ndarray:
-    """Dense values of a cylinder factor, indexed by the base-m code of its
-    word; m^(2 radius + 1) entries, at most ``STATE_LIMIT``.  A table word
-    with a symbol outside the alphabet never occurs, so it is left out."""
-    width = 2 * observable.radius + 1
+def cylinder_table_size(alphabet_size: int, radius: int) -> int:
+    """Entries m^(2 radius + 1) of a cylinder factor's dense table; raises
+    DomainError above ``STATE_LIMIT``."""
+    width = 2 * radius + 1
     # m >= 2, so a width past the limit's bit length is over it.
     if width > STATE_LIMIT.bit_length() or alphabet_size ** width > STATE_LIMIT:
         raise DomainError(
-            f"a radius-{observable.radius} factor on {alphabet_size} letters has "
+            f"a radius-{radius} factor on {alphabet_size} letters has "
             f"{alphabet_size}^{width} words, more than the {STATE_LIMIT} a table holds"
         )
-    lookup = np.full(alphabet_size ** width, observable.default, dtype=np.float64)
+    return alphabet_size ** width
+
+
+def cylinder_table(observable: Observable, alphabet_size: int) -> np.ndarray:
+    """Dense values of a cylinder factor, indexed by the base-m code of its
+    word, with ``cylinder_table_size`` entries.  A table word with a symbol
+    outside the alphabet never occurs, so it is left out."""
+    size = cylinder_table_size(alphabet_size, observable.radius)
+    lookup = np.full(size, observable.default, dtype=np.float64)
     for word, value in observable.table.items():
         if all(0 <= s < alphabet_size for s in word):
             code = 0

@@ -253,6 +253,8 @@ class TestValidate:
         "path_to, value, message",
         [
             (("observables", 0, "radius"), "x", "observables[0].radius must be an integer"),
+            # 2^23 words on two letters: more than a dense table holds.
+            (("observables", 0, "radius"), 11, "observables[0].radius is too large"),
             (("observables", 1, "default"), [1], "observables[1].default must be a number"),
             (("params", "n_grid", 2), "x", "params.n_grid[2] must be an integer"),
             (("params", "n_grid", 1), 48, "params.n_grid[1] must be a power of two"),
@@ -511,6 +513,18 @@ class TestRun:
         assert "symbols_sampled" not in (out / "summary.json").read_text()
 
     @pytest.mark.parametrize("experiment", ["average", "ratecheck"])
+    def test_large_n_max_is_config_error(self, tmp_path, capsys, experiment):
+        # Checked before validate builds a single sequence term.
+        cfg = json.loads((Path(__file__).resolve().parent.parent / "configs" / "bernoulli_ratecheck.json").read_text())
+        cfg["experiment"] = experiment
+        cfg["params"] = {"multipliers": [1, 2], "sequence": {"kind": "primes"}, "n_max": 10 ** 9}
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["errors"] == [f"params.n_max must be at most {cli.MAX_TERMS}, got 1000000000"]
+        assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
+
+    @pytest.mark.parametrize("experiment", ["average", "ratecheck"])
     def test_stream_planner_counts_read_positions(self, tmp_path, experiment):
         cfg = {
             "schema_version": 1,
@@ -635,7 +649,7 @@ def mutate(cfg, rnd):
         parent[key] = rnd.choice(WRONG_TYPES)
     else:
         value = parent[key]
-        parent[key] = rnd.choice([-1, 0, -value, value + 0.5, 2 ** 63])
+        parent[key] = rnd.choice([-1, 0, -value, value + 0.5, 10 ** 9, 2 ** 40, 2 ** 63])
     return cfg
 
 
