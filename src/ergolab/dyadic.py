@@ -126,9 +126,8 @@ class BlockMoments:
 
     prefix_moments[j] holds (count, mean, sum of squared deviations) of S^2
     over the block's points, S being a point's sum of its first ns[j]
-    terms; level_totals[i] is the
-    (s, points) array of per-point sums of squared L_s block sums at each
-    level r, for s = s_values[i].
+    terms; level_totals[i] is the (s, points) array of per-point sums of
+    squared L_s block sums at each level r, for s = s_values[i].
     """
 
     points: int

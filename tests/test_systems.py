@@ -321,6 +321,31 @@ class TestObservables:
         p = systems.ShiftPoint(positions=np.array([0]), symbols=np.array([1], dtype=np.int8))
         assert systems.evaluate(obs, p) == 0.0
 
+    def test_cylinder_values_match_evaluate(self, markov):
+        # One evaluator for a point and for a block of points: each value is
+        # evaluate() at that origin; a word with a symbol outside the
+        # alphabet never occurs.
+        obs = systems.cylinder_observable(
+            1, {(0, 1, 1): 2.0, (1, 0, 0): -1.0, (2, 0, 1): 9.0}, default=0.5
+        )
+        positions = np.arange(-20, 21)
+        block = window(markov, 20, 3, np.random.default_rng(1))
+        at = np.arange(-19, 20)
+        got = systems.cylinder_values_at(systems.ShiftPoint(positions, block), obs, at, 2)
+        assert got.shape == (3, at.size)
+        for row in range(3):
+            point = systems.ShiftPoint(positions, block[row])
+            assert np.array_equal(systems.cylinder_values_at(point, obs, at, 2), got[row])
+            want = [systems.evaluate(obs, systems.shift_apply(point, int(t))) for t in at]
+            assert got[row].tolist() == want
+
+    def test_cylinder_table_bound(self):
+        assert systems.cylinder_table_size(2, 10) == 1 << 21
+        assert systems.cylinder_table_size(1 << 22, 0) == 1 << 22
+        for m, radius in ((2, 11), (3, 7), ((1 << 22) + 1, 0), (2, 10 ** 9)):
+            with pytest.raises(DomainError):
+                systems.cylinder_table_size(m, radius)
+
     def test_variant_mismatch(self, markov, cat):
         obs = systems.cylinder_indicator([0])
         with pytest.raises(VariantMismatch):
