@@ -34,7 +34,6 @@ from .errors import (
 from .seeding import MC_CHUNK, ROLE_MC, rng_for
 from .systems import (
     CYLINDER,
-    STATE_LIMIT,
     TORUS_SLAB,
     TRIG,
     Observable,
@@ -42,6 +41,7 @@ from .systems import (
     ShiftSystem,
     TorusAutomorphism,
     cylinder_table,
+    cylinder_table_size,
     cylinder_values_at,
     exact_mean,
     sample_at,
@@ -275,11 +275,9 @@ def exact_correlation_shift(
     lo, hi = _transfer_bounds(query)
     eff = query.effective_times()
     m = system.alphabet_size
-    context = max(2 * obs.radius + 1 for obs in query.observables)
-    if m ** context > STATE_LIMIT:
-        raise DomainError(
-            f"context state space m^{context} exceeds {STATE_LIMIT} states"
-        )
+    widest = max(obs.radius for obs in query.observables)
+    cylinder_table_size(m, widest)  # one state per word of the widest factor
+    context = 2 * widest + 1
 
     completions: dict[int, list[Observable]] = {}
     for obs, t in zip(query.observables, eff):

@@ -829,9 +829,11 @@ def cylinder_values_at(
     if observable.variant != CYLINDER:
         raise VariantMismatch("cylinder_values_at requires a cylinder observable")
     at = np.asarray(positions, dtype=np.int64)
-    lookup = cylinder_table(observable, alphabet_size)
-    codes = 0
+    codes = np.zeros(point.symbols.shape[:-1] + at.shape, dtype=np.intp)
     for j in range(-observable.radius, observable.radius + 1):
-        symbols = np.take(point.symbols, point.columns(at + j), axis=-1)
-        codes = codes * alphabet_size + symbols.astype(np.intp)
-    return lookup[codes]
+        cols = point.columns(at + j)
+        # One column of a block is a view; np.take gathers many columns
+        # faster than fancy indexing does.
+        symbols = point.symbols[..., cols] if cols.ndim == 0 else np.take(point.symbols, cols, axis=-1)
+        codes = codes * alphabet_size + symbols
+    return cylinder_table(observable, alphabet_size).take(codes)
