@@ -515,13 +515,19 @@ class TestRun:
     @pytest.mark.parametrize("experiment", ["average", "ratecheck"])
     def test_large_n_max_is_config_error(self, tmp_path, capsys, experiment):
         # Checked before validate builds a single sequence term.
-        cfg = json.loads((Path(__file__).resolve().parent.parent / "configs" / "bernoulli_ratecheck.json").read_text())
-        cfg["experiment"] = experiment
-        cfg["params"] = {"multipliers": [1, 2], "sequence": {"kind": "primes"}, "n_max": 10 ** 9}
+        cfg = {
+            "schema_version": 1,
+            "experiment": experiment,
+            "seed": 2,
+            "system": BERNOULLI_SYSTEM,
+            "observables": [INDICATOR_0, INDICATOR_1],
+            "params": {"multipliers": [1, 2], "sequence": {"kind": "primes"}, "n_max": 10 ** 9},
+        }
         path = write_config(tmp_path, cfg)
         assert cli.main(["validate", str(path)]) == 2
         report = json.loads(capsys.readouterr().out)
-        assert report["errors"] == [f"params.n_max must be at most {cli.MAX_TERMS}, got 1000000000"]
+        want = f"params.n_max must be at most {cli.MAX_TERMS}, got 1000000000"
+        assert report["errors"] == [want]
         assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
 
     @pytest.mark.parametrize("experiment", ["average", "ratecheck"])

@@ -190,9 +190,8 @@ def _materialized(generator, n_points, width):
     """The terms ensemble_moments reads (one call per point batch over
     ks = 1..width), served as a generator that slices them."""
     ks = np.arange(1, width + 1, dtype=np.int64)
-    block = np.concatenate(
-        [generator(np.arange(lo, hi, dtype=np.int64), ks) for lo, hi in dyadic.point_batches(n_points)]
-    )
+    batches = dyadic.point_batches(n_points)
+    block = np.concatenate([generator(np.arange(lo, hi), ks) for lo, hi in batches])
     return lambda idx, ks: block[np.ix_(np.asarray(idx), np.asarray(ks) - 1)]
 
 
@@ -292,7 +291,8 @@ class TestOnePass:
         want = float(((squares - squares.mean()) ** 2).mean())
         old = float((squares ** 2).mean()) - float(squares.mean()) ** 2
         assert abs(old - want) > 0.1 * want
-        ((e, se),) = ensemble_moments(lambda idx, ks: terms[np.ix_(idx, ks - 1)], 1100, (1,)).e_values
+        generator = lambda idx, ks: terms[np.ix_(idx, ks - 1)]
+        ((e, se),) = ensemble_moments(generator, 1100, (1,)).e_values
         assert e == pytest.approx(float(squares.mean()), rel=1e-15)
         assert se == pytest.approx((want / squares.size) ** 0.5, rel=1e-7)
 

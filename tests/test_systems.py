@@ -434,18 +434,20 @@ def _reference_terms(spec, master_seed, point_indices, ks):
     factors read for these ks."""
     terms = generate(spec.sequence, int(max(ks)))
     values = [int(terms[k - 1]) for k in ks]
-    factors = list(zip(spec.multipliers, spec.observables))
-    positions = sorted(
-        {m * r + d for m, obs in factors for r in values for d in range(-obs.radius, obs.radius + 1)}
-    )
+    factors = [
+        (m, obs, range(-obs.radius, obs.radius + 1))
+        for m, obs in zip(spec.multipliers, spec.observables)
+    ]
+    positions = sorted({m * r + d for m, _, reach in factors for r in values for d in reach})
     column = {p: c for c, p in enumerate(positions)}
     out = np.empty((len(point_indices), len(ks)))
     for row, j in enumerate(point_indices):
-        path = _reference_at(spec.system, positions, 1, rng_for(master_seed, ROLE_TERMS, int(j)))[0]
+        rng = rng_for(master_seed, ROLE_TERMS, int(j))
+        path = _reference_at(spec.system, positions, 1, rng)[0]
         for col, r in enumerate(values):
             value = 1.0
-            for m, obs in factors:
-                word = tuple(int(path[column[m * r + d]]) for d in range(-obs.radius, obs.radius + 1))
+            for m, obs, reach in factors:
+                word = tuple(int(path[column[m * r + d]]) for d in reach)
                 value *= obs.table.get(word, obs.default)
             out[row, col] = value
     return out
