@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,17 @@ class TestValidate:
             (("params", "multipliers", 1), 2.5, "params.multipliers[1] must be an integer"),
             (("params", "point_count"), "9", "params.point_count must be an integer"),
             (("system", "transition", 0, 1), "1/x", "system.transition[0][1]: cannot parse"),
+            # The term generator builds W = max(max N, 2^max s) terms.
+            (
+                ("params", "n_grid", 3),
+                2 ** 40,
+                f"params.n_grid[3] needs 1099511627776 term columns, more than {cli.MAX_TERMS}",
+            ),
+            (
+                ("params", "exceptional"),
+                {"s_values": [3, 40]},
+                "params.exceptional.s_values[1] needs 1099511627776 term columns",
+            ),
         ],
     )
     def test_bad_value_names_json_path(self, tmp_path, capsys, path_to, value, message):
@@ -318,6 +330,55 @@ class TestValidate:
         assert any(message in msg for msg in report["errors"]), report["errors"]
         assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, path_to, value, message",
+        [
+            ("growth", ("pair", "m_grid"), 0, "params.pair.m_grid must be >= 1, got 0"),
+            ("growth", ("pair", "k_max"), 1, "params.pair.k_max must be >= 2, got 1"),
+            ("growth", ("pair", "n_max"), 0, "params.pair.n_max must be >= 1, got 0"),
+            ("growth", ("pair", "balance", "m"), -1, "params.pair.balance.m must be >= 0"),
+            ("growth", ("pair", "balance", "n_max"), -2, "params.pair.balance.n_max must be >= 0"),
+            ("counting", ("checks", 0, "K"), -3, "params.checks[0].K must be >= 2, got -3"),
+            ("counting", ("checks", 2, "K"), 0, "params.checks[2].K must be >= 1, got 0"),
+            ("counting", ("checks", 1, "n_max"), 0, "params.checks[1].n_max must be >= 1, got 0"),
+            ("counting", ("checks", 2, "s_max"), 0, "params.checks[2].s_max must be >= 1, got 0"),
+            ("counting", ("checks", 2, "M_claim"), -1, "params.checks[2].M_claim must be >= 0"),
+            ("counting", ("checks", 1, "m_max"), 0, "params.checks[1].m_max must be >= 1, got 0"),
+            (
+                "counting",
+                ("checks", 1),
+                {"type": "b", "values": [1, 2, 3, 4], "K": 4},
+                "params.checks[1]: b checks need a sequence source",
+            ),
+        ],
+    )
+    def test_bad_range_names_json_path(
+        self, tmp_path, capsys, experiment, path_to, value, message
+    ):
+        cfg = {"schema_version": 1, "experiment": experiment, "seed": 0}
+        if experiment == "growth":
+            pair = {"g": [[1, 1], [0, 1]], "h": [[1, 3], [0, 1]], "m_grid": 2, "k_max": 8}
+            cfg["params"] = {"pair": dict(pair, n_max=8, balance={"m": 1, "n_max": 4})}
+        else:
+            checks = [
+                {"type": "c", "sequence": {"kind": "primes"}, "K": 8},
+                {"type": "b", "sequence": {"kind": "linear"}, "K": 8, "n_max": 8, "m_max": 4},
+                {"type": "band", "values": [1, 2, 2, 3], "K": 4, "s_max": 4, "M_claim": 2},
+            ]
+            cfg["params"] = {"checks": checks}
+        assert cli.validate_config(cfg)[1]["ok"]
+        target = cfg["params"]
+        for key in path_to[:-1]:
+            target = target[key]
+        target[path_to[-1]] = value
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", str(path)]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert any(message in msg for msg in report["errors"]), report["errors"]
+        assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_dyadic_reports_term_matrix(self):
         # W = max(max N, 2^max s): the grid sets it, then s = 8 does.
@@ -659,9 +720,16 @@ def mutate(cfg, rnd):
     return cfg
 
 
+def names_path(message, keys):
+    """Whether ``message`` names a JSON path that starts at one of ``keys``."""
+    return any(re.search(rf"(?<![\w.]){re.escape(key)}(?!\w)", message) for key in keys)
+
+
 def test_config_fuzzer_exits_cleanly(tmp_path, capsys):
     # validate exits 0 or 2 (never 3, never a traceback) on every mutant,
-    # and a mutant it rejects also exits 2 at run.
+    # every message of a rejected mutant names a JSON path under a top-level
+    # key (of the schema, or the mutant's own unknown one), and a mutant
+    # validate rejects also exits 2 at run.
     rnd = random.Random(2024)
     bases = [json.loads(path.read_text()) for path in CONFIGS]
     assert len(bases) == 7
@@ -677,6 +745,8 @@ def test_config_fuzzer_exits_cleanly(tmp_path, capsys):
         assert report["ok"] == (code == 0)
         if code == 2:
             rejected += 1
+            keys = cli.TOP_KEYS | set(cfg)
+            assert all(names_path(msg, keys) for msg in report["errors"]), report["errors"]
             assert cli.run(path, tmp_path / f"out{i}", workers=1, emit_svg=False) == 2, cfg
             assert not (tmp_path / f"out{i}").exists()
     capsys.readouterr()

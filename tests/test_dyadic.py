@@ -349,11 +349,22 @@ class TestOnePass:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "out"
         assert cli.run(path, out, workers=1, emit_svg=False) == 0
-        validated, _ = cli.validate_config(cfg)
+        _, report = cli.validate_config(cfg)
+        system = cli.build_system(cfg["system"])
+        spec = averages.AverageSpec(
+            system=system,
+            observables=[
+                cli.build_observable(d, system, f"observables[{i}]")
+                for i, d in enumerate(cfg["observables"])
+            ],
+            multipliers=(1, 2),
+            sequence=sequences.SequenceSpec("linear"),
+            n_max=128,
+        )
         generator = _materialized(
-            averages.product_term_generator(validated.spec, 12),
+            averages.product_term_generator(spec, 12),
             1100,
-            validated.derived["term_columns"],
+            report["derived"]["term_columns"],
         )
         rows = ["N,E,std_error"]
         for n in (16, 32, 64, 128):
