@@ -10,12 +10,13 @@ artifacts are byte-identical across reruns and worker counts.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import hashlib
 import itertools
 import json
 import os
+import pickle
+import signal
 import sys
 import time
 from fractions import Fraction
@@ -32,6 +33,8 @@ SCHEMA_VERSION = 1
 # Most sequence terms a config may ask for: params.n_max of average and
 # ratecheck, whose validate builds the first n_max terms, and the term
 # columns of dyadic. 2^20 primes take about 0.25 s and 20 MB to sieve.
+# It also bounds each growth and counting size and the cells of the pair
+# grid, which size the arrays those checks build.
 MAX_TERMS = 1 << 20
 
 EXIT_OK = 0
@@ -73,7 +76,7 @@ def sha256_file(path: Path) -> str:
 
 
 class RunContext:
-    """Artifact sink plus the worker pool configuration for one run."""
+    """Artifact sink plus the worker count for one run."""
 
     def __init__(self, out_dir: Path, workers: int, emit_svg: bool):
         self.out_dir = out_dir
@@ -106,12 +109,89 @@ class RunContext:
 
 
 def pmap(fn, tasks, workers: int) -> list:
-    """Ordered map over tasks; results are identical for any worker count."""
+    """Ordered map over tasks; results are identical for any worker count.
+
+    With k = min(workers, len(tasks)) > 1 the tasks fall into k shares,
+    share w being tasks[w::k]. The parent runs share 0 and forks one child
+    per other share, which runs it on the objects it inherited, so no task
+    is pickled; only each share's results come back, through a pipe. A
+    failing task raises the error of the lowest failing index, the one a
+    serial map raises. Without ``os.fork`` the map is serial.
+    """
     tasks = list(tasks)
-    if workers <= 1 or len(tasks) <= 1:
+    k = min(workers, len(tasks))
+    if k <= 1 or not hasattr(os, "fork"):
         return [fn(t) for t in tasks]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+    # numpy imports numpy.random on first use: once here, not once per child.
+    import numpy.random  # noqa: F401
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (share, pid, pipe) of every child not yet reaped
+    try:
+        for w in range(1, k):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child_share(fn, tasks, w, k, write_fd)
+            os.close(write_fd)
+            children.append((w, pid, open(read_fd, "rb")))
+        shares = [_run_share(fn, tasks, 0, k)]
+        # Read and reap every child before raising anything.
+        lost = None
+        while children:
+            w, pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if status == 0:
+                shares.append(pickle.loads(payload))
+            elif lost is None:
+                lost = RuntimeError(
+                    f"pmap share {w} of {k} (tasks {w}::{k}) ended without a result, "
+                    f"exit code {os.waitstatus_to_exitcode(status)}"
+                )
+    finally:
+        # Children are left here only by an interrupt or a failed fork.
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if lost is not None:
+        raise lost
+    errors = [error for _, error in shares if error is not None]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    results = [None] * len(tasks)
+    for w, (share, _) in enumerate(shares):
+        results[w::k] = share
+    return results
+
+
+def _run_share(fn, tasks, w: int, k: int):
+    """(results of tasks[w::k], None), or (None, (index, error)) for the
+    first task of the share that raised."""
+    results = []
+    for index in range(w, len(tasks), k):
+        try:
+            results.append(fn(tasks[index]))
+        except Exception as exc:  # noqa: BLE001 - re-raised by pmap
+            return None, (index, exc)
+    return results, None
+
+
+def _child_share(fn, tasks, w: int, k: int, write_fd: int) -> None:
+    """Run share w in a forked child, write it to ``write_fd`` and exit;
+    exit status 0 means the pipe holds the whole payload."""
+    code = 1
+    try:
+        payload = pickle.dumps(_run_share(fn, tasks, w, k), pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # ---------------------------------------------------------------------------
@@ -131,13 +211,17 @@ def parse_exact(value, where: str) -> float:
     raise ConfigError(f"{where} must be a number or a 'p/q' string, got {value!r}")
 
 
-def parse_int(value, where: str, minimum: int | None = None) -> int:
-    """Accept JSON integers only, at least ``minimum`` if it is given;
-    ``where`` is the value's JSON path."""
+def parse_int(
+    value, where: str, minimum: int | None = None, maximum: int | None = None
+) -> int:
+    """Accept JSON integers only, within ``minimum`` and ``maximum`` where
+    they are given; ``where`` is the value's JSON path."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{where} must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{where} must be at most {maximum}, got {value}")
     return value
 
 
@@ -372,7 +456,7 @@ def validate_config(cfg: dict) -> tuple:
 # ---------------------------------------------------------------------------
 # Experiments: parse_<name>(cfg, seed) returns the derived quantities and the
 # run step, run_<name> bound to its domain objects; run steps take a
-# RunContext and raise no ConfigError. Worker tasks are top level: picklable.
+# RunContext and raise no ConfigError. Worker task results are pickled.
 # ---------------------------------------------------------------------------
 
 def parse_correlate(cfg: dict, seed: int):
@@ -541,9 +625,7 @@ def parse_averages(cfg: dict, seed: int):
     )
     system, observables = parse_system(cfg)
     # Everything past this check builds the first n_max terms of the sequence.
-    n_max = parse_int(params.get("n_max", 1024), "params.n_max")
-    if n_max > MAX_TERMS:
-        raise ConfigError(f"params.n_max must be at most {MAX_TERMS}, got {n_max}")
+    n_max = parse_int(params.get("n_max", 1024), "params.n_max", maximum=MAX_TERMS)
     spec = parse_average_spec(system, observables, params, n_max)
     epsilon = parse_positive(params.get("epsilon", 1.0), "params.epsilon")
     delta = parse_positive(params.get("delta", 2.0), "params.delta")
@@ -564,7 +646,10 @@ def parse_averages(cfg: dict, seed: int):
         return derived, functools.partial(run_average, spec, epsilon, delta, points, seed)
     min_checkpoint = params.get("min_checkpoint")
     if min_checkpoint is not None:
-        min_checkpoint = parse_int(min_checkpoint, "params.min_checkpoint")
+        # The summary keeps the checkpoints from min_checkpoint on.
+        min_checkpoint = parse_int(
+            min_checkpoint, "params.min_checkpoint", maximum=spec.checkpoint_schedule()[-1]
+        )
     return derived, functools.partial(
         run_ratecheck, spec, epsilon, delta, points, seed, min_checkpoint
     )
@@ -770,7 +855,7 @@ def parse_growth(cfg: dict, seed: int):
     descs = params.get("matrices", [])
     if not isinstance(descs, list):
         raise ConfigError("params.matrices must be a list of matrices")
-    n_max = parse_int(params.get("n_max", 64), "params.n_max", 16)
+    n_max = parse_int(params.get("n_max", 64), "params.n_max", 16, MAX_TERMS)
     matrices = [np.array(parse_matrix(m, f"params.matrices[{k}]")) for k, m in enumerate(descs)]
     pair = params.get("pair")
     pair_check = None
@@ -784,17 +869,24 @@ def parse_growth(cfg: dict, seed: int):
             g=np.array(parse_matrix(pair["g"], f"{where}.g")),
             h=np.array(parse_matrix(pair["h"], f"{where}.h")),
         )
+        rows = parse_int(pair.get("m_grid", 32), f"{where}.m_grid", 1)
+        k_max = parse_int(pair.get("k_max", 512), f"{where}.k_max", 2, MAX_TERMS)
+        # pair_norm_grid fills a (m_grid, k_max) array.
+        if rows * k_max > MAX_TERMS:
+            raise ConfigError(
+                f"{where}: m_grid x k_max = {rows} x {k_max} grid cells, more than {MAX_TERMS}"
+            )
         pair_check = (
             commuting,
-            range(1, parse_int(pair.get("m_grid", 32), f"{where}.m_grid", 1) + 1),
-            parse_int(pair.get("k_max", 512), f"{where}.k_max", 2),
-            parse_int(pair.get("n_max", 512), f"{where}.n_max", 1),
+            range(1, rows + 1),
+            k_max,
+            parse_int(pair.get("n_max", 512), f"{where}.n_max", 1, MAX_TERMS),
         )
         if pair.get("balance") is not None:
             where = "params.pair.balance"
             check_keys(pair["balance"], {"m", "n_max"}, where)
             balance = tuple(
-                parse_int(pair["balance"].get(key, default), f"{where}.{key}", 0)
+                parse_int(pair["balance"].get(key, default), f"{where}.{key}", 0, MAX_TERMS)
                 for key, default in (("m", 10), ("n_max", 40))
             )
     if not matrices and pair is None:
@@ -865,13 +957,13 @@ def run_growth(matrices, n_max: int, pair_check, balance, ctx: RunContext) -> di
     return summary
 
 
-# Integer keys of a counting check besides K: the default and the least
-# value the checkers accept (M_claim bounds a count).
+# Integer keys of a counting check besides K: the default, the least
+# value the checkers accept and the largest size (M_claim bounds a count).
 CHECK_LIMITS = {
-    "n_max": (1000, 1),
-    "s_max": (1000, 1),
-    "M_claim": (1, 0),
-    "m_max": (100, 1),
+    "n_max": (1000, 1, MAX_TERMS),
+    "s_max": (1000, 1, MAX_TERMS),
+    "M_claim": (1, 0, None),
+    "m_max": (100, 1, MAX_TERMS),
 }
 
 
@@ -890,10 +982,10 @@ def parse_counting(cfg: dict, seed: int):
         kind = desc.get("type")
         if kind not in ("c", "b", "band"):
             raise ConfigError(f"{where}.type must be c, b or band")
-        k_max = parse_int(desc.get("K", 1000), f"{where}.K", 1 if kind == "band" else 2)
+        k_max = parse_int(desc.get("K", 1000), f"{where}.K", 1 if kind == "band" else 2, MAX_TERMS)
         limits = {
-            key: parse_int(desc.get(key, default), f"{where}.{key}", minimum)
-            for key, (default, minimum) in CHECK_LIMITS.items()
+            key: parse_int(desc.get(key, default), f"{where}.{key}", minimum, maximum)
+            for key, (default, minimum, maximum) in CHECK_LIMITS.items()
         }
         if desc.get("values") is not None:
             if kind == "b":
@@ -1054,8 +1146,10 @@ def main(argv=None) -> int:
     p_run.add_argument(
         "--workers",
         type=int,
+        metavar="N",
         default=int(os.environ.get("ERGOLAB_WORKERS", "1")),
-        help="worker pool size (default: ERGOLAB_WORKERS or 1)",
+        help="processes that share the tasks: the run forks N - 1 children, serial "
+        "without os.fork; artifacts do not depend on N (default: ERGOLAB_WORKERS or 1)",
     )
     p_run.add_argument("--no-svg", action="store_true", help="skip SVG charts")
 

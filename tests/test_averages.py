@@ -334,6 +334,22 @@ class TestEnsemble:
         b = averages.ensemble_rate_experiment(spec, 12, 1.0, 2.0, seed=8)
         assert np.array_equal(a.statistics, b.statistics)
 
+    @pytest.mark.parametrize("points", [1, 2, 10, 11, 20, 200, 201])
+    def test_medians_match_numpy_median(self, points):
+        # Odd and even point counts, ties (column 1), mixed scales, and a
+        # column with a NaN, which np.median also reports as NaN. The ties
+        # are non-negative, like rate statistics: 0.0 and -0.0 tie, and
+        # either may come out.
+        rng = np.random.default_rng(points)
+        values = rng.standard_normal((points, 5)) * rng.exponential(size=(points, 5))
+        values[:, 1] = np.abs(np.round(values[:, 1]))
+        want = np.median(values, axis=0)
+        assert averages.medians_of_columns(values).tobytes() == want.tobytes()
+        values[points // 2, 3] = np.nan
+        got = averages.medians_of_columns(values)
+        assert np.isnan(got[3])
+        assert np.array_equal(got, np.median(values, axis=0), equal_nan=True)
+
     def test_point_count_floor(self, bernoulli):
         f = systems.centered_cylinder_indicator(bernoulli, [1])
         spec = make_spec(bernoulli, [f], (1,), 64)

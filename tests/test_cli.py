@@ -2,13 +2,19 @@
 
 import copy
 import json
+import os
 import random
 import re
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ergolab
 from ergolab import cli
+from ergolab.errors import DomainError
 
 BERNOULLI_SYSTEM = {
     "kind": "shift",
@@ -30,6 +36,17 @@ def minimal_correlate():
         "observables": [INDICATOR_0, INDICATOR_1],
         "params": {"queries": [{"times": [0, 3]}, {"times": [0, 5]}], "method": "exact"},
     }
+
+
+def shift_mc_correlate():
+    # Five queries: three workers split them 2, 2, 1; sixteen outnumber them.
+    cfg = minimal_correlate()
+    cfg["params"] = {
+        "queries": [{"times": [0, gap]} for gap in (1, 2, 3, 5, 8)],
+        "method": "mc",
+        "samples": 2000,
+    }
+    return cfg
 
 
 def minimal_cumulants(time_tuples):
@@ -85,6 +102,28 @@ def minimal_dyadic(exceptional=None):
         "system": BERNOULLI_SYSTEM,
         "observables": [dict(INDICATOR_1, centered=True), dict(INDICATOR_0, centered=True)],
         "params": params,
+    }
+
+
+def ratecheck_config():
+    return {
+        "schema_version": 1,
+        "experiment": "ratecheck",
+        "seed": 6,
+        "system": BERNOULLI_SYSTEM,
+        "observables": [
+            dict(INDICATOR_0, centered=True),
+            dict(INDICATOR_1, centered=True),
+        ],
+        "params": {
+            "multipliers": [1, 2],
+            "sequence": {"kind": "linear"},
+            "n_max": 256,
+            "point_count": 12,
+            "epsilon": 1.0,
+            "delta": 2.0,
+            "min_checkpoint": 8,
+        },
     }
 
 
@@ -335,6 +374,28 @@ class TestValidate:
         "experiment, path_to, value, message",
         [
             ("growth", ("pair", "m_grid"), 0, "params.pair.m_grid must be >= 1, got 0"),
+            (
+                "growth",
+                ("n_max",),
+                cli.MAX_TERMS + 1,
+                f"params.n_max must be at most {cli.MAX_TERMS}, got {cli.MAX_TERMS + 1}",
+            ),
+            ("growth", ("pair", "k_max"), 2 ** 40, "params.pair.k_max must be at most"),
+            ("growth", ("pair", "n_max"), 10 ** 9, "params.pair.n_max must be at most"),
+            ("growth", ("pair", "balance", "m"), 2 ** 40, "params.pair.balance.m must be at most"),
+            (
+                "growth",
+                ("pair", "balance", "n_max"),
+                10 ** 9,
+                "params.pair.balance.n_max must be at most",
+            ),
+            # Each size is small, but pair_norm_grid's (m_grid, k_max) array is not.
+            (
+                "growth",
+                ("pair", "m_grid"),
+                2 ** 18,
+                f"params.pair: m_grid x k_max = 262144 x 8 grid cells, more than {cli.MAX_TERMS}",
+            ),
             ("growth", ("pair", "k_max"), 1, "params.pair.k_max must be >= 2, got 1"),
             ("growth", ("pair", "n_max"), 0, "params.pair.n_max must be >= 1, got 0"),
             ("growth", ("pair", "balance", "m"), -1, "params.pair.balance.m must be >= 0"),
@@ -345,6 +406,10 @@ class TestValidate:
             ("counting", ("checks", 2, "s_max"), 0, "params.checks[2].s_max must be >= 1, got 0"),
             ("counting", ("checks", 2, "M_claim"), -1, "params.checks[2].M_claim must be >= 0"),
             ("counting", ("checks", 1, "m_max"), 0, "params.checks[1].m_max must be >= 1, got 0"),
+            ("counting", ("checks", 0, "K"), 2 ** 40, "params.checks[0].K must be at most"),
+            ("counting", ("checks", 0, "n_max"), 10 ** 9, "params.checks[0].n_max must be at most"),
+            ("counting", ("checks", 2, "s_max"), 10 ** 9, "params.checks[2].s_max must be at most"),
+            ("counting", ("checks", 1, "m_max"), 2 ** 40, "params.checks[1].m_max must be at most"),
             (
                 "counting",
                 ("checks", 1),
@@ -380,6 +445,20 @@ class TestValidate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_min_checkpoint_past_last_checkpoint(self, tmp_path, capsys):
+        # The last checkpoint is n_max = 256: 256 keeps one, 257 keeps none.
+        cfg = ratecheck_config()
+        cfg["params"]["min_checkpoint"] = 256
+        assert cli.validate_config(cfg)[1]["ok"]
+        cfg["params"]["min_checkpoint"] = 257
+        message = "params.min_checkpoint must be at most 256, got 257"
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["errors"] == [message]
+        assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_dyadic_reports_term_matrix(self):
         # W = max(max N, 2^max s): the grid sets it, then s = 8 does.
         for exceptional, columns in ((None, 128), ({"s_values": [3, 8]}, 256)):
@@ -398,6 +477,21 @@ class TestValidate:
         cfg["schema_version"] = 99
         _, report = cli.validate_config(cfg)
         assert not report["ok"]
+
+
+# 3 splits five tasks unevenly; 16 is more workers than any test has tasks.
+WORKER_COUNTS = (1, 2, 3, 16, 1)
+
+
+def runs_across_workers(tmp_path, path):
+    """(manifest, artifact SHA-256 by name) of a run at each of WORKER_COUNTS."""
+    runs = []
+    for i, workers in enumerate(WORKER_COUNTS):
+        out = tmp_path / f"run{i}-w{workers}"
+        assert cli.run(path, out, workers=workers, emit_svg=False) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        runs.append((manifest, {e["name"]: e["sha256"] for e in manifest["artifacts"]}))
+    return runs
 
 
 class TestRun:
@@ -487,26 +581,7 @@ class TestRun:
         assert any("pairwise distinct" in msg for msg in report["errors"])
 
     def test_rerun_byte_identical(self, tmp_path):
-        cfg = {
-            "schema_version": 1,
-            "experiment": "ratecheck",
-            "seed": 6,
-            "system": BERNOULLI_SYSTEM,
-            "observables": [
-                dict(INDICATOR_0, centered=True),
-                dict(INDICATOR_1, centered=True),
-            ],
-            "params": {
-                "multipliers": [1, 2],
-                "sequence": {"kind": "linear"},
-                "n_max": 256,
-                "point_count": 12,
-                "epsilon": 1.0,
-                "delta": 2.0,
-                "min_checkpoint": 8,
-            },
-        }
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, ratecheck_config())
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
         assert cli.run(path, out_a, workers=1, emit_svg=False) == 0
@@ -524,30 +599,26 @@ class TestRun:
     )
     def test_torus_artifacts_identical_across_workers(self, tmp_path, experiment, params):
         path = write_config(tmp_path, torus_config(experiment, params))
-        hashes = []
-        for name, workers in (("a", 1), ("b", 2), ("c", 1)):
-            out = tmp_path / name
-            assert cli.run(path, out, workers=workers, emit_svg=False) == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            hashes.append({e["name"]: e["sha256"] for e in manifest["artifacts"]})
-        assert hashes[0] == hashes[1] == hashes[2]
+        runs = runs_across_workers(tmp_path, path)
+        assert all(hashes == runs[0][1] for _, hashes in runs)
+
+    def test_shift_mc_artifacts_identical_across_workers(self, tmp_path):
+        path = write_config(tmp_path, shift_mc_correlate())
+        runs = runs_across_workers(tmp_path, path)
+        assert all(hashes == runs[0][1] for _, hashes in runs)
+        assert "correlations.csv" in runs[0][1]
 
     @pytest.mark.parametrize("exceptional", [None, {"s_values": [8, 3], "sigma": "3/4"}])
     def test_dyadic_artifacts_identical_across_workers(self, tmp_path, exceptional):
         path = write_config(tmp_path, minimal_dyadic(exceptional))
         _, report = cli.validate_config(minimal_dyadic(exceptional))
-        hashes = []
-        for name, workers in (("a", 1), ("b", 2), ("c", 1)):
-            out = tmp_path / name
-            assert cli.run(path, out, workers=workers, emit_svg=False) == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            hashes.append({e["name"]: e["sha256"] for e in manifest["artifacts"]})
+        runs = runs_across_workers(tmp_path, path)
+        for manifest, _ in runs:
             # The planner's term count is what the batches generated.
             assert manifest["steps"]["term_entries"] == report["derived"]["term_entries"]
-            summary = json.loads((out / "summary.json").read_text())
-            assert "term_entries" not in json.dumps(summary)
-        assert hashes[0] == hashes[1] == hashes[2]
-        names = set(hashes[0])
+        assert "term_entries" not in (tmp_path / "run0-w1" / "summary.json").read_text()
+        assert all(hashes == runs[0][1] for _, hashes in runs)
+        names = set(runs[0][1])
         assert ("dyadic_exceptional.csv" in names) == (exceptional is not None)
 
     def test_correlate_planner_counts_read_positions(self, tmp_path):
@@ -670,6 +741,123 @@ class TestCommands:
 
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 2
+
+
+# ---------------------------------------------------------------------------
+# pmap: fork-once worker shares
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def reaped():
+    """Bound a pmap test to 60 s, and check that it leaves no child behind."""
+
+    def expire(signum, frame):
+        raise TimeoutError("pmap did not return within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_at_3_and_4(x):
+    if x in (3, 4):
+        raise DomainError(f"task {x} failed")
+    return x
+
+
+def kill_in_child(parent: int):
+    """A task that runs in the parent and dies in any child."""
+
+    def task(x):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return x
+
+    return task
+
+
+class TestPmap:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 16])
+    def test_results_in_task_order(self, reaped, workers):
+        assert cli.pmap(lambda x: x * x, range(11), workers) == [x * x for x in range(11)]
+        assert cli.pmap(lambda x: x, [], workers) == []
+
+    def test_parent_runs_share_zero(self, reaped):
+        pids = cli.pmap(lambda _: os.getpid(), range(7), 3)
+        assert pids[0::3] == [os.getpid()] * 3
+        assert len(set(pids)) == 3
+
+    @pytest.mark.parametrize("workers", [2, 3, 16])
+    def test_error_of_lowest_failing_index(self, reaped, workers):
+        # Task 3 fails in a child's share at two workers and in the
+        # parent's at three; task 4 the other way round.
+        with pytest.raises(DomainError) as serial:
+            cli.pmap(fail_at_3_and_4, range(8), 1)
+        with pytest.raises(DomainError) as shared:
+            cli.pmap(fail_at_3_and_4, range(8), workers)
+        assert type(shared.value) is type(serial.value)
+        assert str(shared.value) == str(serial.value) == "task 3 failed"
+
+    def test_run_failure_summary_same_for_any_workers(self, tmp_path, monkeypatch, reaped):
+        # Queries 2, 3 and 4 fail: at two workers the parent's share holds
+        # query 2, at three a child's share does.
+        task = cli._task_mc_query
+
+        def fail_from_query_2(args):
+            if args[3] >= 2:
+                raise DomainError(f"query {args[3]} failed")
+            return task(args)
+
+        monkeypatch.setattr(cli, "_task_mc_query", fail_from_query_2)
+        path = write_config(tmp_path, shift_mc_correlate())
+        summaries = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            assert cli.run(path, out, workers=workers, emit_svg=False) == 3
+            summaries.append((out / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1] == summaries[2]
+        error = json.loads(summaries[0])["status"]["error"]
+        assert error == {"code": "ergolab.domain", "message": "query 2 failed"}
+
+    def test_killed_child_raises_runtime_error(self, tmp_path, monkeypatch, reaped):
+        with pytest.raises(RuntimeError, match=r"share 1 of 2 \(tasks 1::2\)"):
+            cli.pmap(kill_in_child(os.getpid()), range(4), 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # A run reports it as a runtime error.
+        monkeypatch.setattr(cli, "_task_mc_query", kill_in_child(os.getpid()))
+        path = write_config(tmp_path, shift_mc_correlate())
+        assert cli.run(path, tmp_path / "out", workers=3, emit_svg=False) == 3
+        error = json.loads((tmp_path / "out" / "summary.json").read_text())["status"]["error"]
+        assert error["code"] == "runtime"
+        assert "share 1 of 3" in error["message"]
+
+
+def test_startup_loads_no_pool_and_no_masked_arrays(tmp_path):
+    # Importing the CLI loads no process pool; a ratecheck run, at two
+    # workers, loads neither that nor numpy.ma.
+    path = write_config(tmp_path, ratecheck_config())
+    args = ["run", str(path), "--out", str(tmp_path / "out"), "--workers", "2", "--no-svg"]
+    script = (
+        "import sys\n"
+        "from ergolab import cli\n"
+        "names = ('concurrent.futures', 'multiprocessing', 'numpy.ma')\n"
+        "print([name for name in names if name in sys.modules])\n"
+        f"assert cli.main({args!r}) == 0\n"
+        "print([name for name in names if name in sys.modules])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ergolab.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 @pytest.mark.parametrize("value,expected", [(0.1, "0.10000000000000001"), (1.0, "1"), (True, "true")])
