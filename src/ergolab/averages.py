@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
@@ -80,6 +79,8 @@ class AverageSpec:
             raise DomainError("need n_max >= 2")
         if self.checkpoints is not None:
             cps = tuple(int(c) for c in self.checkpoints)
+            if not cps or cps[0] < 1 or cps[-1] < 2:
+                raise DomainError("checkpoints must be >= 1, the last >= 2")
             if any(b <= a for a, b in zip(cps, cps[1:])) or cps[-1] > self.n_max:
                 raise DomainError("checkpoints must strictly increase up to n_max")
             object.__setattr__(self, "checkpoints", cps)
@@ -264,7 +265,8 @@ class EnsembleSummary:
     heavy-tailed ratio of two nearly independent CLT fluctuations, so its
     floor is set by that ratio distribution rather than by the rate
     scale; the median-referenced curve tracks the shrinkage of the
-    statistic's typical level.
+    statistic's typical level.  ``symbols_sampled`` counts the shift
+    symbols the ensemble's points drew (0 on a torus).
     """
 
     checkpoints: tuple[int, ...]
@@ -277,6 +279,7 @@ class EnsembleSummary:
     delta: float
     target: float
     statistics: np.ndarray
+    symbols_sampled: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -324,17 +327,33 @@ def medians_of_columns(values: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(ordered[-1]), np.nan, middle)
 
 
-def summarize_ensemble(
+def _member(args) -> tuple[tuple[tuple[int, ...], tuple[float, ...]], int]:
+    """One ensemble member's statistic row and the shift symbols its point drew."""
+    spec, epsilon, delta, seed, index = args
+    point = sample_spec_point(spec, seed, index)
+    symbols = point.symbols.size if isinstance(point, ShiftPoint) else 0
+    return ensemble_member_statistics(spec, point, epsilon, delta), symbols
+
+
+def ensemble_rate_experiment(
     spec: AverageSpec,
-    stat_rows: Sequence[Sequence[float]],
-    checkpoints: Sequence[int],
+    point_count: int,
     epsilon: float,
     delta: float,
+    seed: int,
     min_checkpoint: int | None = None,
+    map_members=map,
 ) -> EnsembleSummary:
-    """Aggregate per-point statistic rows into fraction and median trends."""
-    stats = np.asarray(stat_rows, dtype=np.float64)
-    checkpoints = [int(n) for n in checkpoints]
+    """Run independent orbits with per-point derived seeds and report the
+    exceedance fractions and medians relative to the first checkpoint kept
+    (from ``min_checkpoint`` on).  ``map_members(fn, tasks)`` is an ordered
+    map over the members, such as the builtin ``map`` or a parallel one."""
+    if point_count < 10:
+        raise DomainError("need at least 10 ensemble points")
+    tasks = [(spec, epsilon, delta, seed, j) for j in range(point_count)]
+    results, symbols = zip(*map_members(_member, tasks))
+    stats = np.asarray([values for _, values in results], dtype=np.float64)
+    checkpoints = results[0][0]
     keep = [i for i, n in enumerate(checkpoints) if min_checkpoint is None or n >= min_checkpoint]
     if not keep:
         raise DomainError("min_checkpoint filters out every checkpoint")
@@ -356,31 +375,8 @@ def summarize_ensemble(
         delta=delta,
         target=spec.target(),
         statistics=stats,
+        symbols_sampled=sum(symbols),
     )
-
-
-def ensemble_rate_experiment(
-    spec: AverageSpec,
-    point_count: int,
-    epsilon: float,
-    delta: float,
-    seed: int,
-    min_checkpoint: int | None = None,
-) -> EnsembleSummary:
-    """Run independent orbits with per-point derived seeds and report the
-    exceedance fractions and medians relative to the first reported
-    checkpoint."""
-    if point_count < 10:
-        raise DomainError("need at least 10 ensemble points")
-    rows = []
-    checkpoints = None
-    for j in range(point_count):
-        point = sample_spec_point(spec, seed, j)
-        ns, values = ensemble_member_statistics(spec, point, epsilon, delta)
-        if checkpoints is None:
-            checkpoints = ns
-        rows.append(values)
-    return summarize_ensemble(spec, rows, checkpoints, epsilon, delta, min_checkpoint)
 
 
 # ---------------------------------------------------------------------------

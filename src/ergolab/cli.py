@@ -10,6 +10,7 @@ artifacts are byte-identical across reruns and worker counts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -402,9 +403,9 @@ def parse_system(cfg: dict) -> tuple:
 
 
 def parse_average_spec(system, observables, params: dict, n_max: int) -> averages.AverageSpec:
-    # AverageSpec checks the multiplier count and distinctness.
-    checkpoints = params.get("checkpoints")
-    return build_at(
+    # AverageSpec checks the multiplier count and distinctness, and then
+    # the checkpoints, so that their errors name params.checkpoints.
+    spec = build_at(
         "params",
         averages.AverageSpec,
         system=system,
@@ -412,8 +413,12 @@ def parse_average_spec(system, observables, params: dict, n_max: int) -> average
         multipliers=parse_int_list(params.get("multipliers"), "params.multipliers"),
         sequence=build_sequence(params.get("sequence", {"kind": "linear"}), "params.sequence"),
         n_max=n_max,
-        checkpoints=parse_int_list(checkpoints, "params.checkpoints") if checkpoints else None,
     )
+    checkpoints = params.get("checkpoints")
+    if not checkpoints:
+        return spec
+    checkpoints = parse_int_list(checkpoints, "params.checkpoints")
+    return build_at("params.checkpoints", dataclasses.replace, spec, checkpoints=checkpoints)
 
 
 TOP_KEYS = {"schema_version", "experiment", "seed", "system", "observables", "params"}
@@ -655,20 +660,11 @@ def parse_averages(cfg: dict, seed: int):
     )
 
 
-def _shift_symbols(point) -> int:
-    return point.symbols.size if isinstance(point, systems.ShiftPoint) else 0
-
-
-def _task_member_stats(args):
-    spec, epsilon, delta, seed, index = args
-    point = averages.sample_spec_point(spec, seed, index)
-    return averages.ensemble_member_statistics(spec, point, epsilon, delta), _shift_symbols(point)
-
-
 def _task_series(args):
     spec, seed, index = args
     point = averages.sample_spec_point(spec, seed, index)
-    return averages.ergodic_average_stream(spec, point), _shift_symbols(point)
+    symbols = point.symbols.size if isinstance(point, systems.ShiftPoint) else 0
+    return averages.ergodic_average_stream(spec, point), symbols
 
 
 def run_average(
@@ -704,18 +700,11 @@ def run_average(
 def run_ratecheck(
     spec, epsilon: float, delta: float, points: int, seed: int, min_checkpoint, ctx: RunContext
 ) -> dict:
-    tasks = [(spec, epsilon, delta, seed, i) for i in range(points)]
-    results, symbols = zip(*pmap(_task_member_stats, tasks, ctx.workers))
-    ctx.count("symbols_sampled", sum(symbols))
-    checkpoints = results[0][0]
-    summary = averages.summarize_ensemble(
-        spec,
-        [values for _, values in results],
-        checkpoints,
-        epsilon,
-        delta,
-        min_checkpoint,
+    members = functools.partial(pmap, workers=ctx.workers)
+    summary = averages.ensemble_rate_experiment(
+        spec, points, epsilon, delta, seed, min_checkpoint, members
     )
+    ctx.count("symbols_sampled", summary.symbols_sampled)
     header = ["checkpoint", "fraction_above_own", "fraction_above_median", "median"]
     rows = [
         [n, fo, fm, md]

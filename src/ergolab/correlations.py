@@ -363,22 +363,17 @@ class Defect:
     product_of_means: float
 
 
-def oracle_variants_match(system, observables: Sequence[Observable]) -> bool:
-    """Shift with all-cylinder or torus with all-trig observables; no span test."""
-    if isinstance(system, ShiftSystem):
-        return all(obs.variant == CYLINDER for obs in observables)
-    if isinstance(system, TorusAutomorphism):
-        return all(obs.variant == TRIG for obs in observables)
-    return False
-
-
-def has_exact_oracle(query: CorrelationQuery, span_limit: int = DEFAULT_SPAN_LIMIT) -> bool:
-    """Variants match and, on a shift, the transfer span is within ``span_limit``."""
-    if not oracle_variants_match(query.system, query.observables):
-        return False
+def has_exact_oracle(query: CorrelationQuery) -> bool:
+    """A shift with all-cylinder observables and a transfer span within
+    DEFAULT_SPAN_LIMIT, or a torus with all-trig observables."""
     if isinstance(query.system, ShiftSystem):
-        return transfer_span(query) <= span_limit
-    return True
+        return (
+            all(obs.variant == CYLINDER for obs in query.observables)
+            and transfer_span(query) <= DEFAULT_SPAN_LIMIT
+        )
+    if isinstance(query.system, TorusAutomorphism):
+        return all(obs.variant == TRIG for obs in query.observables)
+    return False
 
 
 def exact_correlation(query: CorrelationQuery) -> float:
@@ -494,6 +489,20 @@ def fit_model(xs: np.ndarray, ys: np.ndarray, model: str, dropped: int = 0) -> R
     )
 
 
+def _degenerate_fit(xs: np.ndarray, dropped: int) -> RateFit:
+    """The fit of data with fewer than 2 non-zero points: amplitude 0 and
+    no exponent over the range of all ``xs``."""
+    return RateFit(
+        model=DEGENERATE_MODEL,
+        exponent=None,
+        amplitude=0.0,
+        rss=0.0,
+        data_range=(float(xs.min()), float(xs.max())) if xs.size else (0.0, 0.0),
+        n_points=int(xs.size),
+        dropped_zeros=dropped,
+    )
+
+
 def fit_decay(xs: Sequence[float], ys: Sequence[float]) -> RateFit:
     """Fit |data| against both decay models on log scale and keep the one
     with the smaller residual; ties within 1e-9 attach the other fit.
@@ -508,17 +517,7 @@ def fit_decay(xs: Sequence[float], ys: Sequence[float]) -> RateFit:
     keep = ys > 0.0
     dropped = int((~keep).sum())
     if keep.sum() < 2:
-        lo = float(xs.min()) if xs.size else 0.0
-        hi = float(xs.max()) if xs.size else 0.0
-        return RateFit(
-            model=DEGENERATE_MODEL,
-            exponent=None,
-            amplitude=0.0,
-            rss=0.0,
-            data_range=(lo, hi),
-            n_points=int(xs.size),
-            dropped_zeros=dropped,
-        )
+        return _degenerate_fit(xs, dropped)
     xs, ys = xs[keep], ys[keep]
     poly = fit_model(xs, ys, POLYNOMIAL_MODEL, dropped)
     expo = fit_model(xs, ys, EXPONENTIAL_MODEL, dropped)
@@ -747,23 +746,10 @@ def cumulant_decay_scan(
         )
         xs.append(x)
         ys.append(abs(kappa))
-    keep = [i for i, y in enumerate(ys) if y > 0.0]
-    dropped = len(ys) - len(keep)
-    if len(keep) < 2:
-        fit = RateFit(
-            model=DEGENERATE_MODEL,
-            exponent=None,
-            amplitude=0.0,
-            rss=0.0,
-            data_range=(float(min(xs)), float(max(xs))) if xs else (0.0, 0.0),
-            n_points=len(xs),
-            dropped_zeros=dropped,
-        )
-    else:
-        fit = fit_model(
-            np.asarray([xs[i] for i in keep], dtype=np.float64),
-            np.asarray([ys[i] for i in keep], dtype=np.float64),
-            EXPONENTIAL_MODEL,
-            dropped,
-        )
-    return fit, rows
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    keep = ys > 0.0
+    dropped = int((~keep).sum())
+    if keep.sum() < 2:
+        return _degenerate_fit(xs, dropped), rows
+    return fit_model(xs[keep], ys[keep], EXPONENTIAL_MODEL, dropped), rows

@@ -240,6 +240,8 @@ def ensemble_moments(
     m, one generator call per point batch."""
     if n_points < 2:
         raise DomainError("need at least 2 ensemble points")
+    if m < 0 or any(n < 1 for n in ns):
+        raise DomainError("need m >= 0 and every N >= 1")
     return merge_moments(
         [batch_moments(generator, lo, hi, ns, s_values, m) for lo, hi in point_batches(n_points)]
     )
@@ -344,17 +346,8 @@ def ks_ratio_bound(sigma: float, epsilon: float, n_max: int) -> tuple[float, int
 
 
 # ---------------------------------------------------------------------------
-# Ensemble second moments and the growth-exponent fit
+# The growth-exponent fit
 # ---------------------------------------------------------------------------
-
-def empirical_E(
-    generator: TermGenerator, n_points: int, m: int, n: int
-) -> tuple[float, float]:
-    """Ensemble estimate of E (sum_{m<k<=n} F_k)^2 with its standard error."""
-    if not (0 <= m < n):
-        raise DomainError("need 0 <= m < n")
-    return ensemble_moments(generator, n_points, (n - m,), m=m).e_values[0]
-
 
 def sigma_fit(ns: Sequence[int], e_values: Sequence[float]) -> RateFit:
     """Least-squares slope of log E(0, N) against log N over a dyadic grid.

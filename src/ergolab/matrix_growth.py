@@ -247,24 +247,31 @@ def pair_norm_grid(
     pair: CommutingPair, outer_exponents: Sequence[int], inner_max: int, order: str
 ) -> np.ndarray:
     """log ||h^m g^n|| over a grid: order 'hg' fixes the h exponent per row
-    and sweeps g powers along columns, order 'gh' the converse."""
+    and sweeps g powers along columns, order 'gh' the converse.
+
+    All rows advance together as one (rows, d, d) stack of unit-norm
+    products. The batched matmul and svd give each matrix the bits of the
+    one-matrix calls, and each row's log is taken with ``math.log``, so
+    every cell is the float a per-row scalar loop gives.
+    """
     if order not in ("hg", "gh"):
         raise DomainError("order must be 'hg' or 'gh'")
+    if any(m < 0 for m in outer_exponents):
+        raise DomainError("grid exponents must be nonnegative")
     first, second = (pair.h, pair.g) if order == "hg" else (pair.g, pair.h)
     out = np.empty((len(outer_exponents), inner_max), dtype=np.float64)
     second_norm = spectral_norm(second)
     second_unit = second / second_norm
     log_second = math.log(second_norm)
-    for row, m in enumerate(outer_exponents):
-        if m < 0:
-            raise DomainError("grid exponents must be nonnegative")
-        acc, log_acc = _scaled_power(first, int(m))
-        for n in range(1, inner_max + 1):
-            acc = acc @ second_unit
-            s = spectral_norm(acc)
-            log_acc += log_second + math.log(s)
-            acc = acc / s
-            out[row, n - 1] = log_acc
+    starts = [_scaled_power(first, int(m)) for m in outer_exponents]
+    acc = np.array([a for a, _ in starts]).reshape(len(starts), *first.shape)
+    log_acc = np.array([log_norm for _, log_norm in starts], dtype=np.float64)
+    for n in range(inner_max):
+        acc = acc @ second_unit
+        s = np.linalg.svd(acc, compute_uv=False)[:, 0]
+        log_acc += log_second + np.array([math.log(v) for v in s.tolist()])
+        acc = acc / s[:, None, None]
+        out[:, n] = log_acc
     return out
 
 
@@ -286,31 +293,27 @@ def pair_counting_check(
     """Build b(m, n) = ||h^m g^n|| and run the counting checkers, row
     orientation first with a column fallback."""
     m_grid = [int(m) for m in m_grid]
-    log_row = pair_norm_grid(pair, m_grid, k_max, "hg")
     m_index = {m: i for i, m in enumerate(m_grid)}
 
-    def b_row(m: int, k: int) -> float:
-        log_value = log_row[m_index[m], k - 1]
-        value = math.exp(log_value) if log_value < 709.0 else math.inf
-        if value < 1.0 - 1e-9:
-            raise DomainError(f"norm {value} below 1 at (m={m}, k={k})")
-        return max(value, 1.0)
+    def norms(order: str):
+        """b(m, k) = exp(log_grid[m, k]) from the ``order`` grid, at least 1."""
+        log_grid = pair_norm_grid(pair, m_grid, k_max, order)
 
-    row = check_b_condition(b_row, "row", m_grid, k_max, n_max)
+        def b(m: int, k: int) -> float:
+            log_value = log_grid[m_index[m], k - 1]
+            value = math.exp(log_value) if log_value < 709.0 else math.inf
+            if value < 1.0 - 1e-9:
+                raise DomainError(f"norm {value} below 1 at (m={m}, k={k})")
+            return max(value, 1.0)
+
+        return b
+
+    row = check_b_condition(norms("hg"), "row", m_grid, k_max, n_max)
     if row.passed:
         return PairCountingResult(decisive=row, other=None, orientation="row")
-
-    log_col = pair_norm_grid(pair, m_grid, k_max, "gh")
-
-    def b_col(k: int, m: int) -> float:
-        # column orientation: the checker fixes the second argument.
-        log_value = log_col[m_index[m], k - 1]
-        value = math.exp(log_value) if log_value < 709.0 else math.inf
-        if value < 1.0 - 1e-9:
-            raise DomainError(f"norm {value} below 1 at (k={k}, m={m})")
-        return max(value, 1.0)
-
-    column = check_b_condition(b_col, "column", m_grid, k_max, n_max)
+    b_col = norms("gh")
+    # column orientation: the checker fixes the second argument.
+    column = check_b_condition(lambda k, m: b_col(m, k), "column", m_grid, k_max, n_max)
     orientation = "column" if column.passed else None
     return PairCountingResult(decisive=column, other=row, orientation=orientation)
 

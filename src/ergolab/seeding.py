@@ -29,8 +29,3 @@ def seed_sequence(master_seed: int, *key: int) -> np.random.SeedSequence:
 
 def rng_for(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed_sequence(master_seed, *key)))
-
-
-def chunk_ranges(total: int, chunk: int = MC_CHUNK) -> list[tuple[int, int]]:
-    """Fixed [start, stop) chunk boundaries covering range(total)."""
-    return [(lo, min(lo + chunk, total)) for lo in range(0, total, chunk)]

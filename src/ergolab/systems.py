@@ -189,13 +189,10 @@ class ShiftPoint:
     def word(self, radius: int) -> tuple[int, ...]:
         return tuple(int(s) for s in self.symbols[self.columns(np.arange(-radius, radius + 1))])
 
-    def shift(self, n: int) -> "ShiftPoint":
-        return dataclasses.replace(self, offset=self.offset + int(n))
-
 
 def shift_apply(point: ShiftPoint, n: int) -> ShiftPoint:
     """Advance the origin by n; symbols are shared, never copied."""
-    return point.shift(n)
+    return dataclasses.replace(point, offset=point.offset + int(n))
 
 
 # Items per vectorized slab: bounds the uniforms a batch holds at once and
@@ -714,13 +711,6 @@ class Observable:
             object.__setattr__(self, "terms", terms)
         else:
             raise DomainError(f"unknown observable variant {self.variant!r}")
-
-    def sup_norm_bound(self) -> float:
-        """Cheap upper bound for the sup norm."""
-        if self.variant == CYLINDER:
-            values = list(self.table.values()) + [self.default]
-            return max(abs(v) for v in values)
-        return sum(abs(a) + abs(b) for _, a, b in self.terms)
 
 
 def cylinder_observable(radius: int, table: Mapping, default: float = 0.0) -> Observable:

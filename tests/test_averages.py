@@ -1,5 +1,6 @@
 """Averages: rate scale, streaming, rate statistics, ensembles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -98,6 +99,12 @@ class TestSpecValidation:
     def test_variant_checked(self, bernoulli):
         with pytest.raises(VariantMismatch):
             make_spec(bernoulli, [systems.trig_cosine((1, 0))], (1,), 16)
+
+    @pytest.mark.parametrize("checkpoints", [(), (1,), (0, 4, 16), (-3, 4, 16), (4, 2), (2, 32)])
+    def test_bad_checkpoints(self, bernoulli, checkpoints):
+        spec = make_spec(bernoulli, [systems.cylinder_indicator([0])], (1,), 16)
+        with pytest.raises(DomainError):
+            dataclasses.replace(spec, checkpoints=checkpoints)
 
     def test_checkpoint_schedule(self, bernoulli):
         f = systems.cylinder_indicator([0])

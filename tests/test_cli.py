@@ -416,13 +416,22 @@ class TestValidate:
                 {"type": "b", "values": [1, 2, 3, 4], "K": 4},
                 "params.checks[1]: b checks need a sequence source",
             ),
+            # No checkpoint with N >= 2, N = 0 and a negative N.
+            *[
+                (experiment, ("checkpoints",), value, "params.checkpoints: checkpoints must be >= 1")
+                for value in ([1], [0, 4, 256], [-3, 4, 256])
+                for experiment in ("average", "ratecheck")
+            ],
         ],
     )
     def test_bad_range_names_json_path(
         self, tmp_path, capsys, experiment, path_to, value, message
     ):
         cfg = {"schema_version": 1, "experiment": experiment, "seed": 0}
-        if experiment == "growth":
+        if experiment in ("average", "ratecheck"):
+            cfg = dict(ratecheck_config(), experiment=experiment)
+            del cfg["params"]["min_checkpoint"]
+        elif experiment == "growth":
             pair = {"g": [[1, 1], [0, 1]], "h": [[1, 3], [0, 1]], "m_grid": 2, "k_max": 8}
             cfg["params"] = {"pair": dict(pair, n_max=8, balance={"m": 1, "n_max": 4})}
         else:

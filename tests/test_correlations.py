@@ -336,6 +336,19 @@ class TestMixingDefect:
         defect = co.mixing_defect(query(markov, [obs, obs], (0, 1)))
         assert defect.value == pytest.approx(0.0, abs=1e-15)
 
+    def test_monte_carlo_past_span_limit(self, markov):
+        # Two positions 2e6 apart: the oracle would walk the whole span, the
+        # sampler draws only the two read positions.
+        f = systems.cylinder_indicator([0])
+        q = query(markov, [f, f], (0, 2 * co.DEFAULT_SPAN_LIMIT))
+        assert co.transfer_span(q) > co.DEFAULT_SPAN_LIMIT
+        with pytest.raises(DomainError):
+            co.mixing_defect(q)
+        defect = co.mixing_defect(q, samples=4000, seed=11)
+        assert not defect.exact and defect.std_error > 0
+        assert defect.product_of_means == pytest.approx((5 / 6) ** 2)
+        assert defect.value <= 5 * defect.std_error
+
 
 class TestMinGapDecay:
     def test_markov_exponential(self, markov):

@@ -11,7 +11,6 @@ from ergolab.dyadic import (
     chain_inequality_check,
     decompose,
     dyadic_classes,
-    empirical_E,
     ensemble_moments,
     exceptional_fraction,
     ks_ratio_bound,
@@ -129,6 +128,11 @@ class TestChainInequality:
             assert chain_inequality_check(terms, n).passed
 
 
+def _second_moment(generator, n_points, m, n):
+    """(E, standard error) of (sum_{m<k<=n} F_k)^2 over the ensemble."""
+    return ensemble_moments(generator, n_points, (n - m,), m=m).e_values[0]
+
+
 class TestEmpiricalE:
     @staticmethod
     def iid_generator(scale=0.5, seed=3):
@@ -142,17 +146,19 @@ class TestEmpiricalE:
         return generator
 
     def test_zero_terms(self):
-        estimate, std_error = empirical_E(lambda p, k: np.zeros((p.size, k.size)), 100, 0, 64)
+        estimate, std_error = _second_moment(lambda p, k: np.zeros((p.size, k.size)), 100, 0, 64)
         assert estimate == 0.0 and std_error == 0.0
 
     def test_iid_linear_growth(self):
         n = 256
-        estimate, std_error = empirical_E(self.iid_generator(), 10 ** 4, 0, n)
+        estimate, std_error = _second_moment(self.iid_generator(), 10 ** 4, 0, n)
         assert abs(estimate - n / 4) <= 4 * std_error
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            empirical_E(self.iid_generator(), 100, 5, 5)
+        # m < 0 would read terms[ks - 1] with ks <= 0, from the sequence's end.
+        for ns, m in (((0,), 5), ((0,), 0), ((8,), -3), ((8, 0), 0)):
+            with pytest.raises(DomainError):
+                ensemble_moments(self.iid_generator(), 100, ns, m=m)
 
     def test_markov_driven_linear_bound(self):
         # One centered indicator along a mixing chain: E(0, N) stays below
@@ -173,7 +179,7 @@ class TestEmpiricalE:
         grid = [1 << j for j in range(4, 11)]
         es = []
         for n in grid:
-            estimate, std_error = empirical_E(generator, 4000, 0, n)
+            estimate, std_error = _second_moment(generator, 4000, 0, n)
             assert estimate <= bound_constant * n + 4 * std_error
             es.append(estimate)
         fit = sigma_fit(grid, es)
@@ -312,7 +318,7 @@ class TestOnePass:
 
     def test_empirical_e_offset_matches_reference(self):
         generator = TestEmpiricalE.iid_generator()
-        assert empirical_E(generator, 600, 24, 88) == _reference_e(generator, 600, 24, 88)
+        assert _second_moment(generator, 600, 24, 88) == _reference_e(generator, 600, 24, 88)
 
     def test_shape_checks(self):
         with pytest.raises(ShapeMismatch):
@@ -386,7 +392,7 @@ class TestSigmaFit:
         grid = [1 << j for j in range(4, 11)]
         es = []
         for n in grid:
-            e, _ = empirical_E(TestEmpiricalE.iid_generator(), 2000, 0, n)
+            e, _ = _second_moment(TestEmpiricalE.iid_generator(), 2000, 0, n)
             es.append(e)
         fit = sigma_fit(grid, es)
         assert 0.9 <= fit.exponent <= 1.1

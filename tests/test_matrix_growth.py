@@ -170,6 +170,43 @@ class TestCommutingPair:
         assert not result.decisive.passed and not result.other.passed
 
 
+def _scalar_norm_grid(pair, outer_exponents, inner_max, order):
+    """Reference for pair_norm_grid: one row at a time, one scalar
+    spectral norm per grid cell."""
+    first, second = (pair.h, pair.g) if order == "hg" else (pair.g, pair.h)
+    second_norm = mg.spectral_norm(second)
+    second_unit = second / second_norm
+    log_second = math.log(second_norm)
+    out = np.empty((len(outer_exponents), inner_max))
+    for row, m in enumerate(outer_exponents):
+        acc, log_acc = mg._scaled_power(first, m)
+        for n in range(inner_max):
+            acc = acc @ second_unit
+            s = mg.spectral_norm(acc)
+            log_acc += log_second + math.log(s)
+            acc = acc / s
+            out[row, n] = log_acc
+    return out
+
+
+class TestPairNormGrid:
+    @pytest.mark.parametrize("order", ["hg", "gh"])
+    @pytest.mark.parametrize(
+        "g, h, rows, inner_max",
+        [(SHEAR, [[1, 3], [0, 1]], 24, 400), (CAT, [[5, 3], [3, 2]], 16, 600)],
+    )
+    def test_matches_scalar_loop(self, g, h, rows, inner_max, order):
+        pair = mg.CommutingPair(g=np.array(g, dtype=float), h=np.array(h, dtype=float))
+        outer = range(rows)  # from exponent 0
+        grid = mg.pair_norm_grid(pair, outer, inner_max, order)
+        assert np.array_equal(grid, _scalar_norm_grid(pair, outer, inner_max, order))
+
+    def test_negative_exponent(self):
+        pair = mg.CommutingPair(g=np.array(SHEAR, dtype=float), h=np.eye(2))
+        with pytest.raises(DomainError):
+            mg.pair_norm_grid(pair, [2, -1], 4, "hg")
+
+
 class TestBalanceBound:
     def test_cat_inverse_pair(self):
         cat = np.array(CAT, dtype=float)
