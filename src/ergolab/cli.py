@@ -498,10 +498,8 @@ def parse_correlate(cfg: dict, seed: int):
     if isinstance(system, systems.TorusAutomorphism):
         derived["torus_precision_bits"] = system.precision_bits
     else:
-        if method != "exact":
-            derived["symbols_per_sample"] = max(q.read_positions.size for q in queries)
-        # The oracle walks each query's span separately; report the largest.
-        derived["transfer_span"] = max(correlations.transfer_span(q) for q in queries)
+        # Each sample draws, and the oracle walks, exactly the read positions.
+        derived["symbols_per_sample"] = max(q.read_positions.size for q in queries)
     return derived, functools.partial(run_correlate, queries, method, samples, seed)
 
 
@@ -520,8 +518,8 @@ def run_correlate(queries, method: str, samples: int, seed: int, ctx: RunContext
     rows = []
     exact_values = None
     mc_results = None
-    # Exact values first: the oracle's span guard fails fast, before any
-    # Monte Carlo windows are sampled.
+    # Exact values first: an oracle error (a frequency overflow on the
+    # torus) fails fast, before any Monte Carlo sample is drawn.
     if method in ("exact", "both"):
         exact_values = [correlations.exact_correlation(q) for q in queries]
     if method in ("mc", "both"):

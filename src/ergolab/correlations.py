@@ -27,7 +27,6 @@ from .errors import (
     KTooLarge,
     NotCylinder,
     NotTrig,
-    SpanTooLarge,
     SubsetMissing,
     VariantMismatch,
 )
@@ -50,7 +49,6 @@ from .systems import (
     trig_values,
 )
 
-DEFAULT_SPAN_LIMIT = 10 ** 6
 FREQUENCY_BUDGET = 1 << 512
 MAX_CUMULANT_ORDER = 10
 
@@ -245,57 +243,44 @@ def mc_correlation(
 # Exact transfer-matrix oracle on shifts
 # ---------------------------------------------------------------------------
 
-def _transfer_bounds(query: CorrelationQuery) -> tuple[int, int]:
-    eff = query.effective_times()
-    lo = min(t - obs.radius for t, obs in zip(eff, query.observables))
-    hi = max(t + obs.radius for t, obs in zip(eff, query.observables))
-    return lo, hi
-
-
-def transfer_span(query: CorrelationQuery) -> int:
-    """Positions the transfer oracle walks: first window start to last window end."""
-    lo, hi = _transfer_bounds(query)
-    return hi - lo + 1
-
-
-def exact_correlation_shift(
-    query: CorrelationQuery, span_limit: int = DEFAULT_SPAN_LIMIT
-) -> float:
-    """Exact correlation by a weighted path sum across the index span.
+def exact_correlation_shift(query: CorrelationQuery) -> float:
+    """Exact correlation by a weighted path sum over the read positions.
 
     Dynamic programming over symbol contexts of length K = max word
-    length: position by position, the state distribution is advanced by
-    the transition matrix and multiplied by each factor's value table at
-    the position where its window completes.
+    length: read position by read position, the state distribution is
+    advanced by the transition matrix and multiplied by each factor's
+    value table at the position where its window completes.  No window
+    is open across a gap g > 1 between read positions, so there the state
+    keeps only its last symbol and advances by P^g in one step.
     """
     system = _require_shift_cylinder(query)
-    span = transfer_span(query)
-    if span > span_limit:
-        raise SpanTooLarge(f"span {span} exceeds the limit {span_limit}")
-    lo, hi = _transfer_bounds(query)
-    eff = query.effective_times()
     m = system.alphabet_size
     widest = max(obs.radius for obs in query.observables)
     cylinder_table_size(m, widest)  # one state per word of the widest factor
     context = 2 * widest + 1
 
     completions: dict[int, list[Observable]] = {}
-    for obs, t in zip(query.observables, eff):
+    for obs, t in zip(query.observables, query.effective_times()):
         completions.setdefault(t + obs.radius, []).append(obs)
 
-    transition = system.transition
-    vec = system.stationary.copy()
+    positions = query.read_positions.tolist()
+    vec = system.stationary
     length = 1
-    for obs in completions.get(lo, ()):  # radius-0 factors at the first position
-        vec = vec * cylinder_table(obs, m)
-    for p in range(lo + 1, hi + 1):
-        last = np.arange(vec.size, dtype=np.int64) % m
-        vec = (vec[:, None] * transition[last, :]).ravel()
-        if length == context:
-            # Drop the oldest symbol once the context window is full.
-            vec = vec.reshape(m, -1).sum(axis=0)
-        else:
-            length += 1
+    for i, p in enumerate(positions):
+        gap = p - positions[i - 1] if i else 0
+        if gap > 1:
+            # No window is open across the gap: keep only the last symbol.
+            vec = vec.reshape(-1, m).sum(axis=0)
+            length = 1
+        if gap:
+            step = system.transition_power(gap)
+            last = np.arange(vec.size, dtype=np.int64) % m
+            vec = (vec[:, None] * step[last, :]).ravel()
+            if length == context:
+                # Drop the oldest symbol once the context window is full.
+                vec = vec.reshape(m, -1).sum(axis=0)
+            else:
+                length += 1
         for obs in completions.get(p, ()):
             width = 2 * obs.radius + 1
             lookup = cylinder_table(obs, m)
@@ -354,26 +339,11 @@ def exact_correlation_torus(query: CorrelationQuery) -> float:
 
 @dataclass(frozen=True)
 class Defect:
-    """|correlation - product of means| with its provenance."""
+    """|correlation - product of means| by the exact oracle."""
 
     value: float
-    std_error: float
-    exact: bool
     correlation: float
     product_of_means: float
-
-
-def has_exact_oracle(query: CorrelationQuery) -> bool:
-    """A shift with all-cylinder observables and a transfer span within
-    DEFAULT_SPAN_LIMIT, or a torus with all-trig observables."""
-    if isinstance(query.system, ShiftSystem):
-        return (
-            all(obs.variant == CYLINDER for obs in query.observables)
-            and transfer_span(query) <= DEFAULT_SPAN_LIMIT
-        )
-    if isinstance(query.system, TorusAutomorphism):
-        return all(obs.variant == TRIG for obs in query.observables)
-    return False
 
 
 def exact_correlation(query: CorrelationQuery) -> float:
@@ -382,39 +352,11 @@ def exact_correlation(query: CorrelationQuery) -> float:
     return exact_correlation_torus(query)
 
 
-def mixing_defect(
-    query: CorrelationQuery,
-    means: Sequence[float] | None = None,
-    samples: int | None = None,
-    seed: int | None = None,
-) -> Defect:
-    """Defect of the factorization into means, by the exact oracle when one
-    applies and by Monte Carlo (with a standard error) otherwise."""
-    if means is None:
-        means = [exact_mean(obs, query.system) for obs in query.observables]
-    product = float(np.prod([float(v) for v in means]))
-    if has_exact_oracle(query):
-        corr = exact_correlation(query)
-        return Defect(
-            value=abs(corr - product),
-            std_error=0.0,
-            exact=True,
-            correlation=corr,
-            product_of_means=product,
-        )
-    if samples is None or seed is None:
-        raise DomainError(
-            "no exact oracle applies (variant mismatch or span over the "
-            "transfer limit): supply samples and seed for Monte Carlo"
-        )
-    estimate, std_error = mc_correlation(query, samples, seed)
-    return Defect(
-        value=abs(estimate - product),
-        std_error=std_error,
-        exact=False,
-        correlation=estimate,
-        product_of_means=product,
-    )
+def mixing_defect(query: CorrelationQuery) -> Defect:
+    """Defect of the factorization into exact means, by the exact oracle."""
+    product = float(np.prod([float(exact_mean(obs, query.system)) for obs in query.observables]))
+    corr = exact_correlation(query)
+    return Defect(value=abs(corr - product), correlation=corr, product_of_means=product)
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +474,6 @@ def min_gap_decay_check(
     observables: Sequence[Observable],
     time_tuples: Sequence[Sequence[int]],
     multipliers: Sequence[int] | None = None,
-    samples: int | None = None,
-    seed: int | None = None,
 ) -> RateFit:
     """Fit the mixing defect against the minimal pairwise time gap.
 
@@ -556,7 +496,7 @@ def min_gap_decay_check(
             abs(a - b) for a, b in itertools.combinations(eff, 2)
         ) if len(eff) > 1 else min(abs(t) for t in eff)
         gaps.append(gap)
-        defects.append(mixing_defect(query, samples=samples, seed=seed).value)
+        defects.append(mixing_defect(query).value)
     if any(b <= a for a, b in zip(gaps, gaps[1:])):
         raise DomainError(f"min-gap values must be strictly increasing, got {gaps}")
     return fit_decay(gaps, defects)

@@ -150,6 +150,8 @@ def term_columns(ns: Sequence[int], s_values: Sequence[int] = ()) -> int:
     """Columns W of a term block that serves every N in ns and every L_s."""
     if any(s < 1 for s in s_values):
         raise DomainError("need s >= 1")
+    if not ns and not s_values:
+        raise DomainError("need at least one N or s")
     return max([int(n) for n in ns] + [1 << int(s) for s in s_values])
 
 

@@ -73,12 +73,6 @@ class NotTrig(ErgolabError):
     code = "correlations.not_trig"
 
 
-class SpanTooLarge(ErgolabError):
-    """Transfer-matrix span exceeds the configured limit."""
-
-    code = "correlations.span_too_large"
-
-
 class FrequencyOverflow(ErgolabError):
     """An intermediate integer frequency exceeded the big-integer budget."""
 

@@ -56,12 +56,24 @@ class ShiftSystem:
 
     def transition_power(self, gap: int) -> np.ndarray:
         """P^gap for gap >= 1 by square-and-multiply, cached on the system
-        per gap."""
+        per gap.  Each product's rows are divided by their sums, so row
+        sums stay 1 to rounding at any gap instead of drifting as
+        (1 + eps)^gap; P^1 is ``transition`` itself."""
         if gap < 1:
             raise DomainError(f"gap must be >= 1, got {gap}")
+        if gap == 1:
+            return self.transition
         if gap not in self._powers:
-            self._powers[gap] = np.linalg.matrix_power(self.transition, gap)
-            self._powers[gap].setflags(write=False)
+            power, square, rest = None, self.transition, gap
+            while True:
+                if rest & 1:
+                    power = square if power is None else _stochastic(power @ square)
+                rest >>= 1
+                if not rest:
+                    break
+                square = _stochastic(square @ square)
+            power.setflags(write=False)
+            self._powers[gap] = power
         return self._powers[gap]
 
     def word_probability(self, word: Sequence[int]) -> float:
@@ -71,6 +83,11 @@ class ShiftSystem:
         for a, b in zip(w, w[1:]):
             p *= float(self.transition[a, b])
         return p
+
+
+def _stochastic(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` with each row divided by its sum."""
+    return matrix / matrix.sum(axis=1, keepdims=True)
 
 
 def _is_aperiodic(adjacency: np.ndarray) -> bool:

@@ -206,13 +206,13 @@ class TestValidate:
         assert any("row 0" in msg for msg in report["errors"])
 
     def test_transfer_span_is_largest_per_query(self, tmp_path):
-        # The union of the two queries' times spans 1000010 positions, over
-        # the oracle limit, but the oracle walks each query on its own.
+        # The oracle walks each query's read positions on its own: two here,
+        # however far apart the queries lie.
         cfg = minimal_correlate()
         cfg["params"]["queries"] = [{"times": [0, 1]}, {"times": [999990, 1000009]}]
         _, report = cli.validate_config(cfg)
         assert report["ok"]
-        assert report["derived"]["transfer_span"] == 20
+        assert report["derived"]["symbols_per_sample"] == 2
         path = write_config(tmp_path, cfg)
         assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 0
 
@@ -263,7 +263,7 @@ class TestValidate:
         assert report["ok"]
         derived = report["derived"]
         assert derived["torus_precision_bits"] == 96
-        for key in ("symbols_per_sample", "symbols_per_point", "transfer_span"):
+        for key in ("symbols_per_sample", "symbols_per_point"):
             assert key not in derived
 
     @pytest.mark.parametrize(
@@ -523,40 +523,37 @@ class TestRun:
         assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
 
     def test_runtime_failure_exit_code(self, tmp_path):
-        cfg = minimal_correlate()
-        cfg["params"]["queries"] = [{"times": [0, 10 ** 6 + 7]}]
+        # Cat-map frequencies pushed through 1000 steps exceed the budget.
+        cfg = torus_config("correlate", {"queries": [{"times": [0, 1000]}], "method": "exact"})
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert cli.run(path, out, workers=1, emit_svg=False) == 3
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["status"]["error"]["code"] == "correlations.span_too_large"
+        assert summary["status"]["error"]["code"] == "correlations.frequency_overflow"
 
     def test_span_over_limit_fails_before_monte_carlo(self, tmp_path, monkeypatch):
         def no_mc(args):
-            raise AssertionError("Monte Carlo ran before the span guard")
+            raise AssertionError("Monte Carlo ran before the exact values")
 
         monkeypatch.setattr(cli, "_task_mc_query", no_mc)
-        cfg = minimal_correlate()
-        cfg["params"] = {
-            "queries": [{"times": [0, 3]}, {"times": [0, 10 ** 6 + 7]}],
-            "method": "both",
-            "samples": 100,
-        }
+        cfg = torus_config(
+            "correlate",
+            {"queries": [{"times": [0, 3]}, {"times": [0, 1000]}], "method": "both", "samples": 100},
+        )
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert cli.run(path, out, workers=1, emit_svg=False) == 3
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["status"]["error"]["code"] == "correlations.span_too_large"
+        assert summary["status"]["error"]["code"] == "correlations.frequency_overflow"
 
-    @pytest.mark.parametrize(
-        "tuples", [[[0, 10 ** 6 + 7], [0, 3]], [[0, 3], [0, 10 ** 6 + 7]]]
-    )
+    @pytest.mark.parametrize("tuples", [[[0, 1000], [0, 3]], [[0, 3], [0, 1000]]])
     def test_cumulant_span_over_limit_is_runtime(self, tmp_path, tuples):
-        path = write_config(tmp_path, minimal_cumulants(tuples))
+        cfg = torus_config("cumulants", {"time_tuples": tuples})
+        path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert cli.run(path, out, workers=1, emit_svg=False) == 3
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["status"]["error"]["code"] == "correlations.span_too_large"
+        assert summary["status"]["error"]["code"] == "correlations.frequency_overflow"
 
     @pytest.mark.parametrize("case", ["exact", "both", "mc", "cumulants"])
     def test_variant_mismatch_is_config_error(self, tmp_path, case):

@@ -13,7 +13,6 @@ from ergolab.errors import (
     InsufficientData,
     KTooLarge,
     NotCylinder,
-    SpanTooLarge,
     SubsetMissing,
     VariantMismatch,
 )
@@ -24,6 +23,13 @@ MARKOV = [[0.9, 0.1], [0.5, 0.5]]
 @pytest.fixture(scope="module")
 def markov():
     return systems.build_shift([[1, 1], [1, 1]], MARKOV)
+
+
+@pytest.fixture(scope="module")
+def three_symbol():
+    return systems.build_shift(
+        [[1, 1, 0], [0, 1, 1], [1, 0, 1]], [[0.6, 0.4, 0.0], [0.0, 0.3, 0.7], [0.5, 0.0, 0.5]]
+    )
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +116,12 @@ class TestMonteCarlo:
         assert mean == pytest.approx(float(data.mean()), rel=1e-15)
         assert m2 / (n - 1) == pytest.approx(want, rel=1e-7)
 
+    def test_far_apart_pair(self, markov):
+        # One sampler step of P^(10^15): its rows must stay stochastic.
+        f = systems.cylinder_indicator([0])
+        estimate, std_error = co.mc_correlation(query(markov, [f, f], (0, 10 ** 15)), 200_000, 3)
+        assert abs(estimate - (5 / 6) ** 2) <= 4 * std_error
+
     def test_large_mean_standard_error(self, bernoulli):
         # Products 1e8 +- 1 with equal odds: the sample variance is near 1.
         f = systems.cylinder_observable(0, {(0,): 1e8 + 1, (1,): 1e8 - 1})
@@ -117,6 +129,52 @@ class TestMonteCarlo:
         estimate, std_error = co.mc_correlation(query(bernoulli, [f], (0,)), n, 4)
         assert abs(estimate - 1e8) <= 4 * std_error
         assert std_error * math.sqrt(n) == pytest.approx(1.0, abs=0.01)
+
+
+def _positional_walk(query):
+    """The transfer oracle stepping through every position of the span,
+    gaps included: the reference for the walk over read positions."""
+    system = query.system
+    eff = query.effective_times()
+    lo = min(t - obs.radius for t, obs in zip(eff, query.observables))
+    hi = max(t + obs.radius for t, obs in zip(eff, query.observables))
+    m = system.alphabet_size
+    context = 2 * max(obs.radius for obs in query.observables) + 1
+    completions = {}
+    for obs, t in zip(query.observables, eff):
+        completions.setdefault(t + obs.radius, []).append(obs)
+    vec = system.stationary.copy()
+    length = 1
+    for obs in completions.get(lo, ()):
+        vec = vec * systems.cylinder_table(obs, m)
+    for p in range(lo + 1, hi + 1):
+        last = np.arange(vec.size, dtype=np.int64) % m
+        vec = (vec[:, None] * system.transition[last, :]).ravel()
+        if length == context:
+            vec = vec.reshape(m, -1).sum(axis=0)
+        else:
+            length += 1
+        for obs in completions.get(p, ()):
+            codes = np.arange(vec.size, dtype=np.int64) % (m ** (2 * obs.radius + 1))
+            vec = vec * systems.cylinder_table(obs, m)[codes]
+    return float(vec.sum())
+
+
+def _far_cylinder_query(system, rng):
+    """The criterion 1 query generator with log-uniform gaps from 1 to 10^4
+    between the sorted times, over the system's alphabet."""
+    factors = int(rng.integers(2, 5))
+    gaps = (10 ** rng.uniform(0, 4, size=factors - 1)).astype(np.int64)
+    times = rng.permutation(np.concatenate([[0], np.cumsum(gaps)]))
+    observables = []
+    for _ in range(factors):
+        radius = int(rng.integers(0, 2))
+        table = {}
+        for _ in range(int(rng.integers(1, 4))):
+            word = tuple(int(s) for s in rng.integers(0, system.alphabet_size, size=2 * radius + 1))
+            table[word] = float(np.round(rng.uniform(-1, 1), 6))
+        observables.append(systems.cylinder_observable(radius, table))
+    return query(system, observables, [int(t) for t in times])
 
 
 class TestExactShift:
@@ -180,24 +238,21 @@ class TestExactShift:
             )
         assert value == pytest.approx(total, abs=1e-14)
 
-    def test_three_symbol_alphabet(self):
-        adjacency = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-        transition = [[0.6, 0.4, 0.0], [0.0, 0.3, 0.7], [0.5, 0.0, 0.5]]
-        system = systems.build_shift(adjacency, transition)
+    def test_three_symbol_alphabet(self, three_symbol):
         f = systems.cylinder_observable(0, {(0,): 1.0, (2,): -0.5})
         g = systems.cylinder_observable(1, {(1, 1, 2): 2.0, (2, 0, 0): 1.0})
-        value = co.exact_correlation_shift(query(system, [f, g], (0, 2)))
+        value = co.exact_correlation_shift(query(three_symbol, [f, g], (0, 2)))
         total = 0.0
         f_table = {(0,): 1.0, (2,): -0.5}
         g_table = {(1, 1, 2): 2.0, (2, 0, 0): 1.0}
         for word in itertools.product((0, 1, 2), repeat=4):  # coords 0..3
             total += (
-                system.word_probability(word)
+                three_symbol.word_probability(word)
                 * f_table.get(word[:1], 0.0)
                 * g_table.get(word[1:], 0.0)
             )
         assert value == pytest.approx(total, abs=1e-14)
-        estimate, std_error = co.mc_correlation(query(system, [f, g], (0, 2)), 200_000, 13)
+        estimate, std_error = co.mc_correlation(query(three_symbol, [f, g], (0, 2)), 200_000, 13)
         assert abs(estimate - value) <= 4 * std_error
 
     def test_oracle_agreement(self, markov):
@@ -210,9 +265,18 @@ class TestExactShift:
         assert abs(estimate - exact) <= 4 * std_error
 
     def test_span_limit(self, markov):
+        # Spans over 10^6: the oracle walks the two read positions only.
         f = systems.cylinder_indicator([0])
-        with pytest.raises(SpanTooLarge):
-            co.exact_correlation_shift(query(markov, [f, f], (0, 10 ** 6 + 5)))
+        pi0, pi1 = 5 / 6, 1 / 6
+        for gap in (10 ** 6 + 5, 10 ** 12):
+            value = co.exact_correlation_shift(query(markov, [f, f], (0, gap)))
+            assert abs(value - pi0 * (pi0 + pi1 * 0.4 ** gap)) <= 1e-15
+
+    def test_matches_positional_walk(self, markov, three_symbol):
+        rng = np.random.default_rng(12)
+        for index in range(60):
+            q = _far_cylinder_query(markov if index % 2 else three_symbol, rng)
+            assert abs(co.exact_correlation_shift(q) - _positional_walk(q)) <= 1e-12, q.times
 
     def test_not_cylinder(self, cat):
         f = systems.trig_cosine((1, 0))
@@ -324,7 +388,7 @@ class TestMixingDefect:
     def test_disjoint_bernoulli_zero(self, bernoulli):
         f = systems.cylinder_indicator([1])
         defect = co.mixing_defect(query(bernoulli, [f, f], (0, 4)))
-        assert defect.exact and defect.value == pytest.approx(0.0, abs=1e-15)
+        assert defect.value == pytest.approx(0.0, abs=1e-15)
 
     def test_markov_geometric_decay(self, markov):
         f = systems.cylinder_indicator([0])
@@ -337,17 +401,13 @@ class TestMixingDefect:
         assert defect.value == pytest.approx(0.0, abs=1e-15)
 
     def test_monte_carlo_past_span_limit(self, markov):
-        # Two positions 2e6 apart: the oracle would walk the whole span, the
-        # sampler draws only the two read positions.
+        # Two positions 2e6 apart: P^g has mixed to within rounding, so the
+        # exact defect vanishes.
         f = systems.cylinder_indicator([0])
-        q = query(markov, [f, f], (0, 2 * co.DEFAULT_SPAN_LIMIT))
-        assert co.transfer_span(q) > co.DEFAULT_SPAN_LIMIT
-        with pytest.raises(DomainError):
-            co.mixing_defect(q)
-        defect = co.mixing_defect(q, samples=4000, seed=11)
-        assert not defect.exact and defect.std_error > 0
-        assert defect.product_of_means == pytest.approx((5 / 6) ** 2)
-        assert defect.value <= 5 * defect.std_error
+        defect = co.mixing_defect(query(markov, [f, f], (0, 2 * 10 ** 6)))
+        assert defect.product_of_means == pytest.approx((5 / 6) ** 2, abs=1e-15)
+        assert defect.correlation == pytest.approx((5 / 6) ** 2, abs=1e-15)
+        assert defect.value <= 1e-15
 
 
 class TestMinGapDecay:

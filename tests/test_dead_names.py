@@ -1,4 +1,4 @@
-"""Every public function and method of the package has a use."""
+"""Every public name of the package has a use."""
 
 import ast
 import re
@@ -9,15 +9,26 @@ ROOT = Path(__file__).resolve().parents[1]
 SEARCHED = ("src", "tests", "perfbench")
 
 
+def defined_names(node):
+    """Names a module-level statement defines: a function, a class and its
+    methods, or the targets of a plain ``NAME = ...`` assignment."""
+    if isinstance(node, ast.FunctionDef):
+        yield node.name
+    elif isinstance(node, ast.ClassDef):
+        yield node.name
+        yield from (item.name for item in node.body if isinstance(item, ast.FunctionDef))
+    elif isinstance(node, ast.Assign):
+        yield from (target.id for target in node.targets if isinstance(target, ast.Name))
+
+
 def public_defs():
-    """(module file, name) of each public module-level function and each
-    public method of a module-level class."""
+    """(module file, name) of each public module-level function, class and
+    assigned name, and each public method of a module-level class."""
     for path in sorted((ROOT / "src" / "ergolab").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            members = node.body if isinstance(node, ast.ClassDef) else [node]
-            for item in members:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield path.name, item.name
+            for name in defined_names(node):
+                if not name.startswith("_"):
+                    yield path.name, name
 
 
 def test_every_public_name_is_used():

@@ -156,7 +156,7 @@ class TestEmpiricalE:
 
     def test_domain(self):
         # m < 0 would read terms[ks - 1] with ks <= 0, from the sequence's end.
-        for ns, m in (((0,), 5), ((0,), 0), ((8,), -3), ((8, 0), 0)):
+        for ns, m in (((0,), 5), ((0,), 0), ((8,), -3), ((8, 0), 0), ((), 0)):
             with pytest.raises(DomainError):
                 ensemble_moments(self.iid_generator(), 100, ns, m=m)
 

@@ -682,6 +682,13 @@ class TestTransitionPower:
             if gap in (1, 2, 3, 7, 64, 1000):
                 assert np.allclose(chain.transition_power(gap), want, rtol=1e-12, atol=1e-15)
 
+    @pytest.mark.parametrize("gap", [2, 3, 12, 10 ** 6, 10 ** 15, 2 ** 62 + 12345])
+    def test_exact_at_any_gap(self, markov, gap):
+        # P^g = 1 pi + 0.4^g (I - 1 pi); unnormalized rows drift as (1 + eps)^g.
+        limit = np.outer(np.ones(2), [5 / 6, 1 / 6])
+        want = limit + 0.4 ** gap * (np.eye(2) - limit)
+        assert np.abs(markov.transition_power(gap) - want).max() <= 1e-15
+
     def test_bits_do_not_depend_on_order(self):
         first = CHAINS["three_with_zeros"]()
         second = CHAINS["three_with_zeros"]()
