@@ -22,12 +22,16 @@ from .seeding import ROLE_POINT, ROLE_TERMS, rng_for
 from .sequences import SequenceSpec, generate
 from .systems import (
     CYLINDER,
+    SLAB_ITEMS,
     TRIG,
     Observable,
     ShiftPoint,
     ShiftSystem,
     TorusAutomorphism,
     TorusPoint,
+    _symbol_dtype,
+    cylinder_table,
+    cylinder_table_size,
     cylinder_values_at,
     evaluate,
     exact_mean,
@@ -395,11 +399,17 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     positions, so they do not agree on shared k.  Shift systems with
     cylinder factors only; use centered observables when the framework
     expects mean-zero terms.
+
+    The block is filled in column chunks of about ``SLAB_ITEMS`` entries,
+    so the factors' word codes and values never take more than a chunk;
+    the products are elementwise, so every entry is the float one
+    full-width pass gives.  ``term_bytes`` bounds what a call holds.
     """
     if not isinstance(spec.system, ShiftSystem):
         raise DomainError("term generators are implemented for shift systems")
     system = spec.system
     multipliers = np.asarray(spec.multipliers, dtype=np.int64)
+    tables = [cylinder_table(obs, system.alphabet_size) for obs in spec.observables]
 
     def generator(point_indices: np.ndarray, ks: np.ndarray) -> np.ndarray:
         ks = np.asarray(ks, dtype=np.int64)
@@ -408,8 +418,35 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
         rngs = [rng_for(master_seed, ROLE_TERMS, int(j)) for j in np.ravel(point_indices)]
         block = ShiftPoint(positions, sample_rows(system, positions, rngs))
         out = np.ones((len(rngs), ks.size), dtype=np.float64)
-        for obs, mult in zip(spec.observables, multipliers):
-            out *= cylinder_values_at(block, obs, mult * terms, system.alphabet_size)
+        step = max(1, SLAB_ITEMS // max(len(rngs), 1))
+        for lo in range(0, ks.size, step):
+            chunk = out[:, lo:lo + step]
+            for obs, mult, table in zip(spec.observables, multipliers, tables):
+                at = mult * terms[lo:lo + step]
+                chunk *= cylinder_values_at(block, obs, at, system.alphabet_size, table)
         return out
 
     return generator
+
+
+def term_bytes(spec: AverageSpec, width: int, positions: int | None = None) -> tuple[int, int]:
+    """(bytes per point, bytes per call) that a ``product_term_generator``
+    call over ``width`` ks, and the dyadic reduction of its block, hold at
+    most when the call reads ``positions`` distinct positions; by default
+    their bound sum_i (2 radius_i + 1) width.
+
+    A point holds one uniform and one symbol per position and its
+    ``width`` float64 terms.  A call also holds the sequence terms with
+    their generation scratch (64 bytes a column covers the prime sieve and
+    polynomial terms), the positions with their sort and gap scratch, the
+    factor tables and slab scratch.  Not counted: the P^g that a
+    non-i.i.d. chain caches per distinct gap (``transition_power``).
+    """
+    if positions is None:
+        positions = sum(2 * obs.radius + 1 for obs in spec.observables) * width
+    alphabet = spec.system.alphabet_size
+    symbol = np.dtype(_symbol_dtype(alphabet)).itemsize
+    tables = sum(cylinder_table_size(alphabet, obs.radius) for obs in spec.observables)
+    per_point = 8 * width + (8 + symbol) * positions
+    per_call = 64 * width + 40 * positions + 8 * tables + 64 * SLAB_ITEMS
+    return per_point, per_call

@@ -774,9 +774,18 @@ def parse_dyadic(cfg: dict, seed: int):
             else f"params.exceptional.s_values[{s_values.index(columns.bit_length() - 1)}]"
         )
         raise ConfigError(f"{where} needs {columns} term columns, more than {MAX_TERMS}")
-    derived = {"term_columns": columns, "term_entries": points * columns}
+    # Batches are sized by bytes; the prediction bounds the positions a
+    # row reads by sum_i (2 radius_i + 1) W.
+    row_bytes, call_bytes = averages.term_bytes(spec, columns)
+    batch = min(points, dyadic.batch_points(row_bytes))
+    derived = {
+        "term_columns": columns,
+        "term_entries": points * columns,
+        "batch_points": batch,
+        "batch_bytes": batch * row_bytes + call_bytes,
+    }
     return derived, functools.partial(
-        run_dyadic, spec, points, n_grid, s_values, thresholds, seed
+        run_dyadic, spec, points, n_grid, s_values, thresholds, seed, row_bytes
     )
 
 
@@ -786,13 +795,22 @@ def _task_dyadic_batch(args):
     return dyadic.batch_moments(generator, lo, hi, ns, s_values)
 
 
-def run_dyadic(spec, points: int, n_grid, s_values, thresholds, seed: int, ctx: RunContext) -> dict:
+def run_dyadic(
+    spec, points: int, n_grid, s_values, thresholds, seed: int, row_bytes: int, ctx: RunContext
+) -> dict:
     # One term matrix per fixed point batch feeds every E(0, N) and every
     # L_s profile; fixed batches keep the merge the same for any workers.
-    batches = dyadic.point_batches(points)
+    batches = dyadic.point_batches(points, row_bytes)
     tasks = [(spec, seed, lo, hi, n_grid, s_values) for lo, hi in batches]
     blocks = pmap(_task_dyadic_batch, tasks, ctx.workers)
     ctx.count("term_entries", sum(b.points * b.columns for b in blocks))
+    # The largest batch, and its bytes at the positions the batches read.
+    columns = blocks[0].columns
+    read = spec.positions_read(sequences.generate(spec.sequence, columns)).size
+    row_read, call_read = averages.term_bytes(spec, columns, read)
+    batch = max(b.points for b in blocks)
+    ctx.count("batch_points", batch)
+    ctx.count("batch_bytes", batch * row_read + call_read)
     moments = dyadic.merge_moments(blocks)
     e_values = [e for e, _ in moments.e_values]
     rows = [[n, e, se] for n, (e, se) in zip(n_grid, moments.e_values)]

@@ -17,6 +17,7 @@ import numpy as np
 
 from .correlations import POLYNOMIAL_MODEL, RateFit, _pairwise_moments, fit_model
 from .errors import DomainError, InsufficientData, ShapeMismatch
+from .systems import SLAB_ITEMS
 
 
 @dataclass(frozen=True, order=True)
@@ -101,9 +102,15 @@ def decompose(n: int, s: int) -> list[DyadicInterval]:
 # Term generators are vectorized callbacks (point_indices, ks) -> 2D array.
 TermGenerator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
-# Fixed point batches keep memory at one block of terms at a time, and the
-# merge sees the same partial sums in the same order for any worker count.
-BATCH_POINTS = 512
+# Bytes the points of one batch may hold: its rows of terms and whatever
+# else the term generator keeps per point (``averages.term_bytes`` counts
+# it for the product generator).  A batch holds at most 512 points, and at
+# least one whatever the row bytes.  48 MiB keeps 512 points up to W = 2048
+# with a radius-1 and a radius-0 factor on two letters (44 MiB), so those
+# runs merge as they did before batches were sized by bytes.  Batches
+# depend on n_points and the row bytes alone, so the merge sees the same
+# partial sums in the same order for any worker count.
+BATCH_BYTES = 48 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,11 +162,15 @@ def term_columns(ns: Sequence[int], s_values: Sequence[int] = ()) -> int:
     return max([int(n) for n in ns] + [1 << int(s) for s in s_values])
 
 
-def point_batches(n_points: int) -> list[tuple[int, int]]:
-    """Fixed [lo, hi) point ranges of at most BATCH_POINTS points."""
-    return [
-        (lo, min(lo + BATCH_POINTS, n_points)) for lo in range(0, n_points, BATCH_POINTS)
-    ]
+def batch_points(row_bytes: int) -> int:
+    """Points per batch: min(512, max(1, BATCH_BYTES // row_bytes))."""
+    return min(512, max(1, BATCH_BYTES // row_bytes))
+
+
+def point_batches(n_points: int, row_bytes: int) -> list[tuple[int, int]]:
+    """Fixed [lo, hi) point ranges of ``batch_points(row_bytes)`` points."""
+    size = batch_points(row_bytes)
+    return [(lo, min(lo + size, n_points)) for lo in range(0, n_points, size)]
 
 
 def block_moments(terms, ns: Sequence[int], s_values: Sequence[int] = ()) -> BlockMoments:
@@ -175,15 +186,23 @@ def block_moments(terms, ns: Sequence[int], s_values: Sequence[int] = ()) -> Blo
         sums_sq = arr[:, :n].sum(axis=1) ** 2
         mean = float(sums_sq.mean())
         prefix.append((points, mean, float(((sums_sq - mean) ** 2).sum())))
-    levels = []
-    for s in s_values:
-        head = arr[:, : 1 << s]
-        totals = np.empty((s, points), dtype=np.float64)
-        for r in range(s):
-            block_sums = head.reshape(points, 1 << (s - r), 1 << r).sum(axis=2)
-            totals[r] = (block_sums ** 2).sum(axis=1)
-        levels.append(totals)
-    return BlockMoments(points, arr.shape[1], tuple(prefix), tuple(levels))
+    levels = tuple(np.empty((s, points), dtype=np.float64) for s in s_values)
+    top = max(s_values, default=0)
+    # The level-r block sums of any s are the first 2^(s-r) of those of the
+    # largest s: the same elements summed the same way.  So each level is
+    # summed and squared once, and each s totals a prefix of it.  Rows go
+    # in slabs of about SLAB_ITEMS terms, which bounds the scratch.
+    step = max(1, SLAB_ITEMS >> top)
+    for lo in range(0, points, step):
+        head = arr[lo:lo + step, : 1 << top]
+        rows = head.shape[0]
+        for r in range(top):
+            squares = head.reshape(rows, 1 << (top - r), 1 << r).sum(axis=2)
+            np.square(squares, out=squares)
+            for s, totals in zip(s_values, levels):
+                if r < s:
+                    totals[r, lo:lo + rows] = squares[:, : 1 << (s - r)].sum(axis=1)
+    return BlockMoments(points, arr.shape[1], tuple(prefix), levels)
 
 
 def merge_moments(blocks: Sequence[BlockMoments]) -> DyadicMoments:
@@ -239,14 +258,14 @@ def ensemble_moments(
     m: int = 0,
 ) -> DyadicMoments:
     """E(m, m+N) for each N in ns and the L_s profiles of the terms after
-    m, one generator call per point batch."""
+    m, one generator call per point batch; batches count a row as its W
+    float64 terms."""
     if n_points < 2:
         raise DomainError("need at least 2 ensemble points")
     if m < 0 or any(n < 1 for n in ns):
         raise DomainError("need m >= 0 and every N >= 1")
-    return merge_moments(
-        [batch_moments(generator, lo, hi, ns, s_values, m) for lo, hi in point_batches(n_points)]
-    )
+    batches = point_batches(n_points, 8 * term_columns(ns, s_values))
+    return merge_moments([batch_moments(generator, lo, hi, ns, s_values, m) for lo, hi in batches])
 
 
 def variance_profile(terms, s: int) -> VarianceProfile:

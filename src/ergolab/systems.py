@@ -212,9 +212,12 @@ def shift_apply(point: ShiftPoint, n: int) -> ShiftPoint:
     return dataclasses.replace(point, offset=point.offset + int(n))
 
 
-# Items per vectorized slab: bounds the uniforms a batch holds at once and
-# the i.i.d. path's scratch arrays, whatever the batch width.
-_SLAB_ITEMS = 1 << 16
+# Items per vectorized slab: the sampler resolves paths in slabs of about
+# this many symbols, so its comparison scratch stays small whatever the
+# batch width; the term generator and the dyadic reduction cut their
+# blocks the same way. The uniforms ``sample_rows`` draws are not cut:
+# they are one (rows, positions) block.
+SLAB_ITEMS = 1 << 16
 
 
 def _symbol_dtype(alphabet_size: int):
@@ -260,7 +263,7 @@ def _markov_path(
     lanes = max(count, 1)
     if (tables == tables[0, 0]).all():
         thresholds = tables[0, 0]
-        step = max(1, _SLAB_ITEMS // lanes)
+        step = max(1, SLAB_ITEMS // lanes)
         for lo in range(0, length, step):
             block = u[:, lo:lo + step]
             symbols = out[:, lo:lo + step]
@@ -331,7 +334,7 @@ def _sample_path(system: ShiftSystem, positions, count: int, uniforms) -> np.nda
     tables, which = _gap_tables(system, gaps)
     current = np.searchsorted(_thresholds(system.stationary), uniforms(0, 1)[:, 0], side="right")
     out[:, 0] = current
-    step = max(1, _SLAB_ITEMS // max(count, 1))
+    step = max(1, SLAB_ITEMS // max(count, 1))
     for lo in range(1, positions.size, step):
         hi = min(lo + step, positions.size)
         out[:, lo:hi] = _markov_path(tables, which[lo - 1:hi - 1], current, uniforms(lo, hi), out.dtype)
@@ -824,14 +827,15 @@ def cylinder_table(observable: Observable, alphabet_size: int) -> np.ndarray:
 
 
 def cylinder_values_at(
-    point: ShiftPoint, observable: Observable, positions, alphabet_size: int
+    point: ShiftPoint, observable: Observable, positions, alphabet_size: int, table=None
 ) -> np.ndarray:
     """Cylinder values at many shifted origins of a point or a block of points.
 
     ``positions`` are indices relative to the point's current origin.  For
     a (count, P) block of symbols the result is (count,) + positions.shape;
     for one sequence it is positions.shape.  Each word is coded in base
-    ``alphabet_size`` and read from ``cylinder_table``.
+    ``alphabet_size`` and read from ``table``, the factor's
+    ``cylinder_table``, which is built here when not given.
     """
     if observable.variant != CYLINDER:
         raise VariantMismatch("cylinder_values_at requires a cylinder observable")
@@ -843,4 +847,6 @@ def cylinder_values_at(
         # faster than fancy indexing does.
         symbols = point.symbols[..., cols] if cols.ndim == 0 else np.take(point.symbols, cols, axis=-1)
         codes = codes * alphabet_size + symbols
-    return cylinder_table(observable, alphabet_size).take(codes)
+    if table is None:
+        table = cylinder_table(observable, alphabet_size)
+    return table.take(codes)

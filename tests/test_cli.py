@@ -469,11 +469,20 @@ class TestValidate:
         assert not (tmp_path / "out").exists()
 
     def test_dyadic_reports_term_matrix(self):
-        # W = max(max N, 2^max s): the grid sets it, then s = 8 does.
+        # W = max(max N, 2^max s): the grid sets it, then s = 8 does. A batch
+        # is 512 rows of 26 bytes a column: a float64 term, and a uniform and
+        # an int8 symbol at each of the 2 positions per column the two
+        # radius-0 factors read at most. A call adds 64 + 40 * 2 bytes a
+        # column, the two 2-entry tables and 4 MiB of slab scratch.
         for exceptional, columns in ((None, 128), ({"s_values": [3, 8]}, 256)):
             _, report = cli.validate_config(minimal_dyadic(exceptional))
             assert report["ok"]
-            assert report["derived"] == {"term_columns": columns, "term_entries": 600 * columns}
+            assert report["derived"] == {
+                "term_columns": columns,
+                "term_entries": 600 * columns,
+                "batch_points": 512,
+                "batch_bytes": (512 * 26 + 144) * columns + 32 + (4 << 20),
+            }
 
     def test_dyadic_on_torus_is_config_error(self):
         cfg = torus_config("dyadic", minimal_dyadic()["params"])
@@ -620,8 +629,12 @@ class TestRun:
         _, report = cli.validate_config(minimal_dyadic(exceptional))
         runs = runs_across_workers(tmp_path, path)
         for manifest, _ in runs:
-            # The planner's term count is what the batches generated.
-            assert manifest["steps"]["term_entries"] == report["derived"]["term_entries"]
+            # The planner's term count is what the batches generated, its
+            # batch is the largest one run, and its bytes bound that batch's.
+            steps, derived = manifest["steps"], report["derived"]
+            assert steps["term_entries"] == derived["term_entries"]
+            assert steps["batch_points"] == derived["batch_points"]
+            assert 0 < steps["batch_bytes"] <= derived["batch_bytes"]
         assert "term_entries" not in (tmp_path / "run0-w1" / "summary.json").read_text()
         assert all(hashes == runs[0][1] for _, hashes in runs)
         names = set(runs[0][1])
@@ -864,6 +877,29 @@ def test_startup_loads_no_pool_and_no_masked_arrays(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_dyadic_runs_under_a_memory_limit(tmp_path):
+    # W = 2^18 columns over 128 points in 1 GiB of address space: batches of
+    # 7 points hold about 73 MiB. One batch of all 128 needs about 1.1 GiB.
+    pytest.importorskip("resource")
+    cfg = minimal_dyadic()
+    cfg["params"].update(point_count=128, n_grid=[1 << 15, 1 << 16, 1 << 17, 1 << 18])
+    path = write_config(tmp_path, cfg)
+    assert cli.validate_config(cfg)[1]["derived"]["batch_points"] == 7
+    args = ["run", str(path), "--out", str(tmp_path / "out"), "--workers", "1", "--no-svg"]
+    limit = 1 << 30
+    script = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from ergolab import cli\n"
+        f"raise SystemExit(cli.main({args!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ergolab.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("value,expected", [(0.1, "0.10000000000000001"), (1.0, "1"), (True, "true")])

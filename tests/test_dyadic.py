@@ -1,6 +1,7 @@
 """Dyadic decomposition, variance profiles, chaining and scale bounds."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,11 +193,12 @@ class TestEmpiricalE:
 # of the ks it is given, so both sides read one materialized block.
 
 
-def _materialized(generator, n_points, width):
+def _materialized(generator, n_points, width, row_bytes=None):
     """The terms ensemble_moments reads (one call per point batch over
-    ks = 1..width), served as a generator that slices them."""
+    ks = 1..width, batches sized by its default or the given row bytes),
+    served as a generator that slices them."""
     ks = np.arange(1, width + 1, dtype=np.int64)
-    batches = dyadic.point_batches(n_points)
+    batches = dyadic.point_batches(n_points, row_bytes or 8 * width)
     block = np.concatenate([generator(np.arange(lo, hi), ks) for lo, hi in batches])
     return lambda idx, ks: block[np.ix_(np.asarray(idx), np.asarray(ks) - 1)]
 
@@ -313,7 +315,7 @@ class TestOnePass:
         ensemble_moments(counting, points, ns, s_values)
         width = dyadic.term_columns(ns, s_values)
         assert width == max(max(ns), max((1 << s for s in s_values), default=0))
-        batches = dyadic.point_batches(points)
+        batches = dyadic.point_batches(points, 8 * width)
         assert calls == [(lo, hi - 1, 1, width) for lo, hi in batches]
 
     def test_empirical_e_offset_matches_reference(self):
@@ -367,10 +369,12 @@ class TestOnePass:
             sequence=sequences.SequenceSpec("linear"),
             n_max=128,
         )
+        width = report["derived"]["term_columns"]
         generator = _materialized(
             averages.product_term_generator(spec, 12),
             1100,
-            report["derived"]["term_columns"],
+            width,
+            averages.term_bytes(spec, width)[0],
         )
         rows = ["N,E,std_error"]
         for n in (16, 32, 64, 128):
@@ -385,6 +389,99 @@ class TestOnePass:
             partial += fraction
             rows.append(",".join(cli.fmt_value(v) for v in (s, fraction, bound, partial)))
         assert (out / "dyadic_exceptional.csv").read_text().splitlines() == rows
+
+
+def _reference_level_totals(arr, s_values):
+    """The per-s loop the shared-level reduction replaced: each s sums its
+    own head of the block at every level."""
+    points = arr.shape[0]
+    levels = []
+    for s in s_values:
+        head = arr[:, : 1 << s]
+        totals = np.empty((s, points), dtype=np.float64)
+        for r in range(s):
+            block_sums = head.reshape(points, 1 << (s - r), 1 << r).sum(axis=2)
+            totals[r] = (block_sums ** 2).sum(axis=1)
+        levels.append(totals)
+    return levels
+
+
+class TestSharedLevels:
+    @pytest.mark.parametrize(
+        "points, ns, s_values",
+        [
+            (300, (64, 2048), (9, 4, 11, 7)),  # 2^max s = max N
+            (300, (16, 1024), (12, 3, 8)),  # 2^max s above max N
+            (700, (1024, 256), (5, 2, 8)),  # 2^max s below max N; slabs of 256 rows
+            (3, (100,), (17, 15)),  # 2^17 columns: slabs of one row
+        ],
+    )
+    def test_equals_per_s_loop(self, points, ns, s_values):
+        width = dyadic.term_columns(ns, s_values)
+        arr = np.random.default_rng(8).standard_normal((points, width))
+        got = dyadic.block_moments(arr, ns, s_values)
+        want = _reference_level_totals(arr, s_values)
+        assert [t.shape for t in got.level_totals] == [t.shape for t in want]
+        for totals, ref in zip(got.level_totals, want):
+            assert totals.tobytes() == ref.tobytes()
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes that ``fn(*args)`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBatchMemory:
+    def test_batch_holds_about_one_term_block(self):
+        # 512 x 2048 float64 terms are 8 MiB; the batch holds at most twice that.
+        spec = _pair_spec(BERNOULLI, systems.centered_cylinder_indicator(BERNOULLI, [1]), 2048)
+        generator = averages.product_term_generator(spec, master_seed=7)
+        ns = (64, 128, 256, 512, 1024, 2048)
+        peak = _traced_peak(dyadic.batch_moments, generator, 0, 512, ns, (6, 7, 8, 9, 10))
+        assert peak <= 2 * 512 * 2048 * 8
+
+    @pytest.mark.parametrize("width", [256, 1 << 14])
+    @pytest.mark.parametrize("radius", [0, 2])
+    def test_validate_bounds_one_batch(self, radius, width):
+        # Primes keep the factors' read positions apart, near their bound.
+        word = [1, 0] * radius + [1]
+        cfg = {
+            "schema_version": 1,
+            "experiment": "dyadic",
+            "seed": 5,
+            "system": {
+                "kind": "shift",
+                "adjacency": [[1, 1], [1, 1]],
+                "transition": [["1/2", "1/2"], ["1/2", "1/2"]],
+            },
+            "observables": [
+                {"variant": "cylinder", "radius": radius,
+                 "table": [{"word": word, "value": 0.37}], "default": -1.3},
+                {"variant": "cylinder", "radius": 0, "table": [{"word": [0], "value": 1.0}]},
+            ],
+            "params": {
+                "multipliers": [1, 2],
+                "sequence": {"kind": "primes"},
+                "point_count": 600,
+                "n_grid": [width >> 3, width >> 2, width >> 1, width],
+                "exceptional": {"s_values": [width.bit_length() - 1, 3]},
+            },
+        }
+        step, report = cli.validate_config(cfg)
+        derived = report["derived"]
+        spec = step.args[0]  # run_dyadic's first bound argument
+        batch = derived["batch_points"]
+        task = (spec, 5, 0, batch, tuple(cfg["params"]["n_grid"]), (width.bit_length() - 1, 3))
+        assert _traced_peak(cli._task_dyadic_batch, task) <= derived["batch_bytes"]
+        # A row: W float64 terms, a uniform and an int8 symbol at each of
+        # the 2 radius + 2 positions per column the factors read at most.
+        row = width * (8 + 9 * (2 * radius + 2))
+        assert batch == min(512, dyadic.BATCH_BYTES // row)
 
 
 class TestSigmaFit:

@@ -559,6 +559,33 @@ class TestPathKernel:
             got = generator(points, ks)
             assert np.array_equal(got, _reference_terms(spec, 91, points, ks))
 
+    def test_term_chunks_match_one_shot(self):
+        # 150 rows fill the block in chunks of 436 columns, the last one
+        # partial; a one-shot pass samples each row on its own and looks up
+        # every column at once. Non-dyadic values make the products inexact.
+        chain = systems.build_shift([[1, 1], [1, 1]], [[0.9, 0.1], [0.1, 0.9]])
+        left = systems.cylinder_observable(1, {(1, 0, 1): 0.37, (0, 1, 1): -1.3}, default=0.1)
+        right = systems.cylinder_observable(0, {(0,): 0.37}, default=-1.3)
+        spec = averages.AverageSpec(
+            system=chain,
+            observables=(left, right),
+            multipliers=(1, 3),
+            sequence=SequenceSpec(kind="primes"),
+            n_max=1000,
+        )
+        points, ks = np.arange(150), np.arange(1, 1001)
+        assert systems.SLAB_ITEMS // points.size < ks.size
+        terms = generate(spec.sequence, ks.size)
+        positions = spec.positions_read(terms)
+        want = np.ones((points.size, ks.size))
+        for j in points:
+            symbols = systems.sample_at(chain, positions, 1, rng_for(23, ROLE_TERMS, int(j)))[0]
+            point = systems.ShiftPoint(positions, symbols)
+            for m, obs in zip(spec.multipliers, spec.observables):
+                want[j] *= systems.cylinder_values_at(point, obs, m * terms, 2)
+        got = averages.product_term_generator(spec, master_seed=23)(points, ks)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("multipliers", [(1, 2), (1, -2)])
     def test_term_rows_do_not_depend_on_other_points(self, chain, multipliers):
         obs = systems.centered_cylinder_indicator(chain, [1])
