@@ -104,6 +104,11 @@ class NormPower(NamedTuple):
     value: float
     log: float
 
+    @classmethod
+    def from_log(cls, log: float) -> "NormPower":
+        """The norm e^log, inf where it would overflow."""
+        return cls(math.exp(log) if log < 709.0 else math.inf, log)
+
 
 def norm_power(matrix, n: int) -> NormPower:
     """Spectral norm of matrix^n by scaled square-and-multiply.
@@ -119,9 +124,7 @@ def norm_power(matrix, n: int) -> NormPower:
         return NormPower(1.0, 0.0)
     if spectral_norm(arr) == 0.0:
         return NormPower(0.0, -math.inf)
-    _, log_result = _scaled_power(arr, n)
-    value = math.exp(log_result) if log_result < 709.0 else math.inf
-    return NormPower(value, log_result)
+    return NormPower.from_log(_scaled_power(arr, n)[1])
 
 
 def jordan_block_growth(s: complex, n: int) -> float:
@@ -152,7 +155,7 @@ class GrowthProfile:
     base: float
     poly_degree: int
     residual: float
-    norms: tuple[NormPower, ...]  # norm_power(M, n) for n = 1..n_max
+    norms: tuple[NormPower, ...]  # ||M^n|| for n = 1..n_max
 
 
 def _max_jordan_block(arr: np.ndarray, modulus: float) -> int:
@@ -197,8 +200,8 @@ def growth_profile(matrix, n_max: int = 64) -> GrowthProfile:
     if radius < 1.0 - UNIT_TOLERANCE:
         raise DomainError("spectral radius below 1: not a growth setting")
     ns = np.arange(1, n_max + 1, dtype=np.float64)
-    norms = tuple(norm_power(arr, n) for n in range(1, n_max + 1))
-    logs = np.array([norm.log for norm in norms])
+    logs = _running_logs(np.eye(arr.shape[0])[None], np.zeros(1), arr, n_max)[0]
+    norms = tuple(NormPower.from_log(log) for log in logs.tolist())
     coef, rss = least_squares([ns, np.log(ns), np.ones_like(ns)], logs)
     base = float(math.exp(coef[0]))
     degree = int(round(coef[1]))
@@ -243,36 +246,46 @@ def _scaled_power(matrix: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     return result, log_norm
 
 
+def _running_logs(
+    starts: np.ndarray, log_starts: np.ndarray, step: np.ndarray, count: int
+) -> np.ndarray:
+    """log ||S_i step^n|| for n = 1..count as a (rows, count) array, where
+    ``starts`` is the (rows, d, d) stack of unit-norm S_i / ||S_i|| and
+    ``log_starts`` holds log ||S_i||.
+
+    One running product per row, divided by its norm after every step, so
+    only the logs accumulate. The batched matmul and svd give each matrix
+    the bits of the one-matrix calls, and each row's log is taken with
+    ``math.log``, so every cell is the float a per-row scalar loop gives.
+    """
+    step_norm = spectral_norm(step)
+    step_unit = step / step_norm
+    log_step = math.log(step_norm)
+    acc = starts
+    log_acc = np.array(log_starts, dtype=np.float64)
+    out = np.empty((len(starts), count), dtype=np.float64)
+    for n in range(count):
+        acc = acc @ step_unit
+        s = np.linalg.svd(acc, compute_uv=False)[:, 0]
+        log_acc += log_step + np.array([math.log(v) for v in s.tolist()])
+        acc = acc / s[:, None, None]
+        out[:, n] = log_acc
+    return out
+
+
 def pair_norm_grid(
     pair: CommutingPair, outer_exponents: Sequence[int], inner_max: int, order: str
 ) -> np.ndarray:
     """log ||h^m g^n|| over a grid: order 'hg' fixes the h exponent per row
-    and sweeps g powers along columns, order 'gh' the converse.
-
-    All rows advance together as one (rows, d, d) stack of unit-norm
-    products. The batched matmul and svd give each matrix the bits of the
-    one-matrix calls, and each row's log is taken with ``math.log``, so
-    every cell is the float a per-row scalar loop gives.
-    """
+    and sweeps g powers along columns, order 'gh' the converse."""
     if order not in ("hg", "gh"):
         raise DomainError("order must be 'hg' or 'gh'")
     if any(m < 0 for m in outer_exponents):
         raise DomainError("grid exponents must be nonnegative")
     first, second = (pair.h, pair.g) if order == "hg" else (pair.g, pair.h)
-    out = np.empty((len(outer_exponents), inner_max), dtype=np.float64)
-    second_norm = spectral_norm(second)
-    second_unit = second / second_norm
-    log_second = math.log(second_norm)
     starts = [_scaled_power(first, int(m)) for m in outer_exponents]
     acc = np.array([a for a, _ in starts]).reshape(len(starts), *first.shape)
-    log_acc = np.array([log_norm for _, log_norm in starts], dtype=np.float64)
-    for n in range(inner_max):
-        acc = acc @ second_unit
-        s = np.linalg.svd(acc, compute_uv=False)[:, 0]
-        log_acc += log_second + np.array([math.log(v) for v in s.tolist()])
-        acc = acc / s[:, None, None]
-        out[:, n] = log_acc
-    return out
+    return _running_logs(acc, [log_norm for _, log_norm in starts], second, inner_max)
 
 
 @dataclass(frozen=True)
@@ -409,10 +422,10 @@ def hyperbolic_balance_bound(
         + np.abs(s_minus) ** ns_arr * abs(t_minus) ** m
     )
     h_part, log_h = _scaled_power(pair.h, m)
-    norms = np.empty(len(ns), dtype=np.float64)
-    for i, n in enumerate(ns):
-        g_part, log_g = _scaled_power(pair.g, n) if n > 0 else (np.eye(pair.dimension), 0.0)
-        norms[i] = math.exp(log_h + log_g + math.log(spectral_norm(h_part @ g_part)))
+    # logs[n] = log ||h^m g^n||, from one running product.
+    logs = np.concatenate(([log_h], _running_logs(h_part[None], [log_h], pair.g, max(ns))[0]))
+    with np.errstate(over="ignore"):
+        norms = np.exp(logs[ns_arr])
     passed = bool(np.all(norms >= curve * (1.0 - 1e-9)))
     return BalanceBound(
         m=m,

@@ -5,12 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from ergolab import intmat
 from ergolab import matrix_growth as mg
 from ergolab.errors import DomainError, HypothesisFailed, Indeterminate, Singular
 
 SHEAR = [[1, 1], [0, 1]]
 CAT = [[2, 1], [1, 1]]
+JORDAN3 = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
 GOLDEN = (3 + math.sqrt(5)) / 2
+# Every n to 64, then a stride up to 4096.
+ORACLE_NS = sorted({*range(1, 65), *range(64, 4097, 61), 4096})
 
 
 class TestQuasiUnipotent:
@@ -139,6 +143,41 @@ class TestGrowthProfile:
             mg.growth_profile(CAT, 8)
 
 
+def _running(matrix, count):
+    """log ||M^n|| for n = 1..count from the running product, from I."""
+    arr = np.array(matrix, dtype=float)
+    return mg._running_logs(np.eye(len(arr))[None], [0.0], arr, count)[0]
+
+
+def _exact_log_norm_2x2(matrix, n):
+    """log ||M^n|| from the integer power: sigma_max^2 is the top root of
+    x^2 - F x + det^2, F the squared Frobenius norm of M^n."""
+    (a, b), (c, d) = intmat.mat_pow(intmat.as_int_matrix(matrix), n)
+    frob = a * a + b * b + c * c + d * d
+    det = a * d - b * c
+    return 0.5 * (math.log(frob) + math.log((1 + math.sqrt(1 - 4 * det * det / frob ** 2)) / 2))
+
+
+class TestRunningPower:
+    @pytest.mark.parametrize("matrix", [SHEAR, CAT, JORDAN3], ids=["shear", "cat", "jordan3"])
+    def test_matches_norm_power(self, matrix):
+        logs = _running(matrix, 4096)
+        for n in ORACLE_NS:
+            reference = mg.norm_power(matrix, n).log
+            assert logs[n - 1] == pytest.approx(reference, rel=1e-12, abs=0), n
+
+    def test_cat_matches_exact_integers(self):
+        logs = _running(CAT, 4096)
+        for n in ORACLE_NS:
+            assert logs[n - 1] == pytest.approx(_exact_log_norm_2x2(CAT, n), rel=1e-12, abs=0), n
+
+    @pytest.mark.parametrize("matrix", [SHEAR, CAT], ids=["shear", "cat"])
+    def test_growth_profile_takes_running_logs(self, matrix):
+        profile = mg.growth_profile(matrix, 64)
+        assert [norm.log for norm in profile.norms] == _running(matrix, 64).tolist()
+        assert all(norm == mg.NormPower.from_log(norm.log) for norm in profile.norms)
+
+
 class TestCommutingPair:
     def test_noncommuting_rejected(self):
         with pytest.raises(DomainError):
@@ -207,6 +246,17 @@ class TestPairNormGrid:
             mg.pair_norm_grid(pair, [2, -1], 4, "hg")
 
 
+def _per_n_balance_norms(pair, m, ns):
+    """Reference for hyperbolic_balance_bound's norms: a fresh
+    square-and-multiply for every n."""
+    h_part, log_h = mg._scaled_power(pair.h, m)
+    out = []
+    for n in ns:
+        g_part, log_g = mg._scaled_power(pair.g, n) if n > 0 else (np.eye(pair.dimension), 0.0)
+        out.append(math.exp(log_h + log_g + math.log(mg.spectral_norm(h_part @ g_part))))
+    return np.array(out)
+
+
 class TestBalanceBound:
     def test_cat_inverse_pair(self):
         cat = np.array(CAT, dtype=float)
@@ -228,6 +278,29 @@ class TestBalanceBound:
         assert bound.passed
         for n, norm in zip(bound.ns, bound.norms):
             assert norm == pytest.approx(max(2.0 ** (7 - n), 2.0 ** (n - 7)), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "m, ns", [(10, range(0, 41)), (3, [17, 0, 400, 5, 5]), (0, range(1, 21))]
+    )
+    def test_cat_norms_match_per_n_powers_and_exact(self, m, ns):
+        cat = np.array(CAT, dtype=float)
+        pair = mg.CommutingPair(g=np.linalg.inv(cat), h=cat)
+        bound = mg.hyperbolic_balance_bound(pair, m, ns)
+        # h^m g^n = cat^(m - n) cancels to about 1 near n = m, so both
+        # computations lose up to eps * cond(h^m) = eps ||cat^m||^2 there.
+        rtol = max(1e-12, 4 * np.finfo(float).eps * math.exp(2 * mg.norm_power(cat, m).log))
+        reference = _per_n_balance_norms(pair, m, ns)
+        np.testing.assert_allclose(bound.norms, reference, rtol=rtol, atol=0)
+        exact = [math.exp(_exact_log_norm_2x2(CAT, abs(m - n))) for n in ns]
+        np.testing.assert_allclose(bound.norms, exact, rtol=rtol, atol=0)
+
+    def test_diagonal_norms_match_per_n_powers(self):
+        pair = mg.CommutingPair(g=np.diag([0.5, 2.0]), h=np.diag([2.0, 0.5]))
+        ns = range(0, 30)
+        bound = mg.hyperbolic_balance_bound(pair, 7, ns)
+        np.testing.assert_allclose(
+            bound.norms, _per_n_balance_norms(pair, 7, ns), rtol=1e-12, atol=0
+        )
 
     def test_pairing_violation(self):
         pair = mg.CommutingPair(g=np.diag([2.0, 0.5]), h=np.diag([3.0, 0.25]))
