@@ -271,6 +271,12 @@ def check_keys(obj, allowed: set[str], where: str, required=()) -> None:
             raise ConfigError(f"{where}.{key} is missing")
 
 
+def check_cells(where: str, names: str, rows: int, cols: int) -> None:
+    """A (rows, cols) array a config asks for holds at most MAX_TERMS cells."""
+    if rows * cols > MAX_TERMS:
+        raise ConfigError(f"{where}: {names} = {rows} x {cols} grid cells, more than {MAX_TERMS}")
+
+
 def build_at(where: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``, a domain object; an error it raises
     becomes a ConfigError at the JSON path ``where``."""
@@ -862,6 +868,8 @@ def parse_growth(cfg: dict, seed: int):
         raise ConfigError("params.matrices must be a list of matrices")
     n_max = parse_int(params.get("n_max", 64), "params.n_max", 16, MAX_TERMS)
     matrices = [np.array(parse_matrix(m, f"params.matrices[{k}]")) for k, m in enumerate(descs)]
+    for k, matrix in enumerate(matrices):
+        build_at(f"params.matrices[{k}]", matrix_growth.growth_radius, matrix)
     pair = params.get("pair")
     pair_check = None
     balance = None
@@ -876,11 +884,7 @@ def parse_growth(cfg: dict, seed: int):
         )
         rows = parse_int(pair.get("m_grid", 32), f"{where}.m_grid", 1)
         k_max = parse_int(pair.get("k_max", 512), f"{where}.k_max", 2, MAX_TERMS)
-        # pair_norm_grid fills a (m_grid, k_max) array.
-        if rows * k_max > MAX_TERMS:
-            raise ConfigError(
-                f"{where}: m_grid x k_max = {rows} x {k_max} grid cells, more than {MAX_TERMS}"
-            )
+        check_cells(where, "m_grid x k_max", rows, k_max)  # pair_norm_grid's array
         pair_check = (
             commuting,
             range(1, rows + 1),
@@ -1000,12 +1004,23 @@ def parse_counting(cfg: dict, seed: int):
                 raise ConfigError(f"{where}.values must be a list of numbers")
             if len(values) < k_max:
                 raise ConfigError(f"{where}.values must supply at least K entries")
-            source = [parse_exact(x, f"{where}.values[{j}]") for j, x in enumerate(values)]
+            source = [parse_exact(x, f"{where}.values[{j}]") for j, x in enumerate(values)][:k_max]
+            for j, x in enumerate(source):  # the checkers reject values below 1
+                if x < 1.0:
+                    raise ConfigError(f"{where}.values[{j}] must be >= 1 or infinite, got {x}")
         else:
+            if kind == "b":  # one (m_max, K) grid of gaps per orientation
+                check_cells(where, "m_max x K", limits["m_max"], k_max)
+            spec = build_sequence(desc.get("sequence", {"kind": "linear"}), f"{where}.sequence")
+            count = max(k_max, limits["m_max"]) if kind == "b" else k_max
+            # The gaps are exact in int64 while |t| max r_n < 2^62.
+            bound = sequences.gap_time_bound(
+                build_at(f"{where}.sequence", sequences.generate, spec, count)
+            )
             source = (
-                build_sequence(desc.get("sequence", {"kind": "linear"}), f"{where}.sequence"),
-                parse_int(desc.get("t_first", 1), f"{where}.t_first"),
-                parse_int(desc.get("t_second", 2), f"{where}.t_second"),
+                spec,
+                parse_int(desc.get("t_first", 1), f"{where}.t_first", -bound, bound),
+                parse_int(desc.get("t_second", 2), f"{where}.t_second", -bound, bound),
             )
         checks.append((kind, source, k_max, limits))
     return {}, functools.partial(run_counting, checks)
@@ -1017,26 +1032,17 @@ def run_counting(checks, ctx: RunContext) -> dict:
     for kind, source, k_max, limits in checks:
         if kind == "b":
             # Parse gives b checks a sequence source.
-            b_fn = sequences.sequence_gap_b(*source, max(k_max, limits["m_max"]))
-            decisive, other = sequences.check_b_either(
-                b_fn, range(1, limits["m_max"] + 1), k_max, limits["n_max"]
-            )
-            reports = [decisive] + ([other] if other else [])
+            m_grid = range(1, limits["m_max"] + 1)
+            grids = sequences.sequence_gap_b(*source, m_grid, k_max)
+            reports = sequences.check_b_either(*grids, m_grid, limits["n_max"])
         else:
-            if isinstance(source, list):
-
-                def c_fn(k, _values=source):
-                    return _values[k - 1]
-
-            else:
-                c_fn = sequences.sequence_gap_c(*source, max(k_max, limits["m_max"]))
-            if kind == "c":
-                reports = [sequences.check_c_condition(c_fn, k_max, limits["n_max"])]
-            else:
-                reports = [
-                    sequences.check_band_condition(c_fn, k_max, limits["s_max"], limits["M_claim"])
-                ]
-        for report in reports:
+            values = source if isinstance(source, list) else sequences.sequence_gap_c(*source, k_max)
+            reports = [
+                sequences.check_c_condition(values, limits["n_max"])
+                if kind == "c"
+                else sequences.check_band_condition(values, limits["s_max"], limits["M_claim"])
+            ]
+        for report in filter(None, reports):
             rows.append(report.to_csv_row())
             summary.append(report.to_json_dict())
     ctx.csv("counting.csv", sequences.CountingReport.CSV_HEADER, rows)

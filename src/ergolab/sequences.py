@@ -19,13 +19,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, NonPositiveTerm
-
-INFINITE = math.inf
 
 # Full-grid witness may exceed the half-grid witness by at most this factor.
 STABILITY_FACTOR = 1.5
@@ -225,14 +223,19 @@ class CountingReport:
         }
 
 
-def _collect_values(fn: Callable[[int], float], k_max: int) -> np.ndarray:
-    values = np.empty(k_max, dtype=np.float64)
-    for k in range(1, k_max + 1):
-        v = float(fn(k))
-        if v != INFINITE and v < 1.0:
-            raise DomainError(f"value {v} at k={k} is below 1 (must be >= 1 or infinite)")
-        values[k - 1] = v
-    return values
+def _checked_values(values, m_grid=None) -> np.ndarray:
+    """``values`` as float64, in one row per m of ``m_grid`` if given; a value
+    below 1 raises, naming its k (and m).  +inf and NaN never count."""
+    arr = np.asarray(values, dtype=np.float64)
+    rows = () if m_grid is None else (len(m_grid),)
+    if arr.ndim != len(rows) + 1 or arr.shape[:-1] != rows:
+        raise DomainError(f"need values of shape {rows + ('K',)}, got {arr.shape}")
+    low = np.flatnonzero(arr < 1.0)
+    if low.size:
+        i, k = divmod(int(low[0]), arr.shape[-1])
+        at = f"k={k + 1}" if m_grid is None else f"(m={m_grid[i]}, k={k + 1})"
+        raise DomainError(f"value {arr.flat[low[0]]} at {at} is below 1 (must be >= 1 or infinite)")
+    return arr
 
 
 def _witness_curve(values: np.ndarray, n_max: int) -> tuple[float, int, int]:
@@ -256,19 +259,15 @@ def _stability_pass(witness_full: float, witness_half: float) -> tuple[bool, flo
     return ratio <= STABILITY_FACTOR, ratio
 
 
-def check_c_condition(
-    c: Callable[[int], float], k_max: int, n_max: int
-) -> CountingReport:
-    """Verify |{k <= K : c(k) <= n}| <= M n on the grid n <= n_max.
-
-    Infinite values never count (the infinity marker contributes nothing).
-    """
+def check_c_condition(values, n_max: int) -> CountingReport:
+    """Verify |{k <= K : c(k) <= n}| <= M n on the grid n <= n_max, where
+    ``values`` holds c(1)..c(K); infinite values never count."""
+    values = _checked_values(values)
+    k_max = values.size
     if k_max < 2 or n_max < 1:
-        raise DomainError("need k_max >= 2 and n_max >= 1")
-    values = _collect_values(c, k_max)
+        raise DomainError("need K >= 2 values and n_max >= 1")
     witness, worst_n, worst_count = _witness_curve(values, n_max)
-    witness_half, _, _ = _witness_curve(values[: k_max // 2], n_max)
-    passed, ratio = _stability_pass(witness, witness_half)
+    passed, ratio = _stability_pass(witness, _witness_curve(values[: k_max // 2], n_max)[0])
     return CountingReport(
         condition="c",
         witness=witness,
@@ -282,38 +281,32 @@ def check_c_condition(
 
 
 def check_b_condition(
-    b: Callable[[int, int], float],
-    orientation: str,
-    m_grid: Sequence[int],
-    k_max: int,
-    n_max: int,
+    grid, orientation: str, m_grid: Sequence[int], n_max: int
 ) -> CountingReport:
-    """Row orientation fixes the first argument on the grid and counts over
-    the second; column orientation is the converse.  The witness is the
-    maximum over the grid and must be stable for every grid member.
+    """Row i of ``grid`` holds b(m, 1..K) for m = m_grid[i] in the row
+    orientation, which counts over the second argument, and b(1..K, m) in
+    the column orientation.  The witness is the maximum over the grid and
+    must be stable for every grid member.
     """
     if orientation not in ("row", "column"):
         raise DomainError("orientation must be 'row' or 'column'")
-    if k_max < 2 or n_max < 1:
-        raise DomainError("need k_max >= 2 and n_max >= 1")
     m_grid = [int(m) for m in m_grid]
     if not m_grid:
         raise DomainError("m grid must be nonempty")
+    grid = _checked_values(grid, m_grid)
+    k_max = grid.shape[1]
+    if k_max < 2 or n_max < 1:
+        raise DomainError("need K >= 2 values per row and n_max >= 1")
     witness = 0.0
     worst = (1, m_grid[0], 0)
     passed = True
-    worst_ratio: float | None = None
-    for m in m_grid:
-        if orientation == "row":
-            values = _collect_values(lambda k: b(m, k), k_max)
-        else:
-            values = _collect_values(lambda k: b(k, m), k_max)
+    ratios = []
+    for m, values in zip(m_grid, grid):
         w_full, n_at, count_at = _witness_curve(values, n_max)
-        w_half, _, _ = _witness_curve(values[: k_max // 2], n_max)
-        ok, ratio = _stability_pass(w_full, w_half)
+        ok, ratio = _stability_pass(w_full, _witness_curve(values[: k_max // 2], n_max)[0])
         passed = passed and ok
-        if ratio is not None and (worst_ratio is None or ratio > worst_ratio):
-            worst_ratio = ratio
+        if ratio is not None:
+            ratios.append(ratio)
         if w_full > witness:
             witness = w_full
             worst = (n_at, m, count_at)
@@ -325,46 +318,35 @@ def check_b_condition(
         worst_m=worst[1],
         worst_count=worst[2],
         grid={"K": k_max, "n_max": n_max, "m_grid": [min(m_grid), max(m_grid)]},
-        stability_ratio=worst_ratio,
+        stability_ratio=max(ratios, default=None),
     )
 
 
 def check_b_either(
-    b: Callable[[int, int], float],
-    m_grid: Sequence[int],
-    k_max: int,
-    n_max: int,
+    row, column, m_grid: Sequence[int], n_max: int
 ) -> tuple[CountingReport, CountingReport | None]:
-    """Try the row orientation first, fall back to column.
-
-    Returns (decisive report, other attempt or None).  The decisive report
-    is the row one when it passes, otherwise the column one.
-    """
-    row = check_b_condition(b, "row", m_grid, k_max, n_max)
-    if row.passed:
-        return row, None
-    column = check_b_condition(b, "column", m_grid, k_max, n_max)
-    return column, row
+    """(decisive report, other attempt or None): the row orientation on the
+    ``row`` grid when it passes, else the column one on ``column``."""
+    row_report = check_b_condition(row, "row", m_grid, n_max)
+    if row_report.passed:
+        return row_report, None
+    return check_b_condition(column, "column", m_grid, n_max), row_report
 
 
-def check_band_condition(
-    values_fn: Callable[[int], float],
-    k_max: int,
-    s_max: int,
-    claimed_bound: int,
-) -> CountingReport:
+def check_band_condition(values, s_max: int, claimed_bound: int) -> CountingReport:
     """Pass iff every closed unit band [s, s+1], 1 <= s <= s_max, holds at
-    most ``claimed_bound`` of the values c(1)..c(K)."""
+    most ``claimed_bound`` of the values c(1)..c(K) in ``values``."""
+    values = _checked_values(values)
+    k_max = values.size
     if k_max < 1 or s_max < 1:
-        raise DomainError("need k_max >= 1 and s_max >= 1")
-    values = _collect_values(values_fn, k_max)
+        raise DomainError("need K >= 1 values and s_max >= 1")
     finite = np.sort(values[np.isfinite(values)])
     bands = np.arange(1, s_max + 1, dtype=np.float64)
     lo_idx = np.searchsorted(finite, bands, side="left")
     hi_idx = np.searchsorted(finite, bands + 1.0, side="right")
     counts = hi_idx - lo_idx
-    worst = int(np.argmax(counts)) if counts.size else 0
-    worst_count = int(counts[worst]) if counts.size else 0
+    worst = int(np.argmax(counts))
+    worst_count = int(counts[worst])
     return CountingReport(
         condition="band",
         witness=float(worst_count),
@@ -376,35 +358,38 @@ def check_band_condition(
     )
 
 
+def gap_time_bound(terms: np.ndarray) -> int:
+    """The largest |t| with |t| max r_n < 2^62: the gaps t r_m - t' r_n of
+    such times, and their absolute values, are exact in int64."""
+    return (2 ** 62 - 1) // int(terms.max())
+
+
+def _gap_terms(spec: SequenceSpec, t_first: int, t_second: int, count: int):
+    """(t_first r_n, t_second r_n) for n = 1..count; raises rather than wrap."""
+    terms = generate(spec, count)
+    if max(abs(t_first), abs(t_second)) > gap_time_bound(terms):
+        raise DomainError(f"times {t_first}, {t_second} by max r_n = {terms.max()} reach 2^62")
+    return t_first * terms, t_second * terms
+
+
 def sequence_gap_b(
-    spec: SequenceSpec, t_first: int, t_second: int, count: int
-) -> Callable[[int, int], float]:
-    """b(m, n) = |t_first r_m - t_second r_n| + 1 for a generated sequence.
-
-    Realizes the embedding b built from times of two commuting powers; the
-    returned callable raises beyond the generated range.
+    spec: SequenceSpec, t_first: int, t_second: int, m_grid: Sequence[int], k_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """b(m, n) = |t_first r_m - t_second r_n| + 1, the embedding built from
+    times of two commuting powers, as the (row, column) grids of
+    ``check_b_either``: row i holds b(m, 1..K), and b(1..K, m), at m = m_grid[i].
     """
-    terms = generate(spec, count)
+    m_idx = np.asarray(m_grid, dtype=np.int64) - 1
+    if m_idx.size == 0 or m_idx.min() < 0:
+        raise DomainError("need a nonempty m grid of positive indices")
+    first, second = _gap_terms(spec, t_first, t_second, max(k_max, int(m_idx.max()) + 1))
+    row = np.abs(first[m_idx, None] - second[None, :k_max]) + 1.0
+    column = np.abs(first[None, :k_max] - second[m_idx, None]) + 1.0
+    return row, column
 
-    def b(m: int, n: int) -> float:
-        if not (1 <= m <= terms.size and 1 <= n <= terms.size):
-            raise DomainError(f"index outside the generated range 1..{terms.size}")
-        return abs(t_first * int(terms[m - 1]) - t_second * int(terms[n - 1])) + 1.0
 
-    return b
-
-
-def sequence_gap_c(
-    spec: SequenceSpec, t_first: int, t_second: int, count: int
-) -> Callable[[int], float]:
-    """c(n) = |t_first r_n - t_second r_n| + 1, infinite when the times tie."""
-    terms = generate(spec, count)
-
-    def c(n: int) -> float:
-        if not (1 <= n <= terms.size):
-            raise DomainError(f"index outside the generated range 1..{terms.size}")
-        if t_first == t_second:
-            return INFINITE
-        return abs((t_first - t_second) * int(terms[n - 1])) + 1.0
-
-    return c
+def sequence_gap_c(spec: SequenceSpec, t_first: int, t_second: int, count: int) -> np.ndarray:
+    """c(n) = |t_first r_n - t_second r_n| + 1 for n = 1..count, infinite
+    when the times tie."""
+    first, second = _gap_terms(spec, t_first, t_second, count)
+    return np.full(count, math.inf) if t_first == t_second else np.abs(first - second) + 1.0

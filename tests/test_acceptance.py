@@ -255,15 +255,15 @@ def test_criterion_09_matrix_growth():
 
 def test_criterion_10_counting_conditions():
     with Budget(10, "c and b counting checks with expected witnesses", 5):
-        c_report = sequences.check_c_condition(lambda k: float(k), 1000, 1000)
+        c_report = sequences.check_c_condition(np.arange(1, 1001, dtype=float), 1000)
         assert c_report.passed and c_report.witness == pytest.approx(1.0)
+        ms = np.arange(1, 101, dtype=float)[:, None]
+        ks = np.arange(1, 10 ** 4 + 1, dtype=float)[None, :]
         b_report = sequences.check_b_condition(
-            lambda m, k: abs(2 * k - 3 * m) + 1.0, "row", range(1, 101), 10 ** 4, 10 ** 4
+            np.abs(2 * ks - 3 * ms) + 1.0, "row", range(1, 101), 10 ** 4
         )
         assert b_report.passed and b_report.witness <= 1.0
-        clustered = sequences.check_b_condition(
-            lambda m, k: 1.0, "row", range(1, 11), 1000, 1000
-        )
+        clustered = sequences.check_b_condition(np.ones((10, 1000)), "row", range(1, 11), 1000)
         assert not clustered.passed
 
 

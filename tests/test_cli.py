@@ -416,6 +416,46 @@ class TestValidate:
                 {"type": "b", "values": [1, 2, 3, 4], "K": 4},
                 "params.checks[1]: b checks need a sequence source",
             ),
+            # The checkers take values >= 1 (or +inf); this one ran and exited 3.
+            (
+                "counting",
+                ("checks", 2),
+                {"type": "c", "values": [0.5, 2, 3, 4], "K": 4},
+                "params.checks[2].values[0] must be >= 1 or infinite, got 0.5",
+            ),
+            ("counting", ("checks", 2, "values", 3), 0, "params.checks[2].values[3] must be >= 1"),
+            # |t| max r_n must stay below 2^62 for exact int64 gaps; r_8 = 19.
+            (
+                "counting",
+                ("checks", 0, "t_first"),
+                10 ** 19,
+                f"params.checks[0].t_first must be at most {(2 ** 62 - 1) // 19}, got {10 ** 19}",
+            ),
+            (
+                "counting",
+                ("checks", 1, "t_second"),
+                -(2 ** 60),
+                f"params.checks[1].t_second must be >= {-((2 ** 62 - 1) // 8)}",
+            ),
+            (
+                "counting",
+                ("checks", 1, "K"),
+                2 ** 19,
+                f"params.checks[1]: m_max x K = 4 x 524288 grid cells, more than {cli.MAX_TERMS}",
+            ),
+            (
+                "counting",
+                ("checks", 1, "sequence"),
+                {"kind": "explicit", "values": [1, 2, 3]},
+                "params.checks[1].sequence: explicit sequence stores 3 terms, 8 requested",
+            ),
+            # A growth matrix must have spectral radius >= 1; this one exited 3.
+            (
+                "growth",
+                ("matrices",),
+                [[[1, 1], [0, 1]], [[0.5, 0], [0, 0.25]]],
+                "params.matrices[1]: spectral radius 0.5 below 1",
+            ),
             # No checkpoint with N >= 2, N = 0 and a negative N.
             *[
                 (experiment, ("checkpoints",), value, "params.checkpoints: checkpoints must be >= 1")
