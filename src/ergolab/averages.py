@@ -388,7 +388,7 @@ def ensemble_rate_experiment(
 # ---------------------------------------------------------------------------
 
 def product_term_generator(spec: AverageSpec, master_seed: int):
-    """Vectorized (point_indices, ks) -> F matrix callback for dyadic ops.
+    """Vectorized (point_indices, ks) -> term rows callback for dyadic ops.
 
     F[j, k] is the product of factors at shifts m_i r_k along point j's
     orbit.  A call samples each point only at the positions its factors
@@ -400,10 +400,12 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     cylinder factors only; use centered observables when the framework
     expects mean-zero terms.
 
-    The block is filled in column chunks of about ``SLAB_ITEMS`` entries,
-    so the factors' word codes and values never take more than a chunk;
-    the products are elementwise, so every entry is the float one
-    full-width pass gives.  ``term_bytes`` bounds what a call holds.
+    The call samples the symbols of all its points at once and returns an
+    iterator over the rows of F in point order, in slabs of
+    max(1, ``SLAB_ITEMS`` // len(ks)) rows, each made when it is asked
+    for: a call holds its symbols and one slab of terms, word codes and
+    values.  The products are elementwise, so every entry is the float
+    one full-width pass gives.  ``term_bytes`` bounds what a call holds.
     """
     if not isinstance(spec.system, ShiftSystem):
         raise DomainError("term generators are implemented for shift systems")
@@ -411,36 +413,53 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     multipliers = np.asarray(spec.multipliers, dtype=np.int64)
     tables = [cylinder_table(obs, system.alphabet_size) for obs in spec.observables]
 
-    def generator(point_indices: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    def slabs(block: ShiftPoint, factors: list):
+        count, width = block.symbols.shape[0], factors[0][1].size
+        step = max(1, SLAB_ITEMS // width)
+        for lo in range(0, count, step):
+            rows = ShiftPoint(block.positions, block.symbols[lo:lo + step])
+            values = (
+                cylinder_values_at(rows, obs, at, system.alphabet_size, table)
+                for obs, at, table in factors
+            )
+            # The first factor's values hold the product: 1.0 times them is
+            # exact, and no slab of ones is made.
+            out = next(values)
+            for factor in values:
+                out *= factor
+            yield out
+
+    def generator(point_indices: np.ndarray, ks: np.ndarray):
         ks = np.asarray(ks, dtype=np.int64)
         terms = generate(spec.sequence, int(ks.max()))[ks - 1]
         positions = spec.positions_read(terms)
         rngs = [rng_for(master_seed, ROLE_TERMS, int(j)) for j in np.ravel(point_indices)]
         block = ShiftPoint(positions, sample_rows(system, positions, rngs))
-        out = np.ones((len(rngs), ks.size), dtype=np.float64)
-        step = max(1, SLAB_ITEMS // max(len(rngs), 1))
-        for lo in range(0, ks.size, step):
-            chunk = out[:, lo:lo + step]
-            for obs, mult, table in zip(spec.observables, multipliers, tables):
-                at = mult * terms[lo:lo + step]
-                chunk *= cylinder_values_at(block, obs, at, system.alphabet_size, table)
-        return out
+        return slabs(block, [
+            (obs, mult * terms, table)
+            for obs, mult, table in zip(spec.observables, multipliers, tables)
+        ])
 
     return generator
 
 
 def term_bytes(spec: AverageSpec, width: int, positions: int | None = None) -> tuple[int, int]:
-    """(bytes per point, bytes per call) that a ``product_term_generator``
-    call over ``width`` ks, and the dyadic reduction of its block, hold at
-    most when the call reads ``positions`` distinct positions; by default
-    their bound sum_i (2 radius_i + 1) width.
+    """(bytes per point, bytes per call) bounding what a
+    ``product_term_generator`` call over ``width`` ks, and the dyadic
+    reduction of its rows, hold when the call reads ``positions`` distinct
+    positions; by default their bound sum_i (2 radius_i + 1) width.
 
-    A point holds one uniform and one symbol per position and its
-    ``width`` float64 terms.  A call also holds the sequence terms with
-    their generation scratch (64 bytes a column covers the prime sieve and
-    polynomial terms), the positions with their sort and gap scratch, the
-    factor tables and slab scratch.  Not counted: the P^g that a
-    non-i.i.d. chain caches per distinct gap (``transition_power``).
+    The per-point figure is an upper bound: one uniform and one symbol per
+    position and ``width`` float64 terms.  A call holds one symbol per
+    point and position, a uniform per point and position only on a
+    non-i.i.d. chain, and its terms only a slab at a time; but the figure
+    also sizes the point batches (``dyadic.point_batches``), whose
+    partition decides the pairwise merge, so it stays as it is.  A call
+    also holds the sequence terms with their generation scratch (64 bytes
+    a column covers the prime sieve and polynomial terms), the positions
+    with their sort and gap scratch, the factor tables and slab scratch.
+    Not counted: the P^g that a non-i.i.d. chain caches per distinct gap
+    (``transition_power``).
     """
     if positions is None:
         positions = sum(2 * obs.radius + 1 for obs in spec.observables) * width

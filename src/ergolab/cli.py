@@ -117,12 +117,13 @@ def pmap(fn, tasks, workers: int) -> list:
     per other share, which runs it on the objects it inherited, so no task
     is pickled; only each share's results come back, through a pipe. A
     failing task raises the error of the lowest failing index, the one a
-    serial map raises. Without ``os.fork`` the map is serial.
+    serial map raises, with that index set as its ``task`` attribute.
+    Without ``os.fork`` the map is serial.
     """
     tasks = list(tasks)
     k = min(workers, len(tasks))
     if k <= 1 or not hasattr(os, "fork"):
-        return [fn(t) for t in tasks]
+        return _gathered([_run_share(fn, tasks, 0, 1)], len(tasks))
     # numpy imports numpy.random on first use: once here, not once per child.
     import numpy.random  # noqa: F401
 
@@ -161,12 +162,21 @@ def pmap(fn, tasks, workers: int) -> list:
             os.waitpid(pid, 0)
     if lost is not None:
         raise lost
+    return _gathered(shares, len(tasks))
+
+
+def _gathered(shares, count: int) -> list:
+    """The results of ``count`` tasks from the shares of ``_run_share`` in
+    share order, or the error of the lowest failing task, tagged with its
+    index as ``task``."""
     errors = [error for _, error in shares if error is not None]
     if errors:
-        raise min(errors, key=lambda e: e[0])[1]
-    results = [None] * len(tasks)
+        index, error = min(errors, key=lambda e: e[0])
+        error.task = index
+        raise error
+    results = [None] * count
     for w, (share, _) in enumerate(shares):
-        results[w::k] = share
+        results[w::len(shares)] = share
     return results
 
 
@@ -1083,12 +1093,17 @@ def run(config_path: Path, out_dir: Path | None, workers: int, emit_svg: bool) -
     try:
         summary = step(ctx)
         status = {"ok": True, "error": None}
-    except ErgolabError as exc:
-        summary = {}
-        status = {"ok": False, "error": {"code": exc.code, "message": str(exc)}}
     except Exception as exc:  # noqa: BLE001 - surfaced in the summary artifact
         summary = {}
-        status = {"ok": False, "error": {"code": "runtime", "message": repr(exc)}}
+        if isinstance(exc, ErgolabError):
+            error = {"code": exc.code, "message": str(exc)}
+        else:
+            error = {"code": "runtime", "message": repr(exc)}
+        # pmap tags a failed task's error with its index: the query, orbit
+        # or point batch that failed.
+        if hasattr(exc, "task"):
+            error["task"] = exc.task
+        status = {"ok": False, "error": error}
     elapsed = time.monotonic() - started
     summary_payload = {
         "experiment": cfg["experiment"],

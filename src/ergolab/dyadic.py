@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -92,24 +92,29 @@ def decompose(n: int, s: int) -> list[DyadicInterval]:
 # ---------------------------------------------------------------------------
 #
 # Every dyadic N is a prefix of the largest one and every block of L_s lies
-# in {1..2^s}, so one (points, W) term block with W = max(max N, 2^max s)
-# feeds every E(0, N) and every L_s profile.  Given the terms, no statistic
-# depends on W: each row prefix is summed on its own, batch moments are
-# merged pairwise in point order and level means are taken over all points
-# at once, so the results are the same floats as a separate pass per N or
-# per s over the same terms.
+# in {1..2^s}, so the rows of one (points, W) term block with W = max(max N,
+# 2^max s) feed every E(0, N) and every L_s profile.  Given the terms, no
+# statistic depends on W or on how the rows are cut into slabs: each row
+# prefix and each block is summed on its own, batch moments are merged
+# pairwise in point order and level means are taken over all points at
+# once, so the results are the same floats as a separate pass per N or per
+# s over the whole block.
 
-# Term generators are vectorized callbacks (point_indices, ks) -> 2D array.
-TermGenerator = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# Term generators are vectorized callbacks (point_indices, ks) -> the term
+# rows of those points over those ks: a 2-D array, or an iterable of 2-D
+# row slabs in point order, which ``block_moments`` reduces as they come.
+TermGenerator = Callable[[np.ndarray, np.ndarray], Iterable[np.ndarray]]
 
-# Bytes the points of one batch may hold: its rows of terms and whatever
-# else the term generator keeps per point (``averages.term_bytes`` counts
-# it for the product generator).  A batch holds at most 512 points, and at
-# least one whatever the row bytes.  48 MiB keeps 512 points up to W = 2048
-# with a radius-1 and a radius-0 factor on two letters (44 MiB), so those
-# runs merge as they did before batches were sized by bytes.  Batches
-# depend on n_points and the row bytes alone, so the merge sees the same
-# partial sums in the same order for any worker count.
+# Bytes the points of one batch may hold, measured by an upper bound per
+# point: its W float64 terms and a uniform and a symbol at each position
+# it reads (``averages.term_bytes``).  A streamed batch holds less, one
+# symbol per position and slabs of terms, but the bound still sizes the
+# partition, which decides the pairwise merge.  A batch holds at most 512
+# points, and at least one whatever the row bytes.  48 MiB keeps 512 points
+# up to W = 2048 with a radius-1 and a radius-0 factor on two letters
+# (44 MiB), so those runs merge as they did before batches were sized by
+# bytes.  Batches depend on n_points and the row bytes alone, so the merge
+# sees the same partial sums in the same order for any worker count.
 BATCH_BYTES = 48 << 20
 
 
@@ -174,35 +179,56 @@ def point_batches(n_points: int, row_bytes: int) -> list[tuple[int, int]]:
 
 
 def block_moments(terms, ns: Sequence[int], s_values: Sequence[int] = ()) -> BlockMoments:
-    """Prefix moments for each N in ns and L_s level totals for each s."""
-    arr = np.atleast_2d(np.asarray(terms, dtype=np.float64))
+    """Prefix moments for each N in ns and L_s level totals for each s.
+
+    ``terms`` is the block's rows in point order, as an iterable of 2-D row
+    slabs of equal width; a 2-D array is one slab.  Each slab is reduced
+    when it comes and only each row's prefix sums and level totals are
+    kept, so the block is never held whole.
+    """
     width = term_columns(ns, s_values)
-    if arr.ndim != 2 or arr.shape[1] < width:
-        raise ShapeMismatch(f"term matrix needs at least {width} columns, got shape {arr.shape}")
-    points = arr.shape[0]
-    prefix = []
-    for n in ns:
-        # Each row of the strided prefix view is summed like a contiguous row.
-        sums_sq = arr[:, :n].sum(axis=1) ** 2
-        mean = float(sums_sq.mean())
-        prefix.append((points, mean, float(((sums_sq - mean) ** 2).sum())))
-    levels = tuple(np.empty((s, points), dtype=np.float64) for s in s_values)
     top = max(s_values, default=0)
     # The level-r block sums of any s are the first 2^(s-r) of those of the
     # largest s: the same elements summed the same way.  So each level is
     # summed and squared once, and each s totals a prefix of it.  Rows go
     # in slabs of about SLAB_ITEMS terms, which bounds the scratch.
     step = max(1, SLAB_ITEMS >> top)
-    for lo in range(0, points, step):
-        head = arr[lo:lo + step, : 1 << top]
-        rows = head.shape[0]
-        for r in range(top):
-            squares = head.reshape(rows, 1 << (top - r), 1 << r).sum(axis=2)
-            np.square(squares, out=squares)
-            for s, totals in zip(s_values, levels):
-                if r < s:
-                    totals[r, lo:lo + rows] = squares[:, : 1 << (s - r)].sum(axis=1)
-    return BlockMoments(points, arr.shape[1], tuple(prefix), levels)
+    columns = None
+    sums, levels = [], []
+    for slab in (terms,) if isinstance(terms, np.ndarray) else terms:
+        arr = np.atleast_2d(np.asarray(slab, dtype=np.float64))
+        if arr.ndim != 2 or arr.shape[1] < width or columns not in (None, arr.shape[1]):
+            raise ShapeMismatch(
+                f"term slabs need one width of at least {width} columns, got shape {arr.shape}"
+            )
+        columns = arr.shape[1]
+        for lo in range(0, arr.shape[0], step):
+            head = arr[lo:lo + step]
+            rows = head.shape[0]
+            part = np.empty((len(ns), rows), dtype=np.float64)
+            for j, n in enumerate(ns):
+                # Each row of the strided prefix view is summed like a contiguous row.
+                part[j] = head[:, :n].sum(axis=1)
+            sums.append(part)
+            totals = tuple(np.empty((s, rows), dtype=np.float64) for s in s_values)
+            head = head[:, : 1 << top]
+            for r in range(top):
+                squares = head.reshape(rows, 1 << (top - r), 1 << r).sum(axis=2)
+                np.square(squares, out=squares)
+                for s, level in zip(s_values, totals):
+                    if r < s:
+                        level[r] = squares[:, : 1 << (s - r)].sum(axis=1)
+            levels.append(totals)
+    if columns is None:
+        raise ShapeMismatch("term block has no rows")
+    sums = np.concatenate(sums, axis=1)
+    prefix = []
+    for row in sums:
+        sums_sq = row ** 2
+        mean = float(sums_sq.mean())
+        prefix.append((sums.shape[1], mean, float(((sums_sq - mean) ** 2).sum())))
+    level_totals = tuple(np.concatenate(parts, axis=1) for parts in zip(*levels))
+    return BlockMoments(sums.shape[1], columns, tuple(prefix), level_totals)
 
 
 def merge_moments(blocks: Sequence[BlockMoments]) -> DyadicMoments:
@@ -239,15 +265,17 @@ def batch_moments(
     m: int = 0,
 ) -> BlockMoments:
     """Block moments of points lo..hi-1 from one generator call over
-    ks = m+1..m+W, so ns count terms after m."""
+    ks = m+1..m+W, so ns count terms after m; the call's row slabs are
+    reduced as the generator makes them."""
     idx = np.arange(lo, hi, dtype=np.int64)
     ks = np.arange(m + 1, m + term_columns(ns, s_values) + 1, dtype=np.int64)
-    block = np.asarray(generator(idx, ks), dtype=np.float64)
-    if block.shape != (idx.size, ks.size):
+    moments = block_moments(generator(idx, ks), ns, s_values)
+    if (moments.points, moments.columns) != (idx.size, ks.size):
         raise ShapeMismatch(
-            f"generator returned shape {block.shape}, expected {(idx.size, ks.size)}"
+            f"generator returned {moments.points} rows of {moments.columns} terms, "
+            f"expected {(idx.size, ks.size)}"
         )
-    return block_moments(block, ns, s_values)
+    return moments
 
 
 def ensemble_moments(

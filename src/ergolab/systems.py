@@ -214,9 +214,10 @@ def shift_apply(point: ShiftPoint, n: int) -> ShiftPoint:
 
 # Items per vectorized slab: the sampler resolves paths in slabs of about
 # this many symbols, so its comparison scratch stays small whatever the
-# batch width; the term generator and the dyadic reduction cut their
-# blocks the same way. The uniforms ``sample_rows`` draws are not cut:
-# they are one (rows, positions) block.
+# batch width; the term generator makes its terms in row slabs of about
+# this many, and the dyadic reduction cuts what it is given the same way.
+# ``sample_rows`` draws an i.i.d. chain one row of uniforms at a time; any
+# other chain still takes one (rows, positions) block of uniforms.
 SLAB_ITEMS = 1 << 16
 
 
@@ -235,6 +236,13 @@ def _next_symbols(tables: np.ndarray, table, current: np.ndarray, u: np.ndarray)
     for j in range(1, tables.shape[2]):
         symbols += u >= tables[table, current, j]
     return symbols
+
+
+def _iid_symbols(thresholds: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """out[...] = #{thresholds <= u}, elementwise, for one threshold row."""
+    np.greater_equal(u, thresholds[0], out=out)
+    for t in thresholds[1:]:
+        out += u >= t
 
 
 def _markov_path(
@@ -262,14 +270,9 @@ def _markov_path(
     out = np.empty((count, length), dtype=dtype)
     lanes = max(count, 1)
     if (tables == tables[0, 0]).all():
-        thresholds = tables[0, 0]
         step = max(1, SLAB_ITEMS // lanes)
         for lo in range(0, length, step):
-            block = u[:, lo:lo + step]
-            symbols = out[:, lo:lo + step]
-            symbols[...] = block >= thresholds[0]
-            for t in thresholds[1:]:
-                symbols += block >= t
+            _iid_symbols(tables[0, 0], u[:, lo:lo + step], out[:, lo:lo + step])
         return out
     m = tables.shape[1]
     blocks = math.isqrt(length // lanes)
@@ -311,23 +314,35 @@ def sorted_union(arrays) -> np.ndarray:
     return values[keep]
 
 
+def _is_iid(system: ShiftSystem) -> bool:
+    """Whether every row of P is the same, so that P^g = P for every g."""
+    return bool((system.transition == system.transition[0]).all())
+
+
 def _gap_tables(system: ShiftSystem, gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Threshold tables of P^g, one per distinct gap g, and each gap's table."""
-    if (system.transition == system.transition[0]).all():  # i.i.d.: P^g = P
+    if _is_iid(system):
         return _thresholds(system.transition)[None], np.zeros(gaps.size, dtype=np.intp)
     distinct, which = np.unique(gaps, return_inverse=True)
     powers = [system.transition_power(int(g)) for g in distinct] or [system.transition]
     return _thresholds(np.stack(powers)), which
 
 
+def _checked_gaps(positions) -> tuple[np.ndarray, np.ndarray]:
+    """``positions`` as int64 and their gaps; raises DomainError unless
+    they are a sorted 1-d array of distinct integers."""
+    positions = np.asarray(positions, dtype=np.int64)
+    gaps = np.diff(positions) if positions.ndim == 1 else None
+    if gaps is None or (gaps <= 0).any():
+        raise DomainError("sample positions must be a sorted 1-d array of distinct integers")
+    return positions, gaps
+
+
 def _sample_path(system: ShiftSystem, positions, count: int, uniforms) -> np.ndarray:
     """Symbols of ``count`` stationary sequences at sorted distinct
     ``positions``, resolved from ``uniforms(lo, hi)``: the (count, hi - lo)
     uniforms of positions lo..hi-1, asked for in ascending slabs."""
-    positions = np.asarray(positions, dtype=np.int64)
-    gaps = np.diff(positions)
-    if positions.ndim != 1 or (gaps <= 0).any():
-        raise DomainError("sample positions must be a sorted 1-d array of distinct integers")
+    positions, gaps = _checked_gaps(positions)
     out = np.empty((count, positions.size), dtype=_symbol_dtype(system.alphabet_size))
     if not positions.size:
         return out
@@ -361,13 +376,31 @@ def sample_at(
 def sample_rows(system: ShiftSystem, positions, rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """Row j is ``sample_at(system, positions, 1, rngs[j])[0]``.
 
-    Each row draws its ``len(positions)`` uniforms from its own stream, and
-    all rows are resolved together by the kernel ``sample_at`` uses.
+    Each row draws its ``len(positions)`` uniforms from its own stream.  An
+    i.i.d. chain resolves each row as soon as it is drawn, into one reused
+    row of uniforms: position 0 by the stationary thresholds, every later
+    one by the common row of P, the comparisons ``_markov_path`` makes.
+    Any other chain steps all rows together as lanes of the kernel
+    ``sample_at`` uses, from one (rows, positions) block of uniforms.
     """
-    u = np.empty((len(rngs), np.size(positions)), dtype=np.float64)
+    positions, _ = _checked_gaps(positions)
+    if not _is_iid(system):
+        u = np.empty((len(rngs), positions.size), dtype=np.float64)
+        for row, rng in enumerate(rngs):
+            rng.random(out=u[row])
+        return _sample_path(system, positions, len(rngs), lambda lo, hi: u[:, lo:hi])
+    out = np.empty((len(rngs), positions.size), dtype=_symbol_dtype(system.alphabet_size))
+    if not positions.size:
+        return out
+    thresholds = _thresholds(system.transition)[0]
+    u = np.empty(positions.size, dtype=np.float64)
+    first = np.empty(len(rngs), dtype=np.float64)
     for row, rng in enumerate(rngs):
-        rng.random(out=u[row])
-    return _sample_path(system, positions, len(rngs), lambda lo, hi: u[:, lo:hi])
+        rng.random(out=u)
+        first[row] = u[0]
+        _iid_symbols(thresholds, u[1:], out[row, 1:])
+    out[:, 0] = np.searchsorted(_thresholds(system.stationary), first, side="right")
+    return out
 
 
 # ---------------------------------------------------------------------------

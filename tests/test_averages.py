@@ -391,8 +391,8 @@ class TestTermGenerator:
         spec = make_spec(bernoulli, [f, g], (1, 2), 64)
         generator = averages.product_term_generator(spec, master_seed=33)
         ks = np.arange(1, 65, dtype=np.int64)
-        first = generator(np.array([0, 1]), ks)
-        again = generator(np.array([0, 1]), ks)
+        first = np.concatenate(list(generator(np.array([0, 1]), ks)))
+        again = np.concatenate(list(generator(np.array([0, 1]), ks)))
         assert np.array_equal(first, again)
         # Row j is the streamed orbit of the point sampled from row j's stream
         # at the positions the spec reads up to n_max = 64.
@@ -410,7 +410,7 @@ class TestTermGenerator:
         system = systems.bernoulli_system(np.full(130, 1 / 130))
         spec = make_spec(system, [systems.cylinder_indicator([129])], (1,), 64)
         generator = averages.product_term_generator(spec, master_seed=130)
-        block = generator(np.arange(400), np.arange(1, 65, dtype=np.int64))
+        block = np.concatenate(list(generator(np.arange(400), np.arange(1, 65, dtype=np.int64))))
         p = 1 / 130
         assert abs(block.mean() - p) <= 4 * math.sqrt(p * (1 - p) / block.size)
 
@@ -418,5 +418,5 @@ class TestTermGenerator:
         f = systems.centered_cylinder_indicator(bernoulli, [1])
         spec = make_spec(bernoulli, [f, f], (1, 2), 32)
         generator = averages.product_term_generator(spec, master_seed=1)
-        block = generator(np.arange(8), np.arange(1, 33, dtype=np.int64))
+        block = np.concatenate(list(generator(np.arange(8), np.arange(1, 33, dtype=np.int64))))
         assert np.all(np.abs(block) <= 0.25 + 1e-12)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import ergolab
-from ergolab import cli
+from ergolab import averages, cli
 from ergolab.errors import DomainError
 
 BERNOULLI_SYSTEM = {
@@ -862,6 +862,7 @@ class TestPmap:
             cli.pmap(fail_at_3_and_4, range(8), workers)
         assert type(shared.value) is type(serial.value)
         assert str(shared.value) == str(serial.value) == "task 3 failed"
+        assert shared.value.task == serial.value.task == 3
 
     def test_run_failure_summary_same_for_any_workers(self, tmp_path, monkeypatch, reaped):
         # Queries 2, 3 and 4 fail: at two workers the parent's share holds
@@ -882,7 +883,31 @@ class TestPmap:
             summaries.append((out / "summary.json").read_bytes())
         assert summaries[0] == summaries[1] == summaries[2]
         error = json.loads(summaries[0])["status"]["error"]
-        assert error == {"code": "ergolab.domain", "message": "query 2 failed"}
+        assert error == {"code": "ergolab.domain", "message": "query 2 failed", "task": 2}
+
+    def test_summary_names_the_failed_task(self, tmp_path, monkeypatch, reaped):
+        # Only orbit 3 fails: in a child's share at two workers, in the
+        # parent's at three. A run that succeeds carries no task index.
+        path = write_config(tmp_path, ratecheck_config())
+        assert cli.run(path, tmp_path / "ok", workers=1, emit_svg=False) == 0
+        ok = json.loads((tmp_path / "ok" / "summary.json").read_text())
+        assert ok["status"] == {"ok": True, "error": None}
+        member = averages._member
+
+        def fail_at_orbit_3(args):
+            if args[4] == 3:
+                raise DomainError("orbit 3 failed")
+            return member(args)
+
+        monkeypatch.setattr(averages, "_member", fail_at_orbit_3)
+        summaries = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            assert cli.run(path, out, workers=workers, emit_svg=False) == 3
+            summaries.append((out / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1] == summaries[2]
+        error = json.loads(summaries[0])["status"]["error"]
+        assert error == {"code": "ergolab.domain", "message": "orbit 3 failed", "task": 3}
 
     def test_killed_child_raises_runtime_error(self, tmp_path, monkeypatch, reaped):
         with pytest.raises(RuntimeError, match=r"share 1 of 2 \(tasks 1::2\)"):

@@ -199,7 +199,7 @@ def _materialized(generator, n_points, width, row_bytes=None):
     served as a generator that slices them."""
     ks = np.arange(1, width + 1, dtype=np.int64)
     batches = dyadic.point_batches(n_points, row_bytes or 8 * width)
-    block = np.concatenate([generator(np.arange(lo, hi), ks) for lo, hi in batches])
+    block = np.concatenate([slab for lo, hi in batches for slab in generator(np.arange(lo, hi), ks)])
     return lambda idx, ks: block[np.ix_(np.asarray(idx), np.asarray(ks) - 1)]
 
 
@@ -426,6 +426,71 @@ class TestSharedLevels:
             assert totals.tobytes() == ref.tobytes()
 
 
+def _whole_block_moments(terms, ns, s_values=()):
+    """The whole-matrix reduction that streaming row slabs replaced: one
+    (points, W) block, prefix sums over all rows at once, levels in row
+    slabs of SLAB_ITEMS >> max s."""
+    arr = np.atleast_2d(np.asarray(terms, dtype=np.float64))
+    points = arr.shape[0]
+    prefix = []
+    for n in ns:
+        sums_sq = arr[:, :n].sum(axis=1) ** 2
+        mean = float(sums_sq.mean())
+        prefix.append((points, mean, float(((sums_sq - mean) ** 2).sum())))
+    levels = tuple(np.empty((s, points), dtype=np.float64) for s in s_values)
+    top = max(s_values, default=0)
+    step = max(1, systems.SLAB_ITEMS >> top)
+    for lo in range(0, points, step):
+        head = arr[lo:lo + step, : 1 << top]
+        rows = head.shape[0]
+        for r in range(top):
+            squares = head.reshape(rows, 1 << (top - r), 1 << r).sum(axis=2)
+            np.square(squares, out=squares)
+            for s, totals in zip(s_values, levels):
+                if r < s:
+                    totals[r, lo:lo + rows] = squares[:, : 1 << (s - r)].sum(axis=1)
+    return dyadic.BlockMoments(points, arr.shape[1], tuple(prefix), levels)
+
+
+class TestStreamedBatch:
+    # (grid N, s values): N below and above 2^max s, N = 2^max s, no s.
+    # W = 256 and 512 give slabs of 256 and 128 rows, so 600 points end in
+    # a partial slab.
+    @pytest.mark.parametrize(
+        "ns, s_values", [((16, 64, 256), (7, 3)), ((32, 512), (9,)), ((8, 128, 256), ())]
+    )
+    @pytest.mark.parametrize("points", [1, 37, 600])
+    @pytest.mark.parametrize("radius", [0, 2])
+    @pytest.mark.parametrize("system", [BERNOULLI, MARKOV], ids=["bernoulli", "markov"])
+    def test_equals_whole_block(self, system, radius, points, ns, s_values):
+        word = [1, 0] * radius + [1]
+        left = systems.cylinder_observable(radius, {tuple(word): 0.37}, default=-1.3)
+        spec = _pair_spec(system, left, max(ns), kind="primes")
+        generator = averages.product_term_generator(spec, master_seed=17)
+        got = dyadic.batch_moments(generator, 0, points, ns, s_values)
+        ks = np.arange(1, dyadic.term_columns(ns, s_values) + 1)
+        want = _whole_block_moments(
+            np.concatenate(list(generator(np.arange(points), ks))), ns, s_values
+        )
+        assert (got.points, got.columns) == (want.points, want.columns) == (points, ks.size)
+        assert got.prefix_moments == want.prefix_moments
+        assert len(got.level_totals) == len(s_values)
+        for totals, ref in zip(got.level_totals, want.level_totals):
+            assert totals.shape == ref.shape and totals.tobytes() == ref.tobytes()
+
+    def test_array_and_slabs_agree(self):
+        arr = np.random.default_rng(3).standard_normal((300, 256))
+        whole = dyadic.block_moments(arr, (16, 200), (8, 2))
+        cut = dyadic.block_moments((arr[lo:lo + 7] for lo in range(0, 300, 7)), (16, 200), (8, 2))
+        assert whole.prefix_moments == cut.prefix_moments
+        for a, b in zip(whole.level_totals, cut.level_totals):
+            assert a.tobytes() == b.tobytes()
+        with pytest.raises(ShapeMismatch):
+            dyadic.block_moments(iter([arr[:5], arr[5:, :128]]), (16,))
+        with pytest.raises(ShapeMismatch):
+            dyadic.block_moments(iter([]), (16,))
+
+
 def _traced_peak(fn, *args):
     """Peak bytes that ``fn(*args)`` allocates, by tracemalloc."""
     tracemalloc.start()
@@ -444,6 +509,16 @@ class TestBatchMemory:
         ns = (64, 128, 256, 512, 1024, 2048)
         peak = _traced_peak(dyadic.batch_moments, generator, 0, 512, ns, (6, 7, 8, 9, 10))
         assert peak <= 2 * 512 * 2048 * 8
+
+    def test_iid_batch_streams_its_rows(self):
+        # One int8 symbol per point and position (1.5 MiB) and slabs of
+        # about SLAB_ITEMS terms: no 8 MiB term block and no 12 MiB block
+        # of uniforms.
+        spec = _pair_spec(BERNOULLI, systems.centered_cylinder_indicator(BERNOULLI, [1]), 2048)
+        generator = averages.product_term_generator(spec, master_seed=7)
+        ns = (64, 128, 256, 512, 1024, 2048)
+        peak = _traced_peak(dyadic.batch_moments, generator, 0, 512, ns, (6, 7, 8, 9, 10))
+        assert peak <= 5 << 20
 
     @pytest.mark.parametrize("width", [256, 1 << 14])
     @pytest.mark.parametrize("radius", [0, 2])

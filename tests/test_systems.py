@@ -556,11 +556,11 @@ class TestPathKernel:
         generator = averages.product_term_generator(spec, master_seed=91)
         points = np.array([0, 5, 2, 11])
         for ks in (np.arange(1, 65), np.arange(20, 41), np.arange(1, 2)):
-            got = generator(points, ks)
+            got = np.concatenate(list(generator(points, ks)))
             assert np.array_equal(got, _reference_terms(spec, 91, points, ks))
 
     def test_term_chunks_match_one_shot(self):
-        # 150 rows fill the block in chunks of 436 columns, the last one
+        # 150 rows of 1000 terms come in slabs of 65 rows, the last one
         # partial; a one-shot pass samples each row on its own and looks up
         # every column at once. Non-dyadic values make the products inexact.
         chain = systems.build_shift([[1, 1], [1, 1]], [[0.9, 0.1], [0.1, 0.9]])
@@ -574,7 +574,7 @@ class TestPathKernel:
             n_max=1000,
         )
         points, ks = np.arange(150), np.arange(1, 1001)
-        assert systems.SLAB_ITEMS // points.size < ks.size
+        assert points.size % (systems.SLAB_ITEMS // ks.size) == 20
         terms = generate(spec.sequence, ks.size)
         positions = spec.positions_read(terms)
         want = np.ones((points.size, ks.size))
@@ -583,7 +583,7 @@ class TestPathKernel:
             point = systems.ShiftPoint(positions, symbols)
             for m, obs in zip(spec.multipliers, spec.observables):
                 want[j] *= systems.cylinder_values_at(point, obs, m * terms, 2)
-        got = averages.product_term_generator(spec, master_seed=23)(points, ks)
+        got = np.concatenate(list(averages.product_term_generator(spec, master_seed=23)(points, ks)))
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("multipliers", [(1, 2), (1, -2)])
@@ -598,10 +598,10 @@ class TestPathKernel:
         )
         generator = averages.product_term_generator(spec, master_seed=4)
         ks = np.arange(1, 257)
-        full = generator(np.arange(6), ks)
+        full = np.concatenate(list(generator(np.arange(6), ks)))
         # Subsets, other orders, a repeated point and one single point.
         for points in ([5, 0, 3], [2], [4, 1, 1, 5]):
-            assert np.array_equal(generator(np.array(points), ks), full[points])
+            assert np.array_equal(np.concatenate(list(generator(np.array(points), ks))), full[points])
 
 
 # ---------------------------------------------------------------------------
@@ -699,6 +699,65 @@ class TestSampleAt:
         )
         with pytest.raises(WindowExhausted):
             averages.ergodic_average_stream(wider, point)
+
+
+class _ScriptedRng:
+    """Hands out fixed uniforms in draw order, as ``Generator.random`` does."""
+
+    def __init__(self, values):
+        self.values, self.at = np.asarray(values, dtype=np.float64), 0
+
+    def random(self, size=None, out=None):
+        n = out.size if out is not None else int(np.prod(size))
+        chunk = self.values[self.at:self.at + n]
+        self.at += n
+        if out is None:
+            return chunk.reshape(size).copy()
+        out[...] = chunk.reshape(out.shape)
+        return out
+
+
+class TestSampleRows:
+    @pytest.mark.parametrize("name", sorted(POSITION_SETS))
+    def test_row_j_is_sample_at_on_stream_j(self, chain, name):
+        # Two- and three-letter i.i.d. chains resolve row by row; the
+        # others step all rows as lanes of the path kernel.
+        positions = POSITION_SETS[name]
+        got = systems.sample_rows(chain, positions, [np.random.default_rng((9, j)) for j in range(5)])
+        assert got.dtype == np.int8
+        for j, row in enumerate(got):
+            assert np.array_equal(row, systems.sample_at(chain, positions, 1, np.random.default_rng((9, j)))[0])
+
+    def test_first_position_reads_the_stationary_thresholds(self):
+        # The computed stationary vector of the (1/3, 2/3) chain sits one
+        # rounding below P's row, so a uniform at its threshold draws 1 at
+        # position 0 and 0 at every later position.
+        system = systems.bernoulli_system([1 / 3, 2 / 3])
+        first = systems._thresholds(system.stationary)[0]
+        assert first < systems._thresholds(system.transition)[0, 0]
+        positions = [-4, 0, 1, 9]
+        rows = np.random.default_rng(2).random((6, len(positions)))
+        rows[::2] = first
+        got = systems.sample_rows(system, positions, [_ScriptedRng(u) for u in rows])
+        assert got[0].tolist() == [1, 0, 0, 0]
+        for j, u in enumerate(rows):
+            assert np.array_equal(got[j], systems.sample_at(system, positions, 1, _ScriptedRng(u))[0])
+
+    def test_large_alphabet_dtype(self):
+        system = systems.bernoulli_system(np.full(130, 1 / 130))
+        positions = POSITION_SETS["random"]
+        got = systems.sample_rows(system, positions, [np.random.default_rng(j) for j in range(4)])
+        assert got.dtype == np.int64
+        for j, row in enumerate(got):
+            assert np.array_equal(row, systems.sample_at(system, positions, 1, np.random.default_rng(j))[0])
+        assert got.max() > 127
+
+    @pytest.mark.parametrize("name", ["bernoulli2", "markov"])
+    def test_rejects_unsorted_or_repeated_positions(self, name):
+        system = CHAINS[name]()
+        for positions in ([0, 0, 1], [3, 1], [[0, 1]]):
+            with pytest.raises(DomainError):
+                systems.sample_rows(system, positions, [np.random.default_rng(0)] * 2)
 
 
 class TestTransitionPower:
