@@ -31,6 +31,7 @@ from .systems import (
     TorusPoint,
     _symbol_dtype,
     cylinder_table,
+    cylinder_products,
     cylinder_table_size,
     cylinder_values_at,
     evaluate,
@@ -400,12 +401,14 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     cylinder factors only; use centered observables when the framework
     expects mean-zero terms.
 
-    The call samples the symbols of all its points at once and returns an
-    iterator over the rows of F in point order, in slabs of
-    max(1, ``SLAB_ITEMS`` // len(ks)) rows, each made when it is asked
-    for: a call holds its symbols and one slab of terms, word codes and
-    values.  The products are elementwise, so every entry is the float
-    one full-width pass gives.  ``term_bytes`` bounds what a call holds.
+    The call returns an iterator over the rows of F in point order, in
+    slabs of max(1, ``SLAB_ITEMS`` // len(ks)) rows, each made from start
+    to finish when it is asked for: the slab's streams, its symbols
+    (``sample_rows``), its factor values and its terms.  The term slab,
+    word codes and values are arrays allocated once per call and reused,
+    so a slab holds its terms until the next is asked for.  The products
+    are elementwise, so every entry is the float one full-width pass
+    gives.  ``term_bytes`` bounds what a call holds.
     """
     if not isinstance(spec.system, ShiftSystem):
         raise DomainError("term generators are implemented for shift systems")
@@ -413,32 +416,38 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     multipliers = np.asarray(spec.multipliers, dtype=np.int64)
     tables = [cylinder_table(obs, system.alphabet_size) for obs in spec.observables]
 
-    def slabs(block: ShiftPoint, factors: list):
-        count, width = block.symbols.shape[0], factors[0][1].size
-        step = max(1, SLAB_ITEMS // width)
-        for lo in range(0, count, step):
-            rows = ShiftPoint(block.positions, block.symbols[lo:lo + step])
-            values = (
-                cylinder_values_at(rows, obs, at, system.alphabet_size, table)
-                for obs, at, table in factors
+    def slabs(positions: np.ndarray, factors: list, streams, step: int):
+        width = factors[0][1].size
+        scratch = None
+        for symbols in sample_rows(system, positions, streams, step):
+            rows = symbols.shape[0]
+            if scratch is None:
+                # The first slab is the largest: allocated after it is
+                # sampled, scratch never meets a whole block of uniforms.
+                shape = (rows, width)
+                scratch = (
+                    np.empty(shape, dtype=np.float64),
+                    np.empty(shape, dtype=np.float64),
+                    np.empty(shape, dtype=np.intp),
+                    np.empty(shape, dtype=symbols.dtype),
+                )
+            out, values, codes, gathered = (a[:rows] for a in scratch)
+            block = ShiftPoint(positions, symbols)
+            yield cylinder_products(
+                block, factors, system.alphabet_size, out, values, (codes, gathered)
             )
-            # The first factor's values hold the product: 1.0 times them is
-            # exact, and no slab of ones is made.
-            out = next(values)
-            for factor in values:
-                out *= factor
-            yield out
 
     def generator(point_indices: np.ndarray, ks: np.ndarray):
         ks = np.asarray(ks, dtype=np.int64)
+        points = np.ravel(point_indices)
         terms = generate(spec.sequence, int(ks.max()))[ks - 1]
-        positions = spec.positions_read(terms)
-        rngs = [rng_for(master_seed, ROLE_TERMS, int(j)) for j in np.ravel(point_indices)]
-        block = ShiftPoint(positions, sample_rows(system, positions, rngs))
-        return slabs(block, [
+        streams = (rng_for(master_seed, ROLE_TERMS, int(j)) for j in points)
+        factors = [
             (obs, mult * terms, table)
             for obs, mult, table in zip(spec.observables, multipliers, tables)
-        ])
+        ]
+        step = max(1, min(points.size, SLAB_ITEMS // ks.size))
+        return slabs(spec.positions_read(terms), factors, streams, step)
 
     return generator
 
@@ -450,14 +459,16 @@ def term_bytes(spec: AverageSpec, width: int, positions: int | None = None) -> t
     positions; by default their bound sum_i (2 radius_i + 1) width.
 
     The per-point figure is an upper bound: one uniform and one symbol per
-    position and ``width`` float64 terms.  A call holds one symbol per
-    point and position, a uniform per point and position only on a
-    non-i.i.d. chain, and its terms only a slab at a time; but the figure
-    also sizes the point batches (``dyadic.point_batches``), whose
-    partition decides the pairwise merge, so it stays as it is.  A call
-    also holds the sequence terms with their generation scratch (64 bytes
-    a column covers the prime sieve and polynomial terms), the positions
-    with their sort and gap scratch, the factor tables and slab scratch.
+    position and ``width`` float64 terms.  On an i.i.d. chain a call holds
+    symbols and terms only a row slab at a time; on any other chain it
+    holds a uniform and a symbol per point and position, and terms a slab
+    at a time.  But the figure also sizes the point batches
+    (``dyadic.point_batches``), whose partition decides the pairwise
+    merge, so it stays as it is.  A call also holds the sequence terms
+    with their generation scratch (64 bytes a column covers the prime
+    sieve and polynomial terms), the positions with their sort and gap
+    scratch, the factor tables and the slab scratch, which
+    ``64 * SLAB_ITEMS`` bounds.
     Not counted: the P^g that a non-i.i.d. chain caches per distinct gap
     (``transition_power``).
     """

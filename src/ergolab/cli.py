@@ -1122,6 +1122,7 @@ def run(config_path: Path, out_dir: Path | None, workers: int, emit_svg: bool) -
         ],
         "wall_seconds": elapsed,
         "steps": ctx.steps,
+        "resources": _resources(),
         "versions": {
             "ergolab": __version__,
             "python": sys.version.split()[0],
@@ -1133,6 +1134,26 @@ def run(config_path: Path, out_dir: Path | None, workers: int, emit_svg: bool) -
         print(f"runtime error: {status['error']}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
+
+
+def _resources() -> dict:
+    """Peak RSS in MB and minor page faults of this process ("self") and
+    of its reaped children ("children": the ``pmap`` shares), from
+    ``getrusage``; empty where the ``resource`` module is missing."""
+    try:
+        import resource
+    except ImportError:
+        return {}
+    # ru_maxrss is in KiB on Linux and in bytes on macOS.
+    scale = 1 << 20 if sys.platform == "darwin" else 1 << 10
+    usage = {
+        "self": resource.getrusage(resource.RUSAGE_SELF),
+        "children": resource.getrusage(resource.RUSAGE_CHILDREN),
+    }
+    return {
+        who: {"peak_rss_mb": u.ru_maxrss / scale, "minor_faults": u.ru_minflt}
+        for who, u in usage.items()
+    }
 
 
 def _csv_header(path: Path) -> list[str]:

@@ -12,6 +12,7 @@ identity relating them to joint moments.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,15 +34,18 @@ from .errors import (
 from .seeding import MC_CHUNK, ROLE_MC, rng_for
 from .systems import (
     CYLINDER,
+    LANES,
+    SLAB_ITEMS,
     TORUS_SLAB,
     TRIG,
     Observable,
     ShiftPoint,
     ShiftSystem,
     TorusAutomorphism,
+    _symbol_dtype,
+    cylinder_products,
     cylinder_table,
     cylinder_table_size,
-    cylinder_values_at,
     exact_mean,
     sample_at,
     sample_torus_limbs,
@@ -131,18 +135,40 @@ def _require_torus_trig(query: CorrelationQuery) -> TorusAutomorphism:
 # Monte Carlo estimator
 # ---------------------------------------------------------------------------
 
-def _mc_products_shift(
-    query: CorrelationQuery, count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Products of the cylinder factors over ``count`` stationary sequences
-    sampled only at the positions the factors read."""
-    positions = query.read_positions
-    block = ShiftPoint(positions, sample_at(query.system, positions, count, rng))
-    m = query.system.alphabet_size
-    prod = np.ones(count, dtype=np.float64)
-    for obs, t in zip(query.observables, query.effective_times()):
-        prod *= cylinder_values_at(block, obs, t, m)
-    return prod
+def _mc_products_shift(query: CorrelationQuery, chunk: int):
+    """(count, rng) -> products of the cylinder factors over ``count`` <=
+    ``chunk`` stationary sequences sampled only at the positions the
+    factors read.
+
+    Every array is allocated here once and reused by every call, so each
+    call returns its products in the same array.  The products take the
+    uniforms' array once the symbols are drawn, and the factors are
+    evaluated ``LANES`` sequences at a time, so word codes and values stay
+    small."""
+    system, positions = query.system, query.read_positions
+    m = system.alphabet_size
+    factors = [
+        (obs, t, cylinder_table(obs, m))
+        for obs, t in zip(query.observables, query.effective_times())
+    ]
+    uniforms = np.empty(max(SLAB_ITEMS, chunk), dtype=np.float64)
+    symbols = np.empty((chunk, positions.size), dtype=_symbol_dtype(m))
+    lanes = min(chunk, LANES)
+    codes = np.empty(lanes, dtype=np.intp)
+    gathered = np.empty(lanes, dtype=symbols.dtype)
+    values = np.empty(lanes, dtype=np.float64)
+
+    def kernel(count: int, rng: np.random.Generator) -> np.ndarray:
+        sample_at(system, positions, count, rng, symbols[:count], uniforms)
+        prod = uniforms[:count]
+        for lo in range(0, count, lanes):
+            block = ShiftPoint(positions, symbols[lo:min(lo + lanes, count)])
+            rows = block.symbols.shape[0]
+            scratch = codes[:rows], gathered[:rows]
+            cylinder_products(block, factors, m, prod[lo:lo + rows], values[:rows], scratch)
+        return prod
+
+    return kernel
 
 
 def _transformed_terms(
@@ -216,25 +242,29 @@ def mc_correlation(
     Sampling is chunked with one derived stream per fixed-size chunk; each
     chunk's mean and squared deviations are merged pairwise in chunk order,
     so the result is independent of how chunks are scheduled over workers
-    and the variance has no sum-of-squares cancellation.
+    and the variance has no sum-of-squares cancellation.  On a shift the
+    chunk loop reuses arrays allocated once per call.
     """
     if samples < 2:
         raise DomainError("need at least 2 samples")
     if isinstance(query.system, ShiftSystem):
-        kernel = _mc_products_shift
         for obs in query.observables:
             if obs.variant != CYLINDER:
                 raise VariantMismatch("shift queries need cylinder observables")
+        products = _mc_products_shift(query, min(MC_CHUNK, samples))
     else:
-        kernel = _mc_products_torus
         for obs in query.observables:
             if obs.variant != TRIG:
                 raise VariantMismatch("torus queries need trig observables")
+        products = functools.partial(_mc_products_torus, query)
     parts = []
     for chunk_index, lo in enumerate(range(0, samples, MC_CHUNK)):
-        prod = kernel(query, min(MC_CHUNK, samples - lo), rng_for(seed, ROLE_MC, chunk_index))
+        prod = products(min(MC_CHUNK, samples - lo), rng_for(seed, ROLE_MC, chunk_index))
         mean = float(prod.mean())
-        parts.append((prod.size, mean, float(((prod - mean) ** 2).sum())))
+        # The squared deviations overwrite the products, which are done with.
+        np.subtract(prod, mean, out=prod)
+        np.square(prod, out=prod)
+        parts.append((prod.size, mean, float(prod.sum())))
     _, estimate, m2 = _pairwise_moments(parts)
     return estimate, (m2 / (samples - 1) / samples) ** 0.5
 

@@ -107,9 +107,11 @@ TermGenerator = Callable[[np.ndarray, np.ndarray], Iterable[np.ndarray]]
 
 # Bytes the points of one batch may hold, measured by an upper bound per
 # point: its W float64 terms and a uniform and a symbol at each position
-# it reads (``averages.term_bytes``).  A streamed batch holds less, one
-# symbol per position and slabs of terms, but the bound still sizes the
-# partition, which decides the pairwise merge.  A batch holds at most 512
+# it reads (``averages.term_bytes``).  A streamed batch holds much less:
+# on an i.i.d. chain one row slab of symbols, terms and scratch; on any
+# other chain a uniform and a symbol per point and position as well.  The
+# bound still sizes the partition, which decides the pairwise merge.  A
+# batch holds at most 512
 # points, and at least one whatever the row bytes.  48 MiB keeps 512 points
 # up to W = 2048 with a radius-1 and a radius-0 factor on two letters
 # (44 MiB), so those runs merge as they did before batches were sized by
@@ -191,9 +193,12 @@ def block_moments(terms, ns: Sequence[int], s_values: Sequence[int] = ()) -> Blo
     # The level-r block sums of any s are the first 2^(s-r) of those of the
     # largest s: the same elements summed the same way.  So each level is
     # summed and squared once, and each s totals a prefix of it.  Rows go
-    # in slabs of about SLAB_ITEMS terms, which bounds the scratch.
+    # in slabs of about SLAB_ITEMS terms, and the level block sums of each
+    # go into one scratch array, made for the first slab and made again
+    # only for a larger one.
     step = max(1, SLAB_ITEMS >> top)
     columns = None
+    scratch = np.empty(0, dtype=np.float64)
     sums, levels = [], []
     for slab in (terms,) if isinstance(terms, np.ndarray) else terms:
         arr = np.atleast_2d(np.asarray(slab, dtype=np.float64))
@@ -208,16 +213,19 @@ def block_moments(terms, ns: Sequence[int], s_values: Sequence[int] = ()) -> Blo
             part = np.empty((len(ns), rows), dtype=np.float64)
             for j, n in enumerate(ns):
                 # Each row of the strided prefix view is summed like a contiguous row.
-                part[j] = head[:, :n].sum(axis=1)
+                head[:, :n].sum(axis=1, out=part[j])
             sums.append(part)
             totals = tuple(np.empty((s, rows), dtype=np.float64) for s in s_values)
+            if scratch.size < rows << top:
+                scratch = np.empty(rows << top, dtype=np.float64)
             head = head[:, : 1 << top]
             for r in range(top):
-                squares = head.reshape(rows, 1 << (top - r), 1 << r).sum(axis=2)
+                squares = scratch[: rows << (top - r)].reshape(rows, 1 << (top - r))
+                head.reshape(rows, 1 << (top - r), 1 << r).sum(axis=2, out=squares)
                 np.square(squares, out=squares)
                 for s, level in zip(s_values, totals):
                     if r < s:
-                        level[r] = squares[:, : 1 << (s - r)].sum(axis=1)
+                        squares[:, : 1 << (s - r)].sum(axis=1, out=level[r])
             levels.append(totals)
     if columns is None:
         raise ShapeMismatch("term block has no rows")

@@ -17,9 +17,10 @@ trigonometric polynomials on the torus; both support exact means.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -214,11 +215,16 @@ def shift_apply(point: ShiftPoint, n: int) -> ShiftPoint:
 
 # Items per vectorized slab: the sampler resolves paths in slabs of about
 # this many symbols, so its comparison scratch stays small whatever the
-# batch width; the term generator makes its terms in row slabs of about
-# this many, and the dyadic reduction cuts what it is given the same way.
-# ``sample_rows`` draws an i.i.d. chain one row of uniforms at a time; any
-# other chain still takes one (rows, positions) block of uniforms.
+# batch width; the term generator makes each row slab of about this many
+# terms from start to finish, its symbols included, and the dyadic
+# reduction cuts what it is given the same way.  ``sample_rows`` draws an
+# i.i.d. chain one row of uniforms at a time, a slab's rows when the slab
+# is made; any other chain still takes one (rows, positions) block of
+# uniforms and yields slices of its symbols.
 SLAB_ITEMS = 1 << 16
+# Most sequences one path-kernel call steps at once, which keeps its
+# per-step temporaries small on wide batches.
+LANES = SLAB_ITEMS >> 3
 
 
 def _symbol_dtype(alphabet_size: int):
@@ -246,7 +252,7 @@ def _iid_symbols(thresholds: np.ndarray, u: np.ndarray, out: np.ndarray) -> None
 
 
 def _markov_path(
-    tables: np.ndarray, which: np.ndarray, start: np.ndarray, u: np.ndarray, dtype
+    tables: np.ndarray, which: np.ndarray, start: np.ndarray, u: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Symbols of ``count`` chain runs resolved from fixed uniforms.
 
@@ -255,7 +261,8 @@ def _markov_path(
     ``which[i]``.  ``start`` is (count,) and ``u`` is (count, L).  Column i
     of the result is ``#{tables[which[i], s] <= u[:, i]}`` with s the
     symbol of column i - 1 (``start`` for column 0): exactly the symbols a
-    per-step loop gives.
+    per-step loop gives.  They go into ``out``, a (count, L) array, which
+    is returned.
 
     An i.i.d. chain (every row of every table equal) needs no chaining:
     m - 1 vectorized comparisons per slab of uniforms.  Otherwise the run
@@ -267,7 +274,6 @@ def _markov_path(
     in place of L.
     """
     count, length = u.shape
-    out = np.empty((count, length), dtype=dtype)
     lanes = max(count, 1)
     if (tables == tables[0, 0]).all():
         step = max(1, SLAB_ITEMS // lanes)
@@ -338,27 +344,35 @@ def _checked_gaps(positions) -> tuple[np.ndarray, np.ndarray]:
     return positions, gaps
 
 
-def _sample_path(system: ShiftSystem, positions, count: int, uniforms) -> np.ndarray:
+def _sample_path(system: ShiftSystem, positions, count: int, uniforms, out=None) -> np.ndarray:
     """Symbols of ``count`` stationary sequences at sorted distinct
     ``positions``, resolved from ``uniforms(lo, hi)``: the (count, hi - lo)
-    uniforms of positions lo..hi-1, asked for in ascending slabs."""
+    uniforms of positions lo..hi-1, asked for in ascending slabs.  Slabs
+    hold max(1, ``SLAB_ITEMS`` // count) positions.  The symbols go into
+    ``out`` when it is given."""
     positions, gaps = _checked_gaps(positions)
-    out = np.empty((count, positions.size), dtype=_symbol_dtype(system.alphabet_size))
+    if out is None:
+        out = np.empty((count, positions.size), dtype=_symbol_dtype(system.alphabet_size))
     if not positions.size:
         return out
     tables, which = _gap_tables(system, gaps)
-    current = np.searchsorted(_thresholds(system.stationary), uniforms(0, 1)[:, 0], side="right")
-    out[:, 0] = current
+    # #{t <= u} over the stationary thresholds, as searchsorted(side="right")
+    # counts it, written in place.
+    _iid_symbols(_thresholds(system.stationary), uniforms(0, 1)[:, 0], out[:, 0])
     step = max(1, SLAB_ITEMS // max(count, 1))
     for lo in range(1, positions.size, step):
         hi = min(lo + step, positions.size)
-        out[:, lo:hi] = _markov_path(tables, which[lo - 1:hi - 1], current, uniforms(lo, hi), out.dtype)
-        current = out[:, hi - 1]
+        u = uniforms(lo, hi)
+        # Lanes are independent: kernel calls of at most LANES lanes give
+        # the same symbols and keep its temporaries small.
+        for a in range(0, count, LANES):
+            b = min(a + LANES, count)
+            _markov_path(tables, which[lo - 1:hi - 1], out[a:b, lo - 1], u[a:b], out[a:b, lo:hi])
     return out
 
 
 def sample_at(
-    system: ShiftSystem, positions, count: int, rng: np.random.Generator
+    system: ShiftSystem, positions, count: int, rng: np.random.Generator, out=None, scratch=None
 ) -> np.ndarray:
     """Symbols of ``count`` stationary sequences at sorted distinct
     ``positions``, shape (count, len(positions)); no other position is drawn.
@@ -369,38 +383,72 @@ def sample_at(
     positions.  Draw order is fixed: uniform ``c * count + j`` resolves
     position c of sequence j.  Positions are drawn in slabs of several at
     once, which is the same stream, and ``_markov_path`` resolves each slab.
+
+    A loop that samples many times can pass arrays to reuse: ``out``, the
+    (count, len(positions)) array of the symbol dtype that receives the
+    symbols, and ``scratch``, a float64 array of max(``SLAB_ITEMS``, count)
+    entries, which holds any slab's uniforms.
     """
-    return _sample_path(system, positions, count, lambda lo, hi: rng.random((hi - lo, count)).T)
+    def uniforms(lo, hi):
+        if scratch is None:
+            return rng.random((hi - lo, count)).T
+        return rng.random(out=scratch[: (hi - lo) * count].reshape(hi - lo, count)).T
+
+    return _sample_path(system, positions, count, uniforms, out)
 
 
-def sample_rows(system: ShiftSystem, positions, rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Row j is ``sample_at(system, positions, 1, rngs[j])[0]``.
+def sample_rows(
+    system: ShiftSystem, positions, rngs: Iterable[np.random.Generator], slab_rows: int
+) -> Iterator[np.ndarray]:
+    """Slabs of up to ``slab_rows`` rows in row order, where row j is
+    ``sample_at(system, positions, 1, rngs[j])[0]``.
 
-    Each row draws its ``len(positions)`` uniforms from its own stream.  An
-    i.i.d. chain resolves each row as soon as it is drawn, into one reused
-    row of uniforms: position 0 by the stationary thresholds, every later
-    one by the common row of P, the comparisons ``_markov_path`` makes.
-    Any other chain steps all rows together as lanes of the kernel
-    ``sample_at`` uses, from one (rows, positions) block of uniforms.
+    Each row draws its ``len(positions)`` uniforms from its own stream.
+    ``rngs`` may be lazy: an i.i.d. chain takes the next stream only when
+    it draws that row, into one reused row of uniforms, and resolves the
+    row at once: position 0 by the stationary thresholds, every later one
+    by the common row of P, the comparisons ``_markov_path`` makes.  Its
+    slabs are views of one reused block, so a slab holds its rows until
+    the next is asked for.  Any other chain steps all rows together as
+    lanes of the kernel ``sample_at`` uses, from one (rows, positions)
+    block of uniforms, and yields slices of the symbols.
     """
     positions, _ = _checked_gaps(positions)
-    if not _is_iid(system):
-        u = np.empty((len(rngs), positions.size), dtype=np.float64)
-        for row, rng in enumerate(rngs):
-            rng.random(out=u[row])
-        return _sample_path(system, positions, len(rngs), lambda lo, hi: u[:, lo:hi])
-    out = np.empty((len(rngs), positions.size), dtype=_symbol_dtype(system.alphabet_size))
-    if not positions.size:
-        return out
-    thresholds = _thresholds(system.transition)[0]
-    u = np.empty(positions.size, dtype=np.float64)
-    first = np.empty(len(rngs), dtype=np.float64)
+    if slab_rows < 1:
+        raise DomainError("need at least one row per slab")
+    if not _is_iid(system) or not positions.size:
+        rows = _lane_rows(system, positions, list(rngs))
+        return (rows[lo:lo + slab_rows] for lo in range(0, rows.shape[0], slab_rows))
+    return _iid_row_slabs(system, positions, iter(rngs), slab_rows)
+
+
+def _lane_rows(system: ShiftSystem, positions: np.ndarray, rngs: list) -> np.ndarray:
+    """All rows at once, from one (rows, positions) block of uniforms."""
+    u = np.empty((len(rngs), positions.size), dtype=np.float64)
     for row, rng in enumerate(rngs):
-        rng.random(out=u)
-        first[row] = u[0]
-        _iid_symbols(thresholds, u[1:], out[row, 1:])
-    out[:, 0] = np.searchsorted(_thresholds(system.stationary), first, side="right")
-    return out
+        rng.random(out=u[row])
+    return _sample_path(system, positions, len(rngs), lambda lo, hi: u[:, lo:hi])
+
+
+def _iid_row_slabs(system: ShiftSystem, positions: np.ndarray, rngs: Iterator, slab_rows: int):
+    """An i.i.d. chain's row slabs, each row drawn and resolved as its
+    stream is taken."""
+    thresholds = _thresholds(system.transition)[0]
+    stationary = _thresholds(system.stationary)
+    out = np.empty((slab_rows, positions.size), dtype=_symbol_dtype(system.alphabet_size))
+    u = np.empty(positions.size, dtype=np.float64)
+    first = np.empty(slab_rows, dtype=np.float64)
+    while True:
+        rows = 0
+        for rng in itertools.islice(rngs, slab_rows):
+            rng.random(out=u)
+            first[rows] = u[0]
+            _iid_symbols(thresholds, u[1:], out[rows, 1:])
+            rows += 1
+        if not rows:
+            return
+        out[:rows, 0] = np.searchsorted(stationary, first[:rows], side="right")
+        yield out[:rows]
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +908,13 @@ def cylinder_table(observable: Observable, alphabet_size: int) -> np.ndarray:
 
 
 def cylinder_values_at(
-    point: ShiftPoint, observable: Observable, positions, alphabet_size: int, table=None
+    point: ShiftPoint,
+    observable: Observable,
+    positions,
+    alphabet_size: int,
+    table=None,
+    out=None,
+    scratch=None,
 ) -> np.ndarray:
     """Cylinder values at many shifted origins of a point or a block of points.
 
@@ -868,18 +922,46 @@ def cylinder_values_at(
     a (count, P) block of symbols the result is (count,) + positions.shape;
     for one sequence it is positions.shape.  Each word is coded in base
     ``alphabet_size`` and read from ``table``, the factor's
-    ``cylinder_table``, which is built here when not given.
+    ``cylinder_table``, which is built here when not given.  A loop that
+    calls this many times can pass arrays of the result's shape to reuse:
+    ``out`` (float64) for the values and ``scratch``, a pair of an intp
+    array for the word codes and one of the symbols' dtype for the
+    gathered symbols; the call then allocates nothing of that shape.
     """
     if observable.variant != CYLINDER:
         raise VariantMismatch("cylinder_values_at requires a cylinder observable")
     at = np.asarray(positions, dtype=np.int64)
-    codes = np.zeros(point.symbols.shape[:-1] + at.shape, dtype=np.intp)
+    shape = point.symbols.shape[:-1] + at.shape
+    if scratch is None:
+        scratch = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=point.symbols.dtype)
+    codes, gathered = scratch
     for j in range(-observable.radius, observable.radius + 1):
-        cols = point.columns(at + j)
-        # One column of a block is a view; np.take gathers many columns
-        # faster than fancy indexing does.
-        symbols = point.symbols[..., cols] if cols.ndim == 0 else np.take(point.symbols, cols, axis=-1)
-        codes = codes * alphabet_size + symbols
+        # np.take writes into its ``out`` directly with mode="clip", where
+        # the default mode writes into a copy; every column and code here
+        # is in range, so nothing is clipped.
+        np.take(point.symbols, point.columns(at + j), axis=-1, out=gathered, mode="clip")
+        if j == -observable.radius:
+            codes[...] = gathered
+        else:
+            codes *= alphabet_size
+            codes += gathered
     if table is None:
         table = cylinder_table(observable, alphabet_size)
-    return table.take(codes)
+    if out is None:
+        out = np.empty(shape, dtype=np.float64)
+    return np.take(table, codes, out=out, mode="clip")
+
+
+def cylinder_products(
+    point: ShiftPoint, factors, alphabet_size: int, out: np.ndarray, values: np.ndarray, scratch
+) -> np.ndarray:
+    """``out`` = the product over ``factors``, (observable, positions,
+    table) triples, of their ``cylinder_values_at`` values, with ``values``
+    and ``scratch`` holding each later factor's values and word codes.
+    The first factor's values are written to ``out``: 1.0 times them is
+    exact, so no array of ones is made."""
+    for i, (obs, at, table) in enumerate(factors):
+        cylinder_values_at(point, obs, at, alphabet_size, table, values if i else out, scratch)
+        if i:
+            out *= values
+    return out

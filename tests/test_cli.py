@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import platform
 import random
 import re
 import signal
@@ -680,6 +681,24 @@ class TestRun:
         names = set(runs[0][1])
         assert ("dyadic_exceptional.csv" in names) == (exceptional is not None)
 
+    def test_manifest_records_resources(self, tmp_path):
+        path = write_config(tmp_path, minimal_dyadic())
+        summaries = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            assert cli.run(path, out, workers=workers, emit_svg=False) == 0
+            resources = json.loads((out / "manifest.json").read_text())["resources"]
+            assert set(resources) == {"self", "children"}
+            for usage in resources.values():
+                assert set(usage) == {"peak_rss_mb", "minor_faults"}
+                assert usage["peak_rss_mb"] >= 0 and usage["minor_faults"] >= 0
+            assert resources["self"]["peak_rss_mb"] > 0
+            # The share forked at 2 workers has been reaped.
+            assert (resources["children"]["peak_rss_mb"] > 0) or workers == 1
+            summaries.append((out / "summary.json").read_bytes())
+        assert summaries[0] == summaries[1]
+        assert b"resources" not in summaries[0]
+
     def test_correlate_planner_counts_read_positions(self, tmp_path):
         # Query 0 reads {-1, 0, 1}, query 1 reads {-1, 0, 1, 5}: the
         # planner's largest count and the manifest's total agree with them.
@@ -965,6 +984,42 @@ def test_dyadic_runs_under_a_memory_limit(tmp_path):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="glibc's malloc thresholds",
+)
+def test_dyadic_faults_do_not_depend_on_heap_trimming(tmp_path):
+    # glibc gives freed memory back to the system by thresholds it adjusts
+    # as the process runs; pinned in the second child's environment, it
+    # keeps every page. A loop that makes large temporaries per slab has
+    # their pages trimmed and faulted in again, so the counts part (29%
+    # more faults unpinned, for one 512-point batch over W = 2048, when
+    # each row slab made its own word codes, values and level sums);
+    # scratch made once per call faults the same pages either way.
+    cfg = minimal_dyadic({"s_values": [6, 7, 8, 9, 10], "epsilon": 1.0, "sigma": 1.0})
+    cfg["params"].update(point_count=512, n_grid=[256, 512, 1024, 2048])
+    path = write_config(tmp_path, cfg)
+    assert cli.validate_config(cfg)[1]["derived"]["batch_points"] == 512
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(ergolab.__file__).resolve().parent.parent),
+        OMP_NUM_THREADS="1",
+    )
+    for name in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_"):
+        env.pop(name, None)
+    pinned = dict(env, MALLOC_TRIM_THRESHOLD_=str(1 << 30), MALLOC_MMAP_THRESHOLD_=str(1 << 25))
+    faults = []
+    for i, child_env in enumerate((env, pinned)):
+        args = ["run", str(path), "--out", str(tmp_path / f"out{i}"), "--workers", "1", "--no-svg"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ergolab.cli"] + args, env=child_env, stdout=subprocess.DEVNULL
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        assert status == 0
+        faults.append(usage.ru_minflt)
+    assert abs(faults[0] - faults[1]) <= 0.1 * faults[1], faults
 
 
 @pytest.mark.parametrize("value,expected", [(0.1, "0.10000000000000001"), (1.0, "1"), (True, "true")])

@@ -88,9 +88,9 @@ class TestMonteCarlo:
         # The manifest's symbols_sampled counts these positions per sample.
         seen = []
 
-        def spy(system, positions, count, rng):
+        def spy(system, positions, count, rng, *reused):
             seen.append((np.asarray(positions).tolist(), count))
-            return systems.sample_at(system, positions, count, rng)
+            return systems.sample_at(system, positions, count, rng, *reused)
 
         monkeypatch.setattr(co, "sample_at", spy)
         f = systems.cylinder_observable(1, {(0, 1, 0): 1.0})

@@ -193,13 +193,19 @@ class TestEmpiricalE:
 # of the ks it is given, so both sides read one materialized block.
 
 
+def _rows_of(slabs):
+    """The rows of an iterator of row slabs, each copied as it comes: term
+    generator calls and ``sample_rows`` reuse their slab arrays."""
+    return np.concatenate([slab.copy() for slab in slabs])
+
+
 def _materialized(generator, n_points, width, row_bytes=None):
     """The terms ensemble_moments reads (one call per point batch over
     ks = 1..width, batches sized by its default or the given row bytes),
     served as a generator that slices them."""
     ks = np.arange(1, width + 1, dtype=np.int64)
     batches = dyadic.point_batches(n_points, row_bytes or 8 * width)
-    block = np.concatenate([slab for lo, hi in batches for slab in generator(np.arange(lo, hi), ks)])
+    block = np.concatenate([_rows_of(generator(np.arange(lo, hi), ks)) for lo, hi in batches])
     return lambda idx, ks: block[np.ix_(np.asarray(idx), np.asarray(ks) - 1)]
 
 
@@ -470,7 +476,7 @@ class TestStreamedBatch:
         got = dyadic.batch_moments(generator, 0, points, ns, s_values)
         ks = np.arange(1, dyadic.term_columns(ns, s_values) + 1)
         want = _whole_block_moments(
-            np.concatenate(list(generator(np.arange(points), ks))), ns, s_values
+            _rows_of(generator(np.arange(points), ks)), ns, s_values
         )
         assert (got.points, got.columns) == (want.points, want.columns) == (points, ks.size)
         assert got.prefix_moments == want.prefix_moments
@@ -489,6 +495,24 @@ class TestStreamedBatch:
             dyadic.block_moments(iter([arr[:5], arr[5:, :128]]), (16,))
         with pytest.raises(ShapeMismatch):
             dyadic.block_moments(iter([]), (16,))
+
+
+class TestBernoulliOracle:
+    def test_e_is_n_over_16(self):
+        # Bernoulli(1/2, 1/2), f and g the centered indicators of [1] and
+        # [0], multipliers (1, 2), r_n = n.  E[F_k F_l] vanishes unless
+        # k = l: for distinct positions k, 2k, l, 2l the mean-zero factors
+        # are independent, and for l = 2k the middle product f g = -1/4 is
+        # constant, leaving E[f] E[g] = 0.  So E(0, N) = N E[f^2] E[g^2] =
+        # N / 16.  Each N is checked at 4 standard errors, two-sided, so a
+        # correct E fails an N with probability about 6.3e-5 (normal
+        # approximation to the mean of 1024 squared sums).
+        f = systems.centered_cylinder_indicator(BERNOULLI, [1])
+        spec = _pair_spec(BERNOULLI, f, 2048)
+        ns = (64, 128, 256, 512, 1024, 2048)
+        moments = ensemble_moments(averages.product_term_generator(spec, 2024), 1024, ns)
+        for n, (e, se) in zip(ns, moments.e_values):
+            assert abs(e - n / 16) <= 4 * se, (n, e, se)
 
 
 def _traced_peak(fn, *args):
@@ -519,6 +543,27 @@ class TestBatchMemory:
         ns = (64, 128, 256, 512, 1024, 2048)
         peak = _traced_peak(dyadic.batch_moments, generator, 0, 512, ns, (6, 7, 8, 9, 10))
         assert peak <= 5 << 20
+
+    def test_iid_batch_holds_one_row_slab(self):
+        # Each row slab is sampled, evaluated and reduced before the next:
+        # the batch holds one 32-row slab of symbols, terms, word codes and
+        # values, the level scratch and the per-row sums (2.3 MiB), and no
+        # symbol block for all 512 points (1.5 MiB; 4.43 MiB in all).
+        spec = _pair_spec(BERNOULLI, systems.centered_cylinder_indicator(BERNOULLI, [1]), 2048)
+        generator = averages.product_term_generator(spec, master_seed=7)
+        ns = (64, 128, 256, 512, 1024, 2048)
+        peak = _traced_peak(dyadic.batch_moments, generator, 0, 512, ns, (6, 7, 8, 9, 10))
+        assert peak <= 5 << 19
+
+    def test_markov_batch_ceiling(self):
+        # A non-i.i.d. chain still draws one (512, 3072) block of uniforms,
+        # 12 MiB (ROADMAP item 5), and its batch peaked at 14.14 MiB; it
+        # must not grow unseen.
+        spec = _pair_spec(MARKOV, systems.centered_cylinder_indicator(MARKOV, [1]), 2048)
+        generator = averages.product_term_generator(spec, master_seed=7)
+        ns = (64, 128, 256, 512, 1024, 2048)
+        peak = _traced_peak(dyadic.batch_moments, generator, 0, 512, ns, (6, 7, 8, 9, 10))
+        assert peak <= (14.14 + 0.5) * (1 << 20)
 
     @pytest.mark.parametrize("width", [256, 1 << 14])
     @pytest.mark.parametrize("radius", [0, 2])

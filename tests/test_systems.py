@@ -401,6 +401,12 @@ class TestExactMean:
 # Path kernel against the per-symbol reference loop
 # ---------------------------------------------------------------------------
 
+def _rows_of(slabs):
+    """The rows of an iterator of row slabs, each copied as it comes: term
+    generator calls and ``sample_rows`` reuse their slab arrays."""
+    return np.concatenate([slab.copy() for slab in slabs])
+
+
 def _reference_at(system, positions, count, seed):
     """Sequences at sorted distinct positions by a ``bisect`` per symbol.
 
@@ -501,7 +507,7 @@ class TestPathKernel:
         ties = rng.random(u.shape) < 0.5
         u[ties] = rng.choice(tables.ravel(), size=int(ties.sum()))
         start = np.array([0, 1, chain.alphabet_size - 1])
-        got = systems._markov_path(tables, which, start, u, np.int8)
+        got = systems._markov_path(tables, which, start, u, np.empty(u.shape, dtype=np.int8))
         for row in range(3):
             state, want = start[row], []
             for x, k in zip(u[row], which):
@@ -556,7 +562,7 @@ class TestPathKernel:
         generator = averages.product_term_generator(spec, master_seed=91)
         points = np.array([0, 5, 2, 11])
         for ks in (np.arange(1, 65), np.arange(20, 41), np.arange(1, 2)):
-            got = np.concatenate(list(generator(points, ks)))
+            got = _rows_of(generator(points, ks))
             assert np.array_equal(got, _reference_terms(spec, 91, points, ks))
 
     def test_term_chunks_match_one_shot(self):
@@ -583,11 +589,11 @@ class TestPathKernel:
             point = systems.ShiftPoint(positions, symbols)
             for m, obs in zip(spec.multipliers, spec.observables):
                 want[j] *= systems.cylinder_values_at(point, obs, m * terms, 2)
-        got = np.concatenate(list(averages.product_term_generator(spec, master_seed=23)(points, ks)))
+        got = _rows_of(averages.product_term_generator(spec, master_seed=23)(points, ks))
         assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("multipliers", [(1, 2), (1, -2)])
-    def test_term_rows_do_not_depend_on_other_points(self, chain, multipliers):
+    def test_rows_of_do_not_depend_on_other_points(self, chain, multipliers):
         obs = systems.centered_cylinder_indicator(chain, [1])
         spec = averages.AverageSpec(
             system=chain,
@@ -598,10 +604,10 @@ class TestPathKernel:
         )
         generator = averages.product_term_generator(spec, master_seed=4)
         ks = np.arange(1, 257)
-        full = np.concatenate(list(generator(np.arange(6), ks)))
+        full = _rows_of(generator(np.arange(6), ks))
         # Subsets, other orders, a repeated point and one single point.
         for points in ([5, 0, 3], [2], [4, 1, 1, 5]):
-            assert np.array_equal(np.concatenate(list(generator(np.array(points), ks))), full[points])
+            assert np.array_equal(_rows_of(generator(np.array(points), ks)), full[points])
 
 
 # ---------------------------------------------------------------------------
@@ -717,47 +723,96 @@ class _ScriptedRng:
         return out
 
 
+def _radius_positions(radius, primes=200):
+    """The positions radius-``radius`` factors at multipliers 1 and 2 read
+    along the first ``primes`` primes."""
+    terms = generate(SequenceSpec(kind="primes"), primes)
+    return systems.sorted_union(m * terms[:, None] + np.arange(-radius, radius + 1) for m in (1, 2))
+
+
+ROW_POSITION_SETS = dict(POSITION_SETS, radius0=_radius_positions(0), radius2=_radius_positions(2))
+WIDE_CHAINS = {
+    "iid130": lambda: systems.bernoulli_system(np.full(130, 1 / 130)),
+    "markov130": lambda: systems.build_shift(
+        np.ones((130, 130)), 0.5 * np.eye(130) + np.full((130, 130), 0.5 / 130)
+    ),
+}
+
+
 class TestSampleRows:
-    @pytest.mark.parametrize("name", sorted(POSITION_SETS))
-    def test_row_j_is_sample_at_on_stream_j(self, chain, name):
-        # Two- and three-letter i.i.d. chains resolve row by row; the
-        # others step all rows as lanes of the path kernel.
-        positions = POSITION_SETS[name]
-        got = systems.sample_rows(chain, positions, [np.random.default_rng((9, j)) for j in range(5)])
+    @pytest.mark.parametrize("slab_rows", [1, 7, 9, 20])
+    @pytest.mark.parametrize("name", sorted(ROW_POSITION_SETS))
+    def test_row_j_is_sample_at_on_stream_j(self, chain, name, slab_rows):
+        # Nine rows: slabs of one row, of 7 and a partial 2, of all rows
+        # and of more than all rows.  Two- and three-letter i.i.d. chains
+        # resolve row by row; the others step all rows as lanes of the
+        # path kernel.
+        positions = ROW_POSITION_SETS[name]
+        slabs = systems.sample_rows(chain, positions, [np.random.default_rng((9, j)) for j in range(9)], slab_rows)
+        sizes = [slab.shape[0] for slab in slabs]
+        assert sizes == [min(slab_rows, 9 - lo) for lo in range(0, 9, slab_rows)]
+        got = _rows_of(systems.sample_rows(chain, positions, [np.random.default_rng((9, j)) for j in range(9)], slab_rows))
         assert got.dtype == np.int8
         for j, row in enumerate(got):
             assert np.array_equal(row, systems.sample_at(chain, positions, 1, np.random.default_rng((9, j)))[0])
 
+    @pytest.mark.parametrize("radius", [0, 2])
+    @pytest.mark.parametrize("name", sorted(WIDE_CHAINS))
+    def test_large_alphabet(self, name, radius):
+        system = WIDE_CHAINS[name]()
+        positions = _radius_positions(radius, 24)
+        want = [systems.sample_at(system, positions, 1, np.random.default_rng(j))[0] for j in range(9)]
+        for slab_rows in (1, 7, 9, 20):
+            rngs = [np.random.default_rng(j) for j in range(9)]
+            got = _rows_of(systems.sample_rows(system, positions, rngs, slab_rows))
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+        assert got.max() > 127
+
     def test_first_position_reads_the_stationary_thresholds(self):
         # The computed stationary vector of the (1/3, 2/3) chain sits one
         # rounding below P's row, so a uniform at its threshold draws 1 at
-        # position 0 and 0 at every later position.
+        # position 0 and 0 at every later position.  Slabs of 4 rows: the
+        # second slab resolves its first positions on its own.
         system = systems.bernoulli_system([1 / 3, 2 / 3])
         first = systems._thresholds(system.stationary)[0]
         assert first < systems._thresholds(system.transition)[0, 0]
         positions = [-4, 0, 1, 9]
         rows = np.random.default_rng(2).random((6, len(positions)))
         rows[::2] = first
-        got = systems.sample_rows(system, positions, [_ScriptedRng(u) for u in rows])
+        got = _rows_of(systems.sample_rows(system, positions, [_ScriptedRng(u) for u in rows], 4))
         assert got[0].tolist() == [1, 0, 0, 0]
+        assert got[4].tolist() == [1, 0, 0, 0]
         for j, u in enumerate(rows):
             assert np.array_equal(got[j], systems.sample_at(system, positions, 1, _ScriptedRng(u))[0])
 
-    def test_large_alphabet_dtype(self):
-        system = systems.bernoulli_system(np.full(130, 1 / 130))
-        positions = POSITION_SETS["random"]
-        got = systems.sample_rows(system, positions, [np.random.default_rng(j) for j in range(4)])
-        assert got.dtype == np.int64
-        for j, row in enumerate(got):
-            assert np.array_equal(row, systems.sample_at(system, positions, 1, np.random.default_rng(j))[0])
-        assert got.max() > 127
+    @pytest.mark.parametrize("name, lazy", [("bernoulli2", True), ("markov", False)])
+    def test_streams_taken_when_drawn(self, name, lazy):
+        # An i.i.d. chain takes each slab's streams only when it makes the
+        # slab; any other chain takes them all at the call, for its one
+        # block.
+        taken = []
+
+        def streams():
+            for j in range(10):
+                taken.append(j)
+                yield np.random.default_rng(j)
+
+        slabs = systems.sample_rows(CHAINS[name](), [0, 3, 4], streams(), 4)
+        assert len(taken) == (0 if lazy else 10)
+        next(slabs)
+        assert len(taken) == (4 if lazy else 10)
+        assert sum(1 for _ in slabs) == 2
+        assert len(taken) == 10
 
     @pytest.mark.parametrize("name", ["bernoulli2", "markov"])
     def test_rejects_unsorted_or_repeated_positions(self, name):
         system = CHAINS[name]()
         for positions in ([0, 0, 1], [3, 1], [[0, 1]]):
             with pytest.raises(DomainError):
-                systems.sample_rows(system, positions, [np.random.default_rng(0)] * 2)
+                systems.sample_rows(system, positions, [np.random.default_rng(0)] * 2, 1)
+        with pytest.raises(DomainError):
+            systems.sample_rows(system, [0, 1], [np.random.default_rng(0)] * 2, 0)
 
 
 class TestTransitionPower:
