@@ -16,14 +16,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .correlations import least_squares
+from .correlations import POLYNOMIAL_MODEL, fit_model
 from .errors import DomainError, VariantMismatch
 from .seeding import ROLE_POINT, ROLE_TERMS, rng_for
 from .sequences import SequenceSpec, generate
 from .systems import (
-    CYLINDER,
     SLAB_ITEMS,
-    TRIG,
     Observable,
     ShiftPoint,
     ShiftSystem,
@@ -33,9 +31,9 @@ from .systems import (
     cylinder_table,
     cylinder_products,
     cylinder_table_size,
-    cylinder_values_at,
     evaluate,
     exact_mean,
+    required_variant,
     sample_at,
     sample_rows,
     sample_torus_point,
@@ -89,9 +87,7 @@ class AverageSpec:
             if any(b <= a for a, b in zip(cps, cps[1:])) or cps[-1] > self.n_max:
                 raise DomainError("checkpoints must strictly increase up to n_max")
             object.__setattr__(self, "checkpoints", cps)
-        expected = CYLINDER if isinstance(self.system, ShiftSystem) else TRIG
-        if any(obs.variant != expected for obs in self.observables):
-            raise VariantMismatch(f"observables must all be {expected} for this system")
+        required_variant(self.system, self.observables)
 
     def checkpoint_schedule(self) -> tuple[int, ...]:
         """Dyadic checkpoints by default: powers of two up to n_max, plus n_max."""
@@ -140,15 +136,6 @@ class AverageSeries:
         return tuple(int(e[0]) for e in self.entries)
 
 
-def _factor_values_shift(
-    spec: AverageSpec, point: ShiftPoint, positions: np.ndarray
-) -> np.ndarray:
-    values = np.ones(positions.shape[1], dtype=np.float64)
-    for i, obs in enumerate(spec.observables):
-        values *= cylinder_values_at(point, obs, positions[i], spec.system.alphabet_size)
-    return values
-
-
 def _factor_values_torus(
     spec: AverageSpec, point: TorusPoint, positions: np.ndarray
 ) -> np.ndarray:
@@ -166,16 +153,24 @@ def ergodic_average_stream(spec: AverageSpec, point) -> AverageSeries:
     """Stream F_n = prod_i f_i(h^{m_i r_n} x) and emit checkpoint rows.
 
     Cylinder factors on shifts are evaluated by vectorized table lookups
-    over the whole orbit.  On the torus the point's orbit is walked once
-    over the sorted distinct exponents m_i r_n, and the trig factors are
-    evaluated on all orbit points at once by exact limb arithmetic.
+    over the whole orbit (``cylinder_products``).  On the torus the
+    point's orbit is walked once over the sorted distinct exponents
+    m_i r_n, and the trig factors are evaluated on all orbit points at
+    once by exact limb arithmetic.
     """
     terms = generate(spec.sequence, spec.n_max)
     positions = np.asarray(spec.multipliers, dtype=np.int64)[:, None] * terms[None, :]
     if isinstance(spec.system, ShiftSystem):
         if not isinstance(point, ShiftPoint):
             raise VariantMismatch("shift averages need a ShiftPoint")
-        values = _factor_values_shift(spec, point, positions)
+        m = spec.system.alphabet_size
+        factors = [
+            (obs, at, cylinder_table(obs, m)) for obs, at in zip(spec.observables, positions)
+        ]
+        # One block: two separate arrays had glibc trim and re-fault the heap
+        # top on every call (112 minor faults a call at n_max = 8192).
+        values, later = np.empty((2, terms.size))
+        cylinder_products(point, factors, m, values, later, None)
     else:
         if not isinstance(point, TorusPoint):
             raise VariantMismatch("torus averages need a TorusPoint")
@@ -244,9 +239,8 @@ def rate_statistic(
     positive = [(n, v) for n, v in rows if v > 0.0]
     slope = None
     if len(positive) >= 2:
-        x = np.log([float(n) for n, _ in positive])
-        coef, _ = least_squares([x, np.ones_like(x)], np.log([v for _, v in positive]))
-        slope = float(coef[0])
+        ns, values = (np.array(column, dtype=np.float64) for column in zip(*positive))
+        slope = -fit_model(ns, values, POLYNOMIAL_MODEL).exponent
     return RateTable(
         rows=tuple(rows),
         max_from=n_from,

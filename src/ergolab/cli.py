@@ -15,6 +15,7 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import os
 import pickle
 import signal
@@ -210,16 +211,17 @@ def _child_share(fn, tasks, w: int, k: int, write_fd: int) -> None:
 # ---------------------------------------------------------------------------
 
 def parse_exact(value, where: str) -> float:
-    """Accept JSON numbers or rational strings 'p/q', exactly; ``where`` is
-    the value's JSON path, named in errors."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"{where}: cannot parse rational {value!r}: {exc}") from exc
-    raise ConfigError(f"{where} must be a number or a 'p/q' string, got {value!r}")
+    """Accept finite JSON numbers or rational strings 'p/q', exactly;
+    ``where`` is the value's JSON path, named in errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{where} must be a number or a 'p/q' string, got {value!r}")
+    try:
+        number = float(Fraction(value) if isinstance(value, str) else value)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ConfigError(f"{where}: cannot parse {value!r}: {exc}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return number
 
 
 def parse_int(
@@ -350,12 +352,11 @@ def build_observable(desc, system, where: str) -> systems.Observable:
     variant = desc["variant"]
     if variant not in (systems.CYLINDER, systems.TRIG):
         raise ConfigError(f"{where}.variant must be cylinder or trig, got {variant!r}")
-    shift = isinstance(system, systems.ShiftSystem)
-    need = systems.CYLINDER if shift else systems.TRIG
+    need = systems.required_variant(system)
     if variant != need:
         raise ConfigError(
             f"observable variants do not match the system: {where} is {variant!r}, a "
-            f"{'shift' if shift else 'torus'} system needs {need!r} observables"
+            f"{'shift' if need == systems.CYLINDER else 'torus'} system needs {need!r} observables"
         )
     if variant == systems.TRIG:
         check_keys(desc, {"variant", "terms"}, where)
@@ -385,7 +386,7 @@ def build_observable(desc, system, where: str) -> systems.Observable:
     if desc.get("centered", False):
         mean = systems.exact_mean(obs, system)
         table = {w: v - mean for w, v in obs.table.items()}
-        obs = systems.cylinder_observable(radius, table, obs.default - mean)
+        obs = build_at(where, systems.cylinder_observable, radius, table, obs.default - mean)
     return obs
 
 
@@ -462,7 +463,7 @@ def parse_config(cfg: dict):
     experiment = cfg.get("experiment")
     if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {experiment!r}")
-    return EXPERIMENTS[experiment](cfg, parse_int(cfg.get("seed", 0), "seed"))
+    return EXPERIMENTS[experiment](cfg, parse_int(cfg.get("seed", 0), "seed", 0))
 
 
 def validate_config(cfg: dict) -> tuple:
@@ -1014,7 +1015,10 @@ def parse_counting(cfg: dict, seed: int):
                 raise ConfigError(f"{where}.values must be a list of numbers")
             if len(values) < k_max:
                 raise ConfigError(f"{where}.values must supply at least K entries")
-            source = [parse_exact(x, f"{where}.values[{j}]") for j, x in enumerate(values)][:k_max]
+            source = [  # the checkers take +inf for a k the sequence never reaches
+                x if x == math.inf else parse_exact(x, f"{where}.values[{j}]")
+                for j, x in enumerate(values)
+            ][:k_max]
             for j, x in enumerate(source):  # the checkers reject values below 1
                 if x < 1.0:
                     raise ConfigError(f"{where}.values[{j}] must be >= 1 or infinite, got {x}")

@@ -33,11 +33,9 @@ from .errors import (
 )
 from .seeding import MC_CHUNK, ROLE_MC, rng_for
 from .systems import (
-    CYLINDER,
     LANES,
     SLAB_ITEMS,
     TORUS_SLAB,
-    TRIG,
     Observable,
     ShiftPoint,
     ShiftSystem,
@@ -47,6 +45,7 @@ from .systems import (
     cylinder_table,
     cylinder_table_size,
     exact_mean,
+    required_variant,
     sample_at,
     sample_torus_limbs,
     sorted_union,
@@ -63,7 +62,8 @@ MAX_CUMULANT_ORDER = 10
 
 @dataclass(frozen=True, eq=False)
 class CorrelationQuery:
-    """System, observables f_0..f_k and pairwise distinct times n_0..n_k.
+    """System, observables f_0..f_k of the variant the system takes
+    (``required_variant``) and pairwise distinct times n_0..n_k.
 
     Optional per-factor multipliers realize powers of iterates: factor i
     is evaluated at time multipliers[i] * times[i].
@@ -92,6 +92,7 @@ class CorrelationQuery:
             raise DomainError(f"effective times must be pairwise distinct, got {eff}")
         if any(abs(t) >= 1 << 62 for t in eff):
             raise DomainError(f"effective times must lie within +-2^62, got {eff}")
+        required_variant(self.system, self.observables)
 
     def effective_times(self) -> tuple[int, ...]:
         if self.multipliers is None:
@@ -113,22 +114,6 @@ class CorrelationQuery:
     def order(self) -> int:
         """k in a (k+1)-factor query."""
         return len(self.observables) - 1
-
-
-def _require_shift_cylinder(query: CorrelationQuery) -> ShiftSystem:
-    if not isinstance(query.system, ShiftSystem):
-        raise NotCylinder("exact shift oracle requires a ShiftSystem")
-    if any(obs.variant != CYLINDER for obs in query.observables):
-        raise NotCylinder("exact shift oracle requires cylinder observables")
-    return query.system
-
-
-def _require_torus_trig(query: CorrelationQuery) -> TorusAutomorphism:
-    if not isinstance(query.system, TorusAutomorphism):
-        raise NotTrig("exact torus oracle requires a TorusAutomorphism")
-    if any(obs.variant != TRIG for obs in query.observables):
-        raise NotTrig("exact torus oracle requires trig observables")
-    return query.system
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +233,8 @@ def mc_correlation(
     if samples < 2:
         raise DomainError("need at least 2 samples")
     if isinstance(query.system, ShiftSystem):
-        for obs in query.observables:
-            if obs.variant != CYLINDER:
-                raise VariantMismatch("shift queries need cylinder observables")
         products = _mc_products_shift(query, min(MC_CHUNK, samples))
     else:
-        for obs in query.observables:
-            if obs.variant != TRIG:
-                raise VariantMismatch("torus queries need trig observables")
         products = functools.partial(_mc_products_torus, query)
     parts = []
     for chunk_index, lo in enumerate(range(0, samples, MC_CHUNK)):
@@ -283,7 +262,9 @@ def exact_correlation_shift(query: CorrelationQuery) -> float:
     is open across a gap g > 1 between read positions, so there the state
     keeps only its last symbol and advances by P^g in one step.
     """
-    system = _require_shift_cylinder(query)
+    system = query.system
+    if not isinstance(system, ShiftSystem):
+        raise NotCylinder("exact shift oracle requires a ShiftSystem")
     m = system.alphabet_size
     widest = max(obs.radius for obs in query.observables)
     cylinder_table_size(m, widest)  # one state per word of the widest factor
@@ -344,7 +325,9 @@ def exact_correlation_torus(query: CorrelationQuery) -> float:
     integer frequencies cancel; everything else integrates to zero by
     orthogonality of characters.
     """
-    auto = _require_torus_trig(query)
+    auto = query.system
+    if not isinstance(auto, TorusAutomorphism):
+        raise NotTrig("exact torus oracle requires a TorusAutomorphism")
     factor_terms = [
         _exponential_terms(_transformed_terms(auto, obs, t))
         for obs, t in zip(query.observables, query.effective_times())

@@ -62,13 +62,13 @@ class NonPositiveTerm(ErgolabError):
 # -- correlations ----------------------------------------------------------
 
 class NotCylinder(ErgolabError):
-    """Exact shift oracle requires cylinder observables on a shift system."""
+    """Exact shift oracle asked about a system that is not a shift."""
 
     code = "correlations.not_cylinder"
 
 
 class NotTrig(ErgolabError):
-    """Exact torus oracle requires trig observables on a torus automorphism."""
+    """Exact torus oracle asked about a system that is not a torus automorphism."""
 
     code = "correlations.not_trig"
 

@@ -265,7 +265,7 @@ def _markov_path(
     is returned.
 
     An i.i.d. chain (every row of every table equal) needs no chaining:
-    m - 1 vectorized comparisons per slab of uniforms.  Otherwise the run
+    m - 1 vectorized comparisons over ``u``.  Otherwise the run
     is cut into a head and ``blocks - 1`` equal blocks.  The blocks run
     from every state at once, each column by its own table, which gives
     each block's exit state per entry state; the head runs from ``start``;
@@ -274,14 +274,11 @@ def _markov_path(
     in place of L.
     """
     count, length = u.shape
-    lanes = max(count, 1)
     if (tables == tables[0, 0]).all():
-        step = max(1, SLAB_ITEMS // lanes)
-        for lo in range(0, length, step):
-            _iid_symbols(tables[0, 0], u[:, lo:lo + step], out[:, lo:lo + step])
+        _iid_symbols(tables[0, 0], u, out)
         return out
     m = tables.shape[1]
-    blocks = math.isqrt(length // lanes)
+    blocks = math.isqrt(length // max(count, 1))
     if blocks < 4:  # fewer blocks cost more steps than they save
         blocks = 1
     size = length // blocks
@@ -447,7 +444,7 @@ def _iid_row_slabs(system: ShiftSystem, positions: np.ndarray, rngs: Iterator, s
             rows += 1
         if not rows:
             return
-        out[:rows, 0] = np.searchsorted(stationary, first[:rows], side="right")
+        _iid_symbols(stationary, first[:rows], out[:rows, 0])
         yield out[:rows]
 
 
@@ -861,17 +858,23 @@ def evaluate(observable: Observable, point) -> float:
     return float(total)
 
 
+def required_variant(system, observables=()) -> str:
+    """The observable variant ``system`` takes, cylinder on a shift and
+    trig on a torus; raises VariantMismatch if one of ``observables`` is
+    of the other variant."""
+    need = CYLINDER if isinstance(system, ShiftSystem) else TRIG
+    if any(obs.variant != need for obs in observables):
+        raise VariantMismatch(f"observables must all be {need} for this system")
+    return need
+
+
 def exact_mean(observable: Observable, system) -> float:
     """Exact invariant-measure mean of an observable."""
-    if observable.variant == CYLINDER:
-        if not isinstance(system, ShiftSystem):
-            raise VariantMismatch("cylinder observables require a shift system")
+    if required_variant(system, (observable,)) == CYLINDER:
         total = observable.default
         for word, value in observable.table.items():
             total += system.word_probability(word) * (value - observable.default)
         return float(total)
-    if not isinstance(system, TorusAutomorphism):
-        raise VariantMismatch("trig observables require a torus automorphism")
     mean = 0.0
     for freq, a, _b in observable.terms:
         if all(k == 0 for k in freq):

@@ -302,6 +302,43 @@ class TestValidate:
             (("params", "multipliers", 1), 2.5, "params.multipliers[1] must be an integer"),
             (("params", "point_count"), "9", "params.point_count must be an integer"),
             (("system", "transition", 0, 1), "1/x", "system.transition[0][1]: cannot parse"),
+            # SeedSequence takes no negative seed; this one ran and exited 3.
+            (("seed",), -5, "seed must be >= 0, got -5"),
+            # Non-finite numbers: a NaN default made every exact value nan.
+            (
+                ("observables", 1, "default"),
+                float("nan"),
+                "observables[1].default must be finite, got nan",
+            ),
+            (
+                ("system", "transition", 0, 1),
+                float("inf"),
+                "system.transition[0][1] must be finite, got inf",
+            ),
+            (
+                ("params", "exceptional"),
+                {"s_values": [3], "sigma": float("-inf")},
+                "params.exceptional.sigma must be finite",
+            ),
+            # Numbers past the float range; these exited 1 with a traceback.
+            (("system", "transition", 0, 1), "1e400", "system.transition[0][1]: cannot parse"),
+            pytest.param(
+                ("observables", 1, "default"),
+                10 ** 400,
+                "observables[1].default: cannot parse",
+                id="default-10^400",
+            ),
+            # Finite entries whose recentred table overflows.
+            (
+                ("observables", 0),
+                {
+                    "variant": "cylinder",
+                    "table": [{"word": [0], "value": 1e308}],
+                    "default": -1e308,
+                    "centered": True,
+                },
+                "observables[0]: cylinder values must be finite",
+            ),
             # The term generator builds W = max(max N, 2^max s) terms.
             (
                 ("params", "n_grid", 3),
@@ -449,6 +486,24 @@ class TestValidate:
                 ("checks", 1, "sequence"),
                 {"kind": "explicit", "values": [1, 2, 3]},
                 "params.checks[1].sequence: explicit sequence stores 3 terms, 8 requested",
+            ),
+            # Non-finite numbers: a NaN epsilon made every median nan, and a
+            # NaN pair entry exited 3 with an SVD error. Counting values
+            # take +inf only.
+            ("ratecheck", ("epsilon",), float("nan"), "params.epsilon must be finite, got nan"),
+            ("growth", ("pair", "g", 0, 1), float("nan"), "params.pair.g[0][1] must be finite"),
+            ("growth", ("pair", "h", 1, 1), float("inf"), "params.pair.h[1][1] must be finite"),
+            (
+                "counting",
+                ("checks", 2, "values", 3),
+                float("nan"),
+                "params.checks[2].values[3] must be finite",
+            ),
+            (
+                "counting",
+                ("checks", 2, "values", 1),
+                float("-inf"),
+                "params.checks[2].values[1] must be finite",
             ),
             # A growth matrix must have spectral radius >= 1; this one exited 3.
             (
@@ -796,6 +851,13 @@ class TestRun:
         assert lines[0] == "condition,witness_M,pass,worst_n,worst_m,worst_count"
         assert lines[1].startswith("c,") and ",true," in lines[1]
 
+    def test_counting_values_take_infinity(self, tmp_path):
+        check = {"type": "band", "values": [1, 2, float("inf"), float("inf")], "K": 4}
+        cfg = {"schema_version": 1, "experiment": "counting", "params": {"checks": [check]}}
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", str(path)]) == 0
+        assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 0
+
 
 class TestCommands:
     def test_decompose_command(self, capsys):
@@ -1033,6 +1095,7 @@ def test_float_formatting(value, expected):
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 WRONG_TYPES = ["x", 1.5, True, None, [], {}, [1, "a"], {"z": 1}, "1/0"]
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
 def _nodes(node, path=()):
@@ -1045,7 +1108,8 @@ def _nodes(node, path=()):
 
 def mutate(cfg, rnd):
     """One random edit: drop a key or entry, change a value's type, put a
-    number out of range, or add an unknown key to an object."""
+    number out of range or make it non-finite, or add an unknown key to an
+    object."""
     cfg = copy.deepcopy(cfg)
     op = rnd.choice(["drop", "type", "range", "unknown"])
     if op == "unknown":
@@ -1066,7 +1130,8 @@ def mutate(cfg, rnd):
         parent[key] = rnd.choice(WRONG_TYPES)
     else:
         value = parent[key]
-        parent[key] = rnd.choice([-1, 0, -value, value + 0.5, 10 ** 9, 2 ** 40, 2 ** 63])
+        out_of_range = [-1, 0, -value, value + 0.5, 10 ** 9, 2 ** 40, 2 ** 63]
+        parent[key] = rnd.choice(out_of_range + NON_FINITE)
     return cfg
 
 

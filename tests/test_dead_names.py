@@ -1,4 +1,4 @@
-"""Every public name of the package has a use."""
+"""Every module-level name of the package has a use."""
 
 import ast
 import re
@@ -21,18 +21,22 @@ def defined_names(node):
         yield from (target.id for target in node.targets if isinstance(target, ast.Name))
 
 
-def public_defs():
-    """(module file, name) of each public module-level function, class and
-    assigned name, and each public method of a module-level class."""
+def module_defs(private: bool):
+    """(module file, name) of each public (or, with ``private``, each
+    underscore-prefixed) module-level function, class and assigned name,
+    and each such method of a module-level class.  Dunder names such as
+    ``__post_init__`` are called by Python itself and left out."""
     for path in sorted((ROOT / "src" / "ergolab").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             for name in defined_names(node):
-                if not name.startswith("_"):
+                if name.startswith("_") == private and not name.startswith("__"):
                     yield path.name, name
 
 
-def test_every_public_name_is_used():
-    defs = list(public_defs())
+def unused(private: bool) -> list[str]:
+    """The names ``module_defs`` gives that no word outside their own
+    definitions in ``SEARCHED`` names."""
+    defs = list(module_defs(private))
     words = Counter(
         word
         for top in SEARCHED
@@ -40,5 +44,15 @@ def test_every_public_name_is_used():
         for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))
     )
     def_count = Counter(name for _, name in defs)
-    unused = sorted(f"{module}: {name}" for module, name in defs if words[name] <= def_count[name])
-    assert not unused, f"defined but never used: {unused}"
+    return sorted(f"{module}: {name}" for module, name in defs if words[name] <= def_count[name])
+
+
+def test_every_public_name_is_used():
+    names = unused(private=False)
+    assert not names, f"defined but never used: {names}"
+
+
+def test_every_private_name_is_used():
+    # A helper a refactor leaves without callers fails here too.
+    names = unused(private=True)
+    assert not names, f"defined but never used: {names}"
