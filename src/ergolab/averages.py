@@ -117,10 +117,18 @@ class AverageSpec:
         )
 
     @cached_property
+    def terms(self) -> np.ndarray:
+        """The sequence's first n_max terms, generated once per spec and
+        shared, read-only, by its points."""
+        terms = generate(self.sequence, self.n_max)
+        terms.setflags(write=False)
+        return terms
+
+    @cached_property
     def read_positions(self) -> np.ndarray:
         """Positions a shift orbit reads up to n_max, worked out once per
         spec and shared, read-only, by its points."""
-        positions = self.positions_read(generate(self.sequence, self.n_max))
+        positions = self.positions_read(self.terms)
         positions.setflags(write=False)
         return positions
 
@@ -158,7 +166,7 @@ def ergodic_average_stream(spec: AverageSpec, point) -> AverageSeries:
     m_i r_n, and the trig factors are evaluated on all orbit points at
     once by exact limb arithmetic.
     """
-    terms = generate(spec.sequence, spec.n_max)
+    terms = spec.terms
     positions = np.asarray(spec.multipliers, dtype=np.int64)[:, None] * terms[None, :]
     if isinstance(spec.system, ShiftSystem):
         if not isinstance(point, ShiftPoint):

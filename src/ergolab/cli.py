@@ -85,11 +85,13 @@ class RunContext:
         self.workers = workers
         self.emit_svg = emit_svg
         self.artifacts: list[Path] = []
+        self.csv_columns: dict[str, list[str]] = {}
         self.steps: dict[str, int] = {}
 
     def csv(self, name: str, header, rows) -> Path:
         path = self.out_dir / name
-        write_csv(path, header, rows)
+        self.csv_columns[name] = list(header)
+        write_csv(path, self.csv_columns[name], rows)
         self.artifacts.append(path)
         return path
 
@@ -1048,7 +1050,7 @@ def run_counting(checks, ctx: RunContext) -> dict:
             # Parse gives b checks a sequence source.
             m_grid = range(1, limits["m_max"] + 1)
             grids = sequences.sequence_gap_b(*source, m_grid, k_max)
-            reports = sequences.check_b_either(*grids, m_grid, limits["n_max"])
+            reports = sequences.check_b_either(grids, m_grid, limits["n_max"])
         else:
             values = source if isinstance(source, list) else sequences.sequence_gap_c(*source, k_max)
             reports = [
@@ -1115,7 +1117,7 @@ def run(config_path: Path, out_dir: Path | None, workers: int, emit_svg: bool) -
         "status": status,
         "result": summary,
         "artifacts": [p.name for p in ctx.artifacts],
-        "csv_columns": {p.name: _csv_header(p) for p in ctx.artifacts if p.suffix == ".csv"},
+        "csv_columns": ctx.csv_columns,
     }
     ctx.json("summary.json", summary_payload)
     manifest = {
@@ -1158,11 +1160,6 @@ def _resources() -> dict:
         who: {"peak_rss_mb": u.ru_maxrss / scale, "minor_faults": u.ru_minflt}
         for who, u in usage.items()
     }
-
-
-def _csv_header(path: Path) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.readline().strip().split(",")
 
 
 def validate_command(config_path: Path) -> int:

@@ -444,42 +444,46 @@ def fit_model(xs: np.ndarray, ys: np.ndarray, model: str, dropped: int = 0) -> R
     )
 
 
-def _degenerate_fit(xs: np.ndarray, dropped: int) -> RateFit:
-    """The fit of data with fewer than 2 non-zero points: amplitude 0 and
-    no exponent over the range of all ``xs``."""
-    return RateFit(
-        model=DEGENERATE_MODEL,
-        exponent=None,
-        amplitude=0.0,
-        rss=0.0,
-        data_range=(float(xs.min()), float(xs.max())) if xs.size else (0.0, 0.0),
-        n_points=int(xs.size),
-        dropped_zeros=dropped,
-    )
-
-
-def fit_decay(xs: Sequence[float], ys: Sequence[float]) -> RateFit:
-    """Fit |data| against both decay models on log scale and keep the one
-    with the smaller residual; ties within 1e-9 attach the other fit.
-
-    Zero data points are dropped and counted (log of an exact zero is the
-    honest failure mode of exact cancellation, not noise).
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.abs(np.asarray(ys, dtype=np.float64))
-    if xs.size != ys.size or xs.size == 0:
-        raise DomainError("need matching nonempty x and y data")
+def _fit_nonzero(xs: np.ndarray, ys: np.ndarray, fit) -> RateFit:
+    """``fit(xs, ys, dropped)`` on the points whose ys is not an exact zero,
+    with ``dropped`` the count of those that are (log of an exact zero is
+    the honest failure mode of exact cancellation, not noise).  Fewer than
+    2 points left give the degenerate fit: amplitude 0 and no exponent
+    over the range of all ``xs``."""
     keep = ys > 0.0
     dropped = int((~keep).sum())
     if keep.sum() < 2:
-        return _degenerate_fit(xs, dropped)
-    xs, ys = xs[keep], ys[keep]
+        return RateFit(
+            model=DEGENERATE_MODEL,
+            exponent=None,
+            amplitude=0.0,
+            rss=0.0,
+            data_range=(float(xs.min()), float(xs.max())) if xs.size else (0.0, 0.0),
+            n_points=int(xs.size),
+            dropped_zeros=dropped,
+        )
+    return fit(xs[keep], ys[keep], dropped=dropped)
+
+
+def _better_decay_fit(xs: np.ndarray, ys: np.ndarray, dropped: int) -> RateFit:
+    """The decay model with the smaller residual; ties within 1e-9 attach
+    the other fit."""
     poly = fit_model(xs, ys, POLYNOMIAL_MODEL, dropped)
     expo = fit_model(xs, ys, EXPONENTIAL_MODEL, dropped)
     if abs(poly.rss - expo.rss) <= RSS_TIE * max(1.0, poly.rss, expo.rss):
         best, other = (expo, poly) if expo.rss <= poly.rss else (poly, expo)
         return RateFit(**{**best.__dict__, "alternate": other})
     return expo if expo.rss < poly.rss else poly
+
+
+def fit_decay(xs: Sequence[float], ys: Sequence[float]) -> RateFit:
+    """Fit |data| against both decay models on log scale and keep the one
+    with the smaller residual; zero data points are dropped and counted."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.abs(np.asarray(ys, dtype=np.float64))
+    if xs.size != ys.size or xs.size == 0:
+        raise DomainError("need matching nonempty x and y data")
+    return _fit_nonzero(xs, ys, _better_decay_fit)
 
 
 def min_gap_decay_check(
@@ -542,21 +546,21 @@ def set_partitions(items: Iterable[int]) -> Iterator[tuple[tuple[int, ...], ...]
     yield from rec(0, [])
 
 
-def _subset_partitions(order: int, _cache: dict = {}) -> dict:
-    """For every nonempty subset of {0..order}, its set partitions with
-    blocks as frozensets.  Enumerated once per order and reused; the total
-    count is a Bell number, small for the guarded orders."""
-    if order not in _cache:
-        table = {}
-        indices = list(range(order + 1))
-        for size in range(1, order + 2):
-            for combo in itertools.combinations(indices, size):
-                table[frozenset(combo)] = tuple(
-                    tuple(frozenset(block) for block in partition)
-                    for partition in set_partitions(combo)
-                )
-        _cache[order] = table
-    return _cache[order]
+@functools.cache
+def _subset_partitions(order: int) -> dict:
+    """For every nonempty subset of {0..order}, in size order, its set
+    partitions with blocks as frozensets, the whole subset first.
+    Enumerated once per order and reused; the total count is a Bell
+    number, small for the guarded orders."""
+    table = {}
+    indices = list(range(order + 1))
+    for size in range(1, order + 2):
+        for combo in itertools.combinations(indices, size):
+            table[frozenset(combo)] = tuple(
+                tuple(frozenset(block) for block in partition)
+                for partition in set_partitions(combo)
+            )
+    return table
 
 
 def _normalize_table(table: Mapping) -> tuple[dict[frozenset, float], int]:
@@ -602,38 +606,35 @@ class CumulantTable:
         return self.cumulants[frozenset(range(self.order + 1))]
 
 
+def _partition_sum(table: dict, order: int, inverse: bool) -> dict:
+    """The partition identity over every subset of {0..order}, smallest
+    first: the sum, over the subset's set partitions, of the products of
+    block values.  Forward, ``table`` holds cumulants and the sums are the
+    moments.  Inverse, ``table`` holds moments, each subset skips its first
+    partition (the whole subset) and its cumulant is its moment less the
+    sum over the cumulants found so far."""
+    out: dict[frozenset, float] = {}
+    blocks = out if inverse else table
+    for subset, partitions in _subset_partitions(order).items():
+        total = 0.0
+        for partition in partitions[1:] if inverse else partitions:
+            prod = 1.0
+            for block in partition:
+                prod *= blocks[block]
+            total += prod
+        out[subset] = table[subset] - total if inverse else total
+    return out
+
+
 def moments_to_cumulants(moments: Mapping) -> CumulantTable:
     """Invert the partition identity by recursion over subset sizes."""
     table, order = _normalize_table(moments)
-    partitions = _subset_partitions(order)
-    cumulants: dict[frozenset, float] = {}
-    for subset in sorted(table.keys(), key=len):
-        total = 0.0
-        for partition in partitions[subset]:
-            if len(partition) == 1:
-                continue
-            prod = 1.0
-            for block in partition:
-                prod *= cumulants[block]
-            total += prod
-        cumulants[subset] = table[subset] - total
-    return CumulantTable(order=order, moments=dict(table), cumulants=cumulants)
+    return CumulantTable(order=order, moments=table, cumulants=_partition_sum(table, order, True))
 
 
 def cumulants_to_moments(cumulants: Mapping) -> dict:
     """Moments as sums over set partitions of products of block cumulants."""
-    table, order = _normalize_table(cumulants)
-    partitions = _subset_partitions(order)
-    moments: dict[frozenset, float] = {}
-    for subset in sorted(table.keys(), key=len):
-        total = 0.0
-        for partition in partitions[subset]:
-            prod = 1.0
-            for block in partition:
-                prod *= table[block]
-            total += prod
-        moments[subset] = total
-    return moments
+    return _partition_sum(*_normalize_table(cumulants), False)
 
 
 def joint_moment_table(
@@ -701,8 +702,4 @@ def cumulant_decay_scan(
         ys.append(abs(kappa))
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    keep = ys > 0.0
-    dropped = int((~keep).sum())
-    if keep.sum() < 2:
-        return _degenerate_fit(xs, dropped), rows
-    return fit_model(xs[keep], ys[keep], EXPONENTIAL_MODEL, dropped), rows
+    return _fit_nonzero(xs, ys, functools.partial(fit_model, model=EXPONENTIAL_MODEL)), rows

@@ -8,6 +8,7 @@ characteristic polynomials.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Sequence
 
@@ -175,10 +176,9 @@ def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], lis
     return q, r
 
 
-def cyclotomic(k: int, _cache: dict[int, tuple[int, ...]] = {}) -> tuple[int, ...]:
+@functools.cache
+def cyclotomic(k: int) -> tuple[int, ...]:
     """k-th cyclotomic polynomial, ascending integer coefficients."""
-    if k in _cache:
-        return _cache[k]
     # x^k - 1 divided by the product of Phi_d over proper divisors d of k.
     poly = [-1] + [0] * (k - 1) + [1]
     for d in range(1, k):
@@ -186,8 +186,7 @@ def cyclotomic(k: int, _cache: dict[int, tuple[int, ...]] = {}) -> tuple[int, ..
             poly, rem = _poly_divmod(poly, cyclotomic(d))
             if any(rem):
                 raise ArithmeticError("cyclotomic division left a remainder")
-    _cache[k] = tuple(poly)
-    return _cache[k]
+    return tuple(poly)
 
 
 def is_cyclotomic_product(poly: Sequence[int]) -> bool:

@@ -23,7 +23,7 @@ from .errors import (
     Indeterminate,
     Singular,
 )
-from .sequences import CountingReport, check_b_condition
+from .sequences import CountingReport, check_b_either
 
 UNIT_TOLERANCE = 1e-9
 COMMUTATOR_TOLERANCE = 1e-10
@@ -316,13 +316,10 @@ def pair_counting_check(
             values = np.exp(pair_norm_grid(pair, m_grid, k_max, order))
         return np.where(values >= 1.0 - 1e-9, np.maximum(values, 1.0), values)
 
-    row = check_b_condition(norms("hg"), "row", m_grid, n_max)
-    if row.passed:
-        return PairCountingResult(decisive=row, other=None, orientation="row")
-    # column orientation: row i of the gh grid fixes g^m_grid[i].
-    column = check_b_condition(norms("gh"), "column", m_grid, n_max)
-    orientation = "column" if column.passed else None
-    return PairCountingResult(decisive=column, other=row, orientation=orientation)
+    # Row i of the gh grid, built only if the row orientation fails, fixes g^m_grid[i].
+    decisive, other = check_b_either(map(norms, ("hg", "gh")), m_grid, n_max)
+    orientation = decisive.condition.removeprefix("b-") if decisive.passed else None
+    return PairCountingResult(decisive=decisive, other=other, orientation=orientation)
 
 
 @dataclass(frozen=True, eq=False)

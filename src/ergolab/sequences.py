@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -323,14 +323,16 @@ def check_b_condition(
 
 
 def check_b_either(
-    row, column, m_grid: Sequence[int], n_max: int
+    grids: Iterable, m_grid: Sequence[int], n_max: int
 ) -> tuple[CountingReport, CountingReport | None]:
     """(decisive report, other attempt or None): the row orientation on the
-    ``row`` grid when it passes, else the column one on ``column``."""
-    row_report = check_b_condition(row, "row", m_grid, n_max)
+    first grid ``grids`` yields when it passes, else the column one on the
+    second, which is taken from ``grids`` only then."""
+    grids = iter(grids)
+    row_report = check_b_condition(next(grids), "row", m_grid, n_max)
     if row_report.passed:
         return row_report, None
-    return check_b_condition(column, "column", m_grid, n_max), row_report
+    return check_b_condition(next(grids), "column", m_grid, n_max), row_report
 
 
 def check_band_condition(values, s_max: int, claimed_bound: int) -> CountingReport:

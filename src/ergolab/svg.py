@@ -45,6 +45,14 @@ def _label(x: float) -> str:
     return f"{x:.4g}"
 
 
+def _axis(lo: float, hi: float, log_scale: bool, place):
+    """Pixel position of a value on an axis from lo to hi: ``place`` of the
+    fraction of the way it lies, on a linear or a log10 scale."""
+    scale = math.log10 if log_scale else float
+    lo, hi = scale(lo), scale(hi)
+    return lambda v: place((scale(v) - lo) / (hi - lo))
+
+
 def line_chart(
     path,
     xs: Sequence[float],
@@ -78,19 +86,8 @@ def line_chart(
     if y_lo == y_hi:
         y_hi = y_lo * 10.0 if log_y and y_lo > 0 else y_lo + 1.0
 
-    def sx(x: float) -> float:
-        if log_x:
-            t = (math.log10(x) - math.log10(x_lo)) / (math.log10(x_hi) - math.log10(x_lo))
-        else:
-            t = (x - x_lo) / (x_hi - x_lo)
-        return MARGIN + t * (WIDTH - 2 * MARGIN)
-
-    def sy(y: float) -> float:
-        if log_y:
-            t = (math.log10(y) - math.log10(y_lo)) / (math.log10(y_hi) - math.log10(y_lo))
-        else:
-            t = (y - y_lo) / (y_hi - y_lo)
-        return HEIGHT - MARGIN - t * (HEIGHT - 2 * MARGIN)
+    sx = _axis(x_lo, x_hi, log_x, lambda t: MARGIN + t * (WIDTH - 2 * MARGIN))
+    sy = _axis(y_lo, y_hi, log_y, lambda t: HEIGHT - MARGIN - t * (HEIGHT - 2 * MARGIN))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '

@@ -413,18 +413,14 @@ def sample_rows(
     positions, _ = _checked_gaps(positions)
     if slab_rows < 1:
         raise DomainError("need at least one row per slab")
-    if not _is_iid(system) or not positions.size:
-        rows = _lane_rows(system, positions, list(rngs))
-        return (rows[lo:lo + slab_rows] for lo in range(0, rows.shape[0], slab_rows))
-    return _iid_row_slabs(system, positions, iter(rngs), slab_rows)
-
-
-def _lane_rows(system: ShiftSystem, positions: np.ndarray, rngs: list) -> np.ndarray:
-    """All rows at once, from one (rows, positions) block of uniforms."""
+    if _is_iid(system) and positions.size:
+        return _iid_row_slabs(system, positions, iter(rngs), slab_rows)
+    rngs = list(rngs)
     u = np.empty((len(rngs), positions.size), dtype=np.float64)
     for row, rng in enumerate(rngs):
         rng.random(out=u[row])
-    return _sample_path(system, positions, len(rngs), lambda lo, hi: u[:, lo:hi])
+    rows = _sample_path(system, positions, len(rngs), lambda lo, hi: u[:, lo:hi])
+    return (rows[lo:lo + slab_rows] for lo in range(0, rows.shape[0], slab_rows))
 
 
 def _iid_row_slabs(system: ShiftSystem, positions: np.ndarray, rngs: Iterator, slab_rows: int):
@@ -794,12 +790,16 @@ class Observable:
                 if not np.isfinite(value):
                     raise DomainError("cylinder values must be finite")
                 table[word] = value
+            if not np.isfinite(float(self.default)):
+                raise DomainError("cylinder default must be finite")
             object.__setattr__(self, "table", table)
         elif self.variant == TRIG:
             terms = tuple(
                 (tuple(int(k) for k in freq), float(a), float(b))
                 for freq, a, b in (self.terms or ())
             )
+            if not np.isfinite([c for _, a, b in terms for c in (a, b)]).all():
+                raise DomainError("trig coefficients must be finite")
             freqs = [t[0] for t in terms]
             if len(set(freqs)) != len(freqs):
                 raise DomainError("trig frequency vectors must be pairwise distinct")

@@ -363,6 +363,21 @@ class TestEnsemble:
         assert np.isnan(got[3])
         assert np.array_equal(got, np.median(values, axis=0), equal_nan=True)
 
+    def test_one_generate_call_per_spec(self, bernoulli, monkeypatch):
+        # The read positions and every orbit's stream share one set of terms.
+        calls = []
+        original = averages.generate
+
+        def counting(spec, count):
+            calls.append(count)
+            return original(spec, count)
+
+        monkeypatch.setattr(averages, "generate", counting)
+        f = systems.centered_cylinder_indicator(bernoulli, [1])
+        spec = make_spec(bernoulli, [f], (1,), 1024, kind="primes")
+        averages.ensemble_rate_experiment(spec, 20, 1.0, 2.0, seed=3)
+        assert calls == [1024]
+
     def test_point_count_floor(self, bernoulli):
         f = systems.centered_cylinder_indicator(bernoulli, [1])
         spec = make_spec(bernoulli, [f], (1,), 64)

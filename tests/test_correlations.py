@@ -448,7 +448,38 @@ def full_table(order, rng):
     return {k: float(rng.normal()) for k in keys}
 
 
+def _reference_partition_sums(table, inverse):
+    """The two partition-identity loops as separate copies, each subset's
+    partitions in ``set_partitions`` order: a reference that pins the
+    order of every product and sum."""
+    out = {}
+    values = out if inverse else table
+    for subset in sorted(table, key=len):
+        total = 0.0
+        for partition in co.set_partitions(sorted(subset)):
+            if inverse and len(partition) == 1:
+                continue
+            prod = 1.0
+            for block in partition:
+                prod *= values[frozenset(block)]
+            total += prod
+        out[subset] = table[subset] - total if inverse else total
+    return out
+
+
 class TestCumulants:
+    @pytest.mark.parametrize("order", [2, 3, 4, 5])
+    def test_partition_sums_match_reference_bits(self, order):
+        # The round trip below holds only within a tolerance; this pins
+        # both directions to the last bit, keys given in shuffled order.
+        rng = np.random.default_rng(40 + order)
+        for _ in range(5):
+            items = list(full_table(order, rng).items())
+            table = dict(items[i] for i in rng.permutation(len(items)))
+            cumulants = co.moments_to_cumulants(table).cumulants
+            assert cumulants == _reference_partition_sums(table, inverse=True)
+            assert co.cumulants_to_moments(table) == _reference_partition_sums(table, inverse=False)
+
     def test_covariance_case(self):
         table = co.moments_to_cumulants({(0,): 2.0, (1,): 3.0, (0, 1): 7.0})
         assert table.cumulant((0, 1)) == pytest.approx(1.0)

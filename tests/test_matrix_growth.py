@@ -202,6 +202,22 @@ class TestCommutingPair:
         result = mg.pair_counting_check(pair, range(1, 31), 200, 200)
         assert result.orientation == "row"
 
+    @pytest.mark.parametrize(
+        "g, h, orders", [(SHEAR, [[1, 3], [0, 1]], ["hg"]), (np.eye(2), np.eye(2), ["hg", "gh"])]
+    )
+    def test_column_grid_built_only_when_row_fails(self, monkeypatch, g, h, orders):
+        asked = []
+        grid = mg.pair_norm_grid
+
+        def recording(pair, outer, inner_max, order):
+            asked.append(order)
+            return grid(pair, outer, inner_max, order)
+
+        monkeypatch.setattr(mg, "pair_norm_grid", recording)
+        pair = mg.CommutingPair(g=np.array(g, dtype=float), h=np.array(h, dtype=float))
+        mg.pair_counting_check(pair, range(1, 11), 400, 400)
+        assert asked == orders
+
     def test_identity_pair_fails_both(self):
         pair = mg.CommutingPair(g=np.eye(2), h=np.eye(2))
         result = mg.pair_counting_check(pair, range(1, 11), 400, 400)

@@ -175,9 +175,26 @@ class TestBCondition:
         m_grid = range(1, 11)
         row = _grid(lambda m, k: m, m_grid, 500)
         column = _grid(lambda m, k: k, m_grid, 500)
-        decisive, other = sequences.check_b_either(row, column, m_grid, 500)
+        decisive, other = sequences.check_b_either((row, column), m_grid, 500)
         assert other is not None and not other.passed
         assert decisive.condition == "b-column" and decisive.passed
+
+    @pytest.mark.parametrize("row_passes", [True, False])
+    def test_column_grid_taken_only_after_row_fails(self, row_passes):
+        m_grid = range(1, 11)
+        passing = _grid(lambda m, k: k, m_grid, 500)
+        failing = _grid(lambda m, k: m, m_grid, 500)
+        taken = []
+
+        def grids():
+            yield passing if row_passes else failing
+            taken.append("column")
+            yield failing if row_passes else passing
+
+        decisive, other = sequences.check_b_either(grids(), m_grid, 500)
+        assert decisive.passed
+        assert decisive.condition == ("b-row" if row_passes else "b-column")
+        assert taken == ([] if row_passes else ["column"])
 
 
 class TestBandCondition:

@@ -353,6 +353,19 @@ class TestObservables:
         with pytest.raises(VariantMismatch):
             systems.exact_mean(systems.trig_cosine((1, 0)), markov)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_numbers_rejected(self, bad):
+        with pytest.raises(DomainError, match="cylinder default must be finite"):
+            systems.cylinder_observable(0, {(0,): 1.0}, bad)
+        with pytest.raises(DomainError, match="trig coefficients must be finite"):
+            systems.trig_observable([((1, 0), bad, 0.0)])
+        with pytest.raises(DomainError, match="trig coefficients must be finite"):
+            systems.trig_observable([((0, 1), 1.0, 0.0), ((1, 0), 0.5, bad)])
+
+    def test_non_finite_table_reported_before_default(self):
+        with pytest.raises(DomainError, match="cylinder values must be finite"):
+            systems.cylinder_observable(0, {(0,): np.inf}, np.nan)
+
     def test_duplicate_frequencies_rejected(self):
         with pytest.raises(DomainError):
             systems.trig_observable([((1, 0), 1.0, 0.0), ((1, 0), 0.5, 0.0)])
