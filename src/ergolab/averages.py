@@ -407,8 +407,9 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     slabs of max(1, ``SLAB_ITEMS`` // len(ks)) rows, each made from start
     to finish when it is asked for: the slab's streams, its symbols
     (``sample_rows``), its factor values and its terms.  The term slab,
-    word codes and values are arrays allocated once per call and reused,
-    so a slab holds its terms until the next is asked for.  The products
+    word codes and values are arrays the generator keeps across calls and
+    makes again only for a larger slab, so a slab holds its terms until
+    the next is asked for, in this call or the next.  The products
     are elementwise, so every entry is the float one full-width pass
     gives.  ``term_bytes`` bounds what a call holds.
     """
@@ -418,22 +419,18 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     multipliers = np.asarray(spec.multipliers, dtype=np.int64)
     tables = [cylinder_table(obs, system.alphabet_size) for obs in spec.observables]
 
+    scratch = []  # flat term, value, code and symbol buffers, kept across calls
+
     def slabs(positions: np.ndarray, factors: list, streams, step: int):
         width = factors[0][1].size
-        scratch = None
         for symbols in sample_rows(system, positions, streams, step):
             rows = symbols.shape[0]
-            if scratch is None:
-                # The first slab is the largest: allocated after it is
-                # sampled, scratch never meets a whole block of uniforms.
-                shape = (rows, width)
-                scratch = (
-                    np.empty(shape, dtype=np.float64),
-                    np.empty(shape, dtype=np.float64),
-                    np.empty(shape, dtype=np.intp),
-                    np.empty(shape, dtype=symbols.dtype),
-                )
-            out, values, codes, gathered = (a[:rows] for a in scratch)
+            if not scratch or scratch[0].size < rows * width:
+                # The first slab of a call is its largest: allocated after
+                # it is sampled, scratch never meets a whole block of uniforms.
+                dtypes = (np.float64, np.float64, np.intp, symbols.dtype)
+                scratch[:] = [np.empty(rows * width, dtype=dtype) for dtype in dtypes]
+            out, values, codes, gathered = (a[: rows * width].reshape(rows, width) for a in scratch)
             block = ShiftPoint(positions, symbols)
             yield cylinder_products(
                 block, factors, system.alphabet_size, out, values, (codes, gathered)

@@ -5,6 +5,14 @@ rejected.  Numbers that must be exact (matrices, probabilities) accept
 rational strings "p/q".  Every run writes CSV data artifacts, a JSON
 summary, a manifest with content hashes, and optional SVG charts; data
 artifacts are byte-identical across reruns and worker counts.
+
+Importing this module executes ``systems`` and ``correlations``, which
+every system parse needs.  ``averages``, ``dyadic``, ``matrix_growth``,
+``sequences`` and ``svg`` are registered in ``sys.modules`` (and on the
+package) at once but execute only at their first attribute access, so a
+process runs only the modules its experiment calls.  ``hashlib`` is
+imported by the manifest's hashing only, so ``validate`` loads no OpenSSL.
+A bad command-line argument exits 2 with one line that names it.
 """
 
 from __future__ import annotations
@@ -12,13 +20,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
+import importlib.util
 import itertools
 import json
 import math
 import os
 import pickle
-import signal
 import sys
 import time
 from fractions import Fraction
@@ -26,9 +33,27 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, averages, correlations, dyadic, matrix_growth, sequences, svg, systems
+from . import __version__, correlations, systems
 from .errors import ConfigError, DomainError, ErgolabError
 from .seeding import ROLE_QUERY
+
+
+def _lazy(name: str):
+    """``ergolab.<name>``, registered in ``sys.modules`` and on the package
+    at once, but executed only at its first attribute access."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[full])
+        setattr(sys.modules[__package__], name, sys.modules[full])
+    return sys.modules[full]
+
+
+averages, dyadic, matrix_growth, sequences, svg = map(
+    _lazy, ("averages", "dyadic", "matrix_growth", "sequences", "svg")
+)
 
 SCHEMA_VERSION = 1
 
@@ -70,6 +95,8 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def sha256_file(path: Path) -> str:
+    import hashlib  # here, not at the top: it loads OpenSSL, which validate never needs
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -129,6 +156,7 @@ def pmap(fn, tasks, workers: int) -> list:
         return _gathered([_run_share(fn, tasks, 0, 1)], len(tasks))
     # numpy imports numpy.random on first use: once here, not once per child.
     import numpy.random  # noqa: F401
+    import signal
 
     sys.stdout.flush()
     sys.stderr.flush()
@@ -809,8 +837,7 @@ def parse_dyadic(cfg: dict, seed: int):
 
 
 def _task_dyadic_batch(args):
-    spec, seed, lo, hi, ns, s_values = args
-    generator = averages.product_term_generator(spec, seed)
+    generator, lo, hi, ns, s_values = args
     return dyadic.batch_moments(generator, lo, hi, ns, s_values)
 
 
@@ -819,9 +846,13 @@ def run_dyadic(
 ) -> dict:
     # One term matrix per fixed point batch feeds every E(0, N) and every
     # L_s profile; fixed batches keep the merge the same for any workers.
+    # One generator serves every batch of a share, so its slab scratch is
+    # allocated once per worker, not once per batch.
+    generator = averages.product_term_generator(spec, seed)
     batches = dyadic.point_batches(points, row_bytes)
-    tasks = [(spec, seed, lo, hi, n_grid, s_values) for lo, hi in batches]
+    tasks = [(generator, lo, hi, n_grid, s_values) for lo, hi in batches]
     blocks = pmap(_task_dyadic_batch, tasks, ctx.workers)
+    del generator, tasks  # the slab scratch is not held while artifacts are written
     ctx.count("term_entries", sum(b.points * b.columns for b in blocks))
     # The largest batch, and its bytes at the positions the batches read.
     columns = blocks[0].columns
@@ -1093,7 +1124,11 @@ def run(config_path: Path, out_dir: Path | None, workers: int, emit_svg: bool) -
             print(f"config error: {message}", file=sys.stderr)
         return EXIT_CONFIG
     out = out_dir or Path(f"{config_path.stem}_out")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"argument --out: cannot make directory {out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     ctx = RunContext(out, workers, emit_svg)
     started = time.monotonic()
     try:
@@ -1182,6 +1217,16 @@ def decompose_command(n: int, s: int | None) -> int:
     return EXIT_OK
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"need an integer >= 1, got {text!r}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="ergolab", description="batch experiments for ergodic-average rate checks"
@@ -1193,9 +1238,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", type=Path, default=None, help="output directory")
     p_run.add_argument(
         "--workers",
-        type=int,
+        type=positive_int,
         metavar="N",
-        default=int(os.environ.get("ERGOLAB_WORKERS", "1")),
+        default=os.environ.get("ERGOLAB_WORKERS", "1"),
         help="processes that share the tasks: the run forks N - 1 children, serial "
         "without os.fork; artifacts do not depend on N (default: ERGOLAB_WORKERS or 1)",
     )
@@ -1205,15 +1250,18 @@ def main(argv=None) -> int:
     p_val.add_argument("config", type=Path)
 
     p_dec = sub.add_parser("decompose", help="inspect a dyadic decomposition")
-    p_dec.add_argument("n", type=int)
-    p_dec.add_argument("--s", type=int, default=None)
+    p_dec.add_argument("n", type=positive_int)
+    p_dec.add_argument("--s", type=positive_int, default=None)
 
     args = parser.parse_args(argv)
     if args.command == "run":
         return run(args.config, args.out, args.workers, not args.no_svg)
     if args.command == "validate":
         return validate_command(args.config)
-    return decompose_command(args.n, args.s)
+    try:
+        return decompose_command(args.n, args.s)
+    except DomainError as exc:  # n >= 2^s
+        p_dec.error(f"argument --s: {exc}")
 
 
 if __name__ == "__main__":

@@ -425,6 +425,24 @@ class TestTermGenerator:
             for n, a_n, _ in series.entries:
                 assert a_n == float(sums[n - 1]) / n
 
+    def test_calls_share_slab_scratch(self, bernoulli):
+        # A generator keeps its slab arrays across calls, so the point
+        # batches of one worker allocate them once. A smaller call reuses
+        # them, and its rows do not depend on what the last call left there.
+        f = systems.centered_cylinder_indicator(bernoulli, [1])
+        g = systems.centered_cylinder_indicator(bernoulli, [0])
+        spec = make_spec(bernoulli, [f, g], (1, 2), 64)
+        generator = averages.product_term_generator(spec, master_seed=33)
+        ks = np.arange(1, 65, dtype=np.int64)
+        first = next(iter(generator(np.arange(4), ks)))
+        second = generator(np.arange(2, 4), ks[:32])
+        assert np.shares_memory(first, next(iter(second)))
+        fresh = averages.product_term_generator(spec, master_seed=33)
+        assert np.array_equal(
+            _rows_of(generator(np.arange(2, 4), ks[:32])),
+            _rows_of(fresh(np.arange(2, 4), ks[:32])),
+        )
+
     def test_large_alphabet_symbols_do_not_wrap(self):
         # Symbol 129 does not fit an int8; a wrapped -127 would index the
         # lookup from its end and the indicator would never fire.

@@ -1025,6 +1025,41 @@ def test_startup_loads_no_pool_and_no_masked_arrays(tmp_path):
     assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
+@pytest.mark.parametrize(
+    "argv,env,code,argument",
+    [
+        (["decompose", "0"], {}, 2, "argument n:"),
+        (["decompose", "5", "--s", "1"], {}, 2, "argument --s:"),
+        (["run", "{config}", "--workers", "0"], {}, 2, "argument --workers:"),
+        (["run", "{config}", "--workers", "-3"], {}, 2, "argument --workers:"),
+        (["run", "{config}"], {"ERGOLAB_WORKERS": "abc"}, 2, "argument --workers:"),
+        (["validate", "{config}"], {"ERGOLAB_WORKERS": "abc"}, 0, None),
+        (["run", "{config}", "--out", "{config}"], {}, 2, "argument --out:"),
+    ],
+    ids=["n-0", "s-too-small", "workers-0", "workers-negative", "workers-env", "validate-env",
+         "out-is-a-file"],
+)
+def test_argument_errors_exit_2_with_one_line(
+    tmp_path, monkeypatch, capsys, argv, env, code, argument
+):
+    # A bad argument exits 2 with one line naming it (after argparse's
+    # usage line), never a traceback; ERGOLAB_WORKERS is read by run only.
+    config = write_config(tmp_path, minimal_correlate())
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.chdir(tmp_path)
+    argv = [arg.format(config=config) for arg in argv]
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code, err
+    if argument is not None:
+        lines = [line for line in err.splitlines() if not line.startswith("usage:")]
+        assert len(lines) == 1 and argument in lines[0], err
+
+
 def test_dyadic_runs_under_a_memory_limit(tmp_path):
     # W = 2^18 columns over 128 points in 1 GiB of address space: batches of
     # 7 points hold about 73 MiB. One batch of all 128 needs about 1.1 GiB.
@@ -1166,3 +1201,47 @@ def test_config_fuzzer_exits_cleanly(tmp_path, capsys):
             assert not (tmp_path / f"out{i}").exists()
     capsys.readouterr()
     assert rejected > 300
+
+
+# Lab modules that each experiment's validate executes, besides those every
+# process executes: cli, errors, intmat, seeding, systems and correlations.
+EXPERIMENT_MODULES = {
+    "correlate": set(),
+    "cumulants": set(),
+    "average": {"averages", "sequences"},
+    "ratecheck": {"averages", "sequences"},
+    "dyadic": {"averages", "dyadic", "sequences"},
+    "growth": {"matrix_growth", "sequences"},
+    "counting": {"sequences"},
+}
+EAGER_MODULES = {"cli", "errors", "intmat", "seeding", "systems", "correlations"}
+LAZY_MODULES = {"averages", "dyadic", "matrix_growth", "sequences", "svg"}
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_validate_executes_only_the_modules_its_experiment_needs(config):
+    # Every lab module is registered once the CLI is imported, so tools
+    # that look them up in sys.modules find them; only the ones the
+    # experiment calls have run their bodies (a lazy module's type is a
+    # subclass until then). validate hashes nothing, so hashlib and the
+    # OpenSSL it loads stay out.
+    experiment = json.loads(config.read_text())["experiment"]
+    script = (
+        "import sys, types\n"
+        "from ergolab import cli\n"
+        f"code = cli.main(['validate', {str(config)!r}])\n"
+        "lab = [n.partition('.')[2] for n in sys.modules if n.startswith('ergolab.')]\n"
+        "print(sorted(lab))\n"
+        "print(sorted(n for n in lab if type(sys.modules['ergolab.' + n]) is types.ModuleType))\n"
+        "print('hashlib' in sys.modules)\n"
+        "raise SystemExit(code)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ergolab.__file__).resolve().parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    registered, executed, hashlib_loaded = proc.stdout.splitlines()[-3:]
+    assert registered == str(sorted(EAGER_MODULES | LAZY_MODULES))
+    assert executed == str(sorted(EAGER_MODULES | EXPERIMENT_MODULES[experiment]))
+    assert hashlib_loaded == "False"

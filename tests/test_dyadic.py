@@ -515,6 +515,67 @@ class TestBernoulliOracle:
             assert abs(e - n / 16) <= 4 * se, (n, e, se)
 
 
+def _exact_e(spec, ns):
+    """Exact E(0, N) = sum over k, l <= N of E[F_k F_l] for each N in ns,
+    for radius-0 factors along r_n = n on a shift.
+
+    Each E[F_k F_l] starts from the stationary vector and walks the sorted
+    positions m_i k and m_i l, crossing each gap g with P^g
+    (``transition_power``; P^0 = I merges positions that coincide) and
+    multiplying by the factor read there.  Pairs are symmetric, so row k
+    takes l = k..max N, all at once.
+    """
+    system = spec.system
+    tables = np.array(
+        [systems.cylinder_table(obs, system.alphabet_size) for obs in spec.observables]
+    )
+    multipliers = np.array(spec.multipliers)
+    factors = np.tile(np.arange(multipliers.size), 2)
+    n_max = max(ns)
+    powers = np.stack(
+        [np.eye(system.alphabet_size)]
+        + [system.transition_power(g) for g in range(1, multipliers.max() * n_max)]
+    )
+    totals = np.zeros(len(ns))
+    for k in range(1, n_max + 1):
+        ls = np.arange(k, n_max + 1)
+        positions = np.concatenate(
+            [np.tile(multipliers * k, (ls.size, 1)), np.outer(ls, multipliers)], axis=1
+        )
+        order = np.argsort(positions, axis=1, kind="stable")
+        positions = np.take_along_axis(positions, order, axis=1)
+        read = factors[order]
+        state = system.stationary * tables[read[:, 0]]
+        for i in range(1, positions.shape[1]):
+            step = powers[positions[:, i] - positions[:, i - 1]]
+            state = np.einsum("pi,pij->pj", state, step) * tables[read[:, i]]
+        pairs = state.sum(axis=1)  # E[F_k F_l] for l = k..n_max
+        partial = np.cumsum(pairs)
+        for j, n in enumerate(ns):
+            if n >= k:
+                totals[j] += 2 * partial[n - k] - pairs[0]
+    return totals
+
+
+class TestMarkovOracle:
+    NS = (64, 128, 256, 512, 1024, 2048)
+
+    def test_reference_is_n_over_16_on_bernoulli(self):
+        spec = _pair_spec(BERNOULLI, systems.centered_cylinder_indicator(BERNOULLI, [1]), 2048)
+        assert np.allclose(_exact_e(spec, self.NS), np.array(self.NS) / 16, rtol=1e-12, atol=0)
+
+    def test_ensemble_e_matches_exact_on_markov_chain(self):
+        # The (9/10, 1/10; 1/2, 1/2) chain, f and g the centered indicators
+        # of [1] and [0], multipliers (1, 2), r_n = n: the pairs k != l no
+        # longer vanish.  Each N is checked at 4 standard errors, two-sided
+        # (about 6.3e-5 false alarms per N, as in TestBernoulliOracle).
+        spec = _pair_spec(MARKOV, systems.centered_cylinder_indicator(MARKOV, [1]), 2048)
+        exact = _exact_e(spec, self.NS)
+        moments = ensemble_moments(averages.product_term_generator(spec, 2024), 1024, self.NS)
+        for n, want, (e, se) in zip(self.NS, exact, moments.e_values):
+            assert abs(e - want) <= 4 * se, (n, e, se, want)
+
+
 def _traced_peak(fn, *args):
     """Peak bytes that ``fn(*args)`` allocates, by tracemalloc."""
     tracemalloc.start()
@@ -596,8 +657,13 @@ class TestBatchMemory:
         derived = report["derived"]
         spec = step.args[0]  # run_dyadic's first bound argument
         batch = derived["batch_points"]
-        task = (spec, 5, 0, batch, tuple(cfg["params"]["n_grid"]), (width.bit_length() - 1, 3))
-        assert _traced_peak(cli._task_dyadic_batch, task) <= derived["batch_bytes"]
+        ns, s_values = tuple(cfg["params"]["n_grid"]), (width.bit_length() - 1, 3)
+
+        def one_batch():  # a run's generator, then its first batch task
+            generator = averages.product_term_generator(spec, 5)
+            return cli._task_dyadic_batch((generator, 0, batch, ns, s_values))
+
+        assert _traced_peak(one_batch) <= derived["batch_bytes"]
         # A row: W float64 terms, a uniform and an int8 symbol at each of
         # the 2 radius + 2 positions per column the factors read at most.
         row = width * (8 + 9 * (2 * radius + 2))
