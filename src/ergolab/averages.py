@@ -18,7 +18,7 @@ import numpy as np
 
 from .correlations import POLYNOMIAL_MODEL, fit_model
 from .errors import DomainError, VariantMismatch
-from .seeding import ROLE_POINT, ROLE_TERMS, rng_for
+from .seeding import ROLE_POINT, ROLE_TERMS, Streams, rng_for
 from .sequences import SequenceSpec, generate
 from .systems import (
     SLAB_ITEMS,
@@ -41,6 +41,7 @@ from .systems import (
     torus_limbs,
     torus_orbit,
     trig_values,
+    word_columns,
 )
 
 
@@ -173,12 +174,14 @@ def ergodic_average_stream(spec: AverageSpec, point) -> AverageSeries:
             raise VariantMismatch("shift averages need a ShiftPoint")
         m = spec.system.alphabet_size
         factors = [
-            (obs, at, cylinder_table(obs, m)) for obs, at in zip(spec.observables, positions)
+            (word_columns(point.positions, obs.radius, at, point.offset), cylinder_table(obs, m))
+            for obs, at in zip(spec.observables, positions)
         ]
         # One block: two separate arrays had glibc trim and re-fault the heap
         # top on every call (112 minor faults a call at n_max = 8192).
         values, later = np.empty((2, terms.size))
-        cylinder_products(point, factors, m, values, later, None)
+        scratch = np.empty(terms.size, dtype=np.intp), np.empty(terms.size, point.symbols.dtype)
+        cylinder_products(point.symbols, factors, m, values, later, scratch)
     else:
         if not isinstance(point, TorusPoint):
             raise VariantMismatch("torus averages need a TorusPoint")
@@ -403,15 +406,19 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     cylinder factors only; use centered observables when the framework
     expects mean-zero terms.
 
-    The call returns an iterator over the rows of F in point order, in
-    slabs of max(1, ``SLAB_ITEMS`` // len(ks)) rows, each made from start
-    to finish when it is asked for: the slab's streams, its symbols
-    (``sample_rows``), its factor values and its terms.  The term slab,
-    word codes and values are arrays the generator keeps across calls and
-    makes again only for a larger slab, so a slab holds its terms until
-    the next is asked for, in this call or the next.  The products
-    are elementwise, so every entry is the float one full-width pass
-    gives.  ``term_bytes`` bounds what a call holds.
+    A call seeds the streams of all its points in one pass
+    (``seeding.Streams``): each is the stream ``rng_for`` gives, and each
+    is consumed, its row drawn, before the next is taken.  It resolves
+    each factor's word columns in P(ks) once (``word_columns``); every
+    slab reads its words through them.  The call returns an iterator over
+    the rows of F in point order, in slabs of max(1, ``SLAB_ITEMS`` //
+    len(ks)) rows, each made from start to finish when it is asked for:
+    the slab's symbols (``sample_rows``), its factor values and its terms.
+    The term slab, word codes and values are arrays the generator keeps
+    across calls and makes again only for a larger slab, so a slab holds
+    its terms until the next is asked for, in this call or the next.  The
+    products are elementwise, so every entry is the float one full-width
+    pass gives.  ``term_bytes`` bounds what a call holds.
     """
     if not isinstance(spec.system, ShiftSystem):
         raise DomainError("term generators are implemented for shift systems")
@@ -422,7 +429,7 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     scratch = []  # flat term, value, code and symbol buffers, kept across calls
 
     def slabs(positions: np.ndarray, factors: list, streams, step: int):
-        width = factors[0][1].size
+        width = factors[0][0].shape[1]
         for symbols in sample_rows(system, positions, streams, step):
             rows = symbols.shape[0]
             if not scratch or scratch[0].size < rows * width:
@@ -431,22 +438,21 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
                 dtypes = (np.float64, np.float64, np.intp, symbols.dtype)
                 scratch[:] = [np.empty(rows * width, dtype=dtype) for dtype in dtypes]
             out, values, codes, gathered = (a[: rows * width].reshape(rows, width) for a in scratch)
-            block = ShiftPoint(positions, symbols)
             yield cylinder_products(
-                block, factors, system.alphabet_size, out, values, (codes, gathered)
+                symbols, factors, system.alphabet_size, out, values, (codes, gathered)
             )
 
     def generator(point_indices: np.ndarray, ks: np.ndarray):
         ks = np.asarray(ks, dtype=np.int64)
         points = np.ravel(point_indices)
         terms = generate(spec.sequence, int(ks.max()))[ks - 1]
-        streams = (rng_for(master_seed, ROLE_TERMS, int(j)) for j in points)
+        positions = spec.positions_read(terms)
         factors = [
-            (obs, mult * terms, table)
+            (word_columns(positions, obs.radius, mult * terms), table)
             for obs, mult, table in zip(spec.observables, multipliers, tables)
         ]
         step = max(1, min(points.size, SLAB_ITEMS // ks.size))
-        return slabs(spec.positions_read(terms), factors, streams, step)
+        return slabs(positions, factors, Streams(master_seed, (ROLE_TERMS,), points), step)
 
     return generator
 

@@ -37,7 +37,6 @@ from .systems import (
     SLAB_ITEMS,
     TORUS_SLAB,
     Observable,
-    ShiftPoint,
     ShiftSystem,
     TorusAutomorphism,
     _symbol_dtype,
@@ -50,6 +49,7 @@ from .systems import (
     sample_torus_limbs,
     sorted_union,
     trig_values,
+    word_columns,
 )
 
 FREQUENCY_BUDGET = 1 << 512
@@ -126,14 +126,14 @@ def _mc_products_shift(query: CorrelationQuery, chunk: int):
     factors read.
 
     Every array is allocated here once and reused by every call, so each
-    call returns its products in the same array.  The products take the
-    uniforms' array once the symbols are drawn, and the factors are
-    evaluated ``LANES`` sequences at a time, so word codes and values stay
-    small."""
+    call returns its products in the same array, and each factor's word
+    columns are resolved here once.  The products take the uniforms' array
+    once the symbols are drawn, and the factors are evaluated ``LANES``
+    sequences at a time, so word codes and values stay small."""
     system, positions = query.system, query.read_positions
     m = system.alphabet_size
     factors = [
-        (obs, t, cylinder_table(obs, m))
+        (word_columns(positions, obs.radius, t), cylinder_table(obs, m))
         for obs, t in zip(query.observables, query.effective_times())
     ]
     uniforms = np.empty(max(SLAB_ITEMS, chunk), dtype=np.float64)
@@ -147,8 +147,8 @@ def _mc_products_shift(query: CorrelationQuery, chunk: int):
         sample_at(system, positions, count, rng, symbols[:count], uniforms)
         prod = uniforms[:count]
         for lo in range(0, count, lanes):
-            block = ShiftPoint(positions, symbols[lo:min(lo + lanes, count)])
-            rows = block.symbols.shape[0]
+            block = symbols[lo:min(lo + lanes, count)]
+            rows = block.shape[0]
             scratch = codes[:rows], gathered[:rows]
             cylinder_products(block, factors, m, prod[lo:lo + rows], values[:rows], scratch)
         return prod

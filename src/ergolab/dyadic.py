@@ -70,20 +70,20 @@ def decompose(n: int, s: int) -> list[DyadicInterval]:
     """Disjoint blocks of L_s covering {1..n}, largest first, at most s of them.
 
     Greedy on the binary expansion of n: the leading block has length the
-    highest power of two in n, and so on down.
+    highest power of two in n, and so on down.  Only the bits of n are
+    visited, so the cost is O(log n) whatever s.
     """
     if n < 1:
         raise DomainError("need n >= 1")
-    if n >= (1 << s):
+    bits = int(n).bit_length()
+    if bits > s:  # n >= 2^s, without building 2^s
         raise DomainError(f"need n < 2^s, got n={n}, s={s}")
     blocks = []
     start = 0  # blocks cover (start, start + 2^r]
-    remaining = n
-    for r in range(s - 1, -1, -1):
-        if remaining & (1 << r):
+    for r in range(bits - 1, -1, -1):
+        if n >> r & 1:
             blocks.append(DyadicInterval(r, start >> r))
             start += 1 << r
-            remaining -= 1 << r
     return blocks
 
 
@@ -180,13 +180,61 @@ def point_batches(n_points: int, row_bytes: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + size, n_points)) for lo in range(0, n_points, size)]
 
 
+def _squared_levels(head: np.ndarray, scratch: np.ndarray):
+    """For r = 0, 1, ..., top - 1, the squares of the level-r block sums of
+    the rows of ``head``, a (rows, 2^top) array: a (rows, 2^(top - r)) view
+    of ``scratch``, which holds rows 2^top floats, valid until the next
+    level is asked for.
+
+    Each block sum is the float ``head.reshape(rows, -1, 2^r).sum(axis=2)``
+    gives, built in numpy's own pairwise order: numpy sums fewer than 8
+    terms left to right, 8 to 128 terms in 8 interleaved running sums
+    combined pairwise, and more as the sum of their two halves.  So blocks
+    of 2, 4 and 8 are strided adds, blocks of 16 to 128 are that sum, and
+    blocks of 256 or more add two blocks of the level below.  With N
+    entries of scratch, level r's sums take entries N - 2 N_r to N - N_r
+    and their squares the last N_r, N_r = N / 2^r, so levels 1 and r - 1
+    are intact while level r is built.
+    """
+    rows, width = head.shape
+    # ``head`` is often a prefix of wider rows, and numpy allocates buffers
+    # for a ufunc over such a view (64 KiB an operand); a copy takes none.
+    squares = scratch.reshape(rows, width)
+    squares[...] = head
+    yield np.square(squares, out=squares)
+    pairs = sums = None
+    for r in range(1, width.bit_length() - 1):
+        n = scratch.size >> r
+        below, sums = sums, scratch[-2 * n:-n].reshape(rows, width >> r)
+        squares = scratch[-n:].reshape(rows, width >> r)
+        if r == 1:
+            sums[...] = head[:, 0::2]
+            sums += head[:, 1::2]
+            pairs = sums
+        elif r == 2:  # ((x0 + x1) + x2) + x3
+            np.add(pairs[:, 0::2], head[:, 2::4], out=sums)
+            sums += head[:, 3::4]
+        elif r == 3:  # ((x0 + x1) + (x2 + x3)) + ((x4 + x5) + (x6 + x7))
+            np.add(pairs[:, 0::4], pairs[:, 1::4], out=sums)
+            np.add(pairs[:, 2::4], pairs[:, 3::4], out=squares)
+            sums += squares
+        elif r < 8:
+            head.reshape(rows, width >> r, 1 << r).sum(axis=2, out=sums)
+        else:
+            np.add(below[:, 0::2], below[:, 1::2], out=sums)
+        np.square(sums, out=squares)
+        yield squares
+
+
 def block_moments(terms, ns: Sequence[int], s_values: Sequence[int] = ()) -> BlockMoments:
     """Prefix moments for each N in ns and L_s level totals for each s.
 
     ``terms`` is the block's rows in point order, as an iterable of 2-D row
     slabs of equal width; a 2-D array is one slab.  Each slab is reduced
     when it comes and only each row's prefix sums and level totals are
-    kept, so the block is never held whole.
+    kept, so the block is never held whole.  Every prefix and every level
+    block is summed in the order numpy's ``sum`` over it would use
+    (``_squared_levels``), so the totals are its floats.
     """
     width = term_columns(ns, s_values)
     top = max(s_values, default=0)
@@ -218,11 +266,8 @@ def block_moments(terms, ns: Sequence[int], s_values: Sequence[int] = ()) -> Blo
             totals = tuple(np.empty((s, rows), dtype=np.float64) for s in s_values)
             if scratch.size < rows << top:
                 scratch = np.empty(rows << top, dtype=np.float64)
-            head = head[:, : 1 << top]
-            for r in range(top):
-                squares = scratch[: rows << (top - r)].reshape(rows, 1 << (top - r))
-                head.reshape(rows, 1 << (top - r), 1 << r).sum(axis=2, out=squares)
-                np.square(squares, out=squares)
+            squared = _squared_levels(head[:, : 1 << top], scratch[: rows << top])
+            for r, squares in zip(range(top), squared):
                 for s, level in zip(s_values, totals):
                     if r < s:
                         squares[:, : 1 << (s - r)].sum(axis=1, out=level[r])

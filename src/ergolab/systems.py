@@ -20,7 +20,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, Sized
 
 import numpy as np
 
@@ -193,19 +193,30 @@ class ShiftPoint:
 
     def columns(self, indices) -> np.ndarray:
         """Entries of ``symbols`` holding the given indices of the current point."""
-        at = np.asarray(indices, dtype=np.int64) + self.offset
-        cols = np.searchsorted(self.positions, at)
-        found = np.take(self.positions, cols, mode="clip") == at
-        if not found.all():
-            index = int(np.ravel(at)[~np.ravel(found)][0]) - self.offset
-            raise WindowExhausted(f"index {index} at offset {self.offset} was not sampled")
-        return cols
+        return word_columns(self.positions, 0, indices, self.offset)[0]
 
     def symbol(self, index: int) -> int:
         return int(self.symbols[self.columns(index)])
 
     def word(self, radius: int) -> tuple[int, ...]:
         return tuple(int(s) for s in self.symbols[self.columns(np.arange(-radius, radius + 1))])
+
+
+def word_columns(positions: np.ndarray, radius: int, indices, offset: int = 0) -> np.ndarray:
+    """Entries of the sorted sample ``positions`` that hold the words of
+    ``radius`` around ``indices`` of a point whose origin is at ``offset``:
+    shape (2 radius + 1,) + indices.shape, row i for letter i of each word.
+    A block of sequences sampled at ``positions`` reads its words through
+    the same columns, so they are resolved once for all of them.  Raises
+    WindowExhausted when a position was not sampled."""
+    at = np.asarray(indices, dtype=np.int64) + offset
+    at = at + np.arange(-radius, radius + 1).reshape((-1,) + (1,) * at.ndim)
+    cols = np.searchsorted(positions, at)
+    found = np.take(positions, cols, mode="clip") == at
+    if not found.all():
+        index = int(at[~found][0]) - offset
+        raise WindowExhausted(f"index {index} at offset {offset} was not sampled")
+    return cols
 
 
 def shift_apply(point: ShiftPoint, n: int) -> ShiftPoint:
@@ -400,26 +411,32 @@ def sample_rows(
     """Slabs of up to ``slab_rows`` rows in row order, where row j is
     ``sample_at(system, positions, 1, rngs[j])[0]``.
 
-    Each row draws its ``len(positions)`` uniforms from its own stream.
+    Each row draws its ``len(positions)`` uniforms from its own stream,
+    and draws them before the next stream is taken, so ``rngs`` may yield
+    one generator reset to each stream in turn (``seeding.Streams``).
     ``rngs`` may be lazy: an i.i.d. chain takes the next stream only when
     it draws that row, into one reused row of uniforms, and resolves the
     row at once: position 0 by the stationary thresholds, every later one
     by the common row of P, the comparisons ``_markov_path`` makes.  Its
     slabs are views of one reused block, so a slab holds its rows until
-    the next is asked for.  Any other chain steps all rows together as
-    lanes of the kernel ``sample_at`` uses, from one (rows, positions)
-    block of uniforms, and yields slices of the symbols.
+    the next is asked for.  Any other chain takes every stream at the call
+    and steps all rows together as lanes of the kernel ``sample_at`` uses,
+    from one (rows, positions) block of uniforms, and yields slices of the
+    symbols; ``rngs`` with a length fill that block row by row.
     """
     positions, _ = _checked_gaps(positions)
     if slab_rows < 1:
         raise DomainError("need at least one row per slab")
     if _is_iid(system) and positions.size:
         return _iid_row_slabs(system, positions, iter(rngs), slab_rows)
-    rngs = list(rngs)
-    u = np.empty((len(rngs), positions.size), dtype=np.float64)
-    for row, rng in enumerate(rngs):
-        rng.random(out=u[row])
-    rows = _sample_path(system, positions, len(rngs), lambda lo, hi: u[:, lo:hi])
+    if isinstance(rngs, Sized):
+        u = np.empty((len(rngs), positions.size), dtype=np.float64)
+        for row, rng in zip(u, rngs):
+            rng.random(out=row)
+    else:
+        drawn = [rng.random(positions.size) for rng in rngs]
+        u = np.array(drawn, dtype=np.float64).reshape(len(drawn), positions.size)
+    rows = _sample_path(system, positions, u.shape[0], lambda lo, hi: u[:, lo:hi])
     return (rows[lo:lo + slab_rows] for lo in range(0, rows.shape[0], slab_rows))
 
 
@@ -911,13 +928,7 @@ def cylinder_table(observable: Observable, alphabet_size: int) -> np.ndarray:
 
 
 def cylinder_values_at(
-    point: ShiftPoint,
-    observable: Observable,
-    positions,
-    alphabet_size: int,
-    table=None,
-    out=None,
-    scratch=None,
+    point: ShiftPoint, observable: Observable, positions, alphabet_size: int, table=None
 ) -> np.ndarray:
     """Cylinder values at many shifted origins of a point or a block of points.
 
@@ -925,46 +936,48 @@ def cylinder_values_at(
     a (count, P) block of symbols the result is (count,) + positions.shape;
     for one sequence it is positions.shape.  Each word is coded in base
     ``alphabet_size`` and read from ``table``, the factor's
-    ``cylinder_table``, which is built here when not given.  A loop that
-    calls this many times can pass arrays of the result's shape to reuse:
-    ``out`` (float64) for the values and ``scratch``, a pair of an intp
-    array for the word codes and one of the symbols' dtype for the
-    gathered symbols; the call then allocates nothing of that shape.
+    ``cylinder_table``, which is built here when not given.
     """
     if observable.variant != CYLINDER:
         raise VariantMismatch("cylinder_values_at requires a cylinder observable")
-    at = np.asarray(positions, dtype=np.int64)
-    shape = point.symbols.shape[:-1] + at.shape
-    if scratch is None:
-        scratch = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=point.symbols.dtype)
+    columns = word_columns(point.positions, observable.radius, positions, point.offset)
+    if table is None:
+        table = cylinder_table(observable, alphabet_size)
+    shape = point.symbols.shape[:-1] + columns.shape[1:]
+    scratch = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=point.symbols.dtype)
+    return _word_values(point.symbols, columns, table, alphabet_size, np.empty(shape), scratch)
+
+
+def _word_values(symbols, columns, table, alphabet_size: int, out, scratch) -> np.ndarray:
+    """``out`` = ``table`` at the base-``alphabet_size`` code of the words
+    whose letters ``symbols`` holds in ``columns`` (``word_columns``);
+    ``scratch`` is a pair of an intp array for the codes and one of the
+    symbols' dtype for the gathered letters, both of ``out``'s shape."""
     codes, gathered = scratch
-    for j in range(-observable.radius, observable.radius + 1):
+    for j, cols in enumerate(columns):
         # np.take writes into its ``out`` directly with mode="clip", where
         # the default mode writes into a copy; every column and code here
         # is in range, so nothing is clipped.
-        np.take(point.symbols, point.columns(at + j), axis=-1, out=gathered, mode="clip")
-        if j == -observable.radius:
+        np.take(symbols, cols, axis=-1, out=gathered, mode="clip")
+        if j == 0:
             codes[...] = gathered
         else:
             codes *= alphabet_size
             codes += gathered
-    if table is None:
-        table = cylinder_table(observable, alphabet_size)
-    if out is None:
-        out = np.empty(shape, dtype=np.float64)
     return np.take(table, codes, out=out, mode="clip")
 
 
 def cylinder_products(
-    point: ShiftPoint, factors, alphabet_size: int, out: np.ndarray, values: np.ndarray, scratch
+    symbols: np.ndarray, factors, alphabet_size: int, out: np.ndarray, values: np.ndarray, scratch
 ) -> np.ndarray:
-    """``out`` = the product over ``factors``, (observable, positions,
-    table) triples, of their ``cylinder_values_at`` values, with ``values``
-    and ``scratch`` holding each later factor's values and word codes.
-    The first factor's values are written to ``out``: 1.0 times them is
-    exact, so no array of ones is made."""
-    for i, (obs, at, table) in enumerate(factors):
-        cylinder_values_at(point, obs, at, alphabet_size, table, values if i else out, scratch)
+    """``out`` = the product over ``factors``, (columns, table) pairs of a
+    factor's ``word_columns`` and ``cylinder_table``, of the factor values
+    of ``symbols``, a sequence or a block of sequences.  ``values`` and
+    ``scratch`` hold each later factor's values and word codes
+    (``_word_values``).  The first factor's values are written to ``out``:
+    1.0 times them is exact, so no array of ones is made."""
+    for i, (columns, table) in enumerate(factors):
+        _word_values(symbols, columns, table, alphabet_size, values if i else out, scratch)
         if i:
             out *= values
     return out

@@ -9,13 +9,18 @@ import re
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ergolab
-from ergolab import averages, cli
+from ergolab import averages, cli, dyadic
 from ergolab.errors import DomainError
+from ergolab.seeding import rng_for
+
+CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 BERNOULLI_SYSTEM = {
     "kind": "shift",
@@ -865,6 +870,19 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "blocks=3" in output and "[1..8]" in output
 
+    def test_decompose_with_a_huge_s_takes_only_the_bits_of_n(self, capsys):
+        # The blocks are the bits of n: s only bounds them, so a huge s
+        # costs nothing.  Building 2^s once took time quadratic in s.
+        start = time.perf_counter()
+        assert cli.main(["decompose", "5", "--s", "1000000000"]) == 0
+        elapsed = time.perf_counter() - start
+        huge = capsys.readouterr().out.splitlines()
+        assert cli.main(["decompose", "5", "--s", "3"]) == 0
+        small = capsys.readouterr().out.splitlines()
+        assert elapsed < 1.0
+        assert huge[0] == "n=5 s=1000000000 blocks=2"
+        assert huge[1:] == small[1:] and len(small) == 3
+
     def test_validate_command(self, tmp_path, capsys):
         path = write_config(tmp_path, minimal_correlate())
         assert cli.main(["validate", str(path)]) == 0
@@ -1030,13 +1048,15 @@ def test_startup_loads_no_pool_and_no_masked_arrays(tmp_path):
     [
         (["decompose", "0"], {}, 2, "argument n:"),
         (["decompose", "5", "--s", "1"], {}, 2, "argument --s:"),
+        (["decompose", "8", "--s", "3"], {}, 2, "argument --s:"),
+        (["decompose", str(1 << 40), "--s", "40"], {}, 2, "argument --s:"),
         (["run", "{config}", "--workers", "0"], {}, 2, "argument --workers:"),
         (["run", "{config}", "--workers", "-3"], {}, 2, "argument --workers:"),
         (["run", "{config}"], {"ERGOLAB_WORKERS": "abc"}, 2, "argument --workers:"),
         (["validate", "{config}"], {"ERGOLAB_WORKERS": "abc"}, 0, None),
         (["run", "{config}", "--out", "{config}"], {}, 2, "argument --out:"),
     ],
-    ids=["n-0", "s-too-small", "workers-0", "workers-negative", "workers-env", "validate-env",
+    ids=["n-0", "s-too-small", "n-is-2^s", "n-is-2^40", "workers-0", "workers-negative", "workers-env", "validate-env",
          "out-is-a-file"],
 )
 def test_argument_errors_exit_2_with_one_line(
@@ -1119,6 +1139,59 @@ def test_dyadic_faults_do_not_depend_on_heap_trimming(tmp_path):
     assert abs(faults[0] - faults[1]) <= 0.1 * faults[1], faults
 
 
+def _streams_per_point(calls):
+    """The term streams before one-pass seeding: one ``rng_for`` per point."""
+
+    def streams(master_seed, prefix, indices):
+        calls.append(len(indices))
+        return [rng_for(master_seed, *prefix, int(j)) for j in indices]
+
+    return streams
+
+
+def _plain_level_sums(calls):
+    """The level builder before bottom-up sums: numpy's sum over every
+    block of every level, straight from the row slab."""
+
+    def squared_levels(head, scratch):
+        calls.append(head.shape)
+        rows, width = head.shape
+        for r in range(width.bit_length() - 1):
+            squares = scratch[: (rows * width) >> r].reshape(rows, width >> r)
+            head.reshape(rows, width >> r, 1 << r).sum(axis=2, out=squares)
+            yield np.square(squares, out=squares)
+
+    return squared_levels
+
+
+@pytest.mark.parametrize(
+    "transition", [None, [["9/10", "1/10"], ["1/2", "1/2"]]], ids=["bernoulli", "markov"]
+)
+def test_dyadic_artifacts_match_per_point_streams_and_plain_level_sums(
+    tmp_path, monkeypatch, transition
+):
+    # One-pass seeding and bottom-up level sums give the artifacts that a
+    # stream per point and numpy's sum per level block give, byte for byte.
+    cfg = json.loads((CONFIGS_DIR / "bernoulli_dyadic.json").read_text())
+    cfg["params"]["point_count"] = 300
+    if transition is not None:
+        cfg["system"]["transition"] = transition
+    path = write_config(tmp_path, cfg)
+
+    def artifacts(out):
+        assert cli.run(path, out, workers=1, emit_svg=True) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        return {e["name"]: e["sha256"] for e in manifest["artifacts"]}
+
+    shipped = artifacts(tmp_path / "shipped")
+    streams, levels = [], []
+    monkeypatch.setattr(averages, "Streams", _streams_per_point(streams))
+    monkeypatch.setattr(dyadic, "_squared_levels", _plain_level_sums(levels))
+    assert artifacts(tmp_path / "old") == shipped
+    assert streams == [300] and len(levels) == 300 // 32 + 1
+    assert {"dyadic_e.csv", "dyadic_variance_profile.csv", "dyadic_exceptional.csv"} <= set(shipped)
+
+
 @pytest.mark.parametrize("value,expected", [(0.1, "0.10000000000000001"), (1.0, "1"), (True, "true")])
 def test_float_formatting(value, expected):
     assert cli.fmt_value(value) == expected
@@ -1128,7 +1201,7 @@ def test_float_formatting(value, expected):
 # Seeded config fuzzer
 # ---------------------------------------------------------------------------
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+CONFIGS = sorted(CONFIGS_DIR.glob("*.json"))
 WRONG_TYPES = ["x", 1.5, True, None, [], {}, [1, "a"], {"z": 1}, "1/0"]
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 

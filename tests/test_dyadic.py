@@ -431,6 +431,30 @@ class TestSharedLevels:
         for totals, ref in zip(got.level_totals, want):
             assert totals.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("top", range(1, 18))
+    @pytest.mark.parametrize("rows", [1, 7, 32])
+    def test_levels_are_numpy_block_sums(self, rows, top):
+        # Each level is built from the ones below in numpy's own summation
+        # order, so its block sums are the floats numpy's sum over each
+        # block gives.  They are only ever squared, so comparing squares
+        # hides nothing but the sign of a zero.  Magnitudes spread over
+        # twelve decades make any other order show.  Odd tops read a
+        # prefix of wider rows, as a block wider than 2^top does.  32 rows
+        # stop at top = 16 (16 MiB a block).
+        if rows << top > 1 << 21:
+            pytest.skip("block above 16 MiB")
+        rng = np.random.default_rng(top)
+        wide = (1 << top) + (8 if top % 2 else 0)
+        arr = rng.standard_normal((rows, wide)) * 10.0 ** rng.integers(-6, 7, (rows, wide))
+        head = arr[:, : 1 << top]
+        scratch = np.empty(rows << top)
+        levels = 0
+        for r, squares in enumerate(dyadic._squared_levels(head, scratch)):
+            block_sums = head.reshape(rows, 1 << (top - r), 1 << r).sum(axis=2)
+            assert squares.tobytes() == np.square(block_sums).tobytes(), r
+            levels += 1
+        assert levels == top
+
 
 def _whole_block_moments(terms, ns, s_values=()):
     """The whole-matrix reduction that streaming row slabs replaced: one
