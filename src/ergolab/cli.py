@@ -275,12 +275,6 @@ def parse_positive(value, where: str) -> float:
     return number
 
 
-def parse_int_list(values, where: str) -> tuple[int, ...]:
-    if not isinstance(values, list):
-        raise ConfigError(f"{where} must be a list of integers, got {values!r}")
-    return tuple(parse_int(v, f"{where}[{j}]") for j, v in enumerate(values))
-
-
 def parse_matrix(rows, where: str, entry=parse_exact) -> list[list]:
     """A square matrix as a non-empty list of rows; ``entry`` parses each value."""
     if not isinstance(rows, list) or not rows or not all(isinstance(row, list) for row in rows):
@@ -294,23 +288,106 @@ def parse_matrix(rows, where: str, entry=parse_exact) -> list[list]:
     ]
 
 
-def parse_bit(value, where: str) -> int:
-    if parse_int(value, where) not in (0, 1):
-        raise ConfigError(f"{where} must be 0 or 1, got {value!r}")
+REQUIRED = object()  # the default of a key that its object must set
+
+
+def read(obj, schema: dict, where: str) -> dict:
+    """The values of the JSON object ``obj`` at the JSON path ``where`` ("" at
+    the root). ``schema`` maps each key the object may set to ``(parse,
+    default)``; ``parse(value, path)`` reads a value at its JSON path. An
+    absent key takes its default, a JSON value parsed like a given one, but
+    ``None`` marks an optional key, which an absent key or a JSON null leaves
+    None, and ``REQUIRED`` a key that must be set. Unknown keys, missing keys
+    and bad values raise ConfigError at their path."""
+    if not isinstance(obj, dict):
+        needs = " and ".join(repr(key) for key, (_, d) in schema.items() if d is REQUIRED)
+        got = f" with {needs}" if needs else f", got {obj!r}"
+        raise ConfigError(f"{where or 'config'} must be an object{got}")
+    unknown = obj.keys() - schema.keys()
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {where or 'config'}")
+    values = {}
+    for key, (parse, default) in schema.items():
+        path = f"{where}.{key}" if where else key
+        value = obj.get(key, default)
+        if value is REQUIRED:
+            raise ConfigError(f"{path} is missing")
+        values[key] = None if value is None and default is None else parse(value, path)
+    return values
+
+
+# Parsers that schemas combine. The underscores keep a tracer that wraps
+# public functions at one span per object read, not one per value.
+
+def _int(minimum: int | None = None, maximum: int | None = None):
+    return functools.partial(parse_int, minimum=minimum, maximum=maximum)
+
+
+def _one_of(*choices):
+    def parse(value, where: str):
+        if value not in choices:
+            *rest, last = map(str, choices)
+            names = f"{', '.join(rest)} or {last}" if rest else last
+            raise ConfigError(f"{where} must be {names}, got {value!r}")
+        return value
+    return parse
+
+
+def _int_where(test, rule: str):
+    """An integer that passes ``test``; ``rule`` says what that means."""
+    def parse(value, where: str) -> int:
+        number = parse_int(value, where)
+        if not test(number):
+            raise ConfigError(f"{where} must be {rule}, got {number}")
+        return number
+    return parse
+
+
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
     return value
 
 
-def check_keys(obj, allowed: set[str], where: str, required=()) -> None:
-    """``obj`` must be an object with only ``allowed`` keys and every
-    ``required`` one."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object, got {obj!r}")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
-    for key in required:
-        if key not in obj:
-            raise ConfigError(f"{where}.{key} is missing")
+def _as_is(value, where: str):
+    return value  # checked by its owner: a domain class, or a later read
+
+
+def _list(item, minimum: int = 0, message: str | None = None):
+    """A JSON list of at least ``minimum`` values, each read by ``item``, as a
+    tuple; ``message``, needed for a minimum above 1, replaces other errors."""
+    def parse(values, where: str) -> tuple:
+        if not isinstance(values, list) or len(values) < minimum:
+            kind = "non-empty list" if isinstance(values, list) else "list"
+            raise ConfigError(message or f"{where} must be a {kind}, got {values!r}")
+        return tuple(item(value, f"{where}[{j}]") for j, value in enumerate(values))
+    parse.item = item
+    return parse
+
+
+def _obj(schema: dict, make=None):
+    """An object read by ``schema``, or the domain object ``make`` builds
+    from its values, its errors named at the object's path."""
+    def parse(obj, where: str):
+        values = read(obj, schema, where)
+        return values if make is None else build_at(where, make, **values)
+    parse.schema = schema
+    return parse
+
+
+def _variant(key: str, schemas: dict, make=None):
+    """An object whose ``key`` names its schema in ``schemas``: (name,
+    values), or ``make(name, **values)``."""
+    choose = _one_of(*schemas)
+
+    def parse(obj, where: str):
+        if not isinstance(obj, dict) or key not in obj:
+            raise ConfigError(f"{where or 'config'} must be an object with {key!r}")
+        name = choose(obj[key], f"{where}.{key}" if where else key)
+        values = read({k: v for k, v in obj.items() if k != key}, schemas[name], where)
+        return (name, values) if make is None else build_at(where, make, name, **values)
+    parse.key, parse.schemas = key, schemas
+    return parse
 
 
 def check_cells(where: str, names: str, rows: int, cols: int) -> None:
@@ -328,60 +405,61 @@ def build_at(where: str, make, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def build_system(desc):
-    if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError("system must be an object with a 'kind'")
-    kind = desc["kind"]
-    if kind == "shift":
-        check_keys(desc, {"kind", "adjacency", "transition"}, "system", ("adjacency", "transition"))
-        return build_at(
-            "system",
-            systems.build_shift,
-            parse_matrix(desc["adjacency"], "system.adjacency", parse_bit),
-            parse_matrix(desc["transition"], "system.transition"),
-        )
-    if kind == "torus":
-        check_keys(desc, {"kind", "matrix", "precision_bits"}, "system", ("matrix",))
-        bits = parse_int(
-            desc.get("precision_bits", systems.DEFAULT_PRECISION_BITS), "system.precision_bits"
-        )
-        matrix = parse_matrix(desc["matrix"], "system.matrix", parse_int)
-        return build_at("system", systems.build_torus, matrix, bits)
-    raise ConfigError(f"system.kind must be shift or torus, got {kind!r}")
+INTS = _list(parse_int)
+SHIFT = {
+    "adjacency": (functools.partial(parse_matrix, entry=_int(0, 1)), REQUIRED),
+    "transition": (parse_matrix, REQUIRED),
+}
+TORUS = {
+    "matrix": (functools.partial(parse_matrix, entry=parse_int), REQUIRED),
+    "precision_bits": (parse_int, systems.DEFAULT_PRECISION_BITS),
+}
+SYSTEM = _variant(  # systems.build_shift or build_torus
+    "kind", {"shift": SHIFT, "torus": TORUS}, lambda k, **f: getattr(systems, "build_" + k)(**f)
+)
+WORD_VALUE = {"word": (INTS, REQUIRED), "value": (parse_exact, REQUIRED)}
+CYLINDER = {
+    "radius": (_int(0), 0),
+    "table": (_list(_obj(WORD_VALUE)), []),
+    "default": (parse_exact, 0.0),
+    "centered": (_flag, False),
+}
+TERM = {"freq": (INTS, REQUIRED), "cos": (parse_exact, 0.0), "sin": (parse_exact, 0.0)}
+OBSERVABLE = _variant(
+    "variant", {systems.CYLINDER: CYLINDER, systems.TRIG: {"terms": (_list(_obj(TERM)), [])}}
+)
+# SequenceSpec checks the kind. The lambda runs ``sequences`` only when a
+# config reads a sequence.
+SEQUENCE = _obj(
+    {
+        "kind": (_as_is, REQUIRED),
+        "coefficients": (INTS, []),
+        "values": (INTS, []),
+        "multiplicity_bound": (parse_int, 1),
+    },
+    lambda **fields: sequences.SequenceSpec(**fields),
+)
+# The top level without and with a sampled system; EXPERIMENTS holds each
+# experiment's params table.
+TOP = {
+    "schema_version": (_one_of(SCHEMA_VERSION), REQUIRED),
+    "seed": (_int(0), 0),
+    "params": (_as_is, {}),
+}
+SAMPLED = {**TOP, "system": (SYSTEM, REQUIRED), "observables": (_list(OBSERVABLE, 1), REQUIRED)}
 
 
-def parse_table_entry(entry, alphabet_size: int, where: str) -> tuple[tuple[int, ...], float]:
-    """One cylinder table entry; its symbols must lie in the alphabet."""
-    check_keys(entry, {"word", "value"}, where, ("word", "value"))
-    word = parse_int_list(entry["word"], f"{where}.word")
-    for s in word:
-        if not 0 <= s < alphabet_size:
-            raise ConfigError(
-                f"{where}.word: symbol {s} is outside the alphabet 0..{alphabet_size - 1}"
-            )
-    return word, parse_exact(entry["value"], f"{where}.value")
-
-
-def parse_trig_term(entry, dimension: int, where: str) -> tuple[tuple[int, ...], float, float]:
-    """One trig term; its frequency has one entry per torus dimension."""
-    check_keys(entry, {"freq", "cos", "sin"}, where, ("freq",))
-    freq = parse_int_list(entry["freq"], f"{where}.freq")
-    if len(freq) != dimension:
-        raise ConfigError(
-            f"{where}.freq has {len(freq)} entries, the torus dimension is {dimension}"
-        )
-    cos, sin = (parse_exact(entry.get(key, 0.0), f"{where}.{key}") for key in ("cos", "sin"))
-    return freq, cos, sin
+build_system = functools.partial(SYSTEM, where="system")
 
 
 def build_observable(desc, system, where: str) -> systems.Observable:
-    """One observable; its variant must fit the system (cylinder on a
-    shift, trig on a torus) whatever the experiment evaluates."""
-    if not isinstance(desc, dict) or "variant" not in desc:
-        raise ConfigError(f"{where} must be an object with a 'variant'")
-    variant = desc["variant"]
-    if variant not in (systems.CYLINDER, systems.TRIG):
-        raise ConfigError(f"{where}.variant must be cylinder or trig, got {variant!r}")
+    return _observable(*OBSERVABLE(desc, where), system, where)
+
+
+def _observable(variant: str, fields: dict, system, where: str) -> systems.Observable:
+    """A read observable built for ``system``: its variant must fit the
+    system (cylinder on a shift, trig on a torus) whatever the experiment
+    evaluates, and so must its words or frequencies."""
     need = systems.required_variant(system)
     if variant != need:
         raise ConfigError(
@@ -389,165 +467,110 @@ def build_observable(desc, system, where: str) -> systems.Observable:
             f"{'shift' if need == systems.CYLINDER else 'torus'} system needs {need!r} observables"
         )
     if variant == systems.TRIG:
-        check_keys(desc, {"variant", "terms"}, where)
-        entries = desc.get("terms", [])
-        if not isinstance(entries, list):
-            raise ConfigError(f"{where}.terms must be a list of terms")
-        terms = [
-            parse_trig_term(entry, system.dimension, f"{where}.terms[{j}]")
-            for j, entry in enumerate(entries)
-        ]
+        for j, term in enumerate(fields["terms"]):
+            if len(term["freq"]) != system.dimension:
+                raise ConfigError(
+                    f"{where}.terms[{j}].freq has {len(term['freq'])} entries, "
+                    f"the torus dimension is {system.dimension}"
+                )
+        terms = [tuple(term.values()) for term in fields["terms"]]
         return build_at(f"{where}.terms", systems.trig_observable, terms)
-    check_keys(desc, {"variant", "radius", "table", "default", "centered"}, where)
-    radius = parse_int(desc.get("radius", 0), f"{where}.radius", 0)
+    radius, letters = fields["radius"], system.alphabet_size
     try:
-        systems.cylinder_table_size(system.alphabet_size, radius)
+        systems.cylinder_table_size(letters, radius)
     except DomainError as exc:
         raise ConfigError(f"{where}.radius is too large: {exc}") from exc
-    entries = desc.get("table", [])
-    if not isinstance(entries, list):
-        raise ConfigError(f"{where}.table must be a list of entries")
-    table = dict(
-        parse_table_entry(entry, system.alphabet_size, f"{where}.table[{j}]")
-        for j, entry in enumerate(entries)
-    )
-    default = parse_exact(desc.get("default", 0.0), f"{where}.default")
-    obs = build_at(f"{where}.table", systems.cylinder_observable, radius, table, default)
-    if desc.get("centered", False):
+    for j, entry in enumerate(fields["table"]):
+        for s in entry["word"]:
+            if not 0 <= s < letters:
+                raise ConfigError(
+                    f"{where}.table[{j}].word: symbol {s} is outside the alphabet 0..{letters - 1}"
+                )
+    table = {entry["word"]: entry["value"] for entry in fields["table"]}
+    obs = build_at(f"{where}.table", systems.cylinder_observable, radius, table, fields["default"])
+    if fields["centered"]:
         mean = systems.exact_mean(obs, system)
         table = {w: v - mean for w, v in obs.table.items()}
         obs = build_at(where, systems.cylinder_observable, radius, table, obs.default - mean)
     return obs
 
 
-def build_sequence(desc, where: str) -> sequences.SequenceSpec:
-    check_keys(desc, {"kind", "coefficients", "values", "multiplicity_bound"}, where, ("kind",))
-    return build_at(
-        where,
-        sequences.SequenceSpec,
-        kind=desc["kind"],
-        coefficients=parse_int_list(desc.get("coefficients", []), f"{where}.coefficients"),
-        values=parse_int_list(desc.get("values", []), f"{where}.values"),
-        multiplicity_bound=parse_int(
-            desc.get("multiplicity_bound", 1), f"{where}.multiplicity_bound"
-        ),
-    )
-
-
-def parse_system(cfg: dict) -> tuple:
-    """The system and its observables, for the experiments that sample one."""
-    experiment = cfg["experiment"]
-    if "system" not in cfg:
-        raise ConfigError(f"experiment {experiment!r} needs a 'system'")
-    system = build_system(cfg["system"])
-    descs = cfg.get("observables")
-    if not isinstance(descs, list) or not descs:
-        raise ConfigError(f"experiment {experiment!r} needs 'observables', a non-empty list")
-    observables = tuple(
-        build_observable(d, system, f"observables[{i}]") for i, d in enumerate(descs)
-    )
-    return system, observables
-
-
-def parse_average_spec(system, observables, params: dict, n_max: int) -> averages.AverageSpec:
-    # AverageSpec checks the multiplier count and distinctness, and then
-    # the checkpoints, so that their errors name params.checkpoints.
-    spec = build_at(
-        "params",
-        averages.AverageSpec,
-        system=system,
-        observables=observables,
-        multipliers=parse_int_list(params.get("multipliers"), "params.multipliers"),
-        sequence=build_sequence(params.get("sequence", {"kind": "linear"}), "params.sequence"),
-        n_max=n_max,
-    )
-    checkpoints = params.get("checkpoints")
-    if not checkpoints:
-        return spec
-    checkpoints = parse_int_list(checkpoints, "params.checkpoints")
-    return build_at("params.checkpoints", dataclasses.replace, spec, checkpoints=checkpoints)
-
-
-TOP_KEYS = {"schema_version", "experiment", "seed", "system", "observables", "params"}
-
-
-def load_config(path: Path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot load config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    return cfg
-
-
-def parse_config(cfg: dict):
+def parse_config(cfg) -> tuple:
     """The derived planning quantities that ``validate`` reports and the
     run step, bound to every domain object it needs."""
-    check_keys(cfg, TOP_KEYS, "config")
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"schema_version must be {SCHEMA_VERSION}, got {cfg.get('schema_version')!r}"
+    experiment, values = CONFIG(cfg, "")
+    _, params, parse = EXPERIMENTS[experiment]
+    values["params"] = read(values["params"], params, "params")
+    if "system" in values:
+        observables = enumerate(values["observables"])
+        values["observables"] = tuple(
+            _observable(*obs, values["system"], f"observables[{i}]") for i, obs in observables
         )
-    experiment = cfg.get("experiment")
-    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
-        raise ConfigError(f"experiment must be one of {tuple(EXPERIMENTS)}, got {experiment!r}")
-    return EXPERIMENTS[experiment](cfg, parse_int(cfg.get("seed", 0), "seed", 0))
+    return parse(values)
 
 
-def validate_config(cfg: dict) -> tuple:
+def validate_config(cfg) -> tuple:
     """Full validation without execution: (run step or None, report)."""
     try:
         derived, step = parse_config(cfg)
-    except (ErgolabError, ValueError, KeyError, TypeError) as exc:
+    except ErgolabError as exc:
         return None, {"ok": False, "errors": [str(exc)], "derived": {}}
     return step, {"ok": True, "errors": [], "derived": derived}
 
 
+def load_config(path: Path) -> tuple:
+    """(config, run step or None, report): the file at ``path`` validated;
+    one that is not readable JSON is reported like an invalid config."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
+        error = f"cannot load config {path}: {exc}"
+        return None, None, {"ok": False, "errors": [error], "derived": {}}
+    return (cfg, *validate_config(cfg))
+
+
 # ---------------------------------------------------------------------------
-# Experiments: parse_<name>(cfg, seed) returns the derived quantities and the
-# run step, run_<name> bound to its domain objects; run steps take a
-# RunContext and raise no ConfigError. Worker task results are pickled.
+# Experiments: a params table and parse_<name>(cfg) each. A parse takes the
+# read config and returns the derived quantities and the run step, run_<name>
+# bound to its domain objects. Run steps take a RunContext and raise no
+# ConfigError. Worker task results are pickled.
 # ---------------------------------------------------------------------------
 
-def parse_correlate(cfg: dict, seed: int):
-    params = cfg.get("params", {})
-    check_keys(params, {"queries", "method", "samples"}, "params")
-    system, observables = parse_system(cfg)
-    descs = params.get("queries")
-    if not descs or not isinstance(descs, list):
-        raise ConfigError("correlate needs params.queries, a non-empty list of objects")
-    method = params.get("method", "exact")
-    if method not in ("exact", "mc", "both"):
-        raise ConfigError("params.method must be exact, mc or both")
-    samples = 0 if method == "exact" else parse_int(params.get("samples", 0), "params.samples", 2)
-    queries = []
-    for q, desc in enumerate(descs):
-        where = f"params.queries[{q}]"
-        if not isinstance(desc, dict):
-            raise ConfigError(f"{where} must be an object with 'times'")
-        check_keys(desc, {"times", "multipliers"}, where)
-        multipliers = desc.get("multipliers")
-        queries.append(
-            build_at(
-                where,
-                correlations.CorrelationQuery,
-                system=system,
-                observables=observables,
-                times=parse_int_list(desc.get("times"), f"{where}.times"),
-                multipliers=parse_int_list(multipliers, f"{where}.multipliers")
-                if multipliers
-                else None,
-            )
+QUERY = {"times": (INTS, REQUIRED), "multipliers": (INTS, None)}
+CORRELATE = {
+    "queries": (
+        _list(_obj(QUERY), 1, "correlate needs params.queries, a non-empty list of objects"),
+        REQUIRED,
+    ),
+    "method": (_one_of("exact", "mc", "both"), "exact"),
+    "samples": (_int(2), None),
+}
+
+
+def parse_correlate(cfg: dict):
+    params, system = cfg["params"], cfg["system"]
+    method, samples = params["method"], params["samples"]
+    if method != "exact" and samples is None:
+        raise ConfigError(f"params.samples is missing: method {method} draws samples")
+    queries = [
+        build_at(
+            f"params.queries[{q}]",
+            correlations.CorrelationQuery,
+            system=system,
+            observables=cfg["observables"],
+            times=query["times"],
+            multipliers=query["multipliers"] or None,
         )
+        for q, query in enumerate(params["queries"])
+    ]
     derived = {}
     if isinstance(system, systems.TorusAutomorphism):
         derived["torus_precision_bits"] = system.precision_bits
     else:
         # Each sample draws, and the oracle walks, exactly the read positions.
         derived["symbols_per_sample"] = max(q.read_positions.size for q in queries)
-    return derived, functools.partial(run_correlate, queries, method, samples, seed)
+    return derived, functools.partial(run_correlate, queries, method, samples, cfg["seed"])
 
 
 def _task_mc_query(args):
@@ -608,24 +631,17 @@ def run_correlate(queries, method: str, samples: int, seed: int, ctx: RunContext
     return {"queries": summary_rows, "method": method}
 
 
-def parse_cumulants(cfg: dict, seed: int):
-    params = cfg.get("params", {})
-    check_keys(params, {"time_tuples", "multipliers"}, "params")
-    system, observables = parse_system(cfg)
+CUMULANTS = {"time_tuples": (_list(INTS, 1), REQUIRED), "multipliers": (INTS, None)}
+
+
+def parse_cumulants(cfg: dict):
+    params, system, observables = cfg["params"], cfg["system"], cfg["observables"]
     if len(observables) > correlations.MAX_CUMULANT_ORDER + 1:
         raise ConfigError(
             f"observables: the cumulant guard allows at most "
             f"{correlations.MAX_CUMULANT_ORDER + 1}, got {len(observables)}"
         )
-    rows = params.get("time_tuples")
-    if not rows or not isinstance(rows, list):
-        raise ConfigError("cumulants needs params.time_tuples, a non-empty list of time lists")
-    time_tuples = [parse_int_list(row, f"params.time_tuples[{r}]") for r, row in enumerate(rows)]
-    multipliers = (
-        parse_int_list(params["multipliers"], "params.multipliers")
-        if params.get("multipliers")
-        else None
-    )
+    time_tuples, multipliers = params["time_tuples"], params["multipliers"] or None
     # Each query checks its effective times and multiplier count.
     for r, times in enumerate(time_tuples):
         build_at(
@@ -657,29 +673,37 @@ def run_cumulants(system, observables, time_tuples, multipliers, ctx: RunContext
     return {"fit": fit.to_json_dict(), "tuples": len(rows)}
 
 
-# The two experiments on ergodic averages along a sequence differ only in
-# params.point_count (the default is also the minimum) and the extra keys
-# they take.
-AVERAGE_EXPERIMENTS = {"average": (1, set()), "ratecheck": (10, {"min_checkpoint"})}
+# The keys of an average along a sequence that dyadic shares.
+SPEC = {"multipliers": (INTS, REQUIRED), "sequence": (SEQUENCE, {"kind": "linear"})}
+AVERAGE = {
+    **SPEC,
+    "n_max": (_int(maximum=MAX_TERMS), 1024),
+    "checkpoints": (INTS, None),
+    "point_count": (_int(1), 1),
+    "epsilon": (parse_positive, 1.0),
+    "delta": (parse_positive, 2.0),
+}
+# The summary keeps the checkpoints from min_checkpoint on.
+RATECHECK = {**AVERAGE, "point_count": (_int(10), 10), "min_checkpoint": (parse_int, None)}
 
 
-def parse_averages(cfg: dict, seed: int):
-    experiment = cfg["experiment"]
-    min_points, extra_keys = AVERAGE_EXPERIMENTS[experiment]
-    params = cfg.get("params", {})
-    check_keys(
-        params,
-        {"multipliers", "sequence", "n_max", "checkpoints", "point_count", "epsilon", "delta"}
-        | extra_keys,
-        "params",
-    )
-    system, observables = parse_system(cfg)
-    # Everything past this check builds the first n_max terms of the sequence.
-    n_max = parse_int(params.get("n_max", 1024), "params.n_max", maximum=MAX_TERMS)
-    spec = parse_average_spec(system, observables, params, n_max)
-    epsilon = parse_positive(params.get("epsilon", 1.0), "params.epsilon")
-    delta = parse_positive(params.get("delta", 2.0), "params.delta")
-    points = parse_int(params.get("point_count", min_points), "params.point_count", min_points)
+def parse_average_spec(cfg: dict, n_max: int) -> averages.AverageSpec:
+    params = cfg["params"]
+    fields = (cfg["system"], cfg["observables"], params["multipliers"], params["sequence"], n_max)
+    return build_at("params", averages.AverageSpec, *fields)
+
+
+def parse_averages(cfg: dict):
+    """average, or ratecheck: the same table with min_checkpoint."""
+    params, system = cfg["params"], cfg["system"]
+    n_max, points = params["n_max"], params["point_count"]
+    # AverageSpec checks the multiplier count and distinctness, and then
+    # the checkpoints, so that their errors name params.checkpoints.
+    spec = parse_average_spec(cfg, n_max)
+    if params["checkpoints"]:
+        spec = build_at(
+            "params.checkpoints", dataclasses.replace, spec, checkpoints=params["checkpoints"]
+        )
     if isinstance(system, systems.ShiftSystem):
         # A point holds each read position (8 bytes) and its symbol.
         symbols = build_at("params", lambda: spec.read_positions.size)
@@ -692,17 +716,13 @@ def parse_averages(cfg: dict, seed: int):
             "torus_precision_bits": system.precision_bits,
             "estimated_memory_bytes": points * 16 * n_max,
         }
-    if experiment == "average":
-        return derived, functools.partial(run_average, spec, epsilon, delta, points, seed)
-    min_checkpoint = params.get("min_checkpoint")
+    stats = (spec, params["epsilon"], params["delta"], points, cfg["seed"])
+    if "min_checkpoint" not in params:
+        return derived, functools.partial(run_average, *stats)
+    min_checkpoint = params["min_checkpoint"]
     if min_checkpoint is not None:
-        # The summary keeps the checkpoints from min_checkpoint on.
-        min_checkpoint = parse_int(
-            min_checkpoint, "params.min_checkpoint", maximum=spec.checkpoint_schedule()[-1]
-        )
-    return derived, functools.partial(
-        run_ratecheck, spec, epsilon, delta, points, seed, min_checkpoint
-    )
+        parse_int(min_checkpoint, "params.min_checkpoint", maximum=spec.checkpoint_schedule()[-1])
+    return derived, functools.partial(run_ratecheck, *stats, min_checkpoint)
 
 
 def _task_series(args):
@@ -777,40 +797,36 @@ def run_ratecheck(
     return summary.to_json_dict()
 
 
-def parse_dyadic(cfg: dict, seed: int):
-    params = cfg.get("params", {})
-    check_keys(
-        params, {"multipliers", "sequence", "point_count", "n_grid", "exceptional"}, "params"
-    )
-    system, observables = parse_system(cfg)
+EXCEPTIONAL = {
+    # Term indices are int64, so 2^s columns need s <= 62.
+    "s_values": (_list(_int_where(lambda s: 1 <= s <= 62, "in 1..62"), 1), REQUIRED),
+    "epsilon": (parse_positive, 1.0),
+    "sigma": (parse_positive, 1.0),
+}
+DYADIC = {
+    **SPEC,
+    "point_count": (_int(2), 1000),
+    "n_grid": (
+        _list(
+            _int_where(lambda n: n >= 2 and not n & (n - 1), "a power of two >= 2"),
+            4,
+            "dyadic needs a params.n_grid list with at least 4 entries",
+        ),
+        REQUIRED,
+    ),
+    "exceptional": (_obj(EXCEPTIONAL), None),
+}
+
+
+def parse_dyadic(cfg: dict):
+    params, system = cfg["params"], cfg["system"]
     if not isinstance(system, systems.ShiftSystem):
         raise ConfigError("dyadic needs a shift system: its terms are sampled on shift paths")
-    grid = params.get("n_grid")
-    if not isinstance(grid, list) or len(grid) < 4:
-        raise ConfigError("dyadic needs a params.n_grid list with at least 4 entries")
-    n_grid = parse_int_list(grid, "params.n_grid")
-    for j, n in enumerate(n_grid):
-        if n < 2 or n & (n - 1):
-            raise ConfigError(f"params.n_grid[{j}] must be a power of two >= 2, got {n}")
-    spec = parse_average_spec(system, observables, params, max(n_grid))
-    points = parse_int(params.get("point_count", 1000), "params.point_count", 2)
-    s_values: tuple[int, ...] = ()
-    thresholds = None
-    exceptional = params.get("exceptional")
-    if exceptional is not None:
-        where = "params.exceptional"
-        check_keys(exceptional, {"s_values", "epsilon", "sigma"}, where)
-        if not exceptional.get("s_values"):
-            raise ConfigError(f"{where}.s_values must be a non-empty list of integers")
-        s_values = parse_int_list(exceptional["s_values"], f"{where}.s_values")
-        for j, s in enumerate(s_values):
-            # Term indices are int64, so 2^s columns need s <= 62.
-            if not 1 <= s <= 62:
-                raise ConfigError(f"{where}.s_values[{j}] must be in 1..62, got {s}")
-        thresholds = tuple(
-            parse_positive(exceptional.get(key, 1.0), f"{where}.{key}")
-            for key in ("epsilon", "sigma")
-        )
+    n_grid, points = params["n_grid"], params["point_count"]
+    spec = parse_average_spec(cfg, max(n_grid))
+    s_values, thresholds = (), None
+    if params["exceptional"] is not None:
+        s_values, *thresholds = params["exceptional"].values()  # epsilon, sigma
     # One (points, W) term matrix serves every grid N and every L_s; the
     # generator builds the first W terms of the sequence.
     columns = dyadic.term_columns(n_grid, s_values)
@@ -832,7 +848,7 @@ def parse_dyadic(cfg: dict, seed: int):
         "batch_bytes": batch * row_bytes + call_bytes,
     }
     return derived, functools.partial(
-        run_dyadic, spec, points, n_grid, s_values, thresholds, seed, row_bytes
+        run_dyadic, spec, points, n_grid, s_values, thresholds, cfg["seed"], row_bytes
     )
 
 
@@ -904,47 +920,41 @@ def run_dyadic(
     return summary
 
 
-def parse_growth(cfg: dict, seed: int):
-    params = cfg.get("params", {})
-    check_keys(params, {"matrices", "n_max", "pair"}, "params")
-    descs = params.get("matrices", [])
-    if not isinstance(descs, list):
-        raise ConfigError("params.matrices must be a list of matrices")
-    n_max = parse_int(params.get("n_max", 64), "params.n_max", 16, MAX_TERMS)
-    matrices = [np.array(parse_matrix(m, f"params.matrices[{k}]")) for k, m in enumerate(descs)]
+BALANCE = {"m": (_int(0, MAX_TERMS), 10), "n_max": (_int(0, MAX_TERMS), 40)}
+PAIR = {
+    "g": (parse_matrix, REQUIRED),
+    "h": (parse_matrix, REQUIRED),
+    "m_grid": (_int(1), 32),
+    "k_max": (_int(2, MAX_TERMS), 512),
+    "n_max": (_int(1, MAX_TERMS), 512),
+    "balance": (_obj(BALANCE), None),
+}
+GROWTH = {
+    "matrices": (_list(parse_matrix), []),
+    "n_max": (_int(16, MAX_TERMS), 64),
+    "pair": (_obj(PAIR), None),
+}
+
+
+def parse_growth(cfg: dict):
+    params = cfg["params"]
+    matrices = [np.array(m) for m in params["matrices"]]
     for k, matrix in enumerate(matrices):
         build_at(f"params.matrices[{k}]", matrix_growth.growth_radius, matrix)
-    pair = params.get("pair")
-    pair_check = None
-    balance = None
+    pair, pair_check, balance = params["pair"], None, None
     if pair is not None:
         where = "params.pair"
-        check_keys(pair, {"g", "h", "m_grid", "k_max", "n_max", "balance"}, where, ("g", "h"))
         commuting = build_at(
-            where,
-            matrix_growth.CommutingPair,
-            g=np.array(parse_matrix(pair["g"], f"{where}.g")),
-            h=np.array(parse_matrix(pair["h"], f"{where}.h")),
+            where, matrix_growth.CommutingPair, g=np.array(pair["g"]), h=np.array(pair["h"])
         )
-        rows = parse_int(pair.get("m_grid", 32), f"{where}.m_grid", 1)
-        k_max = parse_int(pair.get("k_max", 512), f"{where}.k_max", 2, MAX_TERMS)
+        rows, k_max = pair["m_grid"], pair["k_max"]
         check_cells(where, "m_grid x k_max", rows, k_max)  # pair_norm_grid's array
-        pair_check = (
-            commuting,
-            range(1, rows + 1),
-            k_max,
-            parse_int(pair.get("n_max", 512), f"{where}.n_max", 1, MAX_TERMS),
-        )
-        if pair.get("balance") is not None:
-            where = "params.pair.balance"
-            check_keys(pair["balance"], {"m", "n_max"}, where)
-            balance = tuple(
-                parse_int(pair["balance"].get(key, default), f"{where}.{key}", 0, MAX_TERMS)
-                for key, default in (("m", 10), ("n_max", 40))
-            )
+        pair_check = (commuting, range(1, rows + 1), k_max, pair["n_max"])
+        if pair["balance"] is not None:
+            balance = tuple(pair["balance"].values())  # m, n_max
     if not matrices and pair is None:
         raise ConfigError("growth needs params.matrices or params.pair")
-    return {}, functools.partial(run_growth, matrices, n_max, pair_check, balance)
+    return {}, functools.partial(run_growth, matrices, params["n_max"], pair_check, balance)
 
 
 def run_growth(matrices, n_max: int, pair_check, balance, ctx: RunContext) -> dict:
@@ -1010,66 +1020,55 @@ def run_growth(matrices, n_max: int, pair_check, balance, ctx: RunContext) -> di
     return summary
 
 
-# Integer keys of a counting check besides K: the default, the least
-# value the checkers accept and the largest size (M_claim bounds a count).
-CHECK_LIMITS = {
-    "n_max": (1000, 1, MAX_TERMS),
-    "s_max": (1000, 1, MAX_TERMS),
-    "M_claim": (1, 0, None),
-    "m_max": (100, 1, MAX_TERMS),
+def _gap_value(value, where: str) -> float:
+    # The checkers take +inf for a k the sequence never reaches, and no
+    # value below 1.
+    x = value if value == math.inf else parse_exact(value, where)
+    if x < 1.0:
+        raise ConfigError(f"{where} must be >= 1 or infinite, got {x}")
+    return x
+
+
+# A check's least K depends on its type; M_claim bounds a count.
+CHECK = {
+    "type": (_one_of("c", "b", "band"), REQUIRED),
+    "K": (_int(maximum=MAX_TERMS), 1000),
+    "n_max": (_int(1, MAX_TERMS), 1000),
+    "s_max": (_int(1, MAX_TERMS), 1000),
+    "M_claim": (_int(0), 1),
+    "m_max": (_int(1, MAX_TERMS), 100),
+    "values": (_list(_gap_value), None),
+    "sequence": (SEQUENCE, {"kind": "linear"}),
+    "t_first": (parse_int, 1),
+    "t_second": (parse_int, 2),
 }
+COUNTING = {"checks": (_list(_obj(CHECK), 1), REQUIRED)}
 
 
-def parse_counting(cfg: dict, seed: int):
-    params = cfg.get("params", {})
-    check_keys(params, {"checks"}, "params")
-    descs = params.get("checks")
-    if not descs or not isinstance(descs, list):
-        raise ConfigError("counting needs params.checks, a non-empty list of checks")
+def parse_counting(cfg: dict):
     checks = []
-    for c, desc in enumerate(descs):
+    for c, check in enumerate(cfg["params"]["checks"]):
         where = f"params.checks[{c}]"
-        check_keys(
-            desc, {"type", "sequence", "values", "t_first", "t_second", "K", *CHECK_LIMITS}, where
-        )
-        kind = desc.get("type")
-        if kind not in ("c", "b", "band"):
-            raise ConfigError(f"{where}.type must be c, b or band")
-        k_max = parse_int(desc.get("K", 1000), f"{where}.K", 1 if kind == "band" else 2, MAX_TERMS)
-        limits = {
-            key: parse_int(desc.get(key, default), f"{where}.{key}", minimum, maximum)
-            for key, (default, minimum, maximum) in CHECK_LIMITS.items()
-        }
-        if desc.get("values") is not None:
+        kind, k_max, values = check["type"], check["K"], check["values"]
+        parse_int(k_max, f"{where}.K", 1 if kind == "band" else 2)
+        if values is not None:
             if kind == "b":
                 raise ConfigError(f"{where}: b checks need a sequence source, not values")
-            values = desc["values"]
-            if not isinstance(values, list):
-                raise ConfigError(f"{where}.values must be a list of numbers")
             if len(values) < k_max:
                 raise ConfigError(f"{where}.values must supply at least K entries")
-            source = [  # the checkers take +inf for a k the sequence never reaches
-                x if x == math.inf else parse_exact(x, f"{where}.values[{j}]")
-                for j, x in enumerate(values)
-            ][:k_max]
-            for j, x in enumerate(source):  # the checkers reject values below 1
-                if x < 1.0:
-                    raise ConfigError(f"{where}.values[{j}] must be >= 1 or infinite, got {x}")
+            source = list(values[:k_max])
         else:
             if kind == "b":  # one (m_max, K) grid of gaps per orientation
-                check_cells(where, "m_max x K", limits["m_max"], k_max)
-            spec = build_sequence(desc.get("sequence", {"kind": "linear"}), f"{where}.sequence")
-            count = max(k_max, limits["m_max"]) if kind == "b" else k_max
+                check_cells(where, "m_max x K", check["m_max"], k_max)
+            count = max(k_max, check["m_max"]) if kind == "b" else k_max
             # The gaps are exact in int64 while |t| max r_n < 2^62.
             bound = sequences.gap_time_bound(
-                build_at(f"{where}.sequence", sequences.generate, spec, count)
+                build_at(f"{where}.sequence", sequences.generate, check["sequence"], count)
             )
-            source = (
-                spec,
-                parse_int(desc.get("t_first", 1), f"{where}.t_first", -bound, bound),
-                parse_int(desc.get("t_second", 2), f"{where}.t_second", -bound, bound),
-            )
-        checks.append((kind, source, k_max, limits))
+            for key in ("t_first", "t_second"):
+                parse_int(check[key], f"{where}.{key}", -bound, bound)
+            source = (check["sequence"], check["t_first"], check["t_second"])
+        checks.append((kind, source, k_max, check))
     return {}, functools.partial(run_counting, checks)
 
 
@@ -1097,15 +1096,18 @@ def run_counting(checks, ctx: RunContext) -> dict:
     return {"reports": summary}
 
 
+# Each experiment's top-level table, params table and parse.
 EXPERIMENTS = {
-    "correlate": parse_correlate,
-    "cumulants": parse_cumulants,
-    "average": parse_averages,
-    "ratecheck": parse_averages,
-    "dyadic": parse_dyadic,
-    "growth": parse_growth,
-    "counting": parse_counting,
+    "correlate": (SAMPLED, CORRELATE, parse_correlate),
+    "cumulants": (SAMPLED, CUMULANTS, parse_cumulants),
+    "average": (SAMPLED, AVERAGE, parse_averages),
+    "ratecheck": (SAMPLED, RATECHECK, parse_averages),
+    "dyadic": (SAMPLED, DYADIC, parse_dyadic),
+    "growth": (TOP, GROWTH, parse_growth),
+    "counting": (TOP, COUNTING, parse_counting),
 }
+CONFIG = _variant("experiment", {name: top for name, (top, _, _) in EXPERIMENTS.items()})
+TOP_KEYS = {CONFIG.key, *SAMPLED}
 
 
 # ---------------------------------------------------------------------------
@@ -1113,12 +1115,7 @@ EXPERIMENTS = {
 # ---------------------------------------------------------------------------
 
 def run(config_path: Path, out_dir: Path | None, workers: int, emit_svg: bool) -> int:
-    try:
-        cfg = load_config(config_path)
-        step, report = validate_config(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cfg, step, report = load_config(config_path)
     if step is None:
         for message in report["errors"]:
             print(f"config error: {message}", file=sys.stderr)
@@ -1198,12 +1195,7 @@ def _resources() -> dict:
 
 
 def validate_command(config_path: Path) -> int:
-    try:
-        cfg = load_config(config_path)
-    except ConfigError as exc:
-        print(json.dumps({"ok": False, "errors": [str(exc)], "derived": {}}, indent=2))
-        return EXIT_CONFIG
-    _step, report = validate_config(cfg)
+    _cfg, _step, report = load_config(config_path)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK if report["ok"] else EXIT_CONFIG
 

@@ -1,6 +1,7 @@
 """CLI: config validation, artifact determinism, exit codes."""
 
 import copy
+import importlib.util
 import json
 import os
 import platform
@@ -10,6 +11,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -555,6 +557,64 @@ class TestValidate:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "base, path_to, value, message",
+        [
+            # growth and counting sample no system, so their top level has
+            # neither key; both were accepted and never read.
+            ("growth", ("system",), "garbage", "unknown keys ['system'] in config"),
+            ("counting", ("observables",), [INDICATOR_0], "unknown keys ['observables'] in config"),
+            # Any truthy centered was taken: "false" centred the observable.
+            *[
+                ("correlate", ("observables", 0, "centered"), value,
+                 f"observables[0].centered must be true or false, got {value!r}")
+                for value in ("false", 0, 2)
+            ],
+            # samples was read only for mc and both.
+            ("correlate", ("params", "samples"), "x", "params.samples must be an integer, got 'x'"),
+            # A check with values never read its sequence or times.
+            (
+                "counting",
+                ("params", "checks", 0, "sequence"),
+                {"kind": "bogus", "x": 1},
+                "unknown keys ['x'] in params.checks[0].sequence",
+            ),
+            (
+                "counting",
+                ("params", "checks", 0, "sequence"),
+                {"kind": "bogus"},
+                "params.checks[0].sequence: unknown sequence kind 'bogus'",
+            ),
+            (
+                "counting",
+                ("params", "checks", 0, "t_second"),
+                "x",
+                "params.checks[0].t_second must be an integer, got 'x'",
+            ),
+        ],
+    )
+    def test_every_accepted_key_is_read(self, tmp_path, capsys, base, path_to, value, message):
+        cfg = copy.deepcopy({
+            "growth": json.loads((CONFIGS_DIR / "matrix_growth.json").read_text()),
+            "counting": {
+                "schema_version": 1,
+                "experiment": "counting",
+                "params": {"checks": [{"type": "band", "values": [1, 2, 2, 3], "K": 4}]},
+            },
+            "correlate": minimal_correlate(),
+        }[base])
+        assert cli.validate_config(cfg)[1]["ok"]
+        target = cfg
+        for key in path_to[:-1]:
+            target = target[key]
+        target[path_to[-1]] = value
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["validate", str(path)]) == 2
+        assert json.loads(capsys.readouterr().out)["errors"] == [message]
+        assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_min_checkpoint_past_last_checkpoint(self, tmp_path, capsys):
         # The last checkpoint is n_max = 256: 256 keeps one, 257 keeps none.
         cfg = ratecheck_config()
@@ -900,6 +960,15 @@ class TestCommands:
     def test_missing_config_file(self, tmp_path):
         assert cli.main(["run", str(tmp_path / "nope.json")]) == 2
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        # A decoding error exited 1 with a traceback.
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff{}")
+        assert cli.main(["validate", str(path)]) == 2
+        assert "cannot load config" in json.loads(capsys.readouterr().out)["errors"][0]
+        assert cli.main(["run", str(path)]) == 2
+        assert "cannot load config" in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------------------
 # pmap: fork-once worker shares
@@ -1214,15 +1283,58 @@ def _nodes(node, path=()):
         yield from _nodes(child, path + (key,))
 
 
-def mutate(cfg, rnd):
+def schema_objects(cfg):
+    """(object, schema table) of each object in ``cfg`` that a table of the
+    CLI reads: the top level, its params (read by the experiment's table)
+    and each object that a table entry reads with a nested object, list or
+    variant parser."""
+    found = []
+
+    def table(schema, node):
+        if schema is not None and isinstance(node, dict):
+            found.append((node, schema))
+            for key, child in node.items():
+                if key in schema:
+                    visit(schema[key][0], child)
+
+    def visit(parse, node):
+        if hasattr(parse, "item") and isinstance(node, list):
+            for child in node:
+                visit(parse.item, child)
+        elif hasattr(parse, "schemas") and isinstance(node, dict):
+            name = node.get(parse.key)
+            table(parse.schemas.get(name) if isinstance(name, str) else None, node)
+        else:
+            table(getattr(parse, "schema", None), node)
+
+    visit(cli.CONFIG, cfg)
+    experiment = cfg.get("experiment")
+    if isinstance(experiment, str) and experiment in cli.EXPERIMENTS:
+        table(cli.EXPERIMENTS[experiment][1], cfg.get("params"))
+    return found
+
+
+def mutate(cfg, rnd, pending=frozenset()):
     """One random edit: drop a key or entry, change a value's type, put a
-    number out of range or make it non-finite, or add an unknown key to an
-    object."""
+    number out of range or make it non-finite, add an unknown key to an
+    object, or set a key of an object's schema table to a wrong-typed or
+    out-of-range value. That last edit takes a key whose schema entry is
+    in ``pending``, set in the object or not, while there is one, and
+    otherwise inserts a key the object lacks. Returns the mutant and the
+    schema entry of the key it edited, or None."""
     cfg = copy.deepcopy(cfg)
-    op = rnd.choice(["drop", "type", "range", "unknown"])
+    pairs = [(n, t, k) for n, t in schema_objects(cfg) for k in t]
+    targets = [p for p in pairs if id(p[1][p[2]]) in pending] or [
+        p for p in pairs if p[2] not in p[0]
+    ]
+    op = rnd.choice(["drop", "type", "range", "unknown"] + ["insert"] * bool(targets))
     if op == "unknown":
         rnd.choice([n for _, n in _nodes(cfg) if isinstance(n, dict)])["unknown_key"] = 1
-        return cfg
+        return cfg, None
+    if op == "insert":
+        parent, table, key = rnd.choice(targets)
+        parent[key] = rnd.choice(WRONG_TYPES + [-1, 0, 10 ** 9, 2 ** 40, 2 ** 63] + NON_FINITE)
+        return cfg, table[key]
     numbers = [
         p for p, n in _nodes(cfg)
         if p and isinstance(n, (int, float)) and not isinstance(n, bool)
@@ -1232,6 +1344,7 @@ def mutate(cfg, rnd):
     for key in path[:-1]:
         parent = parent[key]
     key = path[-1]
+    table = next((t for n, t, _ in pairs if n is parent), {})
     if op == "drop":
         del parent[key]
     elif op == "type":
@@ -1240,7 +1353,7 @@ def mutate(cfg, rnd):
         value = parent[key]
         out_of_range = [-1, 0, -value, value + 0.5, 10 ** 9, 2 ** 40, 2 ** 63]
         parent[key] = rnd.choice(out_of_range + NON_FINITE)
-    return cfg
+    return cfg, table.get(key) if isinstance(key, str) else None
 
 
 def names_path(message, keys):
@@ -1252,15 +1365,19 @@ def test_config_fuzzer_exits_cleanly(tmp_path, capsys):
     # validate exits 0 or 2 (never 3, never a traceback) on every mutant,
     # every message of a rejected mutant names a JSON path under a top-level
     # key (of the schema, or the mutant's own unknown one), and a mutant
-    # validate rejects also exits 2 at run.
+    # validate rejects also exits 2 at run. Every key of every schema table
+    # that the shipped configs reach is mutated, set or not in them.
     rnd = random.Random(2024)
     bases = [json.loads(path.read_text()) for path in CONFIGS]
     assert len(bases) == 7
+    entries = {id(e): k for base in bases for _, t in schema_objects(base) for k, e in t.items()}
+    mutated = set()
     rejected = 0
     for i in range(600):
-        cfg = mutate(rnd.choice(bases), rnd)
-        if rnd.random() < 0.3:
-            cfg = mutate(cfg, rnd)
+        cfg = rnd.choice(bases)
+        for _ in range(1 + (rnd.random() < 0.3)):
+            cfg, entry = mutate(cfg, rnd, entries.keys() - mutated)
+            mutated.add(id(entry))
         path = write_config(tmp_path, cfg, f"mutant{i}.json")
         code = cli.main(["validate", str(path)])
         report = json.loads(capsys.readouterr().out)
@@ -1274,6 +1391,24 @@ def test_config_fuzzer_exits_cleanly(tmp_path, capsys):
             assert not (tmp_path / f"out{i}").exists()
     capsys.readouterr()
     assert rejected > 300
+    assert not sorted(k for e, k in entries.items() if e not in mutated)
+
+
+def test_tracer_names_public_cli_functions():
+    # perfbench/tracing.py reads these spans by name; a renamed function
+    # would leave its metric reading 0 rather than fail.
+    spec = importlib.util.spec_from_file_location(
+        "tracing", Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [n for n in tracing.WRITE_SPANS if n.startswith("cli.")]
+    assert names
+    for name in names + ["cli.validate_config", "cli.pmap"]:
+        attr = name.partition(".")[2]
+        assert not attr.startswith("_")
+        assert isinstance(getattr(cli, attr, None), types.FunctionType), name
+        assert getattr(cli, attr).__module__ == cli.__name__
 
 
 # Lab modules that each experiment's validate executes, besides those every

@@ -602,6 +602,8 @@ class TestMarkovOracle:
 
 def _traced_peak(fn, *args):
     """Peak bytes that ``fn(*args)`` allocates, by tracemalloc."""
+    import numpy.random  # noqa: F401 - a first stream imports it; not fn's allocation
+
     tracemalloc.start()
     try:
         fn(*args)
