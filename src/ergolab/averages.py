@@ -16,7 +16,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .correlations import POLYNOMIAL_MODEL, fit_model
 from .errors import DomainError, VariantMismatch
 from .seeding import ROLE_POINT, ROLE_TERMS, Streams, rng_for
 from .sequences import SequenceSpec, generate
@@ -141,9 +140,6 @@ class AverageSeries:
     entries: tuple[tuple[int, float, float], ...]
     target: float
 
-    def ns(self) -> tuple[int, ...]:
-        return tuple(int(e[0]) for e in self.entries)
-
 
 def _factor_values_torus(
     spec: AverageSpec, point: TorusPoint, positions: np.ndarray
@@ -222,9 +218,6 @@ class RateTable:
     """Per-checkpoint normalized errors |A_N - target| / rho(N)."""
 
     rows: tuple[tuple[int, float], ...]
-    max_from: int
-    max_statistic: float
-    slope: float | None
 
     def values(self) -> tuple[float, ...]:
         return tuple(v for _, v in self.rows)
@@ -235,10 +228,9 @@ def rate_statistic(
     epsilon: float,
     delta: float,
     target: float,
-    n_from: int = 8,
 ) -> RateTable:
     """Normalize the average error by the rate scale at every checkpoint
-    with N >= 2, and summarize (max from ``n_from`` on, log-log slope)."""
+    with N >= 2."""
     rows = []
     for n, a_n, _s_n in series.entries:
         if n < 2:
@@ -246,18 +238,7 @@ def rate_statistic(
         rows.append((n, abs(a_n - target) / rho(n, epsilon, delta)))
     if not rows:
         raise DomainError("series has no checkpoints with N >= 2")
-    tail = [v for n, v in rows if n >= n_from] or [v for _, v in rows]
-    positive = [(n, v) for n, v in rows if v > 0.0]
-    slope = None
-    if len(positive) >= 2:
-        ns, values = (np.array(column, dtype=np.float64) for column in zip(*positive))
-        slope = -fit_model(ns, values, POLYNOMIAL_MODEL).exponent
-    return RateTable(
-        rows=tuple(rows),
-        max_from=n_from,
-        max_statistic=float(max(tail)),
-        slope=slope,
-    )
+    return RateTable(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------

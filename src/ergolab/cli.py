@@ -449,13 +449,6 @@ TOP = {
 SAMPLED = {**TOP, "system": (SYSTEM, REQUIRED), "observables": (_list(OBSERVABLE, 1), REQUIRED)}
 
 
-build_system = functools.partial(SYSTEM, where="system")
-
-
-def build_observable(desc, system, where: str) -> systems.Observable:
-    return _observable(*OBSERVABLE(desc, where), system, where)
-
-
 def _observable(variant: str, fields: dict, system, where: str) -> systems.Observable:
     """A read observable built for ``system``: its variant must fit the
     system (cylinder on a shift, trig on a torus) whatever the experiment
@@ -537,7 +530,7 @@ def load_config(path: Path) -> tuple:
 # ConfigError. Worker task results are pickled.
 # ---------------------------------------------------------------------------
 
-QUERY = {"times": (INTS, REQUIRED), "multipliers": (INTS, None)}
+QUERY = {"times": (INTS, REQUIRED)}
 CORRELATE = {
     "queries": (
         _list(_obj(QUERY), 1, "correlate needs params.queries, a non-empty list of objects"),
@@ -560,7 +553,6 @@ def parse_correlate(cfg: dict):
             system=system,
             observables=cfg["observables"],
             times=query["times"],
-            multipliers=query["multipliers"] or None,
         )
         for q, query in enumerate(params["queries"])
     ]
@@ -631,7 +623,7 @@ def run_correlate(queries, method: str, samples: int, seed: int, ctx: RunContext
     return {"queries": summary_rows, "method": method}
 
 
-CUMULANTS = {"time_tuples": (_list(INTS, 1), REQUIRED), "multipliers": (INTS, None)}
+CUMULANTS = {"time_tuples": (_list(INTS, 1), REQUIRED)}
 
 
 def parse_cumulants(cfg: dict):
@@ -641,8 +633,8 @@ def parse_cumulants(cfg: dict):
             f"observables: the cumulant guard allows at most "
             f"{correlations.MAX_CUMULANT_ORDER + 1}, got {len(observables)}"
         )
-    time_tuples, multipliers = params["time_tuples"], params["multipliers"] or None
-    # Each query checks its effective times and multiplier count.
+    time_tuples = params["time_tuples"]
+    # Each query checks its times and their count.
     for r, times in enumerate(time_tuples):
         build_at(
             f"params.time_tuples[{r}]",
@@ -650,13 +642,12 @@ def parse_cumulants(cfg: dict):
             system=system,
             observables=observables,
             times=times,
-            multipliers=multipliers,
         )
-    return {}, functools.partial(run_cumulants, system, observables, time_tuples, multipliers)
+    return {}, functools.partial(run_cumulants, system, observables, time_tuples)
 
 
-def run_cumulants(system, observables, time_tuples, multipliers, ctx: RunContext) -> dict:
-    fit, rows = correlations.cumulant_decay_scan(system, observables, time_tuples, multipliers)
+def run_cumulants(system, observables, time_tuples, ctx: RunContext) -> dict:
+    fit, rows = correlations.cumulant_decay_scan(system, observables, time_tuples)
     k = len(observables) - 1
     header = [f"t_{i}" for i in range(k + 1)] + ["x", "moment", "cumulant"]
     csv_rows = [list(r["times"]) + [r["x"], r["moment"], r["cumulant"]] for r in rows]
@@ -1107,7 +1098,6 @@ EXPERIMENTS = {
     "counting": (TOP, COUNTING, parse_counting),
 }
 CONFIG = _variant("experiment", {name: top for name, (top, _, _) in EXPERIMENTS.items()})
-TOP_KEYS = {CONFIG.key, *SAMPLED}
 
 
 # ---------------------------------------------------------------------------

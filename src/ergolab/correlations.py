@@ -63,30 +63,21 @@ MAX_CUMULANT_ORDER = 10
 @dataclass(frozen=True, eq=False)
 class CorrelationQuery:
     """System, observables f_0..f_k of the variant the system takes
-    (``required_variant``) and pairwise distinct times n_0..n_k.
-
-    Optional per-factor multipliers realize powers of iterates: factor i
-    is evaluated at time multipliers[i] * times[i].
+    (``required_variant``) and pairwise distinct times n_0..n_k: factor i
+    is evaluated at the effective time times[i].
     """
 
     system: ShiftSystem | TorusAutomorphism
     observables: tuple[Observable, ...]
     times: tuple[int, ...]
-    multipliers: tuple[int, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "observables", tuple(self.observables))
         object.__setattr__(self, "times", tuple(int(t) for t in self.times))
-        if self.multipliers is not None:
-            object.__setattr__(
-                self, "multipliers", tuple(int(m) for m in self.multipliers)
-            )
         if not self.observables:
             raise DomainError("need at least one observable (k >= 0)")
         if len(self.observables) != len(self.times):
             raise DomainError("need one time per observable")
-        if self.multipliers is not None and len(self.multipliers) != len(self.times):
-            raise DomainError("need one multiplier per observable")
         eff = self.effective_times()
         if len(set(eff)) != len(eff):
             raise DomainError(f"effective times must be pairwise distinct, got {eff}")
@@ -95,9 +86,7 @@ class CorrelationQuery:
         required_variant(self.system, self.observables)
 
     def effective_times(self) -> tuple[int, ...]:
-        if self.multipliers is None:
-            return self.times
-        return tuple(m * t for m, t in zip(self.multipliers, self.times))
+        return self.times
 
     @cached_property
     def read_positions(self) -> np.ndarray:
@@ -490,7 +479,6 @@ def min_gap_decay_check(
     system,
     observables: Sequence[Observable],
     time_tuples: Sequence[Sequence[int]],
-    multipliers: Sequence[int] | None = None,
 ) -> RateFit:
     """Fit the mixing defect against the minimal pairwise time gap.
 
@@ -502,12 +490,7 @@ def min_gap_decay_check(
     gaps = []
     defects = []
     for times in time_tuples:
-        query = CorrelationQuery(
-            system=system,
-            observables=tuple(observables),
-            times=tuple(times),
-            multipliers=tuple(multipliers) if multipliers is not None else None,
-        )
+        query = CorrelationQuery(system=system, observables=tuple(observables), times=tuple(times))
         eff = query.effective_times()
         gap = min(
             abs(a - b) for a, b in itertools.combinations(eff, 2)
@@ -641,12 +624,10 @@ def joint_moment_table(
     system,
     observables: Sequence[Observable],
     times: Sequence[int],
-    multipliers: Sequence[int] | None = None,
 ) -> dict:
     """Exact joint moments of f_i(h^{t_i} x) for every nonempty index subset."""
     observables = tuple(observables)
     times = tuple(int(t) for t in times)
-    multipliers = tuple(multipliers) if multipliers is not None else None
     indices = range(len(observables))
     table = {}
     for size in range(1, len(observables) + 1):
@@ -655,9 +636,6 @@ def joint_moment_table(
                 system=system,
                 observables=tuple(observables[i] for i in combo),
                 times=tuple(times[i] for i in combo),
-                multipliers=tuple(multipliers[i] for i in combo)
-                if multipliers is not None
-                else None,
             )
             table[frozenset(combo)] = exact_correlation(query)
     return table
@@ -667,16 +645,14 @@ def joint_cumulants(
     system,
     observables: Sequence[Observable],
     times: Sequence[int],
-    multipliers: Sequence[int] | None = None,
 ) -> CumulantTable:
-    return moments_to_cumulants(joint_moment_table(system, observables, times, multipliers))
+    return moments_to_cumulants(joint_moment_table(system, observables, times))
 
 
 def cumulant_decay_scan(
     system,
     observables: Sequence[Observable],
     time_tuples: Sequence[Sequence[int]],
-    multipliers: Sequence[int] | None = None,
 ) -> tuple[RateFit, list[dict]]:
     """Exact top cumulants over a grid of time tuples, fitted exponentially
     against the largest recentred time offset max_i |t_i - t_0|."""
@@ -684,12 +660,9 @@ def cumulant_decay_scan(
     xs = []
     ys = []
     for times in time_tuples:
-        table = joint_cumulants(system, observables, times, multipliers)
+        table = joint_cumulants(system, observables, times)
         kappa = table.full_cumulant()
-        eff = list(times)
-        if multipliers is not None:
-            eff = [m * t for m, t in zip(multipliers, times)]
-        x = max(abs(t - eff[0]) for t in eff)
+        x = max(abs(t - times[0]) for t in times)
         rows.append(
             {
                 "times": tuple(int(t) for t in times),

@@ -52,7 +52,10 @@ class CommutingPair:
         h = _as_matrix(self.h)
         if g.shape != h.shape:
             raise DomainError("matrices must share a dimension")
-        if np.max(np.abs(g @ h - h @ g)) > COMMUTATOR_TOLERANCE:
+        with np.errstate(over="ignore", invalid="ignore"):
+            commutator = np.abs(g @ h - h @ g)
+        # NaN fails the comparison, so a NaN entry does not commute either.
+        if not np.all(commutator <= COMMUTATOR_TOLERANCE):
             raise DomainError("matrices do not commute within 1e-10")
         for name, mat in (("g", g), ("h", h)):
             if abs(np.linalg.det(mat)) < 1e-12:
@@ -187,11 +190,14 @@ def _max_jordan_block(arr: np.ndarray, modulus: float) -> int:
 
 
 def growth_radius(matrix) -> float:
-    """Spectral radius of a matrix with finite entries; below 1 raises."""
+    """Spectral radius of a matrix with finite entries; a radius below 1,
+    or an infinite radius or spectral norm, raises."""
     arr = _as_matrix(matrix)
     if not np.all(np.isfinite(arr)):
         raise DomainError("matrix entries must be finite")
     radius = float(np.max(np.abs(np.linalg.eigvals(arr))))
+    if not (math.isfinite(radius) and math.isfinite(spectral_norm(arr))):
+        raise DomainError("spectral radius and norm must be finite")
     if radius < 1.0 - UNIT_TOLERANCE:
         raise DomainError(f"spectral radius {radius:.6g} below 1: not a growth setting")
     return radius
@@ -332,10 +338,6 @@ class BalanceBound:
     curve: np.ndarray       # 0.5 (|s+^n t+^m| + |s-^n t-^m|)
     norms: np.ndarray       # ||h^m g^n||
     passed: bool
-    s_plus: complex
-    t_plus: complex
-    s_minus: complex
-    t_minus: complex
 
 
 def _simultaneous_eigenpairs(pair: CommutingPair) -> list[tuple[complex, complex]]:
@@ -425,8 +427,4 @@ def hyperbolic_balance_bound(
         curve=curve,
         norms=norms,
         passed=passed,
-        s_plus=s_plus,
-        t_plus=t_plus,
-        s_minus=s_minus,
-        t_minus=t_minus,
     )

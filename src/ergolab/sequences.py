@@ -169,14 +169,6 @@ def multiplicity(window: Sequence[int]) -> int:
     return max(Counter(window).values())
 
 
-def interval_count(window: Sequence[int], lo: float, hi: float) -> int:
-    """Number of window entries inside the closed interval [lo, hi]."""
-    if lo > hi:
-        raise DomainError("interval endpoints must satisfy lo <= hi")
-    arr = np.asarray(window)
-    return int(np.count_nonzero((arr >= lo) & (arr <= hi)))
-
-
 # ---------------------------------------------------------------------------
 # Counting-condition checkers
 # ---------------------------------------------------------------------------

@@ -183,7 +183,7 @@ class ShiftPoint:
     position ``offset + i``, so shifting only moves ``offset``.  Reading a
     position that was not sampled is a hard error, never a silent
     extension.  ``symbols`` may also be a (count, len(positions)) block of
-    sequences sampled at the same positions, which ``cylinder_values_at``
+    sequences sampled at the same positions, which ``cylinder_products``
     evaluates row by row.
     """
 
@@ -484,7 +484,11 @@ class TorusAutomorphism:
         det = intmat.mat_det(self.matrix)
         if det not in (1, -1):
             raise DomainError(f"matrix determinant is {det}, must be +-1")
-        moduli = np.abs(np.linalg.eigvals(np.array(self.matrix, dtype=np.float64)))
+        try:
+            floats = np.array(self.matrix, dtype=np.float64)
+        except OverflowError:
+            raise DomainError("matrix entries must lie within the float64 range") from None
+        moduli = np.abs(np.linalg.eigvals(floats))
         if np.any(np.abs(moduli - 1.0) < UNIT_MODULUS_TOLERANCE):
             raise DomainError(
                 "matrix has an eigenvalue of modulus within 1e-9 of 1 (not hyperbolic)"
@@ -518,10 +522,6 @@ class TorusPoint:
         mod = 1 << self.precision_bits
         if any(not (0 <= c < mod) for c in self.coords):
             raise DomainError("coordinates must lie in [0, 2^q)")
-
-    def as_floats(self) -> tuple[float, ...]:
-        mod = 1 << self.precision_bits
-        return tuple(c / mod for c in self.coords)
 
 
 def torus_point_from_fractions(auto: TorusAutomorphism, values: Sequence) -> TorusPoint:
@@ -925,27 +925,6 @@ def cylinder_table(observable: Observable, alphabet_size: int) -> np.ndarray:
                 code = code * alphabet_size + s
             lookup[code] = value
     return lookup
-
-
-def cylinder_values_at(
-    point: ShiftPoint, observable: Observable, positions, alphabet_size: int, table=None
-) -> np.ndarray:
-    """Cylinder values at many shifted origins of a point or a block of points.
-
-    ``positions`` are indices relative to the point's current origin.  For
-    a (count, P) block of symbols the result is (count,) + positions.shape;
-    for one sequence it is positions.shape.  Each word is coded in base
-    ``alphabet_size`` and read from ``table``, the factor's
-    ``cylinder_table``, which is built here when not given.
-    """
-    if observable.variant != CYLINDER:
-        raise VariantMismatch("cylinder_values_at requires a cylinder observable")
-    columns = word_columns(point.positions, observable.radius, positions, point.offset)
-    if table is None:
-        table = cylinder_table(observable, alphabet_size)
-    shape = point.symbols.shape[:-1] + columns.shape[1:]
-    scratch = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=point.symbols.dtype)
-    return _word_values(point.symbols, columns, table, alphabet_size, np.empty(shape), scratch)
 
 
 def _word_values(symbols, columns, table, alphabet_size: int, out, scratch) -> np.ndarray:

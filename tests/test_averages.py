@@ -202,7 +202,7 @@ class TestStream:
         f = systems.cylinder_indicator([0])
         spec = make_spec(markov, [f], (1,), 100)
         point = averages.sample_spec_point(spec, 1, 0)
-        ns = ergodic_average_stream(spec, point).ns()
+        ns = [n for n, _, _ in ergodic_average_stream(spec, point).entries]
         assert all(b > a for a, b in zip(ns, ns[1:]))
 
     def test_multiplier_permutation(self, bernoulli):
@@ -282,6 +282,13 @@ class TestStream:
         assert hits >= 95
 
 
+def log_log_slope(table) -> float:
+    """Least-squares slope of log statistic against log N over the rows
+    with a positive statistic."""
+    ns, values = np.array([row for row in table.rows if row[1] > 0.0]).T
+    return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
+
+
 class TestRateStatistic:
     def test_constant_observable_zero(self, markov):
         obs = systems.cylinder_observable(0, {(0,): 1.0, (1,): 1.0})
@@ -290,7 +297,6 @@ class TestRateStatistic:
         series = ergodic_average_stream(spec, point)
         table = rate_statistic(series, 1.0, 2.0, series.target)
         assert all(v == 0.0 for v in table.values())
-        assert table.slope is None
 
     def test_centered_slope_negative_majority(self, bernoulli):
         f = systems.centered_cylinder_indicator(bernoulli, [1])
@@ -300,7 +306,7 @@ class TestRateStatistic:
             point = averages.sample_spec_point(spec, seed, seed)
             series = ergodic_average_stream(spec, point)
             table = rate_statistic(series, 1.0, 2.0, series.target)
-            if table.slope is not None and table.slope < 0:
+            if log_log_slope(table) < 0:
                 negative += 1
         assert negative > 7
 
@@ -319,7 +325,7 @@ class TestRateStatistic:
         point = averages.sample_spec_point(spec, 2, 0)
         series = ergodic_average_stream(spec, point)
         table = rate_statistic(series, 1.0, 2.0, series.target + 0.1)
-        assert table.slope is not None and table.slope > 0
+        assert log_log_slope(table) > 0
 
 
 class TestEnsemble:

@@ -403,6 +403,13 @@ class TestValidate:
             ("torus", "matrix", "x", "system.matrix must be a non-empty list of rows"),
             ("torus", "matrix", [[2, "a"], [1, 1]], "system.matrix[0][1] must be an integer"),
             ("torus", "matrix", [[2, 1, 0], [1, 1]], "system.matrix[0] has 3 entries, expected 2"),
+            # Determinant 1, but the eigenvalue check converts to float64.
+            (
+                "torus",
+                "matrix",
+                [[1, 10 ** 400], [0, 1]],
+                "system: matrix entries must lie within the float64 range",
+            ),
         ],
     )
     def test_bad_matrix_names_field(self, tmp_path, capsys, kind, key, value, message):
@@ -525,6 +532,20 @@ class TestValidate:
                 for value in ([1], [0, 4, 256], [-3, 4, 256])
                 for experiment in ("average", "ratecheck")
             ],
+            # Finite entries whose spectral radius and norm read inf; run exited 3.
+            (
+                "growth",
+                ("matrices",),
+                [[[1e308, 1e308], [1e308, 1e308]]],
+                "params.matrices[0]: spectral radius and norm must be finite",
+            ),
+            # The commutator [[nan, 1e308], [0, 0]] is not within the tolerance.
+            (
+                "growth",
+                ("pair",),
+                {"g": [[1e308, 0], [0, 1]], "h": [[1e308, 1], [0, 1]]},
+                "params.pair: matrices do not commute within 1e-10",
+            ),
         ],
     )
     def test_bad_range_names_json_path(
@@ -591,6 +612,20 @@ class TestValidate:
                 "x",
                 "params.checks[0].t_second must be an integer, got 'x'",
             ),
+            # Per-factor multipliers only restated the times: times t with
+            # multipliers m is the query at times m t.
+            (
+                "correlate",
+                ("params", "queries", 0, "multipliers"),
+                [1, 2],
+                "unknown keys ['multipliers'] in params.queries[0]",
+            ),
+            (
+                "cumulants",
+                ("params", "multipliers"),
+                [1, 2],
+                "unknown keys ['multipliers'] in params",
+            ),
         ],
     )
     def test_every_accepted_key_is_read(self, tmp_path, capsys, base, path_to, value, message):
@@ -602,6 +637,7 @@ class TestValidate:
                 "params": {"checks": [{"type": "band", "values": [1, 2, 2, 3], "K": 4}]},
             },
             "correlate": minimal_correlate(),
+            "cumulants": minimal_cumulants([[0, 1], [0, 2]]),
         }[base])
         assert cli.validate_config(cfg)[1]["ok"]
         target = cfg
@@ -1385,7 +1421,7 @@ def test_config_fuzzer_exits_cleanly(tmp_path, capsys):
         assert report["ok"] == (code == 0)
         if code == 2:
             rejected += 1
-            keys = cli.TOP_KEYS | set(cfg)
+            keys = {cli.CONFIG.key, *cli.SAMPLED} | set(cfg)
             assert all(names_path(msg, keys) for msg in report["errors"]), report["errors"]
             assert cli.run(path, tmp_path / f"out{i}", workers=1, emit_svg=False) == 2, cfg
             assert not (tmp_path / f"out{i}").exists()

@@ -42,10 +42,8 @@ def cat():
     return systems.build_torus([[2, 1], [1, 1]], 96)
 
 
-def query(system, observables, times, multipliers=None):
-    return co.CorrelationQuery(
-        system=system, observables=tuple(observables), times=tuple(times), multipliers=multipliers
-    )
+def query(system, observables, times):
+    return co.CorrelationQuery(system=system, observables=tuple(observables), times=tuple(times))
 
 
 class TestQueryValidation:
@@ -55,11 +53,12 @@ class TestQueryValidation:
             query(markov, [f, f], (3, 3))
 
     def test_duplicate_effective_times_rejected(self, markov):
+        # Times are the effective times: (2, 2) is what times (2, 1) with
+        # per-factor multipliers (1, 2) used to mean.
         f = systems.cylinder_indicator([0])
-        with pytest.raises(DomainError):
-            co.CorrelationQuery(
-                system=markov, observables=(f, f), times=(2, 1), multipliers=(1, 2)
-            )
+        message = r"effective times must be pairwise distinct, got \(2, 2\)"
+        with pytest.raises(DomainError, match=message):
+            query(markov, [f, f], (2, 2))
 
 
 class TestMonteCarlo:
@@ -351,15 +350,18 @@ def _reference_mc_products_torus(query, count, rng):
 
 class TestTorusMonteCarloKernel:
     @pytest.mark.parametrize("bits", [31, 64, 96, 128])
+    # (2, -10) and (0, 40) were times (2, 5) and (0, 40) with per-factor
+    # multipliers (1, -2) and (3, 1); the case ids are kept from then.
     @pytest.mark.parametrize(
-        "times, multipliers",
-        [((0, 1), None), ((1, 3), None), ((2, 5), (1, -2)), ((0, 40), (3, 1))],
+        "times",
+        [(0, 1), (1, 3), (2, -10), (0, 40)],
+        ids=["times0-None", "times1-None", "times2-multipliers2", "times3-multipliers3"],
     )
-    def test_products_match_reference(self, bits, times, multipliers):
+    def test_products_match_reference(self, bits, times):
         auto = systems.build_torus([[2, 1], [1, 1]], bits)
         f0 = systems.trig_observable([((-2, -1), 1.0, 0.0), ((3, 5), 0.25, -0.5)])
         f1 = systems.trig_observable([((1, 0), 0.5, 1.5), ((2, 3), 0.0, -0.75)])
-        q = query(auto, [f0, f1], times, multipliers)
+        q = query(auto, [f0, f1], times)
         count = systems.TORUS_SLAB + 77  # crosses a slab boundary
         got = co._mc_products_torus(q, count, np.random.default_rng(bits))
         want = _reference_mc_products_torus(q, count, np.random.default_rng(bits))

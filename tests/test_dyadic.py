@@ -364,13 +364,10 @@ class TestOnePass:
         out = tmp_path / "out"
         assert cli.run(path, out, workers=1, emit_svg=False) == 0
         _, report = cli.validate_config(cfg)
-        system = cli.build_system(cfg["system"])
+        system = cli.SYSTEM(cfg["system"], "system")
         spec = averages.AverageSpec(
             system=system,
-            observables=[
-                cli.build_observable(d, system, f"observables[{i}]")
-                for i, d in enumerate(cfg["observables"])
-            ],
+            observables=[systems.centered_cylinder_indicator(system, [s]) for s in (1, 0)],
             multipliers=(1, 2),
             sequence=sequences.SequenceSpec("linear"),
             n_max=128,

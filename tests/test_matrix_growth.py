@@ -142,6 +142,10 @@ class TestGrowthProfile:
         with pytest.raises(DomainError):
             mg.growth_profile(CAT, 8)
 
+    def test_infinite_radius_and_norm_rejected(self):
+        with pytest.raises(DomainError, match="must be finite"):
+            mg.growth_radius([[1e308, 1e308], [1e308, 1e308]])
+
 
 def _running(matrix, count):
     """log ||M^n|| for n = 1..count from the running product, from I."""
@@ -182,6 +186,11 @@ class TestCommutingPair:
     def test_noncommuting_rejected(self):
         with pytest.raises(DomainError):
             mg.CommutingPair(g=SHEAR, h=CAT)
+
+    def test_nan_commutator_rejected(self):
+        # g h - h g = [[inf - inf, 1e308], [0, 0]]: NaN is not within the tolerance.
+        with pytest.raises(DomainError, match="do not commute"):
+            mg.CommutingPair(g=[[1e308, 0], [0, 1]], h=[[1e308, 1], [0, 1]])
 
     def test_unipotent_pair_row_pass(self):
         pair = mg.CommutingPair(g=SHEAR, h=[[1, 3], [0, 1]])

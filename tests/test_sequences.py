@@ -72,24 +72,6 @@ class TestMultiplicity:
             assert sequences.multiplicity(window) <= spec.multiplicity_bound
 
 
-class TestIntervalCount:
-    def test_primes_window(self):
-        assert sequences.interval_count([2, 3, 5, 7, 11], 4, 8) == 2
-
-    def test_empty_intersection(self):
-        assert sequences.interval_count([2, 3, 5], 100, 200) == 0
-
-    def test_unit_interval(self):
-        assert sequences.interval_count(list(range(1, 101)), 10, 10.9) == 1
-
-    def test_unit_interval_bounded_by_multiplicity(self):
-        rng = np.random.default_rng(0)
-        window = rng.integers(1, 30, size=200).tolist()
-        bound = sequences.multiplicity(window)
-        for a in range(1, 30):
-            assert sequences.interval_count(window, a, a + 0.999) <= bound
-
-
 K1000 = np.arange(1, 1001, dtype=np.float64)
 
 

@@ -149,7 +149,7 @@ class TestTorus:
     def test_cat_half_zero(self, cat):
         p = systems.torus_point_from_fractions(cat, ["1/2", 0])
         q = systems.torus_apply_power(cat, p, 1)
-        assert q.as_floats() == (0.0, 0.5)
+        assert q.coords == (0, cat.modulus // 2)
 
     def test_semigroup(self, cat):
         p = systems.sample_torus_point(cat, 4)
@@ -171,6 +171,11 @@ class TestTorus:
     def test_non_unimodular_rejected(self):
         with pytest.raises(DomainError):
             systems.build_torus([[2, 0], [0, 1]])
+
+    def test_entry_past_float_range_rejected(self):
+        # Determinant 1, but float64 cannot hold 10^400 for the eigenvalue check.
+        with pytest.raises(DomainError, match="float64 range"):
+            systems.build_torus([[1, 10 ** 400], [0, 1]])
 
     def test_bijective_on_lattice(self):
         # Exhaustive at q = 8, d = 2: the action permutes the 2^16 lattice points.
@@ -331,11 +336,20 @@ class TestObservables:
         positions = np.arange(-20, 21)
         block = window(markov, 20, 3, np.random.default_rng(1))
         at = np.arange(-19, 20)
-        got = systems.cylinder_values_at(systems.ShiftPoint(positions, block), obs, at, 2)
+        factors = [(systems.word_columns(positions, 1, at), systems.cylinder_table(obs, 2))]
+
+        def values(symbols):
+            shape = symbols.shape[:-1] + at.shape
+            scratch = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=symbols.dtype)
+            return systems.cylinder_products(
+                symbols, factors, 2, np.empty(shape), np.empty(shape), scratch
+            )
+
+        got = values(block)
         assert got.shape == (3, at.size)
         for row in range(3):
             point = systems.ShiftPoint(positions, block[row])
-            assert np.array_equal(systems.cylinder_values_at(point, obs, at, 2), got[row])
+            assert np.array_equal(values(block[row]), got[row])
             want = [systems.evaluate(obs, systems.shift_apply(point, int(t))) for t in at]
             assert got[row].tolist() == want
 
@@ -580,8 +594,8 @@ class TestPathKernel:
 
     def test_term_chunks_match_one_shot(self):
         # 150 rows of 1000 terms come in slabs of 65 rows, the last one
-        # partial; a one-shot pass samples each row on its own and looks up
-        # every column at once. Non-dyadic values make the products inexact.
+        # partial; the reference samples each row on its own and looks up
+        # each word by itself. Non-dyadic values make the products inexact.
         chain = systems.build_shift([[1, 1], [1, 1]], [[0.9, 0.1], [0.1, 0.9]])
         left = systems.cylinder_observable(1, {(1, 0, 1): 0.37, (0, 1, 1): -1.3}, default=0.1)
         right = systems.cylinder_observable(0, {(0,): 0.37}, default=-1.3)
@@ -594,14 +608,7 @@ class TestPathKernel:
         )
         points, ks = np.arange(150), np.arange(1, 1001)
         assert points.size % (systems.SLAB_ITEMS // ks.size) == 20
-        terms = generate(spec.sequence, ks.size)
-        positions = spec.positions_read(terms)
-        want = np.ones((points.size, ks.size))
-        for j in points:
-            symbols = systems.sample_at(chain, positions, 1, rng_for(23, ROLE_TERMS, int(j)))[0]
-            point = systems.ShiftPoint(positions, symbols)
-            for m, obs in zip(spec.multipliers, spec.observables):
-                want[j] *= systems.cylinder_values_at(point, obs, m * terms, 2)
+        want = _reference_terms(spec, 23, points, ks)
         got = _rows_of(averages.product_term_generator(spec, master_seed=23)(points, ks))
         assert got.tobytes() == want.tobytes()
 
@@ -708,7 +715,7 @@ class TestSampleAt:
         with pytest.raises(WindowExhausted):
             systems.shift_apply(point, 8).word(0)
         with pytest.raises(WindowExhausted):
-            systems.cylinder_values_at(point, systems.cylinder_indicator([0, 0, 0]), [3, 7], 2)
+            systems.word_columns(point.positions, 1, [3, 7], point.offset)
         wider = averages.AverageSpec(
             system=markov,
             observables=(f, f),
