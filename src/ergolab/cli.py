@@ -943,6 +943,7 @@ def parse_growth(cfg: dict):
         pair_check = (commuting, range(1, rows + 1), k_max, pair["n_max"])
         if pair["balance"] is not None:
             balance = tuple(pair["balance"].values())  # m, n_max
+            build_at(f"{where}.balance", matrix_growth.balance_spectrum, commuting, balance[0])
     if not matrices and pair is None:
         raise ConfigError("growth needs params.matrices or params.pair")
     return {}, functools.partial(run_growth, matrices, params["n_max"], pair_check, balance)

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import intmat
 from .correlations import least_squares
 from .errors import (
     DomainError,
@@ -27,6 +27,10 @@ from .sequences import CountingReport, check_b_either
 
 UNIT_TOLERANCE = 1e-9
 COMMUTATOR_TOLERANCE = 1e-10
+# An eigenbasis of condition number k costs the balance norms about k * eps
+# of relative precision.
+CONDITION_LIMIT = 1e6
+EIGENBASIS_SLAB = 4096  # exponents n per batched eigenbasis product
 
 
 def _as_matrix(matrix) -> np.ndarray:
@@ -68,41 +72,6 @@ class CommutingPair:
         return self.g.shape[0]
 
 
-def is_quasi_unipotent(matrix, tol: float = UNIT_TOLERANCE, exact: bool = False) -> bool:
-    """True iff every eigenvalue modulus lies in [1 - tol, 1 + tol].
-
-    The exact mode requires integer entries and tests whether the
-    characteristic polynomial is a product of cyclotomic polynomials
-    (Kronecker's criterion), with no floating tolerance at all.  In the
-    numeric mode a modulus that sits inside the tolerance band but is not
-    machine-close to 1 cannot be classified: integer matrices fall back
-    to the exact test, anything else raises Indeterminate.
-    """
-    arr = _as_matrix(matrix)
-    rounded = np.rint(arr)
-    integral = np.max(np.abs(arr - rounded)) == 0
-    if exact:
-        if not integral:
-            raise DomainError("exact mode requires integer entries")
-        im = intmat.as_int_matrix(rounded.astype(np.int64).tolist())
-        poly = intmat.char_poly(im)
-        if poly[0] == 0:
-            raise Singular("integer matrix has determinant 0")
-        return intmat.is_cyclotomic_product(poly)
-    if abs(np.linalg.det(arr)) < 1e-12:
-        raise Singular("matrix is singular")
-    distances = np.abs(np.abs(np.linalg.eigvals(arr)) - 1.0)
-    confident = max(1e-12, tol * 1e-3)
-    if np.any((distances > confident) & (distances <= tol)):
-        if integral:
-            return is_quasi_unipotent(arr, tol=tol, exact=True)
-        raise Indeterminate(
-            "an eigenvalue modulus falls inside the tolerance band without "
-            "being machine-close to 1; cannot classify at this tolerance"
-        )
-    return bool(np.all(distances <= tol))
-
-
 class NormPower(NamedTuple):
     value: float
     log: float
@@ -111,23 +80,6 @@ class NormPower(NamedTuple):
     def from_log(cls, log: float) -> "NormPower":
         """The norm e^log, inf where it would overflow."""
         return cls(math.exp(log) if log < 709.0 else math.inf, log)
-
-
-def norm_power(matrix, n: int) -> NormPower:
-    """Spectral norm of matrix^n by scaled square-and-multiply.
-
-    The running norm is factored out after every product, so only the log
-    accumulates; the value overflows to inf gracefully while the log form
-    stays finite.
-    """
-    if n < 0:
-        raise DomainError("need n >= 0")
-    arr = _as_matrix(matrix)
-    if n == 0:
-        return NormPower(1.0, 0.0)
-    if spectral_norm(arr) == 0.0:
-        return NormPower(0.0, -math.inf)
-    return NormPower.from_log(_scaled_power(arr, n)[1])
 
 
 def jordan_block_growth(s: complex, n: int) -> float:
@@ -163,7 +115,8 @@ class GrowthProfile:
 
 def _max_jordan_block(arr: np.ndarray, modulus: float) -> int:
     """Largest Jordan block size over eigenvalues of maximal modulus,
-    from rank deficiencies of (M - lambda I)^j."""
+    from rank deficiencies of (M - lambda I)^j.  Ranks do not change with
+    scale, so the chain runs on M / max(1, ||M||) with a fixed tolerance."""
     d = arr.shape[0]
     eigenvalues = np.linalg.eigvals(arr)
     top = [lam for lam in eigenvalues if abs(abs(lam) - modulus) <= 1e-6 * max(modulus, 1.0)]
@@ -172,14 +125,15 @@ def _max_jordan_block(arr: np.ndarray, modulus: float) -> int:
     for lam in top:
         if all(abs(lam - r) > 1e-6 for r in reps):
             reps.append(lam)
+    scale = max(1.0, spectral_norm(arr))
     largest = 1
     for lam in reps:
-        shifted = arr - lam * np.eye(d)
+        shifted = arr / scale - lam / scale * np.eye(d)
         prev_rank = d
         power = np.eye(d, dtype=complex)
         for j in range(1, d + 1):
             power = power @ shifted
-            rank = int(np.linalg.matrix_rank(power, tol=1e-9 * max(1.0, spectral_norm(arr)) ** j))
+            rank = int(np.linalg.matrix_rank(power, tol=1e-9))
             if rank == prev_rank:
                 largest = max(largest, j - 1 if j > 1 else 1)
                 break
@@ -215,7 +169,8 @@ def growth_profile(matrix, n_max: int = 64) -> GrowthProfile:
     arr = _as_matrix(matrix)
     radius = growth_radius(arr)
     ns = np.arange(1, n_max + 1, dtype=np.float64)
-    logs = _running_logs(np.eye(arr.shape[0])[None], np.zeros(1), arr, n_max)[0]
+    steps = _running_products(np.eye(arr.shape[0])[None], np.zeros(1), arr)
+    logs = np.array([log[0] for _, log in islice(steps, n_max)])
     norms = tuple(NormPower.from_log(log) for log in logs.tolist())
     coef, rss = least_squares([ns, np.log(ns), np.ones_like(ns)], logs)
     base = float(math.exp(coef[0]))
@@ -236,50 +191,23 @@ def growth_profile(matrix, n_max: int = 64) -> GrowthProfile:
 # Commuting pairs: counting conditions and the hyperbolic balance bound
 # ---------------------------------------------------------------------------
 
-def _scaled_power(matrix: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """matrix^n as (unit-norm matrix, log norm)."""
-    d = matrix.shape[0]
-    result = np.eye(d)
-    log_norm = 0.0
-    base = matrix.copy()
-    scale = spectral_norm(base)
-    log_base = math.log(scale)
-    base = base / scale
-    remaining = n
-    while remaining:
-        if remaining & 1:
-            result = result @ base
-            s = spectral_norm(result)
-            log_norm += log_base + math.log(s)
-            result = result / s
-        remaining >>= 1
-        if remaining:
-            base = base @ base
-            s = spectral_norm(base)
-            log_base = 2.0 * log_base + math.log(s)
-            base = base / s
-    return result, log_norm
-
-
-def _running_logs(acc: np.ndarray, log_starts, step: np.ndarray, count: int) -> np.ndarray:
-    """log ||S_i step^n|| for n = 1..count as a (rows, count) array, from the
-    stack ``acc`` of unit-norm S_i / ||S_i|| and the log ||S_i|| in
-    ``log_starts``: one running product per row, divided by its norm after
-    every step.  The batched matmul and svd give each matrix the bits of the
-    one-matrix calls and each log is a ``math.log``, so every cell is the
-    float a scalar loop gives."""
+def _running_products(acc: np.ndarray, log_starts, step: np.ndarray):
+    """Yield (S_i step^n / ||S_i step^n||, log ||S_i step^n||) over rows i
+    for n = 1, 2, ..., from the stack ``acc`` of unit-norm S_i / ||S_i|| and
+    the log ||S_i|| in ``log_starts``: one running product per row, divided
+    by its norm after every step.  The batched matmul and svd give each
+    matrix the bits of the one-matrix calls and each log is a ``math.log``,
+    so every log is the float a scalar loop gives."""
     step_norm = spectral_norm(step)
     step_unit = step / step_norm
     log_step = math.log(step_norm)
     log_acc = np.array(log_starts, dtype=np.float64)
-    out = np.empty((len(acc), count), dtype=np.float64)
-    for n in range(count):
+    while True:
         acc = acc @ step_unit
         s = np.linalg.svd(acc, compute_uv=False)[:, 0]
-        log_acc += log_step + np.array([math.log(v) for v in s.tolist()])
+        log_acc = log_acc + (log_step + np.array([math.log(v) for v in s.tolist()]))
         acc = acc / s[:, None, None]
-        out[:, n] = log_acc
-    return out
+        yield acc, log_acc
 
 
 def pair_norm_grid(
@@ -292,9 +220,19 @@ def pair_norm_grid(
     if any(m < 0 for m in outer_exponents):
         raise DomainError("grid exponents must be nonnegative")
     first, second = (pair.h, pair.g) if order == "hg" else (pair.g, pair.h)
-    starts = [_scaled_power(first, int(m)) for m in outer_exponents]
-    units = np.array([a for a, _ in starts]).reshape(len(starts), *first.shape)
-    return _running_logs(units, [log_norm for _, log_norm in starts], second, inner_max)
+    outer = [int(m) for m in outer_exponents]
+    eye = np.eye(first.shape[0])
+    # first^m for m = 0..max(outer), as (unit-norm matrix, log norm).
+    powers = [(eye, 0.0)] + [
+        (acc[0], log[0])
+        for acc, log in islice(_running_products(eye[None], [0.0], first), max(outer, default=0))
+    ]
+    units = np.array([powers[m][0] for m in outer]).reshape(len(outer), *first.shape)
+    steps = _running_products(units, [powers[m][1] for m in outer], second)
+    grid = np.empty((len(outer), inner_max))
+    for n, (_, log) in zip(range(inner_max), steps):
+        grid[:, n] = log
+    return grid
 
 
 @dataclass(frozen=True)
@@ -340,10 +278,33 @@ class BalanceBound:
     passed: bool
 
 
-def _simultaneous_eigenpairs(pair: CommutingPair) -> list[tuple[complex, complex]]:
-    """(eigenvalue of g, eigenvalue of h) on shared eigenvectors."""
+class BalanceSpectrum(NamedTuple):
+    """The shared eigenbasis of a pair, h^m g^n = V diag(t^m s^n) V^-1, and
+    the expanded (+) and contracted (-) (s, t) pairs the bound's curve takes."""
+
+    s: np.ndarray           # eigenvalues of g
+    t: np.ndarray           # eigenvalues of h on the same eigenvectors
+    vectors: np.ndarray     # V, the eigenvectors as columns
+    threshold: int
+    plus: tuple[complex, complex]
+    minus: tuple[complex, complex]
+
+
+def balance_spectrum(pair: CommutingPair, m: int) -> BalanceSpectrum:
+    """The hypotheses of the balance bound at h exponent m, checked.
+
+    Requires simultaneously diagonalizable, strictly hyperbolic spectra
+    with the expanded-by-g <=> contracted-by-h pairing, a contracted
+    eigenvalue that balances the threshold, and a shared eigenbasis of
+    condition number at most CONDITION_LIMIT.  A modulus within 1e-9 of 1
+    raises Indeterminate, any other violation HypothesisFailed (the
+    simultaneous-eigenvector case applies there instead and is reported,
+    not computed).
+    """
+    if m < 0:
+        raise DomainError("need m >= 0")
     values, vectors = np.linalg.eig(pair.g)
-    pairs = []
+    eigenpairs = []
     for j in range(values.size):
         v = vectors[:, j]
         hv = pair.h @ v
@@ -355,26 +316,7 @@ def _simultaneous_eigenpairs(pair: CommutingPair) -> list[tuple[complex, complex
                 "matrices are not simultaneously diagonalizable on the "
                 "relevant eigenspaces at working precision"
             )
-        pairs.append((complex(values[j]), t))
-    return pairs
-
-
-def hyperbolic_balance_bound(
-    pair: CommutingPair, m: int, n_range: Sequence[int]
-) -> BalanceBound:
-    """Verify ||h^m g^n|| against the balanced two-eigenvalue lower bound.
-
-    Requires strictly hyperbolic simultaneous spectra with the
-    expanded-by-g <=> contracted-by-h pairing; violations raise
-    HypothesisFailed (the simultaneous-eigenvector case applies there
-    instead and is reported, not computed).
-    """
-    if m < 0:
-        raise DomainError("need m >= 0")
-    ns = [int(n) for n in n_range]
-    if not ns or any(n < 0 for n in ns):
-        raise DomainError("n_range must be nonempty and nonnegative")
-    eigenpairs = _simultaneous_eigenpairs(pair)
+        eigenpairs.append((complex(values[j]), t))
     for s, t in eigenpairs:
         if abs(abs(s) - 1.0) <= UNIT_TOLERANCE or abs(abs(t) - 1.0) <= UNIT_TOLERANCE:
             raise Indeterminate(
@@ -402,27 +344,64 @@ def hyperbolic_balance_bound(
         s, t = st
         return abs(s) ** n_power * abs(t) ** m
 
-    s_plus, t_plus = max(plus, key=lambda st: weight(st, max(threshold, 1)))
-    s_minus, t_minus = max(minus, key=lambda st: weight(st, max(threshold - 1, 0)))
-    if m > 0 and weight((s_minus, t_minus), threshold - 1) <= 1.0 - 1e-9:
+    top_plus = max(plus, key=lambda st: weight(st, max(threshold, 1)))
+    top_minus = max(minus, key=lambda st: weight(st, max(threshold - 1, 0)))
+    if m > 0 and weight(top_minus, threshold - 1) <= 1.0 - 1e-9:
         raise HypothesisFailed(
             "no contracted eigenvalue balances the threshold; for matrices "
             "away from determinant one the bound rescales by |det| factors"
         )
+    condition = float(np.linalg.cond(vectors))
+    if not condition <= CONDITION_LIMIT:
+        raise HypothesisFailed(
+            f"the shared eigenbasis has condition number {condition:.3g}, above "
+            f"{CONDITION_LIMIT:.0e}; its norms would lose that factor of precision"
+        )
+    s, t = (np.array(column) for column in zip(*eigenpairs))
+    return BalanceSpectrum(s, t, vectors, threshold, top_plus, top_minus)
+
+
+def _eigenbasis_logs(spectrum: BalanceSpectrum, m: int, ns: np.ndarray) -> np.ndarray:
+    """log ||V diag(t^m s^n) V^-1|| for each n: every t^m s^n is formed from
+    its log modulus and its phase, less the largest log modulus at that n,
+    so no factor overflows and no power is multiplied out."""
+    log_mod = m * np.log(np.abs(spectrum.t)) + ns[:, None] * np.log(np.abs(spectrum.s))
+    top = log_mod.max(axis=1)
+    phase = m * np.angle(spectrum.t) + ns[:, None] * np.angle(spectrum.s)
+    weights = np.exp(log_mod - top[:, None] + 1j * phase)
+    products = (spectrum.vectors * weights[:, None, :]) @ np.linalg.inv(spectrum.vectors)
+    # A real pair's powers are real; the imaginary part is round-off.
+    return top + np.log(np.linalg.svd(products.real, compute_uv=False)[:, 0])
+
+
+def hyperbolic_balance_bound(
+    pair: CommutingPair, m: int, n_range: Sequence[int]
+) -> BalanceBound:
+    """Verify ||h^m g^n|| against the balanced two-eigenvalue lower bound.
+
+    The hypotheses are those of ``balance_spectrum``, and the norms come
+    from its eigenbasis, a slab of EIGENBASIS_SLAB exponents n at a time.
+    """
+    ns = [int(n) for n in n_range]
+    if not ns or any(n < 0 for n in ns):
+        raise DomainError("n_range must be nonempty and nonnegative")
+    spectrum = balance_spectrum(pair, m)
+    (s_plus, t_plus), (s_minus, t_minus) = spectrum.plus, spectrum.minus
     ns_arr = np.asarray(ns, dtype=np.int64)
     curve = 0.5 * (
         np.abs(s_plus) ** ns_arr * abs(t_plus) ** m
         + np.abs(s_minus) ** ns_arr * abs(t_minus) ** m
     )
-    h_part, log_h = _scaled_power(pair.h, m)
-    # logs[n] = log ||h^m g^n||, from one running product.
-    logs = np.concatenate(([log_h], _running_logs(h_part[None], [log_h], pair.g, max(ns))[0]))
+    logs = np.concatenate([
+        _eigenbasis_logs(spectrum, m, ns_arr[i:i + EIGENBASIS_SLAB])
+        for i in range(0, ns_arr.size, EIGENBASIS_SLAB)
+    ])
     with np.errstate(over="ignore"):
-        norms = np.exp(logs[ns_arr])
+        norms = np.exp(logs)
     passed = bool(np.all(norms >= curve * (1.0 - 1e-9)))
     return BalanceBound(
         m=m,
-        threshold=threshold,
+        threshold=spectrum.threshold,
         ns=tuple(ns),
         curve=curve,
         norms=norms,

@@ -546,6 +546,20 @@ class TestValidate:
                 {"g": [[1e308, 0], [0, 1]], "h": [[1e308, 1], [0, 1]]},
                 "params.pair: matrices do not commute within 1e-10",
             ),
+            # The balance bound's hypotheses: this unipotent pair (the one of
+            # configs/matrix_growth.json) validated, then run exited 3.
+            (
+                "growth",
+                ("pair",),
+                {"g": [[1, 1], [0, 1]], "h": [[1, 3], [0, 1]], "balance": {}},
+                "params.pair.balance: an eigenvalue modulus is within 1e-9 of 1",
+            ),
+            (
+                "growth",
+                ("pair",),
+                {"g": [[2, 0], [0, 0.5]], "h": [[3, 0], [0, 0.25]], "balance": {}},
+                "params.pair.balance: a simultaneous eigenvector is expanded (or contracted)",
+            ),
         ],
     )
     def test_bad_range_names_json_path(
@@ -556,7 +570,8 @@ class TestValidate:
             cfg = dict(ratecheck_config(), experiment=experiment)
             del cfg["params"]["min_checkpoint"]
         elif experiment == "growth":
-            pair = {"g": [[1, 1], [0, 1]], "h": [[1, 3], [0, 1]], "m_grid": 2, "k_max": 8}
+            # A hyperbolic pair (cat map inverse, cat map), which the balance bound accepts.
+            pair = {"g": [[1, -1], [-1, 2]], "h": [[2, 1], [1, 1]], "m_grid": 2, "k_max": 8}
             cfg["params"] = {"pair": dict(pair, n_max=8, balance={"m": 1, "n_max": 4})}
         else:
             checks = [
@@ -721,6 +736,23 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["status"]["ok"]
         assert "correlations.csv" in summary["csv_columns"]
+
+    @pytest.mark.parametrize(
+        "matrix", [[[1e307, 1e307], [1e307, 1e307]], [[1e308, 0], [0, 1]]], ids=["full", "diagonal"]
+    )
+    def test_growth_of_huge_finite_matrix(self, tmp_path, capsys, matrix):
+        # The Jordan-block rank tolerance was 1e-9 ||M||^j, which overflowed:
+        # validate exited 0, then run exited 3 with an OverflowError.
+        cfg = {"schema_version": 1, "experiment": "growth", "params": {"matrices": [matrix]}}
+        path = write_config(tmp_path, cfg)
+        if cli.main(["validate", str(path)]) == 2:
+            assert "params.matrices[0]" in capsys.readouterr().out
+            return
+        assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 0
+        result = json.loads((tmp_path / "out" / "summary.json").read_text())["result"]
+        radius = max(abs(np.linalg.eigvals(np.array(matrix))))
+        assert result["matrix_0"]["poly_degree"] == 0
+        assert result["matrix_0"]["base"] == pytest.approx(radius, rel=0.01)
 
     def test_validation_failure_exit_code(self, tmp_path):
         cfg = minimal_correlate()

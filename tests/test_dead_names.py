@@ -42,32 +42,38 @@ TEST_ONLY = {
 
 
 def defined_names(node):
-    """Names a module-level statement defines: a function, a class and its
-    methods, or the targets of a plain ``NAME = ...`` assignment."""
+    """(name, defining node) for what a module-level statement defines: a
+    function, a class and its methods, or the targets of a plain
+    ``NAME = ...`` assignment."""
     if isinstance(node, ast.FunctionDef):
-        yield node.name
+        yield node.name, node
     elif isinstance(node, ast.ClassDef):
-        yield node.name
-        yield from (item.name for item in node.body if isinstance(item, ast.FunctionDef))
+        yield node.name, node
+        yield from ((item.name, item) for item in node.body if isinstance(item, ast.FunctionDef))
     elif isinstance(node, ast.Assign):
-        yield from (target.id for target in node.targets if isinstance(target, ast.Name))
+        yield from ((target.id, node) for target in node.targets if isinstance(target, ast.Name))
 
 
 def module_defs(private: bool):
-    """(module file, name) of each public (or, with ``private``, each
-    underscore-prefixed) module-level function, class and assigned name,
-    and each such method of a module-level class.  Dunder names such as
-    ``__post_init__`` are called by Python itself and left out."""
+    """(module file, name, source of its definition) of each public (or,
+    with ``private``, each underscore-prefixed) module-level function,
+    class and assigned name, and each such method of a module-level class.
+    Dunder names such as ``__post_init__`` are called by Python itself and
+    left out."""
     for path in sorted((ROOT / "src" / "ergolab").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            for name in defined_names(node):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            for name, where in defined_names(node):
                 if name.startswith("_") == private and not name.startswith("__"):
-                    yield path.name, name
+                    yield path.name, name, "\n".join(lines[where.lineno - 1 : where.end_lineno])
 
 
 def unused(private: bool, searched=SEARCHED) -> list[str]:
-    """The names ``module_defs`` gives that no word outside their own
-    definitions in the ``searched`` directories names, as ``module: name``."""
+    """The names ``module_defs`` gives that no word in the ``searched``
+    directories names outside the name's own definitions, as
+    ``module: name``.  A recursive call is inside its own definition, so it
+    is no use."""
     defs = list(module_defs(private))
     words = Counter(
         word
@@ -75,8 +81,10 @@ def unused(private: bool, searched=SEARCHED) -> list[str]:
         for path in sorted((ROOT / top).rglob("*.py"))
         for word in re.findall(r"\w+", path.read_text(encoding="utf-8"))
     )
-    def_count = Counter(name for _, name in defs)
-    return sorted(f"{module}: {name}" for module, name in defs if words[name] <= def_count[name])
+    own = Counter()
+    for _, name, source in defs:
+        own[name] += re.findall(r"\w+", source).count(name)
+    return sorted(f"{module}: {name}" for module, name, _ in defs if words[name] <= own[name])
 
 
 def test_every_public_name_is_used():

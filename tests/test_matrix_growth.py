@@ -1,5 +1,6 @@
-"""Matrix growth: quasi-unipotence, norm powers, profiles, pair bounds."""
+"""Matrix growth: norm powers, profiles, pair grids and the balance bound."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from ergolab import intmat
 from ergolab import matrix_growth as mg
-from ergolab.errors import DomainError, HypothesisFailed, Indeterminate, Singular
+from ergolab.errors import DomainError, HypothesisFailed, Indeterminate
 
 SHEAR = [[1, 1], [0, 1]]
 CAT = [[2, 1], [1, 1]]
@@ -15,78 +16,52 @@ JORDAN3 = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
 GOLDEN = (3 + math.sqrt(5)) / 2
 # Every n to 64, then a stride up to 4096.
 ORACLE_NS = sorted({*range(1, 65), *range(64, 4097, 61), 4096})
+# Unimodular symmetric 3x3 with real eigenvalues off the unit circle.
+HYPERBOLIC3 = [[-1, -1, -1], [-1, -1, 0], [-1, 0, 0]]
 
 
-class TestQuasiUnipotent:
-    def test_identity(self):
-        assert mg.is_quasi_unipotent(np.eye(2))
-        assert mg.is_quasi_unipotent(np.eye(2), exact=True)
-
-    def test_cat_map(self):
-        assert not mg.is_quasi_unipotent(CAT)
-        assert not mg.is_quasi_unipotent(CAT, exact=True)
-
-    def test_shear(self):
-        assert mg.is_quasi_unipotent(SHEAR)
-        assert mg.is_quasi_unipotent(SHEAR, exact=True)
-
-    def test_rotation_exact(self):
-        assert mg.is_quasi_unipotent([[0, -1], [1, 0]], exact=True)
-
-    def test_exact_matches_float_on_random_integers(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            matrix = rng.integers(-2, 3, size=(3, 3))
-            if abs(np.linalg.det(matrix)) < 0.5:
-                continue
-            assert mg.is_quasi_unipotent(matrix) == mg.is_quasi_unipotent(matrix, exact=True)
-
-    def test_singular(self):
-        with pytest.raises(Singular):
-            mg.is_quasi_unipotent([[1, 1], [1, 1]])
-        with pytest.raises(Singular):
-            mg.is_quasi_unipotent([[1, 1], [1, 1]], exact=True)
-
-    def test_ambiguous_modulus_indeterminate(self):
-        # Modulus inside the 1e-9 band but far from machine-1: no guessing.
-        with pytest.raises(Indeterminate):
-            mg.is_quasi_unipotent([[1.0 + 3e-10, 0.0], [0.0, 1.0]])
-
-    def test_ambiguous_integral_falls_back_to_exact(self):
-        # An integer matrix whose float eigenvalues land in the gray zone
-        # would route through the exact test; exercise the routing with a
-        # clean unimodular case by widening the tolerance band.
-        assert mg.is_quasi_unipotent([[0, -1], [1, 1]], tol=1e-6)  # sixth roots of unity
+def _exact_log_norm(power):
+    """log ||P|| of an exact integer matrix P: shifted right until every
+    entry is below 2^1000, so that its float form is finite, then one float
+    svd, whose top singular value is accurate to a few eps relative."""
+    shift = max(0, max(abs(x).bit_length() for row in power for x in row) - 1000)
+    scaled = np.array([[x >> shift for x in row] for row in power], dtype=float)
+    return shift * math.log(2) + math.log(np.linalg.norm(scaled, 2))
 
 
 class TestNormPower:
+    """The NormPower values ||M^n||, n = 1..n_max, of growth_profile."""
+
     def test_identity(self):
-        for n in (0, 1, 5, 100):
-            assert mg.norm_power(np.eye(3), n).value == pytest.approx(1.0)
+        norms = mg.growth_profile(np.eye(3), 100).norms
+        assert all(norm.value == pytest.approx(1.0) for norm in norms)
 
     def test_shear_five(self):
-        assert mg.norm_power(SHEAR, 5).value == pytest.approx((5 + math.sqrt(29)) / 2)
+        norms = mg.growth_profile(SHEAR, 64).norms
+        assert norms[4].value == pytest.approx((5 + math.sqrt(29)) / 2)
 
     def test_cat_ratio(self):
-        result = mg.norm_power(CAT, 30)
+        result = mg.growth_profile(CAT, 30).norms[29]
         assert result.value / GOLDEN ** 30 == pytest.approx(1.0, rel=0.01)
 
     def test_log_survives_overflow(self):
-        result = mg.norm_power(CAT, 2000)
+        result = mg.growth_profile(CAT, 2000).norms[-1]
         assert result.value == math.inf
         assert result.log == pytest.approx(2000 * math.log(GOLDEN), rel=1e-9)
 
     def test_submultiplicative(self):
+        # On the running product growth_profile takes its norms from
+        # (test_growth_profile_takes_running_logs), since the profile's fit
+        # refuses about a third of these matrices.
         rng = np.random.default_rng(1)
         for _ in range(1000):
             matrix = rng.integers(-3, 4, size=(2, 2)).astype(float)
             if abs(np.linalg.det(matrix)) < 0.5:
                 continue
+            logs = [0.0, *_running(matrix, 16)]  # log ||M^0|| = 0
             a = int(rng.integers(0, 9))
             b = int(rng.integers(0, 9))
-            lhs = mg.norm_power(matrix, a + b).log
-            rhs = mg.norm_power(matrix, a).log + mg.norm_power(matrix, b).log
-            assert lhs <= rhs + 1e-9
+            assert logs[a + b] <= logs[a] + logs[b] + 1e-9
 
 
 class TestJordanBlock:
@@ -150,7 +125,8 @@ class TestGrowthProfile:
 def _running(matrix, count):
     """log ||M^n|| for n = 1..count from the running product, from I."""
     arr = np.array(matrix, dtype=float)
-    return mg._running_logs(np.eye(len(arr))[None], [0.0], arr, count)[0]
+    steps = mg._running_products(np.eye(len(arr))[None], [0.0], arr)
+    return np.array([log[0] for _, log in itertools.islice(steps, count)])
 
 
 def _exact_log_norm_2x2(matrix, n):
@@ -167,7 +143,7 @@ class TestRunningPower:
     def test_matches_norm_power(self, matrix):
         logs = _running(matrix, 4096)
         for n in ORACLE_NS:
-            reference = mg.norm_power(matrix, n).log
+            reference = _exact_log_norm(intmat.mat_pow(intmat.as_int_matrix(matrix), n))
             assert logs[n - 1] == pytest.approx(reference, rel=1e-12, abs=0), n
 
     def test_cat_matches_exact_integers(self):
@@ -235,15 +211,18 @@ class TestCommutingPair:
 
 
 def _scalar_norm_grid(pair, outer_exponents, inner_max, order):
-    """Reference for pair_norm_grid: one row at a time, one scalar
-    spectral norm per grid cell."""
+    """Reference for pair_norm_grid: one row at a time from the exact
+    integer power of the row's matrix, one scalar spectral norm per grid
+    cell."""
     first, second = (pair.h, pair.g) if order == "hg" else (pair.g, pair.h)
     second_norm = mg.spectral_norm(second)
     second_unit = second / second_norm
     log_second = math.log(second_norm)
     out = np.empty((len(outer_exponents), inner_max))
     for row, m in enumerate(outer_exponents):
-        acc, log_acc = mg._scaled_power(first, m)
+        start = np.array(intmat.mat_pow(intmat.as_int_matrix(first.astype(int)), m), dtype=float)
+        log_acc = math.log(mg.spectral_norm(start))
+        acc = start / mg.spectral_norm(start)
         for n in range(inner_max):
             acc = acc @ second_unit
             s = mg.spectral_norm(acc)
@@ -263,7 +242,8 @@ class TestPairNormGrid:
         pair = mg.CommutingPair(g=np.array(g, dtype=float), h=np.array(h, dtype=float))
         outer = range(rows)  # from exponent 0
         grid = mg.pair_norm_grid(pair, outer, inner_max, order)
-        assert np.array_equal(grid, _scalar_norm_grid(pair, outer, inner_max, order))
+        reference = _scalar_norm_grid(pair, outer, inner_max, order)
+        np.testing.assert_allclose(grid, reference, rtol=1e-13, atol=0)
 
     def test_negative_exponent(self):
         pair = mg.CommutingPair(g=np.array(SHEAR, dtype=float), h=np.eye(2))
@@ -272,14 +252,17 @@ class TestPairNormGrid:
 
 
 def _per_n_balance_norms(pair, m, ns):
-    """Reference for hyperbolic_balance_bound's norms: a fresh
-    square-and-multiply for every n."""
-    h_part, log_h = mg._scaled_power(pair.h, m)
-    out = []
-    for n in ns:
-        g_part, log_g = mg._scaled_power(pair.g, n) if n > 0 else (np.eye(pair.dimension), 0.0)
-        out.append(math.exp(log_h + log_g + math.log(mg.spectral_norm(h_part @ g_part))))
-    return np.array(out)
+    """Reference for hyperbolic_balance_bound's norms at small exponents:
+    numpy's matrix powers for every n."""
+    h_part = np.linalg.matrix_power(pair.h, m)
+    return np.array([mg.spectral_norm(h_part @ np.linalg.matrix_power(pair.g, n)) for n in ns])
+
+
+def _unimodular_pair(matrix):
+    """(g, h) = (A^-1, A) as exact integer matrices and as a CommutingPair."""
+    h = intmat.as_int_matrix(matrix)
+    g = intmat.mat_inverse_unimodular(h)
+    return g, h, mg.CommutingPair(g=np.array(g, dtype=float), h=np.array(h, dtype=float))
 
 
 class TestBalanceBound:
@@ -308,16 +291,26 @@ class TestBalanceBound:
         "m, ns", [(10, range(0, 41)), (3, [17, 0, 400, 5, 5]), (0, range(1, 21))]
     )
     def test_cat_norms_match_per_n_powers_and_exact(self, m, ns):
-        cat = np.array(CAT, dtype=float)
-        pair = mg.CommutingPair(g=np.linalg.inv(cat), h=cat)
+        g, h, pair = _unimodular_pair(CAT)
         bound = mg.hyperbolic_balance_bound(pair, m, ns)
-        # h^m g^n = cat^(m - n) cancels to about 1 near n = m, so both
-        # computations lose up to eps * cond(h^m) = eps ||cat^m||^2 there.
-        rtol = max(1e-12, 4 * np.finfo(float).eps * math.exp(2 * mg.norm_power(cat, m).log))
-        reference = _per_n_balance_norms(pair, m, ns)
-        np.testing.assert_allclose(bound.norms, reference, rtol=rtol, atol=0)
+        h_power = intmat.mat_pow(h, m)
+        per_n = [_exact_log_norm(intmat.mat_mul(h_power, intmat.mat_pow(g, n))) for n in ns]
+        np.testing.assert_allclose(bound.norms, np.exp(per_n), rtol=1e-12, atol=0)
         exact = [math.exp(_exact_log_norm_2x2(CAT, abs(m - n))) for n in ns]
-        np.testing.assert_allclose(bound.norms, exact, rtol=rtol, atol=0)
+        np.testing.assert_allclose(bound.norms, exact, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m", [10, 20, 30, 64])
+    @pytest.mark.parametrize("matrix", [CAT, HYPERBOLIC3], ids=["cat", "hyperbolic3"])
+    def test_norms_match_exact_integer_powers(self, matrix, m):
+        # h^m g^n = A^(m - n) cancels to about 1 near n = m; a running
+        # product loses eps ||A^m||^2 there, 4.4 times the norm at m = 20.
+        g, h, pair = _unimodular_pair(matrix)
+        ns = range(0, 2 * m + 1)
+        bound = mg.hyperbolic_balance_bound(pair, m, ns)
+        h_power = intmat.mat_pow(h, m)
+        exact = [_exact_log_norm(intmat.mat_mul(h_power, intmat.mat_pow(g, n))) for n in ns]
+        np.testing.assert_allclose(bound.norms, np.exp(exact), rtol=1e-12, atol=0)
+        assert bound.passed
 
     def test_diagonal_norms_match_per_n_powers(self):
         pair = mg.CommutingPair(g=np.diag([0.5, 2.0]), h=np.diag([2.0, 0.5]))
@@ -326,6 +319,21 @@ class TestBalanceBound:
         np.testing.assert_allclose(
             bound.norms, _per_n_balance_norms(pair, 7, ns), rtol=1e-12, atol=0
         )
+
+    def test_ill_conditioned_eigenbasis_refused(self):
+        # Hyperbolic with the right pairing, but V has condition 1.3e7.
+        g = np.array([[2.0, 1e7], [0.0, 0.5]])
+        pair = mg.CommutingPair(g=g, h=np.linalg.inv(g))
+        with pytest.raises(HypothesisFailed, match="condition number 1.33e\\+07"):
+            mg.hyperbolic_balance_bound(pair, 3, range(0, 10))
+        well = np.array([[2.0, 1e4], [0.0, 0.5]])  # condition 1.3e4
+        well_pair = mg.CommutingPair(g=well, h=np.linalg.inv(well))
+        assert mg.hyperbolic_balance_bound(well_pair, 3, range(0, 10)).passed
+
+    def test_unit_modulus_indeterminate(self):
+        pair = mg.CommutingPair(g=SHEAR, h=[[1, 3], [0, 1]])
+        with pytest.raises(Indeterminate):
+            mg.hyperbolic_balance_bound(pair, 1, range(0, 5))
 
     def test_pairing_violation(self):
         pair = mg.CommutingPair(g=np.diag([2.0, 0.5]), h=np.diag([3.0, 0.25]))
