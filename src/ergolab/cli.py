@@ -6,18 +6,24 @@ rational strings "p/q".  Every run writes CSV data artifacts, a JSON
 summary, a manifest with content hashes, and optional SVG charts; data
 artifacts are byte-identical across reruns and worker counts.
 
-Importing this module executes ``systems`` and ``correlations``, which
-every system parse needs.  ``averages``, ``dyadic``, ``matrix_growth``,
+Importing this module executes ``systems``, which every system parse
+needs.  ``averages``, ``correlations``, ``dyadic``, ``matrix_growth``,
 ``sequences`` and ``svg`` are registered in ``sys.modules`` (and on the
 package) at once but execute only at their first attribute access, so a
 process runs only the modules its experiment calls.  ``hashlib`` is
-imported by the manifest's hashing only, so ``validate`` loads no OpenSSL.
+imported by the manifest's hashing only, so ``validate`` loads no OpenSSL,
+and ``fractions`` (with ``decimal``) by the first "p/q" string only.
 A bad command-line argument exits 2 with one line that names it.
+
+The ``ergolab`` script and ``python -m ergolab.cli`` end through
+``console_main``, without interpreter teardown; ``main`` called in
+process only returns its exit code.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
 import functools
 import importlib.util
@@ -28,12 +34,11 @@ import os
 import pickle
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, correlations, systems
+from . import __version__, systems
 from .errors import ConfigError, DomainError, ErgolabError
 from .seeding import ROLE_QUERY
 
@@ -51,8 +56,8 @@ def _lazy(name: str):
     return sys.modules[full]
 
 
-averages, dyadic, matrix_growth, sequences, svg = map(
-    _lazy, ("averages", "dyadic", "matrix_growth", "sequences", "svg")
+averages, correlations, dyadic, matrix_growth, sequences, svg = map(
+    _lazy, ("averages", "correlations", "dyadic", "matrix_growth", "sequences", "svg")
 )
 
 SCHEMA_VERSION = 1
@@ -246,7 +251,12 @@ def parse_exact(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{where} must be a number or a 'p/q' string, got {value!r}")
     try:
-        number = float(Fraction(value) if isinstance(value, str) else value)
+        if isinstance(value, str):
+            from fractions import Fraction  # and decimal: only 'p/q' strings load them
+
+            number = float(Fraction(value))
+        else:
+            number = float(value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"{where}: cannot parse {value!r}: {exc}") from exc
     if not math.isfinite(number):
@@ -1106,6 +1116,10 @@ CONFIG = _variant("experiment", {name: top for name, (top, _, _) in EXPERIMENTS.
 # ---------------------------------------------------------------------------
 
 def run(config_path: Path, out_dir: Path | None, workers: int, emit_svg: bool) -> int:
+    # The CPU spent before run() (interpreter, imports, arguments). Not read
+    # by getrusage: importing resource here keeps its pages resident through
+    # the run's peak.
+    startup_cpu = time.process_time()
     cfg, step, report = load_config(config_path)
     if step is None:
         for message in report["errors"]:
@@ -1158,6 +1172,8 @@ def run(config_path: Path, out_dir: Path | None, workers: int, emit_svg: bool) -
             "numpy": np.__version__,
         },
     }
+    if manifest["resources"]:
+        manifest["resources"]["self"]["startup_cpu_seconds"] = startup_cpu
     write_json(out / "manifest.json", manifest)
     if not status["ok"]:
         print(f"runtime error: {status['error']}", file=sys.stderr)
@@ -1247,5 +1263,38 @@ def main(argv=None) -> int:
         p_dec.error(f"argument --s: {exc}")
 
 
+def _observed() -> bool:
+    """Whether a tracer or profiler watches this process (coverage,
+    cProfile), which writes its report at interpreter teardown."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+
+    return (
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or (monitoring is not None and any(monitoring.get_tool(i) for i in range(6)))
+    )
+
+
+def console_main() -> None:
+    """``main`` on the process's arguments, then the end of the process.
+
+    Interpreter teardown only frees what the process no longer needs (numpy
+    and the run's arrays), so once the ``atexit`` handlers have run and
+    stdout and stderr are flushed, in the order teardown takes them,
+    ``os._exit`` ends the process, as it ends ``pmap`` children. The exit is the normal one when a tracer or profiler is
+    installed, when a flush fails (a closed pipe reports as before) and
+    when ``main`` raises."""
+    code = main()
+    if not _observed():
+        atexit._run_exitfuncs()  # and clears them: a normal exit runs none twice
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (AttributeError, OSError, ValueError):
+            pass
+        else:
+            os._exit(code)
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -120,11 +120,17 @@ def _max_jordan_block(arr: np.ndarray, modulus: float) -> int:
     d = arr.shape[0]
     eigenvalues = np.linalg.eigvals(arr)
     top = [lam for lam in eigenvalues if abs(abs(lam) - modulus) <= 1e-6 * max(modulus, 1.0)]
-    # Deduplicate close eigenvalues to avoid recomputing identical chains.
-    reps: list[complex] = []
+    # One chain per cluster of close eigenvalues, run at the cluster's mean:
+    # eigvals splits a defective eigenvalue (2 +- 1.5e-8 for [[1, 1],
+    # [-1, 3]]), and M - lambda I at one split member keeps full rank.
+    clusters: list[list[complex]] = []
     for lam in top:
-        if all(abs(lam - r) > 1e-6 for r in reps):
-            reps.append(lam)
+        near = next((c for c in clusters if abs(lam - c[0]) <= 1e-6), None)
+        if near is None:
+            clusters.append([lam])
+        else:
+            near.append(lam)
+    reps = [sum(c) / len(c) for c in clusters]
     scale = max(1.0, spectral_norm(arr))
     largest = 1
     for lam in reps:

@@ -413,9 +413,18 @@ class TestEnsemble:
 
 class TestTermGenerator:
     def test_matches_streamed_products(self, bernoulli):
-        f = systems.centered_cylinder_indicator(bernoulli, [1])
-        g = systems.centered_cylinder_indicator(bernoulli, [0])
-        spec = make_spec(bernoulli, [f, g], (1, 2), 64)
+        self.check_streamed_products(bernoulli, (1, 2))
+
+    @pytest.mark.parametrize("multipliers", [(1, 2, 3), (2, -1, 3)], ids=["l3", "l3-negative"])
+    @pytest.mark.parametrize("system", ["bernoulli", "markov"])
+    def test_matches_streamed_products_at_three_factors(self, request, system, multipliers):
+        self.check_streamed_products(request.getfixturevalue(system), multipliers)
+
+    @staticmethod
+    def check_streamed_products(system, multipliers):
+        words = ([1], [0], [1])[: len(multipliers)]
+        factors = [systems.centered_cylinder_indicator(system, w) for w in words]
+        spec = make_spec(system, factors, multipliers, 64)
         generator = averages.product_term_generator(spec, master_seed=33)
         ks = np.arange(1, 65, dtype=np.int64)
         first = _rows_of(generator(np.array([0, 1]), ks))
@@ -425,7 +434,7 @@ class TestTermGenerator:
         # at the positions the spec reads up to n_max = 64.
         for j, row in enumerate(first):
             positions = spec.read_positions
-            symbols = systems.sample_at(bernoulli, positions, 1, rng_for(33, ROLE_TERMS, j))[0]
+            symbols = systems.sample_at(system, positions, 1, rng_for(33, ROLE_TERMS, j))[0]
             series = ergodic_average_stream(spec, systems.ShiftPoint(positions, symbols))
             sums = np.cumsum(row)
             for n, a_n, _ in series.entries:

@@ -877,10 +877,15 @@ class TestRun:
             assert cli.run(path, out, workers=workers, emit_svg=False) == 0
             resources = json.loads((out / "manifest.json").read_text())["resources"]
             assert set(resources) == {"self", "children"}
+            assert set(resources["children"]) == {"peak_rss_mb", "minor_faults"}
+            assert set(resources["self"]) == {"peak_rss_mb", "minor_faults", "startup_cpu_seconds"}
             for usage in resources.values():
-                assert set(usage) == {"peak_rss_mb", "minor_faults"}
                 assert usage["peak_rss_mb"] >= 0 and usage["minor_faults"] >= 0
             assert resources["self"]["peak_rss_mb"] > 0
+            # The CPU this process had used when run() began: no more than
+            # it has used by now.
+            startup = resources["self"]["startup_cpu_seconds"]
+            assert 0 < startup <= time.process_time()
             # The share forked at 2 workers has been reaped.
             assert (resources["children"]["peak_rss_mb"] > 0) or workers == 1
             summaries.append((out / "summary.json").read_bytes())
@@ -1480,36 +1485,51 @@ def test_tracer_names_public_cli_functions():
 
 
 # Lab modules that each experiment's validate executes, besides those every
-# process executes: cli, errors, intmat, seeding, systems and correlations.
+# process executes: cli, errors, intmat, seeding and systems.
 EXPERIMENT_MODULES = {
-    "correlate": set(),
-    "cumulants": set(),
+    "correlate": {"correlations"},
+    "cumulants": {"correlations"},
     "average": {"averages", "sequences"},
     "ratecheck": {"averages", "sequences"},
-    "dyadic": {"averages", "dyadic", "sequences"},
-    "growth": {"matrix_growth", "sequences"},
+    "dyadic": {"averages", "correlations", "dyadic", "sequences"},
+    "growth": {"correlations", "matrix_growth", "sequences"},
     "counting": {"sequences"},
 }
-EAGER_MODULES = {"cli", "errors", "intmat", "seeding", "systems", "correlations"}
-LAZY_MODULES = {"averages", "dyadic", "matrix_growth", "sequences", "svg"}
+# The same for run, which also draws the charts.
+RUN_MODULES = {
+    "markov_cumulants": {"correlations", "svg"},
+    "matrix_growth": {"correlations", "matrix_growth", "sequences", "svg"},
+}
+EAGER_MODULES = {"cli", "errors", "intmat", "seeding", "systems"}
+LAZY_MODULES = {"averages", "correlations", "dyadic", "matrix_growth", "sequences", "svg"}
+# Standard modules a command loads only when it needs them: hashlib (and
+# OpenSSL) for the manifest, fractions (and decimal) for "p/q" strings, and
+# numpy.random for a random draw.
+WATCHED_MODULES = ("hashlib", "fractions", "numpy.random")
 
 
-@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
-def test_validate_executes_only_the_modules_its_experiment_needs(config):
-    # Every lab module is registered once the CLI is imported, so tools
-    # that look them up in sys.modules find them; only the ones the
-    # experiment calls have run their bodies (a lazy module's type is a
-    # subclass until then). validate hashes nothing, so hashlib and the
-    # OpenSSL it loads stay out.
-    experiment = json.loads(config.read_text())["experiment"]
+def _holds_ratio_string(node) -> bool:
+    if isinstance(node, dict):
+        return any(_holds_ratio_string(value) for value in node.values())
+    if isinstance(node, list):
+        return any(_holds_ratio_string(value) for value in node)
+    return isinstance(node, str) and "/" in node
+
+
+def _modules_after(argv):
+    """(registered lab modules, executed lab modules, loaded watched
+    modules) once ``cli.main(argv)`` has returned 0 in a fresh process.
+    Every lab module is registered once the CLI is imported, so tools that
+    look them up in sys.modules find them; only the ones the command calls
+    have run their bodies (a lazy module's type is a subclass until then)."""
     script = (
         "import sys, types\n"
         "from ergolab import cli\n"
-        f"code = cli.main(['validate', {str(config)!r}])\n"
+        f"code = cli.main({argv!r})\n"
         "lab = [n.partition('.')[2] for n in sys.modules if n.startswith('ergolab.')]\n"
         "print(sorted(lab))\n"
         "print(sorted(n for n in lab if type(sys.modules['ergolab.' + n]) is types.ModuleType))\n"
-        "print('hashlib' in sys.modules)\n"
+        f"print([n for n in {WATCHED_MODULES!r} if n in sys.modules])\n"
         "raise SystemExit(code)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(ergolab.__file__).resolve().parent.parent))
@@ -1517,7 +1537,114 @@ def test_validate_executes_only_the_modules_its_experiment_needs(config):
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    registered, executed, hashlib_loaded = proc.stdout.splitlines()[-3:]
+    return proc.stdout.splitlines()[-3:]
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_validate_executes_only_the_modules_its_experiment_needs(config):
+    # validate hashes nothing and draws nothing, so hashlib, the OpenSSL it
+    # loads and numpy.random stay out; fractions loads for "p/q" only.
+    cfg = json.loads(config.read_text())
+    registered, executed, loaded = _modules_after(["validate", str(config)])
     assert registered == str(sorted(EAGER_MODULES | LAZY_MODULES))
-    assert executed == str(sorted(EAGER_MODULES | EXPERIMENT_MODULES[experiment]))
-    assert hashlib_loaded == "False"
+    assert executed == str(sorted(EAGER_MODULES | EXPERIMENT_MODULES[cfg["experiment"]]))
+    assert loaded == str(["fractions"] if _holds_ratio_string(cfg) else [])
+
+
+@pytest.mark.parametrize("name", sorted(RUN_MODULES))
+def test_run_executes_only_the_modules_its_experiment_needs(tmp_path, name):
+    # Neither run draws a random number: the cumulants are exact and the
+    # growth checks deterministic. The manifest hashes the artifacts.
+    config = CONFIGS_DIR / f"{name}.json"
+    cfg = json.loads(config.read_text())
+    registered, executed, loaded = _modules_after(["run", str(config), "--out", str(tmp_path)])
+    assert registered == str(sorted(EAGER_MODULES | LAZY_MODULES))
+    assert executed == str(sorted(EAGER_MODULES | RUN_MODULES[name]))
+    assert loaded == str(["hashlib"] + (["fractions"] if _holds_ratio_string(cfg) else []))
+
+
+# ---------------------------------------------------------------------------
+# The process exit: console_main ends without interpreter teardown
+# ---------------------------------------------------------------------------
+
+def _cli_process(args, cwd):
+    """``python args`` in ``cwd``, its output piped to the test and block
+    buffered, so that output the process does not flush is lost."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ergolab.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=120
+    )
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_validate_process_prints_the_whole_report(tmp_path, config):
+    proc = _cli_process(["-m", "ergolab.cli", "validate", str(config)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = cli.load_config(config)[2]
+    assert proc.stdout == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert proc.stderr == ""
+
+
+def test_malformed_config_process_exits_2_with_its_message(tmp_path):
+    cfg = minimal_correlate()
+    cfg["params"]["queries"] = [{"times": [0, 0]}]
+    path = write_config(tmp_path, cfg)
+    proc = _cli_process(["-m", "ergolab.cli", "run", str(path), "--out", "out"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: params.queries[0]"), proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_run_process_exits_3_with_complete_artifacts(tmp_path):
+    # Cat-map frequencies pushed through 1000 steps exceed the budget.
+    cfg = torus_config("correlate", {"queries": [{"times": [0, 1000]}], "method": "exact"})
+    path = write_config(tmp_path, cfg)
+    proc = _cli_process(["-m", "ergolab.cli", "run", str(path), "--out", "out"], tmp_path)
+    assert proc.returncode == 3
+    assert "correlations.frequency_overflow" in proc.stderr
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert summary["status"]["error"]["code"] == "correlations.frequency_overflow"
+    assert manifest["config"] == cfg and manifest["resources"]["self"]["startup_cpu_seconds"] > 0
+
+
+def test_decompose_process_prints_every_block(tmp_path):
+    proc = _cli_process(["-m", "ergolab.cli", "decompose", "37"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "n=37 s=6 blocks=3",
+        "  level  5  [1..32]  length 32",
+        "  level  2  [33..36]  length 4",
+        "  level  0  [37..37]  length 1",
+    ]
+
+
+def test_atexit_handlers_run_and_their_output_is_flushed(tmp_path):
+    script = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(print, 'handler ran')\n"
+        "sys.argv = ['ergolab', 'decompose', '5']\n"
+        "runpy.run_module('ergolab.cli', run_name='__main__')\n"
+    )
+    proc = _cli_process(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "n=5 s=3 blocks=2"
+    assert proc.stdout.splitlines()[-1] == "handler ran"
+
+
+def test_profiled_process_writes_its_profile(tmp_path):
+    # A profiler writes its report at teardown, so the process takes it.
+    config = CONFIGS_DIR / "prime_counting.json"
+    args = ["-m", "cProfile", "-o", "prof.out", "-m", "ergolab.cli", "validate", str(config)]
+    proc = _cli_process(args, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"]
+    assert (tmp_path / "prof.out").stat().st_size > 0
+
+
+def test_installed_script_takes_the_same_exit():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"ergolab": "ergolab.cli:console_main"}

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ergolab.dyadic import (
     variance_profile,
 )
 from ergolab.errors import DomainError, InsufficientData, ShapeMismatch
+from ergolab.seeding import ROLE_TERMS, rng_for
 
 
 class TestIntervals:
@@ -252,6 +254,33 @@ def _pair_spec(system, left, n_max, kind="linear"):
         sequence=sequences.SequenceSpec(kind=kind),
         n_max=n_max,
     )
+
+
+def _triple_spec(system, multipliers, n_max, first=None, kind="linear"):
+    """The centered indicators of [1], [0], [1] (``first`` in place of the
+    first) at three multipliers."""
+    first = first or systems.centered_cylinder_indicator(system, [1])
+    return averages.AverageSpec(
+        system=system,
+        observables=(
+            first,
+            systems.centered_cylinder_indicator(system, [0]),
+            systems.centered_cylinder_indicator(system, [1]),
+        ),
+        multipliers=tuple(multipliers),
+        sequence=sequences.SequenceSpec(kind=kind),
+        n_max=n_max,
+    )
+
+
+# Checks of a Monte Carlo mean against its exact value raise a false alarm
+# at this rate per test, two-sided, split evenly over the test's checks
+# (the normal quantile perfbench's mc_z takes).
+FALSE_ALARM_PER_TEST = 1e-6
+
+
+def _z(checks: int) -> float:
+    return NormalDist().inv_cdf(1.0 - FALSE_ALARM_PER_TEST / (2.0 * checks))
 
 
 # (system, left factor radius, sequence, points, grid N, s values)
@@ -505,6 +534,29 @@ class TestStreamedBatch:
         for totals, ref in zip(got.level_totals, want.level_totals):
             assert totals.shape == ref.shape and totals.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("multipliers", [(1, 2, 3), (3, -1, 2)], ids=["l3", "l3-negative"])
+    @pytest.mark.parametrize("system", [BERNOULLI, MARKOV], ids=["bernoulli", "markov"])
+    def test_equals_per_point_terms(self, system, multipliers):
+        # Three factors, one of radius 2, against term rows built point by
+        # point from each point's own sample_at draw, factor by factor.
+        ns, s_values, points = (16, 64, 128), (7, 3), 37
+        first = systems.cylinder_observable(2, {(1, 0, 1, 0, 1): 0.37}, default=-1.3)
+        spec = _triple_spec(system, multipliers, max(ns), first, kind="primes")
+        generator = averages.product_term_generator(spec, master_seed=17)
+        got = dyadic.batch_moments(generator, 0, points, ns, s_values)
+        rows = np.ones((points, spec.n_max))
+        for j in range(points):
+            positions = spec.read_positions
+            symbols = systems.sample_at(system, positions, 1, rng_for(17, ROLE_TERMS, j))[0]
+            point = systems.ShiftPoint(positions, symbols)
+            for obs, m in zip(spec.observables, spec.multipliers):
+                shifted = (systems.shift_apply(point, m * int(r)) for r in spec.terms)
+                rows[j] *= [systems.evaluate(obs, x) for x in shifted]
+        want = _whole_block_moments(rows, ns, s_values)
+        assert got.prefix_moments == want.prefix_moments
+        for totals, ref in zip(got.level_totals, want.level_totals):
+            assert totals.tobytes() == ref.tobytes()
+
     def test_array_and_slabs_agree(self):
         arr = np.random.default_rng(3).standard_normal((300, 256))
         whole = dyadic.block_moments(arr, (16, 200), (8, 2))
@@ -534,6 +586,18 @@ class TestBernoulliOracle:
         moments = ensemble_moments(averages.product_term_generator(spec, 2024), 1024, ns)
         for n, (e, se) in zip(ns, moments.e_values):
             assert abs(e - n / 16) <= 4 * se, (n, e, se)
+
+
+    def test_e_is_n_over_64_at_three_factors(self):
+        # Multipliers (1, 2, 3): for k < l the factor at position k has no
+        # partner among k, 2k, 3k, l, 2l, 3l, so again only k = l survives
+        # and E(0, N) = N E[f^2]^3 = N / 64.
+        spec = _triple_spec(BERNOULLI, (1, 2, 3), 512)
+        ns = (64, 128, 256, 512)
+        moments = ensemble_moments(averages.product_term_generator(spec, 2024), 1024, ns)
+        z = _z(len(ns))
+        for n, (e, se) in zip(ns, moments.e_values):
+            assert abs(e - n / 64) <= z * se, (n, e, se, z)
 
 
 def _exact_e(spec, ns):
@@ -595,6 +659,23 @@ class TestMarkovOracle:
         moments = ensemble_moments(averages.product_term_generator(spec, 2024), 1024, self.NS)
         for n, want, (e, se) in zip(self.NS, exact, moments.e_values):
             assert abs(e - want) <= 4 * se, (n, e, se, want)
+
+
+    def test_reference_is_n_over_64_on_bernoulli_at_three_factors(self):
+        spec = _triple_spec(BERNOULLI, (1, 2, 3), 512)
+        ns = self.NS[:4]
+        assert np.allclose(_exact_e(spec, ns), np.array(ns) / 64, rtol=1e-12, atol=0)
+
+    def test_ensemble_e_matches_exact_at_three_factors(self):
+        # Six-fold walks on the (9/10, 1/10; 1/2, 1/2) chain, where pairs
+        # k != l survive.
+        spec = _triple_spec(MARKOV, (1, 2, 3), 512)
+        ns = self.NS[:4]
+        exact = _exact_e(spec, ns)
+        moments = ensemble_moments(averages.product_term_generator(spec, 2024), 1024, ns)
+        z = _z(len(ns))
+        for n, want, (e, se) in zip(ns, exact, moments.e_values):
+            assert abs(e - want) <= z * se, (n, e, se, want, z)
 
 
 def _traced_peak(fn, *args):

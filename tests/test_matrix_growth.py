@@ -8,7 +8,7 @@ import pytest
 
 from ergolab import intmat
 from ergolab import matrix_growth as mg
-from ergolab.errors import DomainError, HypothesisFailed, Indeterminate
+from ergolab.errors import DomainError, FitInconsistent, HypothesisFailed, Indeterminate
 
 SHEAR = [[1, 1], [0, 1]]
 CAT = [[2, 1], [1, 1]]
@@ -112,6 +112,43 @@ class TestGrowthProfile:
             profile = mg.growth_profile(matrix, 48)
             assert profile.base == pytest.approx(eigenvalues.max(), rel=0.01)
             checked += 1
+
+    def test_jordan3_at_n_max_128(self):
+        profile = mg.growth_profile(JORDAN3, 128)
+        assert profile.base == pytest.approx(1.0, abs=0.01)
+        assert profile.poly_degree == 2
+
+    def test_split_double_eigenvalue_keeps_its_block(self):
+        # eigvals splits the double eigenvalue 2 of this one 2x2 block into
+        # 2 +- 1.5e-8, and M - lambda I at either half keeps full rank.
+        profile = mg.growth_profile([[1, 1], [-1, 3]], 64)
+        assert profile.base == pytest.approx(2.0, rel=0.01)
+        assert profile.poly_degree == 1
+
+    def test_random_sweep_degrees_are_exact(self):
+        # The 875 nonsingular 2x2 integer matrices (entries -3..3) of
+        # default_rng(1). A 2x2 integer matrix has a 2x2 Jordan block iff
+        # its discriminant is 0 and it is not scalar; five such matrices
+        # raised a degree disagreement when eigvals split the eigenvalue.
+        # The fit of a block with eigenvalue +-3 still misses the base at
+        # n_max = 64 (the 3x3 unipotent block's defect), so those may raise.
+        rng = np.random.default_rng(1)
+        seen, refused = 0, []
+        for _ in range(1000):
+            matrix = rng.integers(-3, 4, size=(2, 2))
+            if abs(np.linalg.det(matrix)) < 0.5:
+                continue
+            seen += 1
+            (a, b), (c, d) = matrix.tolist()
+            block = (a - d) ** 2 + 4 * b * c == 0 and (b, c, a - d) != (0, 0, 0)
+            try:
+                profile = mg.growth_profile(matrix.astype(float), 64)
+            except FitInconsistent as exc:
+                refused.append(str(exc))
+                continue
+            assert profile.poly_degree == int(block), matrix.tolist()
+        assert seen == 875
+        assert len(refused) <= 5 and all(m.startswith("fitted base") for m in refused), refused
 
     def test_n_max_floor(self):
         with pytest.raises(DomainError):
