@@ -11,13 +11,16 @@ needs.  ``averages``, ``correlations``, ``dyadic``, ``matrix_growth``,
 ``sequences`` and ``svg`` are registered in ``sys.modules`` (and on the
 package) at once but execute only at their first attribute access, so a
 process runs only the modules its experiment calls.  ``hashlib`` is
-imported by the manifest's hashing only, so ``validate`` loads no OpenSSL,
-and ``fractions`` (with ``decimal``) by the first "p/q" string only.
-A bad command-line argument exits 2 with one line that names it.
+imported by the manifest's hashing only, and ``fractions`` (with
+``decimal``) by the first "p/q" string only.  A bad command-line argument
+exits 2 with one line that names it; a reader that closes stdout ends
+only the output, and the command keeps its own exit code.
 
-The ``ergolab`` script and ``python -m ergolab.cli`` end through
-``console_main``, without interpreter teardown; ``main`` called in
-process only returns its exit code.
+The ``ergolab`` script and ``python -m ergolab.cli`` run through
+``console_main``, which keeps OpenSSL out of the process (``hashlib``,
+and the ``hmac`` that ``numpy.random`` imports, take CPython's built-in
+hashes) and ends it without interpreter teardown.  ``main`` called in process only
+returns its exit code and leaves ``sys.modules`` as it was.
 """
 
 from __future__ import annotations
@@ -73,6 +76,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
+# The rusage (os.wait4) of each pmap share reaped since the current run
+# began; run() empties it at its start and reports it in the manifest.
+_share_usage: list = []
+
 
 # ---------------------------------------------------------------------------
 # Formatting and artifact helpers
@@ -100,7 +107,7 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def sha256_file(path: Path) -> str:
-    import hashlib  # here, not at the top: it loads OpenSSL, which validate never needs
+    import hashlib  # here, not at the top: validate never hashes
 
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -153,7 +160,8 @@ def pmap(fn, tasks, workers: int) -> list:
     is pickled; only each share's results come back, through a pipe. A
     failing task raises the error of the lowest failing index, the one a
     serial map raises, with that index set as its ``task`` attribute.
-    Without ``os.fork`` the map is serial.
+    Each reaped child's rusage goes to ``_share_usage``. Without
+    ``os.fork`` the map is serial.
     """
     tasks = list(tasks)
     k = min(workers, len(tasks))
@@ -181,7 +189,8 @@ def pmap(fn, tasks, workers: int) -> list:
             w, pid, pipe = children[0]
             with pipe:
                 payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
+            _, status, usage = os.wait4(pid, 0)
+            _share_usage.append(usage)
             children.pop(0)
             if status == 0:
                 shares.append(pickle.loads(payload))
@@ -195,7 +204,7 @@ def pmap(fn, tasks, workers: int) -> list:
         for _, pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            _share_usage.append(os.wait4(pid, 0)[2])
     if lost is not None:
         raise lost
     return _gathered(shares, len(tasks))
@@ -1120,6 +1129,7 @@ def run(config_path: Path, out_dir: Path | None, workers: int, emit_svg: bool) -
     # by getrusage: importing resource here keeps its pages resident through
     # the run's peak.
     startup_cpu = time.process_time()
+    _share_usage.clear()
     cfg, step, report = load_config(config_path)
     if step is None:
         for message in report["errors"]:
@@ -1182,37 +1192,54 @@ def run(config_path: Path, out_dir: Path | None, workers: int, emit_svg: bool) -
 
 
 def _resources() -> dict:
-    """Peak RSS in MB and minor page faults of this process ("self") and
-    of its reaped children ("children": the ``pmap`` shares), from
-    ``getrusage``; empty where the ``resource`` module is missing."""
+    """Peak RSS in MB and minor page faults of this process ("self", from
+    ``getrusage``) and of the ``pmap`` shares this run forked ("children":
+    the largest peak and the summed faults, from ``os.wait4``; 0 and 0
+    when none was forked). Empty where the ``resource`` module is missing."""
     try:
         import resource
     except ImportError:
         return {}
     # ru_maxrss is in KiB on Linux and in bytes on macOS.
     scale = 1 << 20 if sys.platform == "darwin" else 1 << 10
-    usage = {
-        "self": resource.getrusage(resource.RUSAGE_SELF),
-        "children": resource.getrusage(resource.RUSAGE_CHILDREN),
-    }
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     return {
-        who: {"peak_rss_mb": u.ru_maxrss / scale, "minor_faults": u.ru_minflt}
-        for who, u in usage.items()
+        "self": {"peak_rss_mb": usage.ru_maxrss / scale, "minor_faults": usage.ru_minflt},
+        "children": {
+            "peak_rss_mb": max((u.ru_maxrss for u in _share_usage), default=0) / scale,
+            "minor_faults": sum(u.ru_minflt for u in _share_usage),
+        },
     }
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout and flush it. Once the reader has closed
+    the pipe, stdout is pointed at the null device, as the ``signal``
+    module's note on SIGPIPE advises: the rest of the output is dropped,
+    and neither a later write nor the final flush fails."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def validate_command(config_path: Path) -> int:
     _cfg, _step, report = load_config(config_path)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    _write_stdout(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if report["ok"] else EXIT_CONFIG
 
 
 def decompose_command(n: int, s: int | None) -> int:
     s = s if s is not None else dyadic.s_of(n)
     blocks = dyadic.decompose(n, s)
-    print(f"n={n} s={s} blocks={len(blocks)}")
-    for block in blocks:
-        print(f"  level {block.level:2d}  [{block.lo}..{block.hi}]  length {len(block)}")
+    lines = [f"n={n} s={s} blocks={len(blocks)}"] + [
+        f"  level {block.level:2d}  [{block.lo}..{block.hi}]  length {len(block)}"
+        for block in blocks
+    ]
+    _write_stdout("".join(line + "\n" for line in lines))
     return EXIT_OK
 
 
@@ -1277,17 +1304,31 @@ def _observed() -> bool:
 def console_main() -> None:
     """``main`` on the process's arguments, then the end of the process.
 
+    The lab hashes only its own artifacts and draws only seeded streams, so
+    OpenSSL's binding is marked unavailable first: ``hashlib`` and ``hmac``
+    (which ``numpy.random`` imports through ``secrets``) then take
+    CPython's built-in hashes, which give the same digests, and the
+    process never maps ``libcrypto``. An ``_hashlib`` the host process
+    has already loaded stays; forked ``pmap`` shares inherit the entry.
+
     Interpreter teardown only frees what the process no longer needs (numpy
     and the run's arrays), so once the ``atexit`` handlers have run and
     stdout and stderr are flushed, in the order teardown takes them,
-    ``os._exit`` ends the process, as it ends ``pmap`` children. The exit is the normal one when a tracer or profiler is
-    installed, when a flush fails (a closed pipe reports as before) and
-    when ``main`` raises."""
-    code = main()
+    ``os._exit`` ends the process, as it ends ``pmap`` children. A closed
+    stdout ends only the output (``_write_stdout``): the exit code is the
+    command's own, and nothing is printed to stderr; argparse's exits
+    (``--help``, a bad argument) take the same path. The exit is the
+    normal one when a tracer or profiler is installed, when flushing
+    stderr fails and when ``main`` raises any other exception."""
+    sys.modules.setdefault("_hashlib", None)  # a None entry makes its import fail
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse, with status 0 or 2
+        code = exc.code
     if not _observed():
         atexit._run_exitfuncs()  # and clears them: a normal exit runs none twice
         try:
-            sys.stdout.flush()
+            _write_stdout("")
             sys.stderr.flush()
         except (AttributeError, OSError, ValueError):
             pass

@@ -1,6 +1,7 @@
 """CLI: config validation, artifact determinism, exit codes."""
 
 import copy
+import hashlib
 import importlib.util
 import json
 import os
@@ -871,6 +872,8 @@ class TestRun:
 
     def test_manifest_records_resources(self, tmp_path):
         path = write_config(tmp_path, minimal_dyadic())
+        # A child this process reaped before the run is not the run's.
+        subprocess.run([sys.executable, "-c", "pass"], check=True, timeout=60)
         summaries = []
         for workers in (1, 2):
             out = tmp_path / f"w{workers}"
@@ -886,8 +889,12 @@ class TestRun:
             # it has used by now.
             startup = resources["self"]["startup_cpu_seconds"]
             assert 0 < startup <= time.process_time()
-            # The share forked at 2 workers has been reaped.
-            assert (resources["children"]["peak_rss_mb"] > 0) or workers == 1
+            # Only the share forked at 2 workers counts.
+            children = resources["children"]
+            if workers == 1:
+                assert children == {"peak_rss_mb": 0, "minor_faults": 0}
+            else:
+                assert children["peak_rss_mb"] > 0 and children["minor_faults"] > 0
             summaries.append((out / "summary.json").read_bytes())
         assert summaries[0] == summaries[1]
         assert b"resources" not in summaries[0]
@@ -1502,9 +1509,10 @@ RUN_MODULES = {
 }
 EAGER_MODULES = {"cli", "errors", "intmat", "seeding", "systems"}
 LAZY_MODULES = {"averages", "correlations", "dyadic", "matrix_growth", "sequences", "svg"}
-# Standard modules a command loads only when it needs them: hashlib (and
-# OpenSSL) for the manifest, fractions (and decimal) for "p/q" strings, and
-# numpy.random for a random draw.
+# Standard modules a command loads only when it needs them: hashlib for the
+# manifest, fractions (and decimal) for "p/q" strings, and numpy.random for
+# a random draw. Neither hashlib nor numpy.random loads OpenSSL in an
+# ergolab process (test_console_process_draws_and_hashes_without_openssl).
 WATCHED_MODULES = ("hashlib", "fractions", "numpy.random")
 
 
@@ -1542,8 +1550,8 @@ def _modules_after(argv):
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
 def test_validate_executes_only_the_modules_its_experiment_needs(config):
-    # validate hashes nothing and draws nothing, so hashlib, the OpenSSL it
-    # loads and numpy.random stay out; fractions loads for "p/q" only.
+    # validate hashes nothing and draws nothing, so hashlib and numpy.random
+    # stay out; fractions loads for "p/q" only.
     cfg = json.loads(config.read_text())
     registered, executed, loaded = _modules_after(["validate", str(config)])
     assert registered == str(sorted(EAGER_MODULES | LAZY_MODULES))
@@ -1567,13 +1575,17 @@ def test_run_executes_only_the_modules_its_experiment_needs(tmp_path, name):
 # The process exit: console_main ends without interpreter teardown
 # ---------------------------------------------------------------------------
 
-def _cli_process(args, cwd):
-    """``python args`` in ``cwd``, its output piped to the test and block
-    buffered, so that output the process does not flush is lost."""
+def _cli_process(args, cwd, stdout=subprocess.PIPE, unbuffered=False):
+    """``python args`` in ``cwd``, its stderr and (unless ``stdout`` says
+    otherwise) its stdout piped to the test. Output is block buffered
+    unless ``unbuffered``, so that output the process does not flush is lost."""
     env = dict(os.environ, PYTHONPATH=str(Path(ergolab.__file__).resolve().parent.parent))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
-        [sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True, timeout=120
+        [sys.executable, *args],
+        env=env, cwd=cwd, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
     )
 
 
@@ -1648,3 +1660,68 @@ def test_installed_script_takes_the_same_exit():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert scripts == {"ergolab": "ergolab.cli:console_main"}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (["decompose", "1000000", "--s", "40"], 0),
+        (["validate", "valid"], 0),
+        (["validate", "invalid"], 2),
+        (["run", "--help"], 0),
+    ],
+    ids=["decompose", "valid", "invalid", "help"],
+)
+def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(tmp_path, unbuffered, command, code):
+    configs = {
+        "valid": CONFIGS_DIR / "markov_correlate.json",
+        "invalid": write_config(tmp_path, minimal_correlate() | {"params": {"queries": []}}),
+    }
+    command = [str(configs.get(arg, arg)) for arg in command]
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)  # the reader is gone before the process starts
+    try:
+        proc = _cli_process(["-m", "ergolab.cli", *command], tmp_path, write_fd, unbuffered)
+    finally:
+        os.close(write_fd)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
+@pytest.mark.parametrize("name", ["markov_correlate", "cat_map_correlate"])
+def test_console_process_draws_and_hashes_without_openssl(tmp_path, name):
+    # An atexit handler reports what the process holds once main() is done.
+    script = (
+        "import atexit, json, os, runpy, sys\n"
+        "def report():\n"
+        "    maps = '/proc/self/maps'\n"
+        "    print(json.dumps({\n"
+        "        'loaded': [n for n in ('hashlib', 'numpy.random', '_hashlib') if sys.modules.get(n)],\n"
+        "        'libcrypto': open(maps).read().count('libcrypto') if os.path.exists(maps) else None,\n"
+        "    }))\n"
+        "atexit.register(report)\n"
+        f"sys.argv = ['ergolab', 'run', {str(CONFIGS_DIR / (name + '.json'))!r}, '--out', 'out']\n"
+        "runpy.run_module('ergolab.cli', run_name='__main__')\n"
+    )
+    proc = _cli_process(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    # The run drew its samples and hashed its artifacts, all without _hashlib.
+    assert report["loaded"] == ["hashlib", "numpy.random"]
+    # The same digests as this process's hashlib, which uses OpenSSL where
+    # Python was built with it.
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert len(manifest["artifacts"]) == 3
+    for artifact in manifest["artifacts"]:
+        data = (tmp_path / "out" / artifact["name"]).read_bytes()
+        assert artifact["sha256"] == hashlib.sha256(data).hexdigest()
+    if report["libcrypto"] is None:
+        pytest.skip("no /proc/self/maps to read the mapped libraries from")
+    assert report["libcrypto"] == 0
+
+
+def test_in_process_main_leaves_hashlib_binding_as_it_found_it(tmp_path):
+    before = ("_hashlib" in sys.modules, sys.modules.get("_hashlib"))
+    config = CONFIGS_DIR / "cat_map_correlate.json"
+    assert cli.main(["run", str(config), "--out", str(tmp_path), "--no-svg"]) == 0
+    assert ("_hashlib" in sys.modules, sys.modules.get("_hashlib")) == before

@@ -2,7 +2,6 @@
 
 import json
 import tracemalloc
-from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -23,6 +22,8 @@ from ergolab.dyadic import (
 )
 from ergolab.errors import DomainError, InsufficientData, ShapeMismatch
 from ergolab.seeding import ROLE_TERMS, rng_for
+
+from false_alarm import z_for
 
 
 class TestIntervals:
@@ -271,16 +272,6 @@ def _triple_spec(system, multipliers, n_max, first=None, kind="linear"):
         sequence=sequences.SequenceSpec(kind=kind),
         n_max=n_max,
     )
-
-
-# Checks of a Monte Carlo mean against its exact value raise a false alarm
-# at this rate per test, two-sided, split evenly over the test's checks
-# (the normal quantile perfbench's mc_z takes).
-FALSE_ALARM_PER_TEST = 1e-6
-
-
-def _z(checks: int) -> float:
-    return NormalDist().inv_cdf(1.0 - FALSE_ALARM_PER_TEST / (2.0 * checks))
 
 
 # (system, left factor radius, sequence, points, grid N, s values)
@@ -595,7 +586,7 @@ class TestBernoulliOracle:
         spec = _triple_spec(BERNOULLI, (1, 2, 3), 512)
         ns = (64, 128, 256, 512)
         moments = ensemble_moments(averages.product_term_generator(spec, 2024), 1024, ns)
-        z = _z(len(ns))
+        z = z_for(len(ns))
         for n, (e, se) in zip(ns, moments.e_values):
             assert abs(e - n / 64) <= z * se, (n, e, se, z)
 
@@ -673,7 +664,7 @@ class TestMarkovOracle:
         ns = self.NS[:4]
         exact = _exact_e(spec, ns)
         moments = ensemble_moments(averages.product_term_generator(spec, 2024), 1024, ns)
-        z = _z(len(ns))
+        z = z_for(len(ns))
         for n, want, (e, se) in zip(ns, exact, moments.e_values):
             assert abs(e - want) <= z * se, (n, e, se, want, z)
 
