@@ -6,6 +6,12 @@ sequence r_n; S_N = N (A_N - target) is the centered sum.  The rate
 statistic |A_N - target| / rho_{eps,delta}(N) operationalizes the
 quantitative pointwise error scale, and ensembles of independent points
 turn the almost-sure statement into fraction and median trends.
+
+On a shift, every orbit's terms F_n come from one term generator: the
+dyadic E(0, N) ensembles seed its rows with ``ROLE_TERMS``
+(``product_term_generator``), and the average and rate-check points with
+``ROLE_POINT`` (``orbit_series``).  A torus orbit is streamed from its
+point (``ergodic_average_stream``).
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from .sequences import SequenceSpec, generate
 from .systems import (
     SLAB_ITEMS,
     Observable,
-    ShiftPoint,
     ShiftSystem,
     TorusAutomorphism,
     TorusPoint,
@@ -33,7 +38,6 @@ from .systems import (
     evaluate,
     exact_mean,
     required_variant,
-    sample_at,
     sample_rows,
     sample_torus_point,
     sorted_union,
@@ -119,18 +123,34 @@ class AverageSpec:
     @cached_property
     def terms(self) -> np.ndarray:
         """The sequence's first n_max terms, generated once per spec and
-        shared, read-only, by its points."""
+        shared, read-only, by its torus points."""
         terms = generate(self.sequence, self.n_max)
         terms.setflags(write=False)
         return terms
 
     @cached_property
-    def read_positions(self) -> np.ndarray:
-        """Positions a shift orbit reads up to n_max, worked out once per
-        spec and shared, read-only, by its points."""
-        positions = self.positions_read(self.terms)
-        positions.setflags(write=False)
-        return positions
+    def _resolved(self) -> dict:
+        return {}
+
+    def resolve(self, ks) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """(P(ks), columns) for term indices ``ks``: P(ks) =
+        ``positions_read(r_ks)``, the positions a shift orbit reads at
+        those terms, and each factor's ``word_columns`` in P(ks) at
+        m_i r_ks.  Worked out once per distinct ks and kept, read-only, so
+        every later call with equal ks, and every point, shares it."""
+        ks = np.asarray(ks, dtype=np.int64)
+        key = ks.tobytes()
+        if key not in self._resolved:
+            terms = generate(self.sequence, int(ks.max()))[ks - 1]
+            positions = self.positions_read(terms)
+            columns = tuple(
+                word_columns(positions, obs.radius, m * terms)
+                for obs, m in zip(self.observables, self.multipliers)
+            )
+            for array in (positions, *columns):
+                array.setflags(write=False)
+            self._resolved[key] = positions, columns
+        return self._resolved[key]
 
 
 @dataclass(frozen=True)
@@ -154,34 +174,8 @@ def _factor_values_torus(
     return values
 
 
-def ergodic_average_stream(spec: AverageSpec, point) -> AverageSeries:
-    """Stream F_n = prod_i f_i(h^{m_i r_n} x) and emit checkpoint rows.
-
-    Cylinder factors on shifts are evaluated by vectorized table lookups
-    over the whole orbit (``cylinder_products``).  On the torus the
-    point's orbit is walked once over the sorted distinct exponents
-    m_i r_n, and the trig factors are evaluated on all orbit points at
-    once by exact limb arithmetic.
-    """
-    terms = spec.terms
-    positions = np.asarray(spec.multipliers, dtype=np.int64)[:, None] * terms[None, :]
-    if isinstance(spec.system, ShiftSystem):
-        if not isinstance(point, ShiftPoint):
-            raise VariantMismatch("shift averages need a ShiftPoint")
-        m = spec.system.alphabet_size
-        factors = [
-            (word_columns(point.positions, obs.radius, at, point.offset), cylinder_table(obs, m))
-            for obs, at in zip(spec.observables, positions)
-        ]
-        # One block: two separate arrays had glibc trim and re-fault the heap
-        # top on every call (112 minor faults a call at n_max = 8192).
-        values, later = np.empty((2, terms.size))
-        scratch = np.empty(terms.size, dtype=np.intp), np.empty(terms.size, point.symbols.dtype)
-        cylinder_products(point.symbols, factors, m, values, later, scratch)
-    else:
-        if not isinstance(point, TorusPoint):
-            raise VariantMismatch("torus averages need a TorusPoint")
-        values = _factor_values_torus(spec, point, positions)
+def _checkpoint_series(spec: AverageSpec, values: np.ndarray) -> AverageSeries:
+    """Checkpoint rows of the orbit whose terms F_1, F_2, ... are ``values``."""
     target = spec.target()
     sums = np.cumsum(values)
     entries = []
@@ -189,6 +183,21 @@ def ergodic_average_stream(spec: AverageSpec, point) -> AverageSeries:
         a_n = float(sums[n - 1]) / n
         entries.append((int(n), a_n, float(sums[n - 1]) - n * target))
     return AverageSeries(entries=tuple(entries), target=target)
+
+
+def ergodic_average_stream(spec: AverageSpec, point: TorusPoint) -> AverageSeries:
+    """Stream F_n = prod_i f_i(h^{m_i r_n} x) of a torus point and emit
+    checkpoint rows.
+
+    The point's orbit is walked once over the sorted distinct exponents
+    m_i r_n, and the trig factors are evaluated on all orbit points at
+    once by exact limb arithmetic.  A shift orbit's terms come from the
+    term generator instead (``orbit_series``).
+    """
+    if not isinstance(spec.system, TorusAutomorphism) or not isinstance(point, TorusPoint):
+        raise VariantMismatch("streamed averages need a torus and a TorusPoint")
+    positions = np.asarray(spec.multipliers, dtype=np.int64)[:, None] * spec.terms[None, :]
+    return _checkpoint_series(spec, _factor_values_torus(spec, point, positions))
 
 
 def direct_average(spec: AverageSpec, point, n: int) -> float:
@@ -286,24 +295,31 @@ class EnsembleSummary:
         }
 
 
-def sample_spec_point(spec: AverageSpec, seed: int, point_index: int):
-    """Deterministic per-point draw from the spec's invariant measure; a
-    shift point is sampled only at the positions its orbit reads."""
-    rng = rng_for(seed, ROLE_POINT, point_index)
+def orbit_tasks(spec: AverageSpec, seed: int, point_count: int) -> list:
+    """The ``orbit_series`` tasks of an ensemble's points 0..point_count-1.
+    On a shift they share one ``ROLE_POINT`` term generator, so its
+    scratch and the spec's resolution of k = 1..n_max serve every point a
+    process runs."""
+    rows = None
     if isinstance(spec.system, ShiftSystem):
-        positions = spec.read_positions
-        symbols = sample_at(spec.system, positions, 1, rng)[0]
-        return ShiftPoint(positions=positions, symbols=symbols)
-    return sample_torus_point(spec.system, rng)
+        rows = _term_generator(spec, seed, ROLE_POINT)
+    return [(spec, rows, seed, j) for j in range(point_count)]
 
 
-def ensemble_member_statistics(
-    spec: AverageSpec, point, epsilon: float, delta: float
-) -> tuple[tuple[int, ...], tuple[float, ...]]:
-    """Rate-statistic row of one ensemble member's orbit."""
-    series = ergodic_average_stream(spec, point)
-    table = rate_statistic(series, epsilon, delta, series.target)
-    return tuple(n for n, _ in table.rows), table.values()
+def orbit_series(task) -> tuple[AverageSeries, int]:
+    """One ensemble point's checkpoint series and the shift symbols its
+    orbit drew (0 on a torus).  A shift point's terms F_1..F_{n_max} are
+    its row of the ``ROLE_POINT`` term generator: the orbit of the point
+    drawn by ``sample_at(system, P, 1, rng_for(seed, ROLE_POINT, j))`` at
+    the positions P it reads.  A torus point is drawn from the same stream
+    (``sample_torus_point``) and streamed."""
+    spec, rows, seed, index = task
+    if rows is None:
+        point = sample_torus_point(spec.system, rng_for(seed, ROLE_POINT, index))
+        return ergodic_average_stream(spec, point), 0
+    ks = np.arange(1, spec.n_max + 1, dtype=np.int64)
+    (slab,) = rows(index, ks)  # one point: one slab of one row
+    return _checkpoint_series(spec, slab[0]), spec.resolve(ks)[0].size
 
 
 def medians_of_columns(values: np.ndarray) -> np.ndarray:
@@ -316,14 +332,6 @@ def medians_of_columns(values: np.ndarray) -> np.ndarray:
     mid = ordered.shape[0] // 2
     middle = ordered[mid] if ordered.shape[0] % 2 else (ordered[mid - 1] + ordered[mid]) / 2
     return np.where(np.isnan(ordered[-1]), np.nan, middle)
-
-
-def _member(args) -> tuple[tuple[tuple[int, ...], tuple[float, ...]], int]:
-    """One ensemble member's statistic row and the shift symbols its point drew."""
-    spec, epsilon, delta, seed, index = args
-    point = sample_spec_point(spec, seed, index)
-    symbols = point.symbols.size if isinstance(point, ShiftPoint) else 0
-    return ensemble_member_statistics(spec, point, epsilon, delta), symbols
 
 
 def ensemble_rate_experiment(
@@ -341,10 +349,10 @@ def ensemble_rate_experiment(
     map over the members, such as the builtin ``map`` or a parallel one."""
     if point_count < 10:
         raise DomainError("need at least 10 ensemble points")
-    tasks = [(spec, epsilon, delta, seed, j) for j in range(point_count)]
-    results, symbols = zip(*map_members(_member, tasks))
-    stats = np.asarray([values for _, values in results], dtype=np.float64)
-    checkpoints = results[0][0]
+    series, symbols = zip(*map_members(orbit_series, orbit_tasks(spec, seed, point_count)))
+    tables = [rate_statistic(s, epsilon, delta, s.target) for s in series]
+    stats = np.asarray([table.values() for table in tables], dtype=np.float64)
+    checkpoints = tuple(n for n, _ in tables[0].rows)
     keep = [i for i, n in enumerate(checkpoints) if min_checkpoint is None or n >= min_checkpoint]
     if not keep:
         raise DomainError("min_checkpoint filters out every checkpoint")
@@ -371,7 +379,7 @@ def ensemble_rate_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Term generators for the dyadic variance framework
+# Term generators: dyadic ensembles and ensemble points
 # ---------------------------------------------------------------------------
 
 def product_term_generator(spec: AverageSpec, master_seed: int):
@@ -385,13 +393,16 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     the call or their order.  Calls with different ks sample different
     positions, so they do not agree on shared k.  Shift systems with
     cylinder factors only; use centered observables when the framework
-    expects mean-zero terms.
+    expects mean-zero terms.  The average and rate-check points take
+    their rows from the same generator seeded with ``ROLE_POINT``
+    (``orbit_series``): one path makes every shift orbit's terms.
 
     A call seeds the streams of all its points in one pass
     (``seeding.Streams``): each is the stream ``rng_for`` gives, and each
-    is consumed, its row drawn, before the next is taken.  It resolves
-    each factor's word columns in P(ks) once (``word_columns``); every
-    slab reads its words through them.  The call returns an iterator over
+    is consumed, its row drawn, before the next is taken.  P(ks) and each
+    factor's word columns in it (``spec.resolve``) are worked out at the
+    first call with those ks and reused by every later one; every slab
+    reads its words through them.  The call returns an iterator over
     the rows of F in point order, in slabs of max(1, ``SLAB_ITEMS`` //
     len(ks)) rows, each made from start to finish when it is asked for:
     the slab's symbols (``sample_rows``), its factor values and its terms.
@@ -401,10 +412,15 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     products are elementwise, so every entry is the float one full-width
     pass gives.  ``term_bytes`` bounds what a call holds.
     """
+    return _term_generator(spec, master_seed, ROLE_TERMS)
+
+
+def _term_generator(spec: AverageSpec, master_seed: int, role: int):
+    """``product_term_generator`` with row j seeded by ``rng_for(master_seed,
+    role, j)``."""
     if not isinstance(spec.system, ShiftSystem):
         raise DomainError("term generators are implemented for shift systems")
     system = spec.system
-    multipliers = np.asarray(spec.multipliers, dtype=np.int64)
     tables = [cylinder_table(obs, system.alphabet_size) for obs in spec.observables]
 
     scratch = []  # flat term, value, code and symbol buffers, kept across calls
@@ -424,16 +440,11 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
             )
 
     def generator(point_indices: np.ndarray, ks: np.ndarray):
-        ks = np.asarray(ks, dtype=np.int64)
         points = np.ravel(point_indices)
-        terms = generate(spec.sequence, int(ks.max()))[ks - 1]
-        positions = spec.positions_read(terms)
-        factors = [
-            (word_columns(positions, obs.radius, mult * terms), table)
-            for obs, mult, table in zip(spec.observables, multipliers, tables)
-        ]
-        step = max(1, min(points.size, SLAB_ITEMS // ks.size))
-        return slabs(positions, factors, Streams(master_seed, (ROLE_TERMS,), points), step)
+        positions, columns = spec.resolve(ks)
+        step = max(1, min(points.size, SLAB_ITEMS // np.size(ks)))
+        streams = Streams(master_seed, (role,), points)
+        return slabs(positions, list(zip(columns, tables)), streams, step)
 
     return generator
 
@@ -454,7 +465,9 @@ def term_bytes(spec: AverageSpec, width: int, positions: int | None = None) -> t
     with their generation scratch (64 bytes a column covers the prime
     sieve and polynomial terms), the positions with their sort and gap
     scratch, the factor tables and the slab scratch, which
-    ``64 * SLAB_ITEMS`` bounds.
+    ``64 * SLAB_ITEMS`` bounds.  The positions and word columns of the
+    call's ks (``AverageSpec.resolve``) stay with the spec for later
+    calls with the same ks, on both roles of the generator.
     Not counted: the P^g that a non-i.i.d. chain caches per distinct gap
     (``transition_power``).
     """

@@ -13,8 +13,8 @@ package) at once but execute only at their first attribute access, so a
 process runs only the modules its experiment calls.  ``hashlib`` is
 imported by the manifest's hashing only, and ``fractions`` (with
 ``decimal``) by the first "p/q" string only.  A bad command-line argument
-exits 2 with one line that names it; a reader that closes stdout ends
-only the output, and the command keeps its own exit code.
+exits 2 with one line that names it; a reader that closes stdout or
+stderr ends only that output, and the command keeps its own exit code.
 
 The ``ergolab`` script and ``python -m ergolab.cli`` run through
 ``console_main``, which keeps OpenSSL out of the process (``hashlib``,
@@ -716,7 +716,7 @@ def parse_averages(cfg: dict):
         )
     if isinstance(system, systems.ShiftSystem):
         # A point holds each read position (8 bytes) and its symbol.
-        symbols = build_at("params", lambda: spec.read_positions.size)
+        symbols = build_at("params", lambda: spec.resolve(np.arange(1, n_max + 1))[0].size)
         derived = {
             "symbols_per_point": symbols,
             "estimated_memory_bytes": points * (9 * symbols + 16 * n_max),
@@ -735,18 +735,11 @@ def parse_averages(cfg: dict):
     return derived, functools.partial(run_ratecheck, *stats, min_checkpoint)
 
 
-def _task_series(args):
-    spec, seed, index = args
-    point = averages.sample_spec_point(spec, seed, index)
-    symbols = point.symbols.size if isinstance(point, systems.ShiftPoint) else 0
-    return averages.ergodic_average_stream(spec, point), symbols
-
-
 def run_average(
     spec, epsilon: float, delta: float, points: int, seed: int, ctx: RunContext
 ) -> dict:
-    tasks = [(spec, seed, i) for i in range(points)]
-    series_list, symbols = zip(*pmap(_task_series, tasks, ctx.workers))
+    tasks = averages.orbit_tasks(spec, seed, points)
+    series_list, symbols = zip(*pmap(averages.orbit_series, tasks, ctx.workers))
     ctx.count("symbols_sampled", sum(symbols))
     header = ["seed", "N", "A_N", "S_N", "rate_statistic"]
     rows = []
@@ -873,7 +866,8 @@ def run_dyadic(
     # One term matrix per fixed point batch feeds every E(0, N) and every
     # L_s profile; fixed batches keep the merge the same for any workers.
     # One generator serves every batch of a share, so its slab scratch is
-    # allocated once per worker, not once per batch.
+    # allocated once per worker, not once per batch; the batches share ks,
+    # which the spec resolves once.
     generator = averages.product_term_generator(spec, seed)
     batches = dyadic.point_batches(points, row_bytes)
     tasks = [(generator, lo, hi, n_grid, s_values) for lo, hi in batches]
@@ -882,7 +876,7 @@ def run_dyadic(
     ctx.count("term_entries", sum(b.points * b.columns for b in blocks))
     # The largest batch, and its bytes at the positions the batches read.
     columns = blocks[0].columns
-    read = spec.positions_read(sequences.generate(spec.sequence, columns)).size
+    read = spec.resolve(np.arange(1, columns + 1))[0].size
     row_read, call_read = averages.term_bytes(spec, columns, read)
     batch = max(b.points for b in blocks)
     ctx.count("batch_points", batch)
@@ -1133,13 +1127,13 @@ def run(config_path: Path, out_dir: Path | None, workers: int, emit_svg: bool) -
     cfg, step, report = load_config(config_path)
     if step is None:
         for message in report["errors"]:
-            print(f"config error: {message}", file=sys.stderr)
+            _write(sys.stderr, f"config error: {message}\n")
         return EXIT_CONFIG
     out = out_dir or Path(f"{config_path.stem}_out")
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"argument --out: cannot make directory {out}: {exc.strerror}", file=sys.stderr)
+        _write(sys.stderr, f"argument --out: cannot make directory {out}: {exc.strerror}\n")
         return EXIT_CONFIG
     ctx = RunContext(out, workers, emit_svg)
     started = time.monotonic()
@@ -1152,8 +1146,9 @@ def run(config_path: Path, out_dir: Path | None, workers: int, emit_svg: bool) -
             error = {"code": exc.code, "message": str(exc)}
         else:
             error = {"code": "runtime", "message": repr(exc)}
-        # pmap tags a failed task's error with its index: the query, orbit
-        # or point batch that failed.
+        # pmap tags a failed task's error with its index: the query, the
+        # average or ratecheck point (orbit_series) or the dyadic point
+        # batch that failed.
         if hasattr(exc, "task"):
             error["task"] = exc.task
         status = {"ok": False, "error": error}
@@ -1186,7 +1181,7 @@ def run(config_path: Path, out_dir: Path | None, workers: int, emit_svg: bool) -
         manifest["resources"]["self"]["startup_cpu_seconds"] = startup_cpu
     write_json(out / "manifest.json", manifest)
     if not status["ok"]:
-        print(f"runtime error: {status['error']}", file=sys.stderr)
+        _write(sys.stderr, f"runtime error: {status['error']}\n")
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -1212,23 +1207,24 @@ def _resources() -> dict:
     }
 
 
-def _write_stdout(text: str) -> None:
-    """Write ``text`` to stdout and flush it. Once the reader has closed
-    the pipe, stdout is pointed at the null device, as the ``signal``
-    module's note on SIGPIPE advises: the rest of the output is dropped,
-    and neither a later write nor the final flush fails."""
+def _write(stream, text: str) -> None:
+    """Write ``text`` to ``stream``, stdout or stderr, and flush it. Once
+    the reader has closed the pipe, the stream is pointed at the null
+    device, as the ``signal`` module's note on SIGPIPE advises: the rest of
+    its output is dropped, and neither a later write nor the final flush
+    fails, so the exit code stays the command's."""
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        stream.write(text)
+        stream.flush()
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
 def validate_command(config_path: Path) -> int:
     _cfg, _step, report = load_config(config_path)
-    _write_stdout(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _write(sys.stdout, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if report["ok"] else EXIT_CONFIG
 
 
@@ -1239,7 +1235,7 @@ def decompose_command(n: int, s: int | None) -> int:
         f"  level {block.level:2d}  [{block.lo}..{block.hi}]  length {len(block)}"
         for block in blocks
     ]
-    _write_stdout("".join(line + "\n" for line in lines))
+    _write(sys.stdout, "".join(line + "\n" for line in lines))
     return EXIT_OK
 
 
@@ -1315,9 +1311,9 @@ def console_main() -> None:
     and the run's arrays), so once the ``atexit`` handlers have run and
     stdout and stderr are flushed, in the order teardown takes them,
     ``os._exit`` ends the process, as it ends ``pmap`` children. A closed
-    stdout ends only the output (``_write_stdout``): the exit code is the
-    command's own, and nothing is printed to stderr; argparse's exits
-    (``--help``, a bad argument) take the same path. The exit is the
+    stdout or stderr ends only that output (``_write``): the exit code is
+    the command's own, and nothing is printed to stderr for a closed
+    stdout; argparse's exits (``--help``, a bad argument) take the same path. The exit is the
     normal one when a tracer or profiler is installed, when flushing
     stderr fails and when ``main`` raises any other exception."""
     sys.modules.setdefault("_hashlib", None)  # a None entry makes its import fail
@@ -1328,7 +1324,7 @@ def console_main() -> None:
     if not _observed():
         atexit._run_exitfuncs()  # and clears them: a normal exit runs none twice
         try:
-            _write_stdout("")
+            _write(sys.stdout, "")
             sys.stderr.flush()
         except (AttributeError, OSError, ValueError):
             pass

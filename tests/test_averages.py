@@ -9,7 +9,7 @@ import pytest
 from ergolab import averages, correlations as co, sequences, systems
 from ergolab.averages import AverageSpec, ergodic_average_stream, rate_statistic, rho
 from ergolab.errors import DomainError, VariantMismatch, WindowExhausted
-from ergolab.seeding import ROLE_TERMS, rng_for
+from ergolab.seeding import ROLE_POINT, ROLE_TERMS, rng_for
 from ergolab.sequences import SequenceSpec
 
 MARKOV = [[0.9, 0.1], [0.5, 0.5]]
@@ -44,6 +44,23 @@ def _rows_of(slabs):
     """The rows of an iterator of row slabs, each copied as it comes: term
     generator calls and ``sample_rows`` reuse their slab arrays."""
     return np.concatenate([slab.copy() for slab in slabs])
+
+
+def _orbit(spec, seed, index):
+    """Point ``index``'s checkpoint series on the ensemble path, as
+    ``average`` and ``ratecheck`` stream it."""
+    return averages.orbit_series(averages.orbit_tasks(spec, seed, index + 1)[index])[0]
+
+
+def _point(spec, seed, index):
+    """The point ``orbit_series`` streams for ``index``: on a shift, one
+    sequence drawn from its ``ROLE_POINT`` stream at the positions the
+    orbit reads up to n_max."""
+    rng = rng_for(seed, ROLE_POINT, index)
+    if isinstance(spec.system, systems.TorusAutomorphism):
+        return systems.sample_torus_point(spec.system, rng)
+    positions = spec.resolve(np.arange(1, spec.n_max + 1))[0]
+    return systems.ShiftPoint(positions, systems.sample_at(spec.system, positions, 1, rng)[0])
 
 
 def _torus_values(spec, point):
@@ -130,7 +147,7 @@ class TestSpecValidation:
         )
         want = {n * n + j for n in range(1, 1025) for j in range(-3, 4)}
         want |= {-2 * n * n for n in range(1, 1025)}
-        assert spec.read_positions.tolist() == sorted(want)
+        assert spec.resolve(np.arange(1, 1025))[0].tolist() == sorted(want)
 
     def test_read_positions_fit_int64(self, bernoulli):
         spec = AverageSpec(
@@ -141,15 +158,14 @@ class TestSpecValidation:
             n_max=2,
         )
         with pytest.raises(DomainError):
-            spec.read_positions
+            spec.resolve([1, 2])
 
 
 class TestStream:
     def test_constant_factor(self, markov):
         obs = systems.cylinder_observable(0, {(0,): 2.0, (1,): 2.0})
         spec = make_spec(markov, [obs], (1,), 64)
-        point = averages.sample_spec_point(spec, 0, 0)
-        series = ergodic_average_stream(spec, point)
+        series = _orbit(spec, 0, 0)
         for n, a_n, s_n in series.entries:
             assert a_n == pytest.approx(2.0)
             assert s_n == pytest.approx(0.0, abs=1e-12)
@@ -176,15 +192,39 @@ class TestStream:
             sequence=SequenceSpec(kind="primes"),
             n_max=1 << 10,
         )
-        point = averages.sample_spec_point(spec, 3, 0)
-        series = ergodic_average_stream(spec, point)
-        direct = averages.direct_average(spec, point, 1 << 10)
+        series = _orbit(spec, 3, 0)
+        direct = averages.direct_average(spec, _point(spec, 3, 0), 1 << 10)
         assert series.entries[-1][1] == pytest.approx(direct, rel=1e-12)
+
+    @pytest.mark.parametrize("multipliers", [(1, 2), (1, -2)])
+    @pytest.mark.parametrize("radius", [0, 1])
+    @pytest.mark.parametrize("system", ["bernoulli", "markov"])
+    def test_point_rows_match_direct(self, request, system, radius, multipliers):
+        # Each ensemble point's row, summed, is the oracle's average of the
+        # point drawn from its ROLE_POINT stream, bit for bit at every
+        # checkpoint; non-dyadic values make the products inexact.
+        chain = request.getfixturevalue(system)
+        word = (1, 0, 1)[: 2 * radius + 1]
+        f = systems.cylinder_observable(radius, {word: 0.37}, default=-1.3)
+        g = systems.centered_cylinder_indicator(chain, [0])
+        spec = AverageSpec(
+            system=chain,
+            observables=(f, g),
+            multipliers=multipliers,
+            sequence=SequenceSpec(kind="primes"),
+            n_max=256,
+        )
+        for task in averages.orbit_tasks(spec, 41, 2):
+            series, symbols = averages.orbit_series(task)
+            point = _point(spec, 41, task[3])
+            assert symbols == point.positions.size
+            for n, a_n, _ in series.entries:
+                assert a_n == averages.direct_average(spec, point, n)
 
     def test_torus_stream_matches_direct(self, cat):
         f = systems.trig_observable([((1, 0), 1.0, 0.5), ((0, 1), -0.25, 0.0)])
         spec = make_spec(cat, [f], (1,), 128)
-        point = averages.sample_spec_point(spec, 4, 0)
+        point = _point(spec, 4, 0)
         series = ergodic_average_stream(spec, point)
         assert series.entries[-1][1] == pytest.approx(
             averages.direct_average(spec, point, 128), rel=1e-12
@@ -193,16 +233,14 @@ class TestStream:
     def test_centered_identity(self, markov):
         f = systems.cylinder_indicator([0])
         spec = make_spec(markov, [f], (1,), 512)
-        point = averages.sample_spec_point(spec, 7, 0)
-        series = ergodic_average_stream(spec, point)
+        series = _orbit(spec, 7, 0)
         for n, a_n, s_n in series.entries:
             assert s_n == pytest.approx(n * (a_n - series.target), rel=1e-12, abs=1e-12)
 
     def test_checkpoints_strictly_increase(self, markov):
         f = systems.cylinder_indicator([0])
         spec = make_spec(markov, [f], (1,), 100)
-        point = averages.sample_spec_point(spec, 1, 0)
-        ns = [n for n, _, _ in ergodic_average_stream(spec, point).entries]
+        ns = [n for n, _, _ in _orbit(spec, 1, 0).entries]
         assert all(b > a for a, b in zip(ns, ns[1:]))
 
     def test_multiplier_permutation(self, bernoulli):
@@ -210,10 +248,8 @@ class TestStream:
         g = systems.centered_cylinder_indicator(bernoulli, [0])
         spec_a = make_spec(bernoulli, [f, g], (1, 3), 128)
         spec_b = make_spec(bernoulli, [g, f], (3, 1), 128)
-        point = averages.sample_spec_point(spec_a, 9, 0)
-        series_a = ergodic_average_stream(spec_a, point)
-        series_b = ergodic_average_stream(spec_b, point)
-        assert series_a.entries == series_b.entries
+        # Both read the same positions, so their points are one sequence.
+        assert _orbit(spec_a, 9, 0).entries == _orbit(spec_b, 9, 0).entries
 
     def test_window_exhausted(self, markov):
         f = systems.cylinder_indicator([0])
@@ -222,6 +258,10 @@ class TestStream:
         symbols = systems.sample_at(markov, positions, 1, np.random.default_rng(0))[0]
         point = systems.ShiftPoint(positions=positions, symbols=symbols)
         with pytest.raises(WindowExhausted):
+            averages.direct_average(spec, point, 64)
+        # A shift orbit is not streamed from a point: its terms are a row
+        # of the term generator.
+        with pytest.raises(VariantMismatch):
             ergodic_average_stream(spec, point)
 
     def test_polynomial_stream_needs_no_cap(self, cat):
@@ -235,7 +275,7 @@ class TestStream:
             sequence=SequenceSpec(kind="polynomial", coefficients=(1, 0, 1)),
             n_max=400,
         )
-        point = averages.sample_spec_point(spec, 0, 0)
+        point = _point(spec, 0, 0)
         assert _torus_values(spec, point).tolist() == _reference_torus_values(spec, point)
         series = ergodic_average_stream(spec, point)
         assert series.entries[-1][1] == pytest.approx(
@@ -266,7 +306,7 @@ class TestStream:
             sequence=SequenceSpec(kind=kind, coefficients=coefficients),
             n_max=150,
         )
-        point = averages.sample_spec_point(spec, bits, 1)
+        point = _point(spec, bits, 1)
         assert _torus_values(spec, point).tolist() == _reference_torus_values(spec, point)
 
     def test_markov_birkhoff_concentration(self, markov):
@@ -275,8 +315,7 @@ class TestStream:
         spec = make_spec(markov, [f], (1,), 1 << 14)
         hits = 0
         for seed in range(100):
-            point = averages.sample_spec_point(spec, seed, seed)
-            series = ergodic_average_stream(spec, point)
+            series = _orbit(spec, seed, seed)
             if abs(series.entries[-1][1] - 5 / 6) < 0.01:
                 hits += 1
         assert hits >= 95
@@ -293,8 +332,7 @@ class TestRateStatistic:
     def test_constant_observable_zero(self, markov):
         obs = systems.cylinder_observable(0, {(0,): 1.0, (1,): 1.0})
         spec = make_spec(markov, [obs], (1,), 256)
-        point = averages.sample_spec_point(spec, 0, 0)
-        series = ergodic_average_stream(spec, point)
+        series = _orbit(spec, 0, 0)
         table = rate_statistic(series, 1.0, 2.0, series.target)
         assert all(v == 0.0 for v in table.values())
 
@@ -303,8 +341,7 @@ class TestRateStatistic:
         spec = make_spec(bernoulli, [f], (1,), 1 << 14)
         negative = 0
         for seed in range(15):
-            point = averages.sample_spec_point(spec, seed, seed)
-            series = ergodic_average_stream(spec, point)
+            series = _orbit(spec, seed, seed)
             table = rate_statistic(series, 1.0, 2.0, series.target)
             if log_log_slope(table) < 0:
                 negative += 1
@@ -322,8 +359,7 @@ class TestRateStatistic:
             n_max=1 << 15,
             checkpoints=tuple(1 << j for j in range(8, 16)),
         )
-        point = averages.sample_spec_point(spec, 2, 0)
-        series = ergodic_average_stream(spec, point)
+        series = _orbit(spec, 2, 0)
         table = rate_statistic(series, 1.0, 2.0, series.target + 0.1)
         assert log_log_slope(table) > 0
 
@@ -430,15 +466,36 @@ class TestTermGenerator:
         first = _rows_of(generator(np.array([0, 1]), ks))
         again = _rows_of(generator(np.array([0, 1]), ks))
         assert np.array_equal(first, again)
-        # Row j is the streamed orbit of the point sampled from row j's stream
-        # at the positions the spec reads up to n_max = 64.
+        # Row j is the orbit of the point sampled from row j's stream at the
+        # positions the spec reads up to n_max = 64, term by term.
+        positions = spec.resolve(ks)[0]
         for j, row in enumerate(first):
-            positions = spec.read_positions
             symbols = systems.sample_at(system, positions, 1, rng_for(33, ROLE_TERMS, j))[0]
-            series = ergodic_average_stream(spec, systems.ShiftPoint(positions, symbols))
+            point = systems.ShiftPoint(positions, symbols)
             sums = np.cumsum(row)
-            for n, a_n, _ in series.entries:
-                assert a_n == float(sums[n - 1]) / n
+            for n in spec.checkpoint_schedule():
+                assert float(sums[n - 1]) / n == averages.direct_average(spec, point, n)
+
+    def test_equal_ks_resolve_once(self, bernoulli, monkeypatch):
+        # Calls with equal ks share the spec's positions and word columns;
+        # other ks resolve their own.
+        calls = []
+        original = AverageSpec.positions_read
+
+        def counting(spec, terms):
+            calls.append(terms.size)
+            return original(spec, terms)
+
+        monkeypatch.setattr(AverageSpec, "positions_read", counting)
+        f = systems.centered_cylinder_indicator(bernoulli, [1])
+        spec = make_spec(bernoulli, [f, f], (1, 2), 64)
+        generator = averages.product_term_generator(spec, master_seed=5)
+        ks = np.arange(1, 65, dtype=np.int64)
+        first = _rows_of(generator(np.arange(3), ks))
+        again = _rows_of(generator(np.arange(3), ks.copy()))
+        assert calls == [64] and np.array_equal(first, again)
+        _rows_of(generator(np.arange(3), ks[:32]))
+        assert calls == [64, 32]
 
     def test_calls_share_slab_scratch(self, bernoulli):
         # A generator keeps its slab arrays across calls, so the point

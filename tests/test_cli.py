@@ -31,6 +31,8 @@ BERNOULLI_SYSTEM = {
     "transition": [["1/2", "1/2"], ["1/2", "1/2"]],
 }
 
+MARKOV_TRANSITION = [["9/10", "1/10"], ["1/2", "1/2"]]
+
 INDICATOR_0 = {"variant": "cylinder", "radius": 0, "table": [{"word": [0], "value": 1.0}]}
 INDICATOR_1 = {"variant": "cylinder", "radius": 0, "table": [{"word": [1], "value": 1.0}]}
 TRIG_OBS = {"variant": "trig", "terms": [{"freq": [1, 0], "cos": 1.0}]}
@@ -942,34 +944,37 @@ class TestRun:
 
     @pytest.mark.parametrize("experiment", ["average", "ratecheck"])
     def test_stream_planner_counts_read_positions(self, tmp_path, experiment):
-        cfg = {
-            "schema_version": 1,
-            "experiment": experiment,
-            "seed": 2,
-            "system": BERNOULLI_SYSTEM,
-            "observables": [
-                {"variant": "cylinder", "radius": 1, "table": [], "default": 1.0},
-                INDICATOR_0,
-            ],
-            "params": {
-                "multipliers": [1, -2],
-                "sequence": {"kind": "primes"},
-                "n_max": 96,
-                "point_count": 10,
-            },
-        }
-        _, report = cli.validate_config(cfg)
-        assert report["ok"]
-        per_point = report["derived"]["symbols_per_point"]
-        path = write_config(tmp_path, cfg)
-        for name, workers in (("a", 1), ("b", 2)):
-            out = tmp_path / name
-            assert cli.run(path, out, workers=workers, emit_svg=False) == 0
-            manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["steps"]["symbols_sampled"] == 10 * per_point
-        assert (tmp_path / "a" / "summary.json").read_bytes() == (
-            tmp_path / "b" / "summary.json"
-        ).read_bytes()
+        # The i.i.d. chain draws a point's row as its stream is taken, any
+        # other chain from one block of uniforms: both count the same.
+        for transition in (BERNOULLI_SYSTEM["transition"], MARKOV_TRANSITION):
+            cfg = {
+                "schema_version": 1,
+                "experiment": experiment,
+                "seed": 2,
+                "system": dict(BERNOULLI_SYSTEM, transition=transition),
+                "observables": [
+                    {"variant": "cylinder", "radius": 1, "table": [], "default": 1.0},
+                    INDICATOR_0,
+                ],
+                "params": {
+                    "multipliers": [1, -2],
+                    "sequence": {"kind": "primes"},
+                    "n_max": 96,
+                    "point_count": 10,
+                },
+            }
+            _, report = cli.validate_config(cfg)
+            assert report["ok"]
+            per_point = report["derived"]["symbols_per_point"]
+            path = write_config(tmp_path, cfg)
+            for name, workers in (("a", 1), ("b", 2)):
+                out = tmp_path / name
+                assert cli.run(path, out, workers=workers, emit_svg=False) == 0
+                manifest = json.loads((out / "manifest.json").read_text())
+                assert manifest["steps"]["symbols_sampled"] == 10 * per_point
+            assert (tmp_path / "a" / "summary.json").read_bytes() == (
+                tmp_path / "b" / "summary.json"
+            ).read_bytes()
 
     def test_counting_run(self, tmp_path):
         cfg = {
@@ -1140,14 +1145,14 @@ class TestPmap:
         assert cli.run(path, tmp_path / "ok", workers=1, emit_svg=False) == 0
         ok = json.loads((tmp_path / "ok" / "summary.json").read_text())
         assert ok["status"] == {"ok": True, "error": None}
-        member = averages._member
+        member = averages.orbit_series
 
         def fail_at_orbit_3(args):
-            if args[4] == 3:
+            if args[3] == 3:
                 raise DomainError("orbit 3 failed")
             return member(args)
 
-        monkeypatch.setattr(averages, "_member", fail_at_orbit_3)
+        monkeypatch.setattr(averages, "orbit_series", fail_at_orbit_3)
         summaries = []
         for workers in (1, 2, 3):
             out = tmp_path / f"w{workers}"
@@ -1313,9 +1318,7 @@ def _plain_level_sums(calls):
     return squared_levels
 
 
-@pytest.mark.parametrize(
-    "transition", [None, [["9/10", "1/10"], ["1/2", "1/2"]]], ids=["bernoulli", "markov"]
-)
+@pytest.mark.parametrize("transition", [None, MARKOV_TRANSITION], ids=["bernoulli", "markov"])
 def test_dyadic_artifacts_match_per_point_streams_and_plain_level_sums(
     tmp_path, monkeypatch, transition
 ):
@@ -1575,9 +1578,9 @@ def test_run_executes_only_the_modules_its_experiment_needs(tmp_path, name):
 # The process exit: console_main ends without interpreter teardown
 # ---------------------------------------------------------------------------
 
-def _cli_process(args, cwd, stdout=subprocess.PIPE, unbuffered=False):
-    """``python args`` in ``cwd``, its stderr and (unless ``stdout`` says
-    otherwise) its stdout piped to the test. Output is block buffered
+def _cli_process(args, cwd, stdout=subprocess.PIPE, unbuffered=False, stderr=subprocess.PIPE):
+    """``python args`` in ``cwd``, its stderr and stdout piped to the test
+    unless ``stderr`` or ``stdout`` say otherwise. Output is block buffered
     unless ``unbuffered``, so that output the process does not flush is lost."""
     env = dict(os.environ, PYTHONPATH=str(Path(ergolab.__file__).resolve().parent.parent))
     env.pop("PYTHONUNBUFFERED", None)
@@ -1585,7 +1588,7 @@ def _cli_process(args, cwd, stdout=subprocess.PIPE, unbuffered=False):
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run(
         [sys.executable, *args],
-        env=env, cwd=cwd, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+        env=env, cwd=cwd, stdout=stdout, stderr=stderr, text=True, timeout=120,
     )
 
 
@@ -1688,6 +1691,28 @@ def test_closed_stdout_keeps_the_exit_code_and_a_quiet_stderr(tmp_path, unbuffer
     assert (proc.returncode, proc.stderr) == (code, "")
 
 
+@pytest.mark.parametrize("error, code", [("config", 2), ("out", 2), ("runtime", 3)])
+def test_closed_stderr_keeps_the_exit_code(tmp_path, error, code):
+    # Each error line goes to a stderr whose reader is gone: a config
+    # without an experiment, an --out under a file, and a run that fails.
+    (tmp_path / "file").write_text("")
+    overflow = torus_config("correlate", {"queries": [{"times": [0, 1000]}], "method": "exact"})
+    no_experiment = {k: v for k, v in minimal_correlate().items() if k != "experiment"}
+    config, out = {
+        "config": (write_config(tmp_path, no_experiment, "config.json"), "out"),
+        "out": (CONFIGS_DIR / "markov_correlate.json", "file/out"),
+        "runtime": (write_config(tmp_path, overflow, "overflow.json"), "out"),
+    }[error]
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        args = ["-m", "ergolab.cli", "run", str(config), "--out", out, "--no-svg"]
+        proc = _cli_process(args, tmp_path, stderr=write_fd)
+    finally:
+        os.close(write_fd)
+    assert (proc.returncode, proc.stdout) == (code, "")
+
+
 @pytest.mark.parametrize("name", ["markov_correlate", "cat_map_correlate"])
 def test_console_process_draws_and_hashes_without_openssl(tmp_path, name):
     # An atexit handler reports what the process holds once main() is done.
@@ -1725,3 +1750,66 @@ def test_in_process_main_leaves_hashlib_binding_as_it_found_it(tmp_path):
     config = CONFIGS_DIR / "cat_map_correlate.json"
     assert cli.main(["run", str(config), "--out", str(tmp_path), "--no-svg"]) == 0
     assert ("_hashlib" in sys.modules, sys.modules.get("_hashlib")) == before
+
+
+# ---------------------------------------------------------------------------
+# Shipped configs: the SHA-256 of every artifact, pinned
+# ---------------------------------------------------------------------------
+
+# Recorded at --workers 1 with numpy 2.4.6. Another numpy may draw other
+# streams or format floats otherwise; the table is then recorded again there.
+PINNED_NUMPY = "2.4.6"
+SHIPPED_ARTIFACTS = {
+    "bernoulli_dyadic.json": {
+        "dyadic_e.csv": "8798dcdefd232580ba90c843cd0d6678868da721bd88c00d7d9a9f526370959c",
+        "sigma_fit.json": "dece5418cdee3ebf69b04e3179a8eec761be88e916727276a114ea87dda521bb",
+        "dyadic_variance_profile.csv": "75144d1043b1c8845fdb1ae667c723314773da666afa73f13b0c8afd4b116ec6",
+        "dyadic_exceptional.csv": "eccd3b6fb0ac973834a70581ad647dc9db46d4ac024ad47ff00ab65344f38d52",
+        "dyadic_e.svg": "1c0537846e3925422cf4d1f0cb5eca8dafe9aa39557fd3120ec443a9a57b274c",
+        "summary.json": "0210b5fc4c37d863fef1eb852da654e37b3bba49bb3b3b27c11d87760e10f99d",
+    },
+    "bernoulli_ratecheck.json": {
+        "ratecheck.csv": "756667ddac51e56013aedcecc32a37a9ce6886865707984b5726199d4edba72d",
+        "ratecheck_summary.json": "8a2f680b1dbdd7469de894caf0c3cf88052235ab3c3a35f6fafeb6b11f3dbee1",
+        "ratecheck.svg": "0e5f0b73c318c6a6d09262a18af5ca99970cba653dacb704ac961e1272ec2db6",
+        "summary.json": "2d6a09a26889b8e8b7d8855a15e928cda44bdd4b1545ee67816c715c4010a736",
+    },
+    "cat_map_correlate.json": {
+        "correlations.csv": "f0ed10e619824ad77193798dbe67a5c19fa03fc2c651c30b5b2687968a8346dc",
+        "correlations.svg": "5e330da2212753a58662e314799484531f80083b189ca28cbb219015c1ea8110",
+        "summary.json": "dc2a9da75cd03cccf49f60c9d31686721de81d3f735ade5d3c083ced7a5b58ab",
+    },
+    "markov_correlate.json": {
+        "correlations.csv": "a152c5b76f58982712efee0f71ff8ad48836fe93a23967164ab2183fadcf98bf",
+        "correlations.svg": "486285fedd28968b37d01f6798a921b13b8b01af17f0785b27731a573507d47c",
+        "summary.json": "60456dd6d288a89dff3b53ec9b66f4dd88e7040142f01eb3d9ce12870c6c3d97",
+    },
+    "markov_cumulants.json": {
+        "cumulants.csv": "062de99a1ca41933d6c843d16dbd0f852a45daa7867f6ba3fdc38005d6b34bca",
+        "cumulant_fit.json": "004af6db2a5423fcdad104a7d7465f302159f47ba0702c0b440ece7acd034926",
+        "cumulants.svg": "9499926c294dc859383366785211511028d717a3cf989670d39f8fade7035d1a",
+        "summary.json": "9d5844fe9d3d90b1c21befe390055bf05997483a91c1b172d6932b767634bda2",
+    },
+    "matrix_growth.json": {
+        "growth_curves.csv": "f5e0dc2af2d5d2339d163ae7f8fcb7232db719d3b13e68f30d899bd7654f53dc",
+        "growth_curves.svg": "1e67eccb314b9c32987a578515dbdd5c5ffbc52f4ffe345589c60e86a11e16f8",
+        "pair_counting.csv": "a275923d714dccab946569b463b2bc76b9f56bfd2cd499d56ebba4ab6dd7a338",
+        "summary.json": "c040753a6a2fe2068a3e41cbf55dbd4ff8f60b5180c6173c41fbbf2c1b2b146b",
+    },
+    "prime_counting.json": {
+        "counting.csv": "66f8b3304cc9e697a134ef20df752ff636a7ec6be7b8871c7a17e55000bc3746",
+        "summary.json": "1d8ceb3d549ebe1ad526f7a02525799d726c7d83ae38b28a5a0b6a8123451e7b",
+    },
+}
+
+
+def test_shipped_configs_keep_their_artifacts(tmp_path):
+    # Data artifacts, charts and summaries of every shipped config stay
+    # byte-identical across refactors that leave their random streams alone.
+    got = {}
+    for config in sorted(CONFIGS_DIR.glob("*.json")):
+        out = tmp_path / config.stem
+        assert cli.main(["run", str(config), "--out", str(out), "--workers", "1"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        got[config.name] = {a["name"]: a["sha256"] for a in manifest["artifacts"]}
+    assert got == SHIPPED_ARTIFACTS, f"pinned on numpy {PINNED_NUMPY}, run on {np.__version__}"

@@ -14,7 +14,9 @@ ROLES = ("claim", "oracle", "fixture")
 # is the reference for, or a fixture constructor.
 TEST_ONLY = {
     "averages.py: direct_average": (
-        "oracle", "brute-force A_N by evaluate per term, for ergodic_average_stream"
+        "oracle",
+        "brute-force A_N by evaluate per term, for the term generator's rows (orbit_series, "
+        "product_term_generator) and the torus ergodic_average_stream",
     ),
     "correlations.py: min_gap_decay_check": (
         "claim", "pair correlations decay exponentially in the gap: criterion 2"

@@ -536,8 +536,8 @@ class TestStreamedBatch:
         generator = averages.product_term_generator(spec, master_seed=17)
         got = dyadic.batch_moments(generator, 0, points, ns, s_values)
         rows = np.ones((points, spec.n_max))
+        positions = spec.resolve(np.arange(1, spec.n_max + 1))[0]
         for j in range(points):
-            positions = spec.read_positions
             symbols = systems.sample_at(system, positions, 1, rng_for(17, ROLE_TERMS, j))[0]
             point = systems.ShiftPoint(positions, symbols)
             for obs, m in zip(spec.observables, spec.multipliers):

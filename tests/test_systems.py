@@ -461,10 +461,10 @@ def _reference_windows(system, radius, count, seed):
     return _reference_at(system, range(-radius, radius + 1), count, seed)
 
 
-def _reference_terms(spec, master_seed, point_indices, ks):
+def _reference_terms(spec, master_seed, point_indices, ks, role=ROLE_TERMS):
     """Row j: the factor products on one sequence drawn by ``_reference_at``
-    from ``rng_for(master_seed, ROLE_TERMS, j)`` at every position the
-    factors read for these ks."""
+    from ``rng_for(master_seed, role, j)`` at every position the factors
+    read for these ks."""
     terms = generate(spec.sequence, int(max(ks)))
     values = [int(terms[k - 1]) for k in ks]
     factors = [
@@ -475,7 +475,7 @@ def _reference_terms(spec, master_seed, point_indices, ks):
     column = {p: c for c, p in enumerate(positions)}
     out = np.empty((len(point_indices), len(ks)))
     for row, j in enumerate(point_indices):
-        rng = rng_for(master_seed, ROLE_TERMS, int(j))
+        rng = rng_for(master_seed, role, int(j))
         path = _reference_at(spec.system, positions, 1, rng)[0]
         for col, r in enumerate(values):
             value = 1.0
@@ -554,7 +554,8 @@ class TestPathKernel:
         point = window_point(chain, 300, 21)
         want = _reference_windows(chain, 300, 1, 21)[0]
         assert np.array_equal(point.symbols, want)
-        # An orbit's point is one sequence drawn at the positions it reads.
+        # An orbit's point is one sequence drawn from its own stream at the
+        # positions it reads, and its terms are the factor products there.
         spec = averages.AverageSpec(
             system=chain,
             observables=(systems.cylinder_indicator([0, 1, 0]), systems.cylinder_indicator([1])),
@@ -562,11 +563,13 @@ class TestPathKernel:
             sequence=SequenceSpec(kind="primes"),
             n_max=200,
         )
-        point = averages.sample_spec_point(spec, 21, 3)
-        positions = spec.read_positions
-        want = _reference_at(chain, positions, 1, rng_for(21, ROLE_POINT, 3))[0]
-        assert np.array_equal(point.positions, positions)
-        assert np.array_equal(point.symbols, want)
+        series, symbols = averages.orbit_series(averages.orbit_tasks(spec, 21, 4)[3])
+        ks = np.arange(1, 201)
+        sums = np.cumsum(_reference_terms(spec, 21, [3], ks, ROLE_POINT)[0])
+        assert [a_n for _, a_n, _ in series.entries] == [
+            float(sums[n - 1]) / n for n, _, _ in series.entries
+        ]
+        assert symbols == spec.resolve(ks)[0].size
 
     def test_large_alphabet_dtype(self):
         system = systems.bernoulli_system(np.full(130, 1 / 130))
@@ -705,8 +708,9 @@ class TestSampleAt:
             sequence=SequenceSpec(kind="primes"),
             n_max=64,
         )
-        point = averages.sample_spec_point(spec, 5, 0)
-        assert point.positions.tolist() == spec.read_positions.tolist()
+        positions = spec.resolve(np.arange(1, 65))[0]
+        symbols = systems.sample_at(markov, positions, 1, rng_for(5, ROLE_POINT, 0))[0]
+        point = systems.ShiftPoint(positions, symbols)
         assert {2, 3, 4, 6, 7}.issubset(point.positions.tolist())
         point.symbol(4)
         for index in (1, 8, 10 ** 6):
@@ -724,7 +728,7 @@ class TestSampleAt:
             n_max=64,
         )
         with pytest.raises(WindowExhausted):
-            averages.ergodic_average_stream(wider, point)
+            averages.direct_average(wider, point, 64)
 
 
 class _ScriptedRng:
