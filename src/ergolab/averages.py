@@ -27,24 +27,25 @@ from .seeding import ROLE_POINT, ROLE_TERMS, Streams, rng_for
 from .sequences import SequenceSpec, generate
 from .systems import (
     SLAB_ITEMS,
+    TORUS_SLAB,
     Observable,
     ShiftSystem,
     TorusAutomorphism,
     TorusPoint,
+    _limb_count,
     _symbol_dtype,
     cylinder_table,
     cylinder_products,
     cylinder_table_size,
     evaluate,
-    exact_mean,
+    product_of_means,
+    read_plan,
     required_variant,
     sample_rows,
     sample_torus_point,
-    sorted_union,
     torus_limbs,
     torus_orbit,
     trig_values,
-    word_columns,
 )
 
 
@@ -106,19 +107,7 @@ class AverageSpec:
         return tuple(sorted(cps))
 
     def target(self) -> float:
-        return float(np.prod([exact_mean(obs, self.system) for obs in self.observables]))
-
-    def positions_read(self, terms: np.ndarray) -> np.ndarray:
-        """Sorted distinct positions the factors read at sequence values
-        ``terms``: the union of m_i r + [-radius_i, radius_i] over factors i
-        and r in ``terms``."""
-        reach = max(abs(m) for m in self.multipliers) * int(terms.max())
-        if reach + max(obs.radius for obs in self.observables) >= 1 << 62:
-            raise DomainError("read positions m_i r_n exceed the int64 range")
-        return sorted_union(
-            (m * terms)[:, None] + np.arange(-obs.radius, obs.radius + 1)
-            for m, obs in zip(self.multipliers, self.observables)
-        )
+        return product_of_means(self.observables, self.system)
 
     @cached_property
     def terms(self) -> np.ndarray:
@@ -133,23 +122,21 @@ class AverageSpec:
         return {}
 
     def resolve(self, ks) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-        """(P(ks), columns) for term indices ``ks``: P(ks) =
-        ``positions_read(r_ks)``, the positions a shift orbit reads at
-        those terms, and each factor's ``word_columns`` in P(ks) at
-        m_i r_ks.  Worked out once per distinct ks and kept, read-only, so
-        every later call with equal ks, and every point, shares it."""
+        """The ``read_plan`` of a shift orbit at term indices ``ks``: factor
+        i is read at m_i r_ks, so P(ks) is the union of m_i r + [-radius_i,
+        radius_i] over factors i and r in r_ks, and each factor's columns
+        are its ``word_columns`` in P(ks).  Worked out once per distinct ks
+        and kept, read-only, so every later call with equal ks, and every
+        point, shares it."""
         ks = np.asarray(ks, dtype=np.int64)
         key = ks.tobytes()
         if key not in self._resolved:
             terms = generate(self.sequence, int(ks.max()))[ks - 1]
-            positions = self.positions_read(terms)
-            columns = tuple(
-                word_columns(positions, obs.radius, m * terms)
-                for obs, m in zip(self.observables, self.multipliers)
-            )
-            for array in (positions, *columns):
-                array.setflags(write=False)
-            self._resolved[key] = positions, columns
+            reach = max(abs(m) for m in self.multipliers) * int(terms.max())
+            if reach + max(obs.radius for obs in self.observables) >= 1 << 62:
+                raise DomainError("read positions m_i r_n exceed the int64 range")
+            shifts = [m * terms for m in self.multipliers]  # factor i at m_i r_ks
+            self._resolved[key] = read_plan(self.observables, shifts)
         return self._resolved[key]
 
 
@@ -387,22 +374,22 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
 
     F[j, k] is the product of factors at shifts m_i r_k along point j's
     orbit.  A call samples each point only at the positions its factors
-    read for the given ks, P(ks) = ``spec.positions_read(r_ks)``: row j is
-    the factor products on ``sample_at(system, P(ks), 1, rng_for(master_seed,
-    ROLE_TERMS, j))``, so it does not depend on which other points share
-    the call or their order.  Calls with different ks sample different
-    positions, so they do not agree on shared k.  Shift systems with
-    cylinder factors only; use centered observables when the framework
-    expects mean-zero terms.  The average and rate-check points take
-    their rows from the same generator seeded with ``ROLE_POINT``
+    read for the given ks, the positions P(ks) of ``spec.resolve(ks)``: row
+    j is the factor products on ``sample_at(system, P(ks), 1,
+    rng_for(master_seed, ROLE_TERMS, j))``, so it does not depend on which
+    other points share the call or their order.  Calls with different ks
+    sample different positions, so they do not agree on shared k.  Shift
+    systems with cylinder factors only; use centered observables when the
+    framework expects mean-zero terms.  The average and rate-check points
+    take their rows from the same generator seeded with ``ROLE_POINT``
     (``orbit_series``): one path makes every shift orbit's terms.
 
     A call seeds the streams of all its points in one pass
     (``seeding.Streams``): each is the stream ``rng_for`` gives, and each
-    is consumed, its row drawn, before the next is taken.  P(ks) and each
-    factor's word columns in it (``spec.resolve``) are worked out at the
-    first call with those ks and reused by every later one; every slab
-    reads its words through them.  The call returns an iterator over
+    is consumed, its row drawn, before the next is taken.  The read plan
+    of ks, P(ks) and each factor's word columns in it, is worked out at
+    the first call with those ks and reused by every later one; every slab
+    reads its words through it.  The call returns an iterator over
     the rows of F in point order, in slabs of max(1, ``SLAB_ITEMS`` //
     len(ks)) rows, each made from start to finish when it is asked for:
     the slab's symbols (``sample_rows``), its factor values and its terms.
@@ -410,7 +397,8 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     across calls and makes again only for a larger slab, so a slab holds
     its terms until the next is asked for, in this call or the next.  The
     products are elementwise, so every entry is the float one full-width
-    pass gives.  ``term_bytes`` bounds what a call holds.
+    pass gives.  ``term_bytes`` bounds what a call holds, and its per-point
+    figure sizes the point batches of ``dyadic.ensemble_moments``.
     """
     return _term_generator(spec, master_seed, ROLE_TERMS)
 
@@ -450,24 +438,26 @@ def _term_generator(spec: AverageSpec, master_seed: int, role: int):
 
 
 def term_bytes(spec: AverageSpec, width: int, positions: int | None = None) -> tuple[int, int]:
-    """(bytes per point, bytes per call) bounding what a
-    ``product_term_generator`` call over ``width`` ks, and the dyadic
-    reduction of its rows, hold when the call reads ``positions`` distinct
-    positions; by default their bound sum_i (2 radius_i + 1) width.
+    """(bytes per point, bytes per call) bounding what a term generator call
+    over ``width`` ks, and the dyadic reduction of its rows, hold when the
+    call reads ``positions`` distinct positions; by default their bound
+    sum_i (2 radius_i + 1) width.
 
     The per-point figure is an upper bound: one uniform and one symbol per
     position and ``width`` float64 terms.  On an i.i.d. chain a call holds
     symbols and terms only a row slab at a time; on any other chain it
     holds a uniform and a symbol per point and position, and terms a slab
-    at a time.  But the figure also sizes the point batches
-    (``dyadic.point_batches``), whose partition decides the pairwise
-    merge, so it stays as it is.  A call also holds the sequence terms
-    with their generation scratch (64 bytes a column covers the prime
-    sieve and polynomial terms), the positions with their sort and gap
-    scratch, the factor tables and the slab scratch, which
-    ``64 * SLAB_ITEMS`` bounds.  The positions and word columns of the
-    call's ks (``AverageSpec.resolve``) stay with the spec for later
-    calls with the same ks, on both roles of the generator.
+    at a time.  But the figure also sizes the point batches of ``ergolab
+    run dyadic`` (``dyadic.ensemble_moments``' ``row_bytes``), whose
+    partition decides the pairwise merge, so it stays as it is.  A call
+    also holds the sequence terms with their generation scratch (64 bytes
+    a column covers the prime sieve and polynomial terms), the positions
+    with their sort and gap scratch, the factor tables and the slab
+    scratch, which ``64 * SLAB_ITEMS`` bounds.  The read plan of the
+    call's ks (``AverageSpec.resolve``) stays with the spec for later calls
+    with the same ks, on both roles of the generator.  An average or
+    rate-check point is one call of one point over k = 1..n_max, so the
+    sum of the two figures bounds a shift orbit (``orbit_bytes``).
     Not counted: the P^g that a non-i.i.d. chain caches per distinct gap
     (``transition_power``).
     """
@@ -479,3 +469,27 @@ def term_bytes(spec: AverageSpec, width: int, positions: int | None = None) -> t
     per_point = 8 * width + (8 + symbol) * positions
     per_call = 64 * width + 40 * positions + 8 * tables + 64 * SLAB_ITEMS
     return per_point, per_call
+
+
+def orbit_bytes(spec: AverageSpec) -> int:
+    """Bytes one ``orbit_series`` task holds while it runs: ``validate``'s
+    ``estimated_memory_bytes`` for ``average`` and ``ratecheck``.  A
+    process runs its points one at a time, so the figure does not grow
+    with the point count.  A shift orbit is one term generator call
+    (``term_bytes``).  A torus orbit holds, per exponent m_i r_n (len(m)
+    n_max of them, repeats included), the exponent as an int64 and as a
+    Python int with its list, set and index entries, and its orbit point as
+    d Python ints of q bits in a tuple, as their bytes, as d ceil(q / 32)
+    uint64 limbs and as one factor's gathered limbs; per point of a
+    ``TORUS_SLAB`` slab, ``trig_values``' limbs of x and -x, dot product
+    and phase scratch; and a fixed 32 KiB for the walk's power tables and
+    the buffer artifacts are written through."""
+    if isinstance(spec.system, ShiftSystem):
+        ks = np.arange(1, spec.n_max + 1, dtype=np.int64)
+        return sum(term_bytes(spec, spec.n_max, spec.resolve(ks)[0].size))
+    d, q = spec.system.dimension, spec.system.precision_bits
+    limbs = _limb_count(q)
+    per_exponent = 160 + d * (64 + q // 4 + 24 * limbs)
+    per_slab_point = 8 * (2 * d * limbs + 8 * limbs + 24)
+    exponents = len(spec.multipliers) * spec.n_max
+    return exponents * per_exponent + min(spec.n_max, TORUS_SLAB) * per_slab_point + (32 << 10)

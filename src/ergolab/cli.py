@@ -580,7 +580,7 @@ def parse_correlate(cfg: dict):
         derived["torus_precision_bits"] = system.precision_bits
     else:
         # Each sample draws, and the oracle walks, exactly the read positions.
-        derived["symbols_per_sample"] = max(q.read_positions.size for q in queries)
+        derived["symbols_per_sample"] = max(q.plan[0].size for q in queries)
     return derived, functools.partial(run_correlate, queries, method, samples, cfg["seed"])
 
 
@@ -589,7 +589,7 @@ def _task_mc_query(args):
     query, samples, seed, index = args
     symbols = 0
     if isinstance(query.system, systems.ShiftSystem):
-        symbols = samples * query.read_positions.size
+        symbols = samples * query.plan[0].size
     return correlations.mc_correlation(query, samples, seed + index), symbols
 
 
@@ -611,8 +611,7 @@ def run_correlate(queries, method: str, samples: int, seed: int, ctx: RunContext
     gaps = []
     defects = []
     for i, query in enumerate(queries):
-        means = [systems.exact_mean(obs, query.system) for obs in query.observables]
-        product = float(np.prod(means))
+        product = systems.product_of_means(query.observables, query.system)
         eff = query.effective_times()
         defect = None
         if method in ("exact", "both"):
@@ -714,18 +713,12 @@ def parse_averages(cfg: dict):
         spec = build_at(
             "params.checkpoints", dataclasses.replace, spec, checkpoints=params["checkpoints"]
         )
+    # On a shift this resolves the orbit's read plan, which checks its reach.
+    derived = {"estimated_memory_bytes": build_at("params", averages.orbit_bytes, spec)}
     if isinstance(system, systems.ShiftSystem):
-        # A point holds each read position (8 bytes) and its symbol.
-        symbols = build_at("params", lambda: spec.resolve(np.arange(1, n_max + 1))[0].size)
-        derived = {
-            "symbols_per_point": symbols,
-            "estimated_memory_bytes": points * (9 * symbols + 16 * n_max),
-        }
+        derived["symbols_per_point"] = spec.resolve(np.arange(1, n_max + 1))[0].size
     else:
-        derived = {
-            "torus_precision_bits": system.precision_bits,
-            "estimated_memory_bytes": points * 16 * n_max,
-        }
+        derived["torus_precision_bits"] = system.precision_bits
     stats = (spec, params["epsilon"], params["delta"], points, cfg["seed"])
     if "min_checkpoint" not in params:
         return derived, functools.partial(run_average, *stats)
@@ -855,11 +848,6 @@ def parse_dyadic(cfg: dict):
     )
 
 
-def _task_dyadic_batch(args):
-    generator, lo, hi, ns, s_values = args
-    return dyadic.batch_moments(generator, lo, hi, ns, s_values)
-
-
 def run_dyadic(
     spec, points: int, n_grid, s_values, thresholds, seed: int, row_bytes: int, ctx: RunContext
 ) -> dict:
@@ -869,19 +857,18 @@ def run_dyadic(
     # allocated once per worker, not once per batch; the batches share ks,
     # which the spec resolves once.
     generator = averages.product_term_generator(spec, seed)
-    batches = dyadic.point_batches(points, row_bytes)
-    tasks = [(generator, lo, hi, n_grid, s_values) for lo, hi in batches]
-    blocks = pmap(_task_dyadic_batch, tasks, ctx.workers)
-    del generator, tasks  # the slab scratch is not held while artifacts are written
-    ctx.count("term_entries", sum(b.points * b.columns for b in blocks))
+    members = functools.partial(pmap, workers=ctx.workers)
+    moments = dyadic.ensemble_moments(
+        generator, points, n_grid, s_values, row_bytes=row_bytes, map_members=members
+    )
+    del generator  # the slab scratch is not held while artifacts are written
+    ctx.count("term_entries", sum(p * c for p, c in moments.blocks))
     # The largest batch, and its bytes at the positions the batches read.
-    columns = blocks[0].columns
+    batch, columns = max(moments.blocks)
     read = spec.resolve(np.arange(1, columns + 1))[0].size
     row_read, call_read = averages.term_bytes(spec, columns, read)
-    batch = max(b.points for b in blocks)
     ctx.count("batch_points", batch)
     ctx.count("batch_bytes", batch * row_read + call_read)
-    moments = dyadic.merge_moments(blocks)
     e_values = [e for e, _ in moments.e_values]
     rows = [[n, e, se] for n, (e, se) in zip(n_grid, moments.e_values)]
     ctx.csv("dyadic_e.csv", ["N", "E", "std_error"], rows)

@@ -43,13 +43,12 @@ from .systems import (
     cylinder_products,
     cylinder_table,
     cylinder_table_size,
-    exact_mean,
+    product_of_means,
+    read_plan,
     required_variant,
     sample_at,
     sample_torus_limbs,
-    sorted_union,
     trig_values,
-    word_columns,
 )
 
 FREQUENCY_BUDGET = 1 << 512
@@ -89,15 +88,11 @@ class CorrelationQuery:
         return self.times
 
     @cached_property
-    def read_positions(self) -> np.ndarray:
-        """Sorted distinct positions the cylinder factors read: the union of
-        t_i + [-radius_i, radius_i] over effective times t_i."""
-        positions = sorted_union(
-            np.arange(t - obs.radius, t + obs.radius + 1)
-            for t, obs in zip(self.effective_times(), self.observables)
-        )
-        positions.setflags(write=False)
-        return positions
+    def plan(self) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The cylinder factors' ``read_plan`` at the effective times: the
+        positions each sample draws and the oracle walks, and each factor's
+        word columns in them."""
+        return read_plan(self.observables, self.effective_times())
 
     @property
     def order(self) -> int:
@@ -115,16 +110,13 @@ def _mc_products_shift(query: CorrelationQuery, chunk: int):
     factors read.
 
     Every array is allocated here once and reused by every call, so each
-    call returns its products in the same array, and each factor's word
-    columns are resolved here once.  The products take the uniforms' array
-    once the symbols are drawn, and the factors are evaluated ``LANES``
-    sequences at a time, so word codes and values stay small."""
-    system, positions = query.system, query.read_positions
+    call returns its products in the same array, and every call reads its
+    words through the query's ``plan``.  The products take the uniforms'
+    array once the symbols are drawn, and the factors are evaluated
+    ``LANES`` sequences at a time, so word codes and values stay small."""
+    system, (positions, columns) = query.system, query.plan
     m = system.alphabet_size
-    factors = [
-        (word_columns(positions, obs.radius, t), cylinder_table(obs, m))
-        for obs, t in zip(query.observables, query.effective_times())
-    ]
+    factors = [(cols, cylinder_table(obs, m)) for cols, obs in zip(columns, query.observables)]
     uniforms = np.empty(max(SLAB_ITEMS, chunk), dtype=np.float64)
     symbols = np.empty((chunk, positions.size), dtype=_symbol_dtype(m))
     lanes = min(chunk, LANES)
@@ -259,11 +251,13 @@ def exact_correlation_shift(query: CorrelationQuery) -> float:
     cylinder_table_size(m, widest)  # one state per word of the widest factor
     context = 2 * widest + 1
 
+    # Each factor's window completes at the column of its last letter.
+    positions, columns = query.plan
     completions: dict[int, list[Observable]] = {}
-    for obs, t in zip(query.observables, query.effective_times()):
-        completions.setdefault(t + obs.radius, []).append(obs)
+    for obs, cols in zip(query.observables, columns):
+        completions.setdefault(int(cols[-1]), []).append(obs)
 
-    positions = query.read_positions.tolist()
+    positions = positions.tolist()
     vec = system.stationary
     length = 1
     for i, p in enumerate(positions):
@@ -281,7 +275,7 @@ def exact_correlation_shift(query: CorrelationQuery) -> float:
                 vec = vec.reshape(m, -1).sum(axis=0)
             else:
                 length += 1
-        for obs in completions.get(p, ()):
+        for obs in completions.get(i, ()):
             width = 2 * obs.radius + 1
             lookup = cylinder_table(obs, m)
             codes = np.arange(vec.size, dtype=np.int64) % (m ** width)
@@ -310,9 +304,13 @@ def _exponential_terms(
 def exact_correlation_torus(query: CorrelationQuery) -> float:
     """Exact correlation by matching pushed-forward character frequencies.
 
-    A tuple of exponential terms contributes exactly when its transformed
-    integer frequencies cancel; everything else integrates to zero by
-    orthogonality of characters.
+    The measure is the uniform one on the lattice 2^-q Z^d that every
+    sample and orbit of the lab lies on.  A tuple of exponential terms
+    contributes exactly when its transformed integer frequencies sum to 0
+    mod 2^q; everything else averages to zero over the lattice by
+    orthogonality of its characters.  Haar measure would keep only the
+    sums equal to 0, which differs where a sum is a nonzero multiple of
+    2^q.
     """
     auto = query.system
     if not isinstance(auto, TorusAutomorphism):
@@ -330,7 +328,7 @@ def exact_correlation_torus(query: CorrelationQuery) -> float:
             coeff *= c
             for i in range(d):
                 freq_sum[i] += freq[i]
-        if all(x == 0 for x in freq_sum):
+        if all(x % auto.modulus == 0 for x in freq_sum):
             total += coeff
     return float(total.real)
 
@@ -356,7 +354,7 @@ def exact_correlation(query: CorrelationQuery) -> float:
 
 def mixing_defect(query: CorrelationQuery) -> Defect:
     """Defect of the factorization into exact means, by the exact oracle."""
-    product = float(np.prod([float(exact_mean(obs, query.system)) for obs in query.observables]))
+    product = product_of_means(query.observables, query.system)
     corr = exact_correlation(query)
     return Defect(value=abs(corr - product), correlation=corr, product_of_means=product)
 

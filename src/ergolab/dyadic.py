@@ -105,18 +105,20 @@ def decompose(n: int, s: int) -> list[DyadicInterval]:
 # row slabs in point order, which ``block_moments`` reduces as they come.
 TermGenerator = Callable[[np.ndarray, np.ndarray], Iterable[np.ndarray]]
 
-# Bytes the points of one batch may hold, measured by an upper bound per
-# point: its W float64 terms and a uniform and a symbol at each position
-# it reads (``averages.term_bytes``).  A streamed batch holds much less:
-# on an i.i.d. chain one row slab of symbols, terms and scratch; on any
-# other chain a uniform and a symbol per point and position as well.  The
-# bound still sizes the partition, which decides the pairwise merge.  A
-# batch holds at most 512
-# points, and at least one whatever the row bytes.  48 MiB keeps 512 points
-# up to W = 2048 with a radius-1 and a radius-0 factor on two letters
-# (44 MiB), so those runs merge as they did before batches were sized by
-# bytes.  Batches depend on n_points and the row bytes alone, so the merge
-# sees the same partial sums in the same order for any worker count.
+# Bytes the points of one batch may hold, measured by a bound per row
+# (``ensemble_moments``' ``row_bytes``).  A bare term row counts its W
+# float64 terms; a product term generator's row counts a uniform and a
+# symbol at each position it reads as well (``averages.term_bytes``), the
+# partition ``ergolab run dyadic`` and the exact E(0, N) tests share.  A
+# streamed batch holds much less: on an i.i.d. chain one row slab of
+# symbols, terms and scratch; on any other chain a uniform and a symbol
+# per point and position as well.  The bound still sizes the partition,
+# which decides the pairwise merge.  A batch holds at most 512 points, and
+# at least one whatever the row bytes.  48 MiB keeps 512 points up to
+# W = 2048 with a radius-1 and a radius-0 factor on two letters (44 MiB),
+# so those runs merge as they did before batches were sized by bytes.
+# Batches depend on n_points and the row bytes alone, so the merge sees
+# the same partial sums in the same order for any worker count.
 BATCH_BYTES = 48 << 20
 
 
@@ -154,10 +156,12 @@ class BlockMoments:
 class DyadicMoments:
     """Ensemble statistics merged from blocks in point order: e_values[j]
     is (E, standard error) of the squared ns[j]-term sum, profiles[i] the
-    VarianceProfile at s_values[i]."""
+    VarianceProfile at s_values[i], and blocks[b] the (points, columns)
+    of block b."""
 
     e_values: tuple[tuple[float, float], ...]
     profiles: tuple[VarianceProfile, ...]
+    blocks: tuple[tuple[int, int], ...]
 
 
 def term_columns(ns: Sequence[int], s_values: Sequence[int] = ()) -> int:
@@ -306,7 +310,8 @@ def merge_moments(blocks: Sequence[BlockMoments]) -> DyadicMoments:
                 per_point_totals=totals,
             )
         )
-    return DyadicMoments(tuple(e_values), tuple(profiles))
+    shapes = tuple((b.points, b.columns) for b in blocks)
+    return DyadicMoments(tuple(e_values), tuple(profiles), shapes)
 
 
 def batch_moments(
@@ -337,16 +342,23 @@ def ensemble_moments(
     ns: Sequence[int],
     s_values: Sequence[int] = (),
     m: int = 0,
+    row_bytes: int | None = None,
+    map_members=map,
 ) -> DyadicMoments:
     """E(m, m+N) for each N in ns and the L_s profiles of the terms after
-    m, one generator call per point batch; batches count a row as its W
-    float64 terms."""
+    m, one generator call per point batch.  Batches are ``point_batches``
+    of ``row_bytes`` a row, by default its W float64 terms; a product
+    term generator's rows are ``averages.term_bytes`` each, the partition
+    ``ergolab run dyadic`` uses.  ``map_members(fn, batches)`` is an
+    ordered map over the batches, such as the builtin ``map`` or a
+    parallel one; the blocks are merged in point order either way."""
     if n_points < 2:
         raise DomainError("need at least 2 ensemble points")
     if m < 0 or any(n < 1 for n in ns):
         raise DomainError("need m >= 0 and every N >= 1")
-    batches = point_batches(n_points, 8 * term_columns(ns, s_values))
-    return merge_moments([batch_moments(generator, lo, hi, ns, s_values, m) for lo, hi in batches])
+    batches = point_batches(n_points, row_bytes or 8 * term_columns(ns, s_values))
+    blocks = map_members(lambda batch: batch_moments(generator, *batch, ns, s_values, m), batches)
+    return merge_moments(list(blocks))
 
 
 def variance_profile(terms, s: int) -> VarianceProfile:

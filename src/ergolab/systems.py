@@ -328,6 +328,23 @@ def sorted_union(arrays) -> np.ndarray:
     return values[keep]
 
 
+def read_plan(observables, shifts) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """What a product of cylinder factors reads when factor i is read at
+    ``shifts[i]``, an integer or an int64 array of them: the sorted
+    distinct positions of shifts[i] + [-radius_i, radius_i] over all
+    factors, and each factor's ``word_columns`` in them.  Both are
+    read-only, so the samples that read the plan share it."""
+    shifts = [np.asarray(s, dtype=np.int64) for s in shifts]
+    positions = sorted_union(
+        s[..., None] + np.arange(-obs.radius, obs.radius + 1)
+        for obs, s in zip(observables, shifts)
+    )
+    columns = tuple(word_columns(positions, obs.radius, s) for obs, s in zip(observables, shifts))
+    for array in (positions, *columns):
+        array.setflags(write=False)
+    return positions, columns
+
+
 def _is_iid(system: ShiftSystem) -> bool:
     """Whether every row of P is the same, so that P^g = P for every g."""
     return bool((system.transition == system.transition[0]).all())
@@ -886,7 +903,9 @@ def required_variant(system, observables=()) -> str:
 
 
 def exact_mean(observable: Observable, system) -> float:
-    """Exact invariant-measure mean of an observable."""
+    """Exact invariant-measure mean of an observable.  On the torus that is
+    the mean over the lattice 2^-q Z^d the lab samples: a character e(<k,
+    x>) is 1 there when k = 0 mod 2^q, and averages to 0 otherwise."""
     if required_variant(system, (observable,)) == CYLINDER:
         total = observable.default
         for word, value in observable.table.items():
@@ -894,9 +913,14 @@ def exact_mean(observable: Observable, system) -> float:
         return float(total)
     mean = 0.0
     for freq, a, _b in observable.terms:
-        if all(k == 0 for k in freq):
-            mean += a  # sin(0) = 0: only the cosine coefficient survives
+        if all(k % system.modulus == 0 for k in freq):
+            mean += a  # sin(2 pi n) = 0: only the cosine coefficient survives
     return float(mean)
+
+
+def product_of_means(observables, system) -> float:
+    """The product of the observables' exact means, in their order."""
+    return float(np.prod([exact_mean(obs, system) for obs in observables]))
 
 
 def cylinder_table_size(alphabet_size: int, radius: int) -> int:

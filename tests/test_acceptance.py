@@ -158,8 +158,10 @@ def test_criterion_06_variance_exponent(bernoulli):
         spec = _pair_product_spec(bernoulli, 1 << 13)
         generator = averages.product_term_generator(spec, master_seed=606)
         grid = [1 << j for j in range(6, 14)]
-        # One term matrix per point batch serves every grid N.
-        moments = dyadic.ensemble_moments(generator, 10 ** 4, grid)
+        # One term matrix per point batch serves every grid N; batches are
+        # the ones ``ergolab run dyadic`` makes, a row counting term_bytes.
+        row_bytes = averages.term_bytes(spec, grid[-1])[0]
+        moments = dyadic.ensemble_moments(generator, 10 ** 4, grid, row_bytes=row_bytes)
         fit = dyadic.sigma_fit(grid, [e for e, _ in moments.e_values])
         assert 0.85 <= fit.exponent <= 1.15, f"slope {fit.exponent}"
 

@@ -480,13 +480,13 @@ class TestTermGenerator:
         # Calls with equal ks share the spec's positions and word columns;
         # other ks resolve their own.
         calls = []
-        original = AverageSpec.positions_read
+        original = averages.read_plan
 
-        def counting(spec, terms):
-            calls.append(terms.size)
-            return original(spec, terms)
+        def counting(observables, shifts):
+            calls.append(shifts[0].size)
+            return original(observables, shifts)
 
-        monkeypatch.setattr(AverageSpec, "positions_read", counting)
+        monkeypatch.setattr(averages, "read_plan", counting)
         f = systems.centered_cylinder_indicator(bernoulli, [1])
         spec = make_spec(bernoulli, [f, f], (1, 2), 64)
         generator = averages.product_term_generator(spec, master_seed=5)

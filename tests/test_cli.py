@@ -12,6 +12,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -975,6 +976,43 @@ class TestRun:
             assert (tmp_path / "a" / "summary.json").read_bytes() == (
                 tmp_path / "b" / "summary.json"
             ).read_bytes()
+
+    @pytest.mark.parametrize("case", ["shipped-ratecheck", "markov-average", 128, 64])
+    def test_memory_estimate_bounds_the_run_step(self, tmp_path, case):
+        # estimated_memory_bytes bounds what one orbit holds, and a process
+        # runs its points one at a time, so the figure bounds the run step
+        # at one worker and does not grow with the point count.
+        if case == "shipped-ratecheck":
+            cfg = json.loads((CONFIGS_DIR / "bernoulli_ratecheck.json").read_text())
+        elif case == "markov-average":
+            cfg = {
+                "schema_version": 1,
+                "experiment": "average",
+                "seed": 5,
+                "system": dict(BERNOULLI_SYSTEM, transition=MARKOV_TRANSITION),
+                "observables": [
+                    {"variant": "cylinder", "radius": 1, "table": [], "default": 1.0},
+                    INDICATOR_0,
+                ],
+                "params": dict(TORUS_AVERAGE, n_max=4096),
+            }
+        else:  # the benchmark's torus averages: the cat map at q = 128 and 64
+            params = {"multipliers": [1, 2], "n_max": 768, "point_count": 2}
+            cfg = torus_config("average", params, bits=case)
+        # A run of an equal config first loads every module the step uses.
+        warm, _ = cli.validate_config(copy.deepcopy(cfg))
+        warm(cli.RunContext(tmp_path, 1, False))
+        step, report = cli.validate_config(cfg)
+        estimate = report["derived"]["estimated_memory_bytes"]
+        tracemalloc.start()
+        try:
+            step(cli.RunContext(tmp_path, 1, False))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= estimate, (peak, estimate)
+        cfg["params"]["point_count"] = 10 * cfg["params"].get("point_count", 1)
+        assert cli.validate_config(cfg)[1]["derived"]["estimated_memory_bytes"] == estimate
 
     def test_counting_run(self, tmp_path):
         cfg = {

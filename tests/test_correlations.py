@@ -94,7 +94,9 @@ class TestMonteCarlo:
         monkeypatch.setattr(co, "sample_at", spy)
         f = systems.cylinder_observable(1, {(0, 1, 0): 1.0})
         q = query(markov, [f, systems.cylinder_indicator([1])], (0, 7))
-        assert q.read_positions.tolist() == [-1, 0, 1, 7]
+        positions, columns = q.plan
+        assert positions.tolist() == [-1, 0, 1, 7]
+        assert [c.tolist() for c in columns] == [[0, 1, 2], [3]]
         co.mc_correlation(q, 70_000, 1)
         assert seen == [([-1, 0, 1, 7], 1 << 16), ([-1, 0, 1, 7], 70_000 - (1 << 16))]
 
@@ -307,6 +309,23 @@ class TestExactTorus:
         c1 = systems.trig_observable([((-1, 0), 1.0, -0.4)])
         mirrored = co.exact_correlation_torus(query(cat, [c0, c1], (0, 1)))
         assert mirrored == pytest.approx(base, abs=1e-12)
+
+    def test_lattice_characters_at_low_precision(self):
+        # On the q = 4 lattice A^12 = I mod 16 for the cat map, so
+        # cos 2 pi x_1 at times 0 and 12 is the same function and the
+        # correlation is E[cos^2] = 1/2; a sum over all 256 lattice points
+        # gives 0.5 at (0, 12) and (0, 24) and 0 at (0, 3).  The Haar rule
+        # (frequency sum exactly 0) read 0 at all three.
+        cat = systems.build_torus([[2, 1], [1, 1]], precision_bits=4)
+        f = systems.trig_cosine((1, 0))
+        for times, want in (((0, 12), 0.5), ((0, 24), 0.5), ((0, 3), 0.0)):
+            q = query(cat, [f, f], times)
+            assert co.exact_correlation_torus(q) == pytest.approx(want, abs=1e-12), times
+            estimate, std_error = co.mc_correlation(q, 4000, 3)
+            assert abs(estimate - want) <= 4 * std_error + 1e-12, times
+        # cos 2 pi 16 x_1 is 1 at every point of the q = 4 lattice.
+        assert systems.exact_mean(systems.trig_cosine((16, 0)), cat) == 1.0
+        assert systems.exact_mean(systems.trig_cosine((8, 0)), cat) == 0.0
 
     def test_mc_agreement(self, cat):
         f0 = systems.trig_cosine((-2, -1))

@@ -1,7 +1,9 @@
 """Every module-level name of the package has a use."""
 
 import ast
+import importlib
 import re
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -23,9 +25,6 @@ TEST_ONLY = {
     ),
     "dyadic.py: dyadic_classes": (
         "oracle", "every block of L_s, for decompose (test_partition_property_exhaustive)"
-    ),
-    "dyadic.py: ensemble_moments": (
-        "claim", "E(0, N) grows like N: criterion 6, and the exact E(0, N) tests of test_dyadic"
     ),
     "dyadic.py: chain_inequality_check": ("claim", "the dyadic chaining inequality: criterion 5"),
     "dyadic.py: power_gap_check": (
@@ -109,3 +108,55 @@ def test_names_only_tests_use_have_a_role():
     stale = sorted(TEST_ONLY.keys() - only_tests)
     assert not stale, f"listed, but gone or used outside tests: {stale}"
     assert all(role in ROLES for role, _ in TEST_ONLY.values())
+
+
+# perfbench/tracing.py names lab functions by string. A renamed function
+# would leave its per-layer metric at 0 with no error, so each name must
+# resolve to a function of its module, apart from the spans tracing makes
+# itself and the names known to be stale, each with why.
+TRACING = ROOT / "perfbench" / "tracing.py"
+TRACING_TABLES = ("CHECKERS", "CUMULANT_SPANS", "WRITE_SPANS", "COUNT_ONLY", "special", "hooks")
+TRACING_READS = ("count", "total", "attr", "where", "ids", "wrap")
+TRACING_SPANS = ("cli.task", "averages.term_matrix")
+STALE_IN_TRACING = {
+    "systems.sample_windows": "no workload samples windows: the shift paths use read plans",
+    "averages.ensemble_member_statistics": "ensemble points run as averages.orbit_series",
+    "matrix_growth.norm_power": "matrix powers come from the eigenbasis (growth_profile)",
+}
+
+
+def tracing_names() -> set[str]:
+    """Lab function names ``tracing.py`` refers to: the entries of its name
+    tables, the first argument of its span reads and wraps, and the names
+    it compares a span name with."""
+    names = set()
+    for node in ast.walk(ast.parse(TRACING.read_text(encoding="utf-8"))):
+        found = []
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id in TRACING_TABLES for t in node.targets
+        ):
+            found = node.value.keys if isinstance(node.value, ast.Dict) else node.value.elts
+        elif isinstance(node, ast.Call) and node.args:
+            func = node.func
+            if getattr(func, "attr", getattr(func, "id", None)) in TRACING_READS:
+                found = node.args[:1]
+        elif isinstance(node, ast.Compare):
+            found = node.comparators
+        names |= {n.value for n in found if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    return {name for name in names if "." in name and not name.endswith(".")}
+
+
+def test_tracing_names_resolve():
+    names = tracing_names()
+    assert "cli.pmap" in names and "averages.product_term_generator" in names
+    missing = []
+    for name in sorted(names - set(TRACING_SPANS)):
+        module, attr = name.split(".")
+        value = getattr(importlib.import_module(f"ergolab.{module}"), attr, None)
+        if not isinstance(value, types.FunctionType):
+            missing.append(name)
+    assert sorted(STALE_IN_TRACING) == sorted(set(missing) & STALE_IN_TRACING.keys()), (
+        "a listed stale name resolves again, or tracing no longer names it"
+    )
+    unlisted = sorted(set(missing) - STALE_IN_TRACING.keys())
+    assert not unlisted, f"tracing names functions the lab does not have: {unlisted}"

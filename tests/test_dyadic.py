@@ -338,11 +338,35 @@ class TestOnePass:
             calls.append((int(idx[0]), int(idx[-1]), int(ks[0]), int(ks[-1])))
             return generator(idx, ks)
 
-        ensemble_moments(counting, points, ns, s_values)
+        moments = ensemble_moments(counting, points, ns, s_values)
         width = dyadic.term_columns(ns, s_values)
         assert width == max(max(ns), max((1 << s for s in s_values), default=0))
         batches = dyadic.point_batches(points, 8 * width)
         assert calls == [(lo, hi - 1, 1, width) for lo, hi in batches]
+        assert moments.blocks == tuple((hi - lo, width) for lo, hi in batches)
+
+    def test_row_bytes_and_map_set_the_batches(self, one_pass_case):
+        # A row of 1 MiB gives 48-point batches; an ordered map that runs
+        # them in reverse and reorders the results changes no float.
+        generator, points, ns, s_values = one_pass_case
+        row_bytes = 1 << 20
+        batches = dyadic.point_batches(points, row_bytes)
+        assert len(batches) > 1 and batches[0] == (0, 48)
+
+        def reversed_map(fn, tasks):
+            return [fn(task) for task in tasks[::-1]][::-1]
+
+        got = ensemble_moments(generator, points, ns, s_values, row_bytes=row_bytes)
+        backwards = ensemble_moments(
+            generator, points, ns, s_values, row_bytes=row_bytes, map_members=reversed_map
+        )
+        width = dyadic.term_columns(ns, s_values)
+        assert got.blocks == backwards.blocks == tuple((hi - lo, width) for lo, hi in batches)
+        blocks = [dyadic.batch_moments(generator, lo, hi, ns, s_values) for lo, hi in batches]
+        want = dyadic.merge_moments(blocks)
+        assert got.e_values == backwards.e_values == want.e_values
+        for a, b in zip(got.profiles, want.profiles):
+            assert np.array_equal(a.per_point_totals, b.per_point_totals)
 
     def test_empirical_e_offset_matches_reference(self):
         generator = TestEmpiricalE.iid_generator()
@@ -561,6 +585,15 @@ class TestStreamedBatch:
             dyadic.block_moments(iter([]), (16,))
 
 
+def _command_moments(spec, points, ns):
+    """``ensemble_moments`` of the product term generator seeded 2024, over
+    the point batches ``ergolab run dyadic`` uses: a row counts
+    ``term_bytes``."""
+    row_bytes = averages.term_bytes(spec, dyadic.term_columns(ns))[0]
+    generator = averages.product_term_generator(spec, 2024)
+    return ensemble_moments(generator, points, ns, row_bytes=row_bytes)
+
+
 class TestBernoulliOracle:
     def test_e_is_n_over_16(self):
         # Bernoulli(1/2, 1/2), f and g the centered indicators of [1] and
@@ -574,7 +607,7 @@ class TestBernoulliOracle:
         f = systems.centered_cylinder_indicator(BERNOULLI, [1])
         spec = _pair_spec(BERNOULLI, f, 2048)
         ns = (64, 128, 256, 512, 1024, 2048)
-        moments = ensemble_moments(averages.product_term_generator(spec, 2024), 1024, ns)
+        moments = _command_moments(spec, 1024, ns)
         for n, (e, se) in zip(ns, moments.e_values):
             assert abs(e - n / 16) <= 4 * se, (n, e, se)
 
@@ -585,7 +618,7 @@ class TestBernoulliOracle:
         # and E(0, N) = N E[f^2]^3 = N / 64.
         spec = _triple_spec(BERNOULLI, (1, 2, 3), 512)
         ns = (64, 128, 256, 512)
-        moments = ensemble_moments(averages.product_term_generator(spec, 2024), 1024, ns)
+        moments = _command_moments(spec, 1024, ns)
         z = z_for(len(ns))
         for n, (e, se) in zip(ns, moments.e_values):
             assert abs(e - n / 64) <= z * se, (n, e, se, z)
@@ -647,7 +680,7 @@ class TestMarkovOracle:
         # (about 6.3e-5 false alarms per N, as in TestBernoulliOracle).
         spec = _pair_spec(MARKOV, systems.centered_cylinder_indicator(MARKOV, [1]), 2048)
         exact = _exact_e(spec, self.NS)
-        moments = ensemble_moments(averages.product_term_generator(spec, 2024), 1024, self.NS)
+        moments = _command_moments(spec, 1024, self.NS)
         for n, want, (e, se) in zip(self.NS, exact, moments.e_values):
             assert abs(e - want) <= 4 * se, (n, e, se, want)
 
@@ -663,7 +696,7 @@ class TestMarkovOracle:
         spec = _triple_spec(MARKOV, (1, 2, 3), 512)
         ns = self.NS[:4]
         exact = _exact_e(spec, ns)
-        moments = ensemble_moments(averages.product_term_generator(spec, 2024), 1024, ns)
+        moments = _command_moments(spec, 1024, ns)
         z = z_for(len(ns))
         for n, want, (e, se) in zip(ns, exact, moments.e_values):
             assert abs(e - want) <= z * se, (n, e, se, want, z)
@@ -756,7 +789,7 @@ class TestBatchMemory:
 
         def one_batch():  # a run's generator, then its first batch task
             generator = averages.product_term_generator(spec, 5)
-            return cli._task_dyadic_batch((generator, 0, batch, ns, s_values))
+            return dyadic.batch_moments(generator, 0, batch, ns, s_values)
 
         assert _traced_peak(one_batch) <= derived["batch_bytes"]
         # A row: W float64 terms, a uniform and an int8 symbol at each of
