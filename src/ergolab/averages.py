@@ -17,12 +17,12 @@ point (``ergodic_average_stream``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, VariantMismatch
+from .errors import DomainError, ReadOnly, VariantMismatch
 from .seeding import ROLE_POINT, ROLE_TERMS, Streams, rng_for
 from .sequences import SequenceSpec, generate
 from .systems import (
@@ -61,20 +61,23 @@ def rho(n: int, epsilon: float, delta: float) -> float:
     return float(n) ** (-delta / 2.0 + epsilon)
 
 
-@dataclass(frozen=True, eq=False)
-class AverageSpec:
+class AverageSpec(ReadOnly):
     """System, per-factor observables and multipliers, sequence, horizon."""
 
-    system: ShiftSystem | TorusAutomorphism
-    observables: tuple[Observable, ...]
-    multipliers: tuple[int, ...]
-    sequence: SequenceSpec
-    n_max: int
-    checkpoints: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "observables", tuple(self.observables))
-        object.__setattr__(self, "multipliers", tuple(int(m) for m in self.multipliers))
+    def __init__(
+        self,
+        system: ShiftSystem | TorusAutomorphism,
+        observables: tuple[Observable, ...],
+        multipliers: tuple[int, ...],
+        sequence: SequenceSpec,
+        n_max: int,
+        checkpoints: tuple[int, ...] | None = None,
+    ):
+        vars(self).update(
+            system=system, observables=tuple(observables),
+            multipliers=tuple(int(m) for m in multipliers), sequence=sequence, n_max=n_max,
+            checkpoints=checkpoints,
+        )
         if not self.observables:
             raise DomainError("need at least one factor")
         if len(self.observables) != len(self.multipliers):
@@ -91,7 +94,7 @@ class AverageSpec:
                 raise DomainError("checkpoints must be >= 1, the last >= 2")
             if any(b <= a for a, b in zip(cps, cps[1:])) or cps[-1] > self.n_max:
                 raise DomainError("checkpoints must strictly increase up to n_max")
-            object.__setattr__(self, "checkpoints", cps)
+            vars(self)["checkpoints"] = cps
         required_variant(self.system, self.observables)
 
     def checkpoint_schedule(self) -> tuple[int, ...]:
@@ -140,8 +143,7 @@ class AverageSpec:
         return self._resolved[key]
 
 
-@dataclass(frozen=True)
-class AverageSeries:
+class AverageSeries(NamedTuple):
     """Checkpoint rows (N, A_N, S_N) with S_N = N (A_N - target)."""
 
     entries: tuple[tuple[int, float, float], ...]
@@ -209,8 +211,7 @@ def direct_average(spec: AverageSpec, point, n: int) -> float:
 # Rate statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RateTable:
+class RateTable(NamedTuple):
     """Per-checkpoint normalized errors |A_N - target| / rho(N)."""
 
     rows: tuple[tuple[int, float], ...]
@@ -241,8 +242,7 @@ def rate_statistic(
 # Ensembles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class EnsembleSummary:
+class EnsembleSummary(NamedTuple):
     """Fraction and median trends of the rate statistic over an ensemble.
 
     Two exceedance curves are reported per checkpoint: the fraction of

@@ -11,10 +11,10 @@ needs.  ``averages``, ``correlations``, ``dyadic``, ``matrix_growth``,
 ``sequences`` and ``svg`` are registered in ``sys.modules`` (and on the
 package) at once but execute only at their first attribute access, so a
 process runs only the modules its experiment calls.  ``hashlib`` is
-imported by the manifest's hashing only, and ``fractions`` (with
-``decimal``) by the first "p/q" string only.  A bad command-line argument
-exits 2 with one line that names it; a reader that closes stdout or
-stderr ends only that output, and the command keeps its own exit code.
+imported by the manifest's hashing only, and ``parse_exact`` reads "p/q"
+strings without ``fractions``.  A bad command-line argument exits 2 with
+one line that names it; a reader that closes stdout or stderr ends only
+that output, and the command keeps its own exit code.
 
 The ``ergolab`` script and ``python -m ergolab.cli`` run through
 ``console_main``, which keeps OpenSSL out of the process (``hashlib``,
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import dataclasses
 import functools
 import importlib.util
 import itertools
@@ -35,6 +34,7 @@ import json
 import math
 import os
 import pickle
+import re
 import sys
 import time
 from pathlib import Path
@@ -254,23 +254,52 @@ def _child_share(fn, tasks, w: int, k: int, write_fd: int) -> None:
 # Config parsing
 # ---------------------------------------------------------------------------
 
+# The string grammar of fractions.Fraction in CPython 3.11, read the same
+# on any interpreter: outer whitespace, a sign, then digits over an
+# optional denominator, or a decimal with an optional exponent, with '_'
+# between digits.  Its fraction part reads 'd*|\d+(_\d+)*' there, so "1."
+# parses and "1.d" fails in int(), and both stay so.
+RATIONAL = (
+    r"\A\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*|\d+(_\d+)*)(?:(?:/(?P<denom>\d+(_\d+)*))?"
+    r"|(?:\.(?P<decimal>d*|\d+(_\d+)*))?(?:E(?P<exp>[-+]?\d+(_\d+)*))?)\s*\Z"
+)
+
+
 def parse_exact(value, where: str) -> float:
     """Accept finite JSON numbers or rational strings 'p/q', exactly;
-    ``where`` is the value's JSON path, named in errors."""
+    ``where`` is the value's JSON path, named in errors.  A string is
+    read as ``float(Fraction(value))`` reads it: the same strings, the
+    same errors, and the same correctly rounded quotient of two ints."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{where} must be a number or a 'p/q' string, got {value!r}")
     try:
-        if isinstance(value, str):
-            from fractions import Fraction  # and decimal: only 'p/q' strings load them
-
-            number = float(Fraction(value))
-        else:
-            number = float(value)
+        number = _rational(value) if isinstance(value, str) else float(value)
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"{where}: cannot parse {value!r}: {exc}") from exc
     if not math.isfinite(number):
         raise ConfigError(f"{where} must be finite, got {value!r}")
     return number
+
+
+def _rational(text: str) -> float:
+    """The exact rational ``text`` rounded to a float, in the steps of
+    ``Fraction(text)``; ``int / int`` rounds correctly, as ``float`` of a
+    Fraction does.  Errors are Fraction's, with its messages."""
+    match = re.match(RATIONAL, text, re.IGNORECASE)
+    if match is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    sign, num, denom, decimal, exp = match.group("sign", "num", "denom", "decimal", "exp")
+    num, denom = int(num or "0"), int(denom or "1")
+    if decimal:
+        decimal = decimal.replace("_", "")
+        num, denom = num * 10 ** len(decimal) + int(decimal), 10 ** len(decimal)
+    if exp:
+        exp = int(exp)
+        num, denom = (num * 10 ** exp, denom) if exp >= 0 else (num, denom * 10 ** -exp)
+    num = -num if sign == "-" else num
+    if not denom:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    return num / denom
 
 
 def parse_int(
@@ -599,8 +628,8 @@ def run_correlate(queries, method: str, samples: int, seed: int, ctx: RunContext
     rows = []
     exact_values = None
     mc_results = None
-    # Exact values first: an oracle error (a frequency overflow on the
-    # torus) fails fast, before any Monte Carlo sample is drawn.
+    # Exact values first: an oracle error fails fast, before any Monte
+    # Carlo sample is drawn.
     if method in ("exact", "both"):
         exact_values = [correlations.exact_correlation(q) for q in queries]
     if method in ("mc", "both"):
@@ -710,9 +739,8 @@ def parse_averages(cfg: dict):
     # the checkpoints, so that their errors name params.checkpoints.
     spec = parse_average_spec(cfg, n_max)
     if params["checkpoints"]:
-        spec = build_at(
-            "params.checkpoints", dataclasses.replace, spec, checkpoints=params["checkpoints"]
-        )
+        fields = (spec.system, spec.observables, spec.multipliers, spec.sequence, n_max)
+        spec = build_at("params.checkpoints", averages.AverageSpec, *fields, params["checkpoints"])
     # On a shift this resolves the orbit's read plan, which checks its reach.
     derived = {"estimated_memory_bytes": build_at("params", averages.orbit_bytes, spec)}
     if isinstance(system, systems.ShiftSystem):

@@ -14,20 +14,19 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import intmat
 from .errors import (
     DomainError,
-    FrequencyOverflow,
     InsufficientData,
     KTooLarge,
     NotCylinder,
     NotTrig,
+    ReadOnly,
     SubsetMissing,
     VariantMismatch,
 )
@@ -51,7 +50,6 @@ from .systems import (
     trig_values,
 )
 
-FREQUENCY_BUDGET = 1 << 512
 MAX_CUMULANT_ORDER = 10
 
 
@@ -59,20 +57,21 @@ MAX_CUMULANT_ORDER = 10
 # Queries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class CorrelationQuery:
+class CorrelationQuery(ReadOnly):
     """System, observables f_0..f_k of the variant the system takes
     (``required_variant``) and pairwise distinct times n_0..n_k: factor i
     is evaluated at the effective time times[i].
     """
 
-    system: ShiftSystem | TorusAutomorphism
-    observables: tuple[Observable, ...]
-    times: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "observables", tuple(self.observables))
-        object.__setattr__(self, "times", tuple(int(t) for t in self.times))
+    def __init__(
+        self,
+        system: ShiftSystem | TorusAutomorphism,
+        observables: tuple[Observable, ...],
+        times: tuple[int, ...],
+    ):
+        vars(self).update(
+            system=system, observables=tuple(observables), times=tuple(int(t) for t in times)
+        )
         if not self.observables:
             raise DomainError("need at least one observable (k >= 0)")
         if len(self.observables) != len(self.times):
@@ -140,23 +139,25 @@ def _mc_products_shift(query: CorrelationQuery, chunk: int):
 def _transformed_terms(
     auto: TorusAutomorphism, obs: Observable, time: int
 ) -> list[tuple[tuple[int, ...], float, float]]:
-    """Frequency vectors pushed through (matrix^T)^time, exactly over Z."""
+    """Frequency vectors pushed through (matrix^T)^time mod 2^q, each entry
+    the representative in (-2^(q-1), 2^(q-1)]: a character on the lattice
+    2^-q Z^d depends on its frequency mod 2^q only, so the Monte Carlo
+    kernel and the oracle give the same values at any time."""
     for freq, _a, _b in obs.terms:
         if len(freq) != auto.dimension:
             raise VariantMismatch(
                 f"frequency {list(freq)} has {len(freq)} entries, "
                 f"the torus dimension is {auto.dimension}"
             )
+    mod = auto.modulus
     transpose = tuple(zip(*auto.matrix))
     if time >= 0:
-        power = intmat.mat_pow(transpose, time)
+        power = intmat.mat_pow(transpose, time, mod)
     else:
-        power = intmat.mat_pow(intmat.mat_inverse_unimodular(transpose), -time)
+        power = intmat.mat_pow(intmat.mat_inverse_unimodular(transpose), -time, mod)
     out = []
     for freq, a, b in obs.terms:
-        moved = intmat.mat_vec(power, freq)
-        if any(abs(x) >= FREQUENCY_BUDGET for x in moved):
-            raise FrequencyOverflow("transformed frequency exceeds the budget")
+        moved = tuple(x - mod if 2 * x > mod else x for x in intmat.mat_vec(power, freq, mod))
         out.append((moved, a, b))
     return out
 
@@ -337,8 +338,7 @@ def exact_correlation_torus(query: CorrelationQuery) -> float:
 # Mixing defect
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Defect:
+class Defect(NamedTuple):
     """|correlation - product of means| by the exact oracle."""
 
     value: float
@@ -370,8 +370,7 @@ DEGENERATE_MODEL = "degenerate"
 RSS_TIE = 1e-9
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     """Fitted decay (or growth) exponent with residuals, never hidden.
 
     polynomial model: data ~ amplitude * x^(-exponent) (sigma_fit stores a
@@ -459,7 +458,7 @@ def _better_decay_fit(xs: np.ndarray, ys: np.ndarray, dropped: int) -> RateFit:
     expo = fit_model(xs, ys, EXPONENTIAL_MODEL, dropped)
     if abs(poly.rss - expo.rss) <= RSS_TIE * max(1.0, poly.rss, expo.rss):
         best, other = (expo, poly) if expo.rss <= poly.rss else (poly, expo)
-        return RateFit(**{**best.__dict__, "alternate": other})
+        return best._replace(alternate=other)
     return expo if expo.rss < poly.rss else poly
 
 
@@ -565,8 +564,7 @@ def _normalize_table(table: Mapping) -> tuple[dict[frozenset, float], int]:
     return data, order
 
 
-@dataclass(frozen=True, eq=False)
-class CumulantTable:
+class CumulantTable(NamedTuple):
     """Joint moments and cumulants for every nonempty subset of {0..order}.
 
     The two tables satisfy the partition identity: each moment equals the

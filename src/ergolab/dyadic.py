@@ -9,27 +9,35 @@ variances by Cauchy-Schwarz.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .correlations import POLYNOMIAL_MODEL, RateFit, _pairwise_moments, fit_model
-from .errors import DomainError, InsufficientData, ShapeMismatch
+from .errors import DomainError, InsufficientData, ReadOnly, ShapeMismatch
 from .systems import SLAB_ITEMS
 
 
-@dataclass(frozen=True, order=True)
-class DyadicInterval:
-    """Block {m : index 2^level < m <= (index + 1) 2^level}."""
+class DyadicInterval(ReadOnly):
+    """Block {m : index 2^level < m <= (index + 1) 2^level}; blocks compare
+    and hash as their (level, index) pairs."""
 
-    level: int
-    index: int
-
-    def __post_init__(self):
-        if self.level < 0 or self.index < 0:
+    def __init__(self, level: int, index: int):
+        if level < 0 or index < 0:
             raise DomainError("level and index must be nonnegative")
+        vars(self).update(level=level, index=index)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DyadicInterval) and self._key() == other._key()
+
+    def __lt__(self, other: DyadicInterval) -> bool:
+        return self._key() < other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple[int, int]:
+        return self.level, self.index
 
     @property
     def lo(self) -> int:
@@ -122,8 +130,7 @@ TermGenerator = Callable[[np.ndarray, np.ndarray], Iterable[np.ndarray]]
 BATCH_BYTES = 48 << 20
 
 
-@dataclass(frozen=True, eq=False)
-class VarianceProfile:
+class VarianceProfile(NamedTuple):
     """Per-level and total block-variance sums over an ensemble.
 
     level_means[r] is the ensemble mean of the squared block sums at level
@@ -136,8 +143,7 @@ class VarianceProfile:
     per_point_totals: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class BlockMoments:
+class BlockMoments(NamedTuple):
     """Reduction of one (points, columns) term block.
 
     prefix_moments[j] holds (count, mean, sum of squared deviations) of S^2
@@ -152,8 +158,7 @@ class BlockMoments:
     level_totals: tuple[np.ndarray, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class DyadicMoments:
+class DyadicMoments(NamedTuple):
     """Ensemble statistics merged from blocks in point order: e_values[j]
     is (E, standard error) of the squared ns[j]-term sum, profiles[i] the
     VarianceProfile at s_values[i], and blocks[b] the (points, columns)
@@ -396,8 +401,7 @@ def exceptional_fraction(
 # Chain inequality and the scale comparisons
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainCheck:
+class ChainCheck(NamedTuple):
     lhs: float
     mid: float
     rhs: float
@@ -479,4 +483,4 @@ def sigma_fit(ns: Sequence[int], e_values: Sequence[float]) -> RateFit:
     if e.size != len(ns) or (e <= 0).any():
         raise DomainError("need one positive E value per grid point")
     fit = fit_model(np.asarray(ns, dtype=np.float64), e, POLYNOMIAL_MODEL)
-    return dataclasses.replace(fit, exponent=-fit.exponent)
+    return fit._replace(exponent=-fit.exponent)

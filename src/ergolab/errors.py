@@ -1,10 +1,23 @@
-"""Exception hierarchy shared by all ergolab modules.
+"""Exception hierarchy shared by all ergolab modules, and the base of
+their read-only value classes.
 
 Every error carries a stable ``code`` string so the CLI can surface
 module-qualified error codes in its JSON summaries.
 """
 
 from __future__ import annotations
+
+
+class ReadOnly:
+    """Base of the classes that validate their arguments: ``__init__``
+    binds each attribute once through ``vars(self)``, and rebinding or
+    deleting one raises.  ``functools.cached_property`` and pickling write
+    to ``vars(self)`` too, so both keep working."""
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
 
 
 class ErgolabError(Exception):
@@ -71,12 +84,6 @@ class NotTrig(ErgolabError):
     """Exact torus oracle asked about a system that is not a torus automorphism."""
 
     code = "correlations.not_trig"
-
-
-class FrequencyOverflow(ErgolabError):
-    """An intermediate integer frequency exceeded the big-integer budget."""
-
-    code = "correlations.frequency_overflow"
 
 
 class SubsetMissing(ErgolabError):

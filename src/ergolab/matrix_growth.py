@@ -9,7 +9,6 @@ into the counting conditions through the sequences-module checkers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple, Sequence
 
@@ -21,6 +20,7 @@ from .errors import (
     FitInconsistent,
     HypothesisFailed,
     Indeterminate,
+    ReadOnly,
     Singular,
 )
 from .sequences import CountingReport, check_b_either
@@ -44,16 +44,12 @@ def spectral_norm(matrix: np.ndarray) -> float:
     return float(np.linalg.norm(matrix, 2))
 
 
-@dataclass(frozen=True, eq=False)
-class CommutingPair:
+class CommutingPair(ReadOnly):
     """Two commuting invertible matrices of the same dimension."""
 
-    g: np.ndarray
-    h: np.ndarray
-
-    def __post_init__(self):
-        g = _as_matrix(self.g)
-        h = _as_matrix(self.h)
+    def __init__(self, g: np.ndarray, h: np.ndarray):
+        g = _as_matrix(g)
+        h = _as_matrix(h)
         if g.shape != h.shape:
             raise DomainError("matrices must share a dimension")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -64,8 +60,7 @@ class CommutingPair:
         for name, mat in (("g", g), ("h", h)):
             if abs(np.linalg.det(mat)) < 1e-12:
                 raise Singular(f"matrix {name} is singular")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "h", h)
+        vars(self).update(g=g, h=h)
 
     @property
     def dimension(self) -> int:
@@ -99,8 +94,7 @@ def jordan_block_growth(s: complex, n: int) -> float:
 # Growth classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrowthProfile:
+class GrowthProfile(NamedTuple):
     """Exponential base and polynomial degree of ||M^n||, with fit residual.
 
     base 1 marks quasi-unipotent-driven polynomial growth; base > 1 marks
@@ -241,8 +235,7 @@ def pair_norm_grid(
     return grid
 
 
-@dataclass(frozen=True)
-class PairCountingResult:
+class PairCountingResult(NamedTuple):
     """Which orientation of the two-argument counting condition passed."""
 
     decisive: CountingReport
@@ -272,8 +265,7 @@ def pair_counting_check(
     return PairCountingResult(decisive=decisive, other=other, orientation=orientation)
 
 
-@dataclass(frozen=True, eq=False)
-class BalanceBound:
+class BalanceBound(NamedTuple):
     """Two-eigenvalue lower-bound curve for ||h^m g^n|| at fixed m."""
 
     m: int

@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonPositiveTerm
+from .errors import DomainError, NonPositiveTerm, ReadOnly
 
 # Full-grid witness may exceed the half-grid witness by at most this factor.
 STABILITY_FACTOR = 1.5
@@ -39,8 +38,7 @@ PRIMES = "primes"
 EXPLICIT = "explicit"
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(ReadOnly):
     """Generator description with a certified multiplicity bound.
 
     linear: r_n = n.  polynomial: integer coefficients in ascending order,
@@ -49,19 +47,21 @@ class SequenceSpec:
     whose multiplicity is verified against the claimed bound.
     """
 
-    kind: str
-    coefficients: tuple[int, ...] = ()
-    values: tuple[int, ...] = ()
-    multiplicity_bound: int = 1
-
-    def __post_init__(self):
+    def __init__(
+        self, kind: str, coefficients: tuple[int, ...] = (), values: tuple[int, ...] = (),
+        multiplicity_bound: int = 1,
+    ):
+        vars(self).update(
+            kind=kind, coefficients=coefficients, values=values,
+            multiplicity_bound=multiplicity_bound,
+        )
         if self.multiplicity_bound < 1:
             raise DomainError("multiplicity bound must be a positive integer")
         if self.kind in (LINEAR, PRIMES):
             return
         if self.kind == POLYNOMIAL:
             coeffs = tuple(int(c) for c in self.coefficients)
-            object.__setattr__(self, "coefficients", coeffs)
+            vars(self)["coefficients"] = coeffs
             if not coeffs or coeffs[-1] <= 0:
                 raise DomainError(
                     "polynomial sequences need a positive leading coefficient"
@@ -76,7 +76,7 @@ class SequenceSpec:
             return
         if self.kind == EXPLICIT:
             vals = tuple(int(v) for v in self.values)
-            object.__setattr__(self, "values", vals)
+            vars(self)["values"] = vals
             if not vals:
                 raise DomainError("explicit sequences need at least one value")
             if any(v <= 0 for v in vals):
@@ -173,8 +173,7 @@ def multiplicity(window: Sequence[int]) -> int:
 # Counting-condition checkers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CountingReport:
+class CountingReport(ReadOnly):
     """Finite-grid verdict for one counting condition.
 
     witness is the largest observed count/n (or the largest band count);
@@ -183,14 +182,15 @@ class CountingReport:
     where the claimed bound itself decides the verdict.
     """
 
-    condition: str
-    witness: float
-    passed: bool
-    worst_n: int
-    worst_m: int | None
-    worst_count: int
-    grid: dict = field(default_factory=dict)
-    stability_ratio: float | None = None
+    def __init__(
+        self, condition: str, witness: float, passed: bool, worst_n: int, worst_m: int | None,
+        worst_count: int, grid: dict | None = None, stability_ratio: float | None = None,
+    ):
+        vars(self).update(
+            condition=condition, witness=witness, passed=passed, worst_n=worst_n,
+            worst_m=worst_m, worst_count=worst_count, grid={} if grid is None else grid,
+            stability_ratio=stability_ratio,
+        )
 
     CSV_HEADER = ("condition", "witness_M", "pass", "worst_n", "worst_m", "worst_count")
 

@@ -16,11 +16,9 @@ trigonometric polynomials on the torus; both support exact means.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence, Sized
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Sized
 
 import numpy as np
 
@@ -30,6 +28,7 @@ from .errors import (
     IncompatibleSupport,
     NotAperiodic,
     NotStochastic,
+    ReadOnly,
     VariantMismatch,
     WindowExhausted,
 )
@@ -45,15 +44,16 @@ STATE_LIMIT = 1 << 22
 # Shift systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class ShiftSystem:
-    """Aperiodic subshift of finite type with its stationary Markov measure."""
+class ShiftSystem(ReadOnly):
+    """Aperiodic subshift of finite type with its stationary Markov measure:
+    the (m, m) 0/1 ``adjacency``, the (m, m) row-stochastic ``transition``
+    supported on it and the (m,) positive left fixed vector ``stationary``."""
 
-    alphabet_size: int
-    adjacency: np.ndarray      # (m, m) 0/1
-    transition: np.ndarray     # (m, m) row-stochastic, support = adjacency
-    stationary: np.ndarray     # (m,) positive left fixed vector
-    _powers: dict = field(default_factory=dict, init=False, repr=False)
+    def __init__(self, alphabet_size: int, adjacency, transition, stationary):
+        vars(self).update(
+            alphabet_size=alphabet_size, adjacency=adjacency, transition=transition,
+            stationary=stationary, _powers={},
+        )
 
     def transition_power(self, gap: int) -> np.ndarray:
         """P^gap for gap >= 1 by square-and-multiply, cached on the system
@@ -174,8 +174,7 @@ def bernoulli_system(probabilities: Sequence[float]) -> ShiftSystem:
     return build_shift(np.ones((m, m), dtype=np.int64), np.tile(p, (m, 1)))
 
 
-@dataclass(frozen=True, eq=False)
-class ShiftPoint:
+class ShiftPoint(NamedTuple):
     """A bi-infinite admissible sequence, known at the positions sampled.
 
     ``symbols[k]`` is the symbol at absolute position ``positions[k]``
@@ -221,7 +220,7 @@ def word_columns(positions: np.ndarray, radius: int, indices, offset: int = 0) -
 
 def shift_apply(point: ShiftPoint, n: int) -> ShiftPoint:
     """Advance the origin by n; symbols are shared, never copied."""
-    return dataclasses.replace(point, offset=point.offset + int(n))
+    return point._replace(offset=point.offset + int(n))
 
 
 # Items per vectorized slab: the sampler resolves paths in slabs of about
@@ -485,15 +484,11 @@ def _iid_row_slabs(system: ShiftSystem, positions: np.ndarray, rngs: Iterator, s
 DEFAULT_PRECISION_BITS = 128
 
 
-@dataclass(frozen=True, eq=False)
-class TorusAutomorphism:
+class TorusAutomorphism(ReadOnly):
     """Integer unimodular matrix acting on the 2^-q fixed-point torus model."""
 
-    matrix: intmat.IntMatrix
-    precision_bits: int = DEFAULT_PRECISION_BITS
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", intmat.as_int_matrix(self.matrix))
+    def __init__(self, matrix: intmat.IntMatrix, precision_bits: int = DEFAULT_PRECISION_BITS):
+        vars(self).update(matrix=intmat.as_int_matrix(matrix), precision_bits=precision_bits)
         if self.dimension < 2:
             raise DomainError("torus dimension must be >= 2")
         if self.precision_bits < 1:
@@ -527,15 +522,11 @@ def build_torus(matrix, precision_bits: int = DEFAULT_PRECISION_BITS) -> TorusAu
     return TorusAutomorphism(matrix=matrix, precision_bits=precision_bits)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+class TorusPoint(ReadOnly):
     """Lattice point: coordinate i is coords[i] / 2^precision_bits mod 1."""
 
-    coords: tuple[int, ...]
-    precision_bits: int = DEFAULT_PRECISION_BITS
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+    def __init__(self, coords: tuple[int, ...], precision_bits: int = DEFAULT_PRECISION_BITS):
+        vars(self).update(coords=tuple(int(c) for c in coords), precision_bits=precision_bits)
         mod = 1 << self.precision_bits
         if any(not (0 <= c < mod) for c in self.coords):
             raise DomainError("coordinates must lie in [0, 2^q)")
@@ -791,8 +782,7 @@ CYLINDER = "cylinder"
 TRIG = "trig"
 
 
-@dataclass(frozen=True, eq=False)
-class Observable:
+class Observable(ReadOnly):
     """Locally constant function on a shift, or trig polynomial on the torus.
 
     Cylinder variant: value at a point is ``table[word]`` for the word of
@@ -802,13 +792,11 @@ class Observable:
     entries ``(k, a, b)`` with pairwise distinct integer frequencies.
     """
 
-    variant: str
-    radius: int = 0
-    table: Mapping[tuple[int, ...], float] | None = None
-    default: float = 0.0
-    terms: tuple[tuple[tuple[int, ...], float, float], ...] | None = None
-
-    def __post_init__(self):
+    def __init__(
+        self, variant: str, radius: int = 0, table: Mapping[tuple[int, ...], float] | None = None,
+        default: float = 0.0, terms: tuple[tuple[tuple[int, ...], float, float], ...] | None = None,
+    ):
+        vars(self).update(variant=variant, radius=radius, table=table, default=default, terms=terms)
         if self.variant == CYLINDER:
             if self.radius < 0:
                 raise DomainError("cylinder radius must be >= 0")
@@ -826,7 +814,7 @@ class Observable:
                 table[word] = value
             if not np.isfinite(float(self.default)):
                 raise DomainError("cylinder default must be finite")
-            object.__setattr__(self, "table", table)
+            vars(self)["table"] = table
         elif self.variant == TRIG:
             terms = tuple(
                 (tuple(int(k) for k in freq), float(a), float(b))
@@ -840,7 +828,7 @@ class Observable:
             dims = {len(f) for f in freqs}
             if len(dims) > 1:
                 raise DomainError("trig frequency vectors must share one dimension")
-            object.__setattr__(self, "terms", terms)
+            vars(self)["terms"] = terms
         else:
             raise DomainError(f"unknown observable variant {self.variant!r}")
 

@@ -1,6 +1,5 @@
 """Averages: rate scale, streaming, rate statistics, ensembles."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -126,8 +125,9 @@ class TestSpecValidation:
     @pytest.mark.parametrize("checkpoints", [(), (1,), (0, 4, 16), (-3, 4, 16), (4, 2), (2, 32)])
     def test_bad_checkpoints(self, bernoulli, checkpoints):
         spec = make_spec(bernoulli, [systems.cylinder_indicator([0])], (1,), 16)
+        fields = (spec.system, spec.observables, spec.multipliers, spec.sequence, spec.n_max)
         with pytest.raises(DomainError):
-            dataclasses.replace(spec, checkpoints=checkpoints)
+            AverageSpec(*fields, checkpoints=checkpoints)
 
     def test_checkpoint_schedule(self, bernoulli):
         f = systems.cylinder_indicator([0])

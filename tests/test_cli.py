@@ -1,5 +1,6 @@
 """CLI: config validation, artifact determinism, exit codes."""
 
+import ast
 import copy
 import hashlib
 import importlib.util
@@ -20,8 +21,8 @@ import numpy as np
 import pytest
 
 import ergolab
-from ergolab import averages, cli, dyadic
-from ergolab.errors import DomainError
+from ergolab import averages, cli, correlations, dyadic
+from ergolab.errors import ConfigError, DomainError
 from ergolab.seeding import rng_for
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -115,6 +116,29 @@ def minimal_dyadic(exceptional=None):
         "observables": [dict(INDICATOR_1, centered=True), dict(INDICATOR_0, centered=True)],
         "params": params,
     }
+
+
+def constant_dyadic():
+    """A dyadic run that validate passes and run fails: its first factor
+    is constant, so every centred term is 0, E(0, N) = 0 at every N, and
+    the growth fit has no positive value to take."""
+    cfg = minimal_dyadic()
+    cfg["observables"][0] = {
+        "variant": "cylinder", "radius": 0, "table": [], "default": 1.0, "centered": True
+    }
+    return cfg
+
+
+def fail_oracle_at(time, monkeypatch):
+    """Make the exact torus oracle raise on every query that reads ``time``."""
+    oracle = correlations.exact_correlation_torus
+
+    def fail(query):
+        if time in query.times:
+            raise DomainError(f"no exact value at time {time}")
+        return oracle(query)
+
+    monkeypatch.setattr(correlations, "exact_correlation_torus", fail)
 
 
 def ratecheck_config():
@@ -765,19 +789,21 @@ class TestRun:
         assert cli.run(path, tmp_path / "out", workers=1, emit_svg=False) == 2
 
     def test_runtime_failure_exit_code(self, tmp_path):
-        # Cat-map frequencies pushed through 1000 steps exceed the budget.
-        cfg = torus_config("correlate", {"queries": [{"times": [0, 1000]}], "method": "exact"})
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, constant_dyadic())
         out = tmp_path / "out"
+        assert cli.main(["validate", str(path)]) == 0
         assert cli.run(path, out, workers=1, emit_svg=False) == 3
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["status"]["error"]["code"] == "correlations.frequency_overflow"
+        assert summary["status"]["error"] == {
+            "code": "ergolab.domain", "message": "need one positive E value per grid point"
+        }
 
     def test_span_over_limit_fails_before_monte_carlo(self, tmp_path, monkeypatch):
         def no_mc(args):
             raise AssertionError("Monte Carlo ran before the exact values")
 
         monkeypatch.setattr(cli, "_task_mc_query", no_mc)
+        fail_oracle_at(1000, monkeypatch)
         cfg = torus_config(
             "correlate",
             {"queries": [{"times": [0, 3]}, {"times": [0, 1000]}], "method": "both", "samples": 100},
@@ -786,16 +812,17 @@ class TestRun:
         out = tmp_path / "out"
         assert cli.run(path, out, workers=1, emit_svg=False) == 3
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["status"]["error"]["code"] == "correlations.frequency_overflow"
+        assert summary["status"]["error"]["message"] == "no exact value at time 1000"
 
     @pytest.mark.parametrize("tuples", [[[0, 1000], [0, 3]], [[0, 3], [0, 1000]]])
-    def test_cumulant_span_over_limit_is_runtime(self, tmp_path, tuples):
+    def test_cumulant_span_over_limit_is_runtime(self, tmp_path, monkeypatch, tuples):
+        fail_oracle_at(1000, monkeypatch)
         cfg = torus_config("cumulants", {"time_tuples": tuples})
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
         assert cli.run(path, out, workers=1, emit_svg=False) == 3
         summary = json.loads((out / "summary.json").read_text())
-        assert summary["status"]["error"]["code"] == "correlations.frequency_overflow"
+        assert summary["status"]["error"]["message"] == "no exact value at time 1000"
 
     @pytest.mark.parametrize("case", ["exact", "both", "mc", "cumulants"])
     def test_variant_mismatch_is_config_error(self, tmp_path, case):
@@ -1387,6 +1414,35 @@ def test_float_formatting(value, expected):
     assert cli.fmt_value(value) == expected
 
 
+# Strings that Fraction(str) reads, and strings it refuses in each way it can.
+RATIONAL_STRINGS = [
+    "1/2", "-3/4", "+5/8", " 9/10 ", "\t1/3\n", "1_000/7", "2/1_0", "0", "-0", "-0/5", "1/3",
+    "1.5", "-.25", "3.", "1e-3", "2.5E+2", "-1_0.0_1e1_0", "1e-400", "0e999", "0.1",
+    "123456789012345678901234567890/7", "17976931348623157e292", "4.9406564584124654e-324",
+    "1/0", "-3/0", "1/-2", "1 / 2", "1.5/2", "1/2.5", "1e2/3", "nan", "inf", "-inf", "1e400",
+    "17976931348623159e292", "", " ", "a/b", "1_", "_1", "1__0", "1.d", "+-1", "0x10", "1,5",
+    "1/2/3", "\u0663/\u0664",
+]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="CPython 3.11 grammar")
+def test_parse_exact_reads_strings_as_fraction_does():
+    from fractions import Fraction
+
+    rnd = random.Random(5)
+    fuzzed = ["".join(rnd.choices("019_./eE+- ", k=rnd.randint(1, 7))) for _ in range(3000)]
+    where = "system.transition[0][1]"
+    for text in RATIONAL_STRINGS + fuzzed:
+        try:
+            want = float(Fraction(text))
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            with pytest.raises(ConfigError) as info:
+                cli.parse_exact(text, where)
+            assert str(info.value) == f"{where}: cannot parse {text!r}: {exc}"
+        else:
+            assert cli.parse_exact(text, where).hex() == want.hex(), text
+
+
 # ---------------------------------------------------------------------------
 # Seeded config fuzzer
 # ---------------------------------------------------------------------------
@@ -1551,18 +1607,12 @@ RUN_MODULES = {
 EAGER_MODULES = {"cli", "errors", "intmat", "seeding", "systems"}
 LAZY_MODULES = {"averages", "correlations", "dyadic", "matrix_growth", "sequences", "svg"}
 # Standard modules a command loads only when it needs them: hashlib for the
-# manifest, fractions (and decimal) for "p/q" strings, and numpy.random for
-# a random draw. Neither hashlib nor numpy.random loads OpenSSL in an
+# manifest and numpy.random for a random draw. Neither loads OpenSSL in an
 # ergolab process (test_console_process_draws_and_hashes_without_openssl).
-WATCHED_MODULES = ("hashlib", "fractions", "numpy.random")
-
-
-def _holds_ratio_string(node) -> bool:
-    if isinstance(node, dict):
-        return any(_holds_ratio_string(value) for value in node.values())
-    if isinstance(node, list):
-        return any(_holds_ratio_string(value) for value in node)
-    return isinstance(node, str) and "/" in node
+# No command loads the last three: the lab's records are NamedTuples or
+# plain classes, and cli.parse_exact reads "p/q" strings itself.
+WATCHED_MODULES = ("hashlib", "numpy.random", "dataclasses", "fractions", "decimal")
+NEVER_LOADED = {"dataclasses", "fractions", "decimal"}
 
 
 def _modules_after(argv):
@@ -1592,12 +1642,12 @@ def _modules_after(argv):
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
 def test_validate_executes_only_the_modules_its_experiment_needs(config):
     # validate hashes nothing and draws nothing, so hashlib and numpy.random
-    # stay out; fractions loads for "p/q" only.
+    # stay out, with or without "p/q" strings in the config.
     cfg = json.loads(config.read_text())
     registered, executed, loaded = _modules_after(["validate", str(config)])
     assert registered == str(sorted(EAGER_MODULES | LAZY_MODULES))
     assert executed == str(sorted(EAGER_MODULES | EXPERIMENT_MODULES[cfg["experiment"]]))
-    assert loaded == str(["fractions"] if _holds_ratio_string(cfg) else [])
+    assert loaded == str([])
 
 
 @pytest.mark.parametrize("name", sorted(RUN_MODULES))
@@ -1605,11 +1655,16 @@ def test_run_executes_only_the_modules_its_experiment_needs(tmp_path, name):
     # Neither run draws a random number: the cumulants are exact and the
     # growth checks deterministic. The manifest hashes the artifacts.
     config = CONFIGS_DIR / f"{name}.json"
-    cfg = json.loads(config.read_text())
     registered, executed, loaded = _modules_after(["run", str(config), "--out", str(tmp_path)])
     assert registered == str(sorted(EAGER_MODULES | LAZY_MODULES))
     assert executed == str(sorted(EAGER_MODULES | RUN_MODULES[name]))
-    assert loaded == str(["hashlib"] + (["fractions"] if _holds_ratio_string(cfg) else []))
+    assert loaded == str(["hashlib"])
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda path: path.stem)
+def test_no_run_loads_dataclasses_fractions_or_decimal(tmp_path, config):
+    loaded = _modules_after(["run", str(config), "--out", str(tmp_path)])[2]
+    assert not NEVER_LOADED & set(ast.literal_eval(loaded)), loaded
 
 
 # ---------------------------------------------------------------------------
@@ -1650,15 +1705,14 @@ def test_malformed_config_process_exits_2_with_its_message(tmp_path):
 
 
 def test_failed_run_process_exits_3_with_complete_artifacts(tmp_path):
-    # Cat-map frequencies pushed through 1000 steps exceed the budget.
-    cfg = torus_config("correlate", {"queries": [{"times": [0, 1000]}], "method": "exact"})
+    cfg = constant_dyadic()
     path = write_config(tmp_path, cfg)
     proc = _cli_process(["-m", "ergolab.cli", "run", str(path), "--out", "out"], tmp_path)
     assert proc.returncode == 3
-    assert "correlations.frequency_overflow" in proc.stderr
+    assert "ergolab.domain" in proc.stderr
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert summary["status"]["error"]["code"] == "correlations.frequency_overflow"
+    assert summary["status"]["error"]["code"] == "ergolab.domain"
     assert manifest["config"] == cfg and manifest["resources"]["self"]["startup_cpu_seconds"] > 0
 
 
@@ -1734,12 +1788,11 @@ def test_closed_stderr_keeps_the_exit_code(tmp_path, error, code):
     # Each error line goes to a stderr whose reader is gone: a config
     # without an experiment, an --out under a file, and a run that fails.
     (tmp_path / "file").write_text("")
-    overflow = torus_config("correlate", {"queries": [{"times": [0, 1000]}], "method": "exact"})
     no_experiment = {k: v for k, v in minimal_correlate().items() if k != "experiment"}
     config, out = {
         "config": (write_config(tmp_path, no_experiment, "config.json"), "out"),
         "out": (CONFIGS_DIR / "markov_correlate.json", "file/out"),
-        "runtime": (write_config(tmp_path, overflow, "overflow.json"), "out"),
+        "runtime": (write_config(tmp_path, constant_dyadic(), "constant.json"), "out"),
     }[error]
     read_fd, write_fd = os.pipe()
     os.close(read_fd)

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from false_alarm import z_for
 
 from ergolab import correlations as co
 from ergolab import systems
@@ -326,6 +328,29 @@ class TestExactTorus:
         # cos 2 pi 16 x_1 is 1 at every point of the q = 4 lattice.
         assert systems.exact_mean(systems.trig_cosine((16, 0)), cat) == 1.0
         assert systems.exact_mean(systems.trig_cosine((8, 0)), cat) == 0.0
+
+    def test_far_times_reduce_frequencies_mod_2q(self):
+        # 804 is a multiple of 12, so A^804 = A^-804 = I mod 16 and both
+        # pairs read E[cos^2] = 1/2 on the q = 4 lattice; over the
+        # integers A^804 has entries of 336 digits.
+        cat = systems.build_torus([[2, 1], [1, 1]], precision_bits=4)
+        f = systems.trig_cosine((1, 0))
+        for times in ((0, 804), (0, -804)):
+            q = query(cat, [f, f], times)
+            assert co.exact_correlation_torus(q) == 0.5, times
+            estimate, std_error = co.mc_correlation(q, 4000, 3)
+            assert abs(estimate - 0.5) <= z_for(2) * std_error, times
+
+    def test_huge_time_at_default_precision(self):
+        # (A^T)^t is raised mod 2^128, so t = 10^9 costs about 30 squarings.
+        cat = systems.build_torus([[2, 1], [1, 1]])
+        f = systems.trig_cosine((1, 0))
+        q = query(cat, [f, f], (0, 10 ** 9))
+        start = time.perf_counter()
+        exact = co.exact_correlation_torus(q)
+        estimate, std_error = co.mc_correlation(q, 4000, 5)
+        assert time.perf_counter() - start < 2.0
+        assert abs(estimate - exact) <= z_for(1) * std_error
 
     def test_mc_agreement(self, cat):
         f0 = systems.trig_cosine((-2, -1))

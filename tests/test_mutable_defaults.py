@@ -1,8 +1,11 @@
-"""No function of the package takes a mutable default argument.
+"""No function of the package takes a mutable default argument, and no
+class field has a mutable default.
 
 A mutable default is one object shared by every call, and any caller can
 pass its own in its place: a hidden knob. A cache belongs in
-``functools.cache``, a fresh container in the function body.
+``functools.cache``, a fresh container in the function body. A field
+default of a ``NamedTuple`` (an annotated assignment in a class body) is
+likewise one object shared by every instance.
 """
 
 import ast
@@ -27,9 +30,16 @@ def is_mutable(node) -> bool:
 
 def mutable_defaults(source: str, module: str) -> list[str]:
     """``module:line function(parameter)`` for each mutable default of any
-    function, method or lambda in ``source``."""
+    function, method or lambda in ``source``, and ``module:line
+    Class.field`` for each annotated assignment of one in a class body."""
     found = []
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            found += [
+                f"{module}:{stmt.lineno} {node.name}.{ast.unparse(stmt.target)}"
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and stmt.value and is_mutable(stmt.value)
+            ]
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             continue
         args = node.args
@@ -50,6 +60,9 @@ def test_finder_sees_each_form():
         "def f(a, b={}, *, c=[], d=None):\n    pass\n"
         "def g(e=set(), f=dict(x=1), g=list(), h=(), i=frozenset()):\n    pass\n"
         "h = lambda j={k: 1 for k in ()}: j\n"
+        "class R(NamedTuple):\n"
+        "    a: dict = {}\n    b: list = list()\n    c: set = {1}\n"
+        "    d: tuple = ()\n    e: int\n    f: dict | None = None\n"
     )
     assert mutable_defaults(source, "m.py") == [
         "m.py:1 f(b)",
@@ -57,6 +70,9 @@ def test_finder_sees_each_form():
         "m.py:3 g(e)",
         "m.py:3 g(f)",
         "m.py:3 g(g)",
+        "m.py:7 R.a",
+        "m.py:8 R.b",
+        "m.py:9 R.c",
         "m.py:5 <lambda>(j)",
     ]
 
@@ -67,4 +83,4 @@ def test_no_mutable_default_arguments():
         for path in sorted((ROOT / "src").rglob("*.py"))
         for hit in mutable_defaults(path.read_text(encoding="utf-8"), path.name)
     ]
-    assert not found, f"mutable default arguments: {found}"
+    assert not found, f"mutable defaults: {found}"

@@ -1,6 +1,7 @@
 """Systems module: construction, sampling, exact actions and means."""
 
 import bisect
+import pickle
 import random
 
 import numpy as np
@@ -870,3 +871,56 @@ class TestTransitionPower:
     def test_gap_below_one_rejected(self, markov):
         with pytest.raises(DomainError):
             markov.transition_power(0)
+
+
+
+def _validated_values():
+    """One instance of each class that validates its arguments, with one
+    of its attributes."""
+    from ergolab import correlations, dyadic, matrix_growth, sequences
+
+    shift = systems.bernoulli_system([0.5, 0.5])
+    f = systems.cylinder_indicator([1])
+    linear = SequenceSpec("linear")
+    return [
+        (shift, "transition"),
+        (systems.build_torus([[2, 1], [1, 1]], precision_bits=8), "matrix"),
+        (systems.TorusPoint((3, 5), 8), "coords"),
+        (f, "table"),
+        (correlations.CorrelationQuery(shift, (f, f), (0, 2)), "times"),
+        (averages.AverageSpec(shift, (f,), (1,), linear, 8), "n_max"),
+        (linear, "kind"),
+        (matrix_growth.CommutingPair(np.eye(2), 2 * np.eye(2)), "g"),
+        (dyadic.DyadicInterval(2, 1), "level"),
+        (sequences.CountingReport("b-row", 1.0, True, 1, None, 1), "grid"),
+    ]
+
+
+VALIDATED = _validated_values()
+
+
+@pytest.mark.parametrize("value, attr", VALIDATED, ids=[type(v).__name__ for v, _ in VALIDATED])
+def test_validated_values_are_read_only(value, attr):
+    before = getattr(value, attr)
+    for change in (lambda: setattr(value, attr, None), lambda: delattr(value, attr)):
+        with pytest.raises(AttributeError, match="is read-only"):
+            change()
+    with pytest.raises(AttributeError, match="is read-only"):
+        value.extra = 1
+    assert getattr(value, attr) is before
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value) and sorted(vars(copy)) == sorted(vars(value))
+
+
+def test_cached_properties_and_interval_order():
+    from ergolab import correlations, dyadic
+
+    shift = systems.bernoulli_system([0.5, 0.5])
+    f = systems.cylinder_indicator([1])
+    query = correlations.CorrelationQuery(shift, (f, f), (0, 2))
+    spec = averages.AverageSpec(shift, (f,), (1,), SequenceSpec("linear"), 8)
+    assert query.plan is query.plan and spec.terms is spec.terms
+    blocks = [dyadic.DyadicInterval(1, 0), dyadic.DyadicInterval(0, 3), dyadic.DyadicInterval(0, 1)]
+    assert sorted(blocks) == [blocks[2], blocks[1], blocks[0]]
+    assert len({dyadic.DyadicInterval(0, 1), blocks[2]}) == 1
+    assert blocks[0] != (1, 0)
