@@ -211,76 +211,22 @@ def direct_average(spec: AverageSpec, point, n: int) -> float:
 # Rate statistics
 # ---------------------------------------------------------------------------
 
-class RateTable(NamedTuple):
-    """Per-checkpoint normalized errors |A_N - target| / rho(N)."""
-
-    rows: tuple[tuple[int, float], ...]
-
-    def values(self) -> tuple[float, ...]:
-        return tuple(v for _, v in self.rows)
-
-
-def rate_statistic(
-    series: AverageSeries,
-    epsilon: float,
-    delta: float,
-    target: float,
-) -> RateTable:
-    """Normalize the average error by the rate scale at every checkpoint
-    with N >= 2."""
-    rows = []
-    for n, a_n, _s_n in series.entries:
-        if n < 2:
-            continue
-        rows.append((n, abs(a_n - target) / rho(n, epsilon, delta)))
+def rate_statistic(series: AverageSeries, epsilon: float, delta: float) -> tuple:
+    """Rows (N, |A_N - target| / rho(N)): the average error normalized by
+    the rate scale at every checkpoint with N >= 2."""
+    rows = tuple(
+        (n, abs(a_n - series.target) / rho(n, epsilon, delta))
+        for n, a_n, _s_n in series.entries
+        if n >= 2
+    )
     if not rows:
         raise DomainError("series has no checkpoints with N >= 2")
-    return RateTable(rows=tuple(rows))
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # Ensembles
 # ---------------------------------------------------------------------------
-
-class EnsembleSummary(NamedTuple):
-    """Fraction and median trends of the rate statistic over an ensemble.
-
-    Two exceedance curves are reported per checkpoint: the fraction of
-    points whose statistic exceeds that same point's value at the
-    reference checkpoint, and the fraction exceeding the ensemble median
-    at the reference checkpoint.  The per-point curve is dominated by the
-    heavy-tailed ratio of two nearly independent CLT fluctuations, so its
-    floor is set by that ratio distribution rather than by the rate
-    scale; the median-referenced curve tracks the shrinkage of the
-    statistic's typical level.  ``symbols_sampled`` counts the shift
-    symbols the ensemble's points drew (0 on a torus).
-    """
-
-    checkpoints: tuple[int, ...]
-    reference_checkpoint: int
-    fractions_above_own: tuple[float, ...]
-    fractions_above_median: tuple[float, ...]
-    medians: tuple[float, ...]
-    point_count: int
-    epsilon: float
-    delta: float
-    target: float
-    statistics: np.ndarray
-    symbols_sampled: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "checkpoints": list(self.checkpoints),
-            "reference_checkpoint": self.reference_checkpoint,
-            "fractions_above_own": list(self.fractions_above_own),
-            "fractions_above_median": list(self.fractions_above_median),
-            "medians": list(self.medians),
-            "point_count": self.point_count,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "target": self.target,
-        }
-
 
 def orbit_tasks(spec: AverageSpec, seed: int, point_count: int) -> list:
     """The ``orbit_series`` tasks of an ensemble's points 0..point_count-1.
@@ -309,6 +255,17 @@ def orbit_series(task) -> tuple[AverageSeries, int]:
     return _checkpoint_series(spec, slab[0]), spec.resolve(ks)[0].size
 
 
+def ensemble(
+    spec: AverageSpec, point_count: int, epsilon: float, delta: float, seed: int, map_members=map
+) -> tuple:
+    """(series, rate tables, shift symbols drawn) of the independent orbits
+    of points 0..point_count-1: each point's ``orbit_series`` and its
+    ``rate_statistic``.  ``map_members(fn, tasks)`` is an ordered map over
+    the points, such as the builtin ``map`` or a parallel one."""
+    series, symbols = zip(*map_members(orbit_series, orbit_tasks(spec, seed, point_count)))
+    return series, [rate_statistic(s, epsilon, delta) for s in series], sum(symbols)
+
+
 def medians_of_columns(values: np.ndarray) -> np.ndarray:
     """``np.median(values, axis=0)`` from one sort: the middle entry, or
     (a + b) / 2 of the two middle ones. It is bit for bit the same except
@@ -321,48 +278,35 @@ def medians_of_columns(values: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(ordered[-1]), np.nan, middle)
 
 
-def ensemble_rate_experiment(
-    spec: AverageSpec,
-    point_count: int,
-    epsilon: float,
-    delta: float,
-    seed: int,
-    min_checkpoint: int | None = None,
-    map_members=map,
-) -> EnsembleSummary:
-    """Run independent orbits with per-point derived seeds and report the
-    exceedance fractions and medians relative to the first checkpoint kept
-    (from ``min_checkpoint`` on).  ``map_members(fn, tasks)`` is an ordered
-    map over the members, such as the builtin ``map`` or a parallel one."""
-    if point_count < 10:
+def rate_trends(tables, min_checkpoint: int | None = None) -> dict:
+    """Fraction and median trends of an ensemble's rate tables over the
+    checkpoints from ``min_checkpoint`` on, relative to the first one kept.
+
+    Two exceedance curves are reported per checkpoint: the fraction of
+    points whose statistic exceeds that same point's value at the
+    reference checkpoint, and the fraction exceeding the ensemble median
+    at the reference checkpoint.  The per-point curve is dominated by the
+    heavy-tailed ratio of two nearly independent CLT fluctuations, so its
+    floor is set by that ratio distribution rather than by the rate
+    scale; the median-referenced curve tracks the shrinkage of the
+    statistic's typical level.
+    """
+    if len(tables) < 10:
         raise DomainError("need at least 10 ensemble points")
-    series, symbols = zip(*map_members(orbit_series, orbit_tasks(spec, seed, point_count)))
-    tables = [rate_statistic(s, epsilon, delta, s.target) for s in series]
-    stats = np.asarray([table.values() for table in tables], dtype=np.float64)
-    checkpoints = tuple(n for n, _ in tables[0].rows)
+    checkpoints = [n for n, _ in tables[0]]
     keep = [i for i, n in enumerate(checkpoints) if min_checkpoint is None or n >= min_checkpoint]
     if not keep:
         raise DomainError("min_checkpoint filters out every checkpoint")
-    stats = stats[:, keep]
-    kept = tuple(checkpoints[i] for i in keep)
-    reference = stats[:, 0]
-    medians = tuple(float(m) for m in medians_of_columns(stats))
-    median_ref = medians[0]
-    fractions_own = tuple(float(np.mean(stats[:, j] > reference)) for j in range(stats.shape[1]))
-    fractions_med = tuple(float(np.mean(stats[:, j] > median_ref)) for j in range(stats.shape[1]))
-    return EnsembleSummary(
-        checkpoints=kept,
-        reference_checkpoint=kept[0],
-        fractions_above_own=fractions_own,
-        fractions_above_median=fractions_med,
-        medians=medians,
-        point_count=stats.shape[0],
-        epsilon=epsilon,
-        delta=delta,
-        target=spec.target(),
-        statistics=stats,
-        symbols_sampled=sum(symbols),
-    )
+    stats = np.asarray([[v for _, v in table] for table in tables], dtype=np.float64)[:, keep]
+    medians = [float(m) for m in medians_of_columns(stats)]
+    return {
+        "checkpoints": [checkpoints[i] for i in keep],
+        "reference_checkpoint": checkpoints[keep[0]],
+        "fractions_above_own": [float(np.mean(column > stats[:, 0])) for column in stats.T],
+        "fractions_above_median": [float(np.mean(column > medians[0])) for column in stats.T],
+        "medians": medians,
+        "point_count": len(tables),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -471,25 +415,32 @@ def term_bytes(spec: AverageSpec, width: int, positions: int | None = None) -> t
     return per_point, per_call
 
 
-def orbit_bytes(spec: AverageSpec) -> int:
-    """Bytes one ``orbit_series`` task holds while it runs: ``validate``'s
-    ``estimated_memory_bytes`` for ``average`` and ``ratecheck``.  A
-    process runs its points one at a time, so the figure does not grow
-    with the point count.  A shift orbit is one term generator call
-    (``term_bytes``).  A torus orbit holds, per exponent m_i r_n (len(m)
-    n_max of them, repeats included), the exponent as an int64 and as a
-    Python int with its list, set and index entries, and its orbit point as
-    d Python ints of q bits in a tuple, as their bytes, as d ceil(q / 32)
-    uint64 limbs and as one factor's gathered limbs; per point of a
-    ``TORUS_SLAB`` slab, ``trig_values``' limbs of x and -x, dot product
-    and phase scratch; and a fixed 32 KiB for the walk's power tables and
-    the buffer artifacts are written through."""
+def orbit_bytes(spec: AverageSpec, point_count: int) -> int:
+    """``validate``'s ``estimated_memory_bytes`` for ``average`` and
+    ``ratecheck``: the bytes one ``orbit_series`` task holds while it runs,
+    plus what the run keeps of each of its ``point_count`` points until it
+    ends.  A process runs its points one at a time.  A shift orbit is one
+    term generator call (``term_bytes``).  A torus orbit holds, per exponent
+    m_i r_n (len(m) n_max of them, repeats included), the exponent as an
+    int64 and as a Python int with its list, set and index entries, and its
+    orbit point as d Python ints of q bits in a tuple, as their bytes, as d
+    ceil(q / 32) uint64 limbs and as one factor's gathered limbs; per point
+    of a ``TORUS_SLAB`` slab, ``trig_values``' limbs of x and -x, dot
+    product and phase scratch; and a fixed 32 KiB for the walk's power
+    tables and the buffer artifacts are written through.  A kept point
+    holds, per checkpoint, its row (N, A_N, S_N) as a tuple of an int and
+    two floats, its rate row (N, statistic) and the three float64 copies
+    of the statistic that ratecheck's trends make, 264 bytes; and 512
+    bytes for its records and its slots in the run's lists."""
+    checkpoints = len(spec.checkpoint_schedule())
+    kept = point_count * (264 * checkpoints + 512)
     if isinstance(spec.system, ShiftSystem):
         ks = np.arange(1, spec.n_max + 1, dtype=np.int64)
-        return sum(term_bytes(spec, spec.n_max, spec.resolve(ks)[0].size))
+        return kept + sum(term_bytes(spec, spec.n_max, spec.resolve(ks)[0].size))
     d, q = spec.system.dimension, spec.system.precision_bits
     limbs = _limb_count(q)
     per_exponent = 160 + d * (64 + q // 4 + 24 * limbs)
     per_slab_point = 8 * (2 * d * limbs + 8 * limbs + 24)
     exponents = len(spec.multipliers) * spec.n_max
-    return exponents * per_exponent + min(spec.n_max, TORUS_SLAB) * per_slab_point + (32 << 10)
+    slab = min(spec.n_max, TORUS_SLAB) * per_slab_point
+    return kept + exponents * per_exponent + slab + (32 << 10)

@@ -295,6 +295,13 @@ def _rational(text: str) -> float:
         num, denom = num * 10 ** len(decimal) + int(decimal), 10 ** len(decimal)
     if exp:
         exp = int(exp)
+        # The value is num * 10^scale: past these scales it overflows, or
+        # rounds to zero, whatever num's digits, so 10^exp is not formed.
+        scale = exp - len(decimal or "")
+        if num and scale >= 309:
+            raise OverflowError("integer division result too large for a float")
+        if not num or scale + num.bit_length() <= -324:
+            return -0.0 if num and sign == "-" else 0.0
         num, denom = (num * 10 ** exp, denom) if exp >= 0 else (num, denom * 10 ** -exp)
     num = -num if sign == "-" else num
     if not denom:
@@ -742,7 +749,7 @@ def parse_averages(cfg: dict):
         fields = (spec.system, spec.observables, spec.multipliers, spec.sequence, n_max)
         spec = build_at("params.checkpoints", averages.AverageSpec, *fields, params["checkpoints"])
     # On a shift this resolves the orbit's read plan, which checks its reach.
-    derived = {"estimated_memory_bytes": build_at("params", averages.orbit_bytes, spec)}
+    derived = {"estimated_memory_bytes": build_at("params", averages.orbit_bytes, spec, points)}
     if isinstance(system, systems.ShiftSystem):
         derived["symbols_per_point"] = spec.resolve(np.arange(1, n_max + 1))[0].size
     else:
@@ -756,22 +763,28 @@ def parse_averages(cfg: dict):
     return derived, functools.partial(run_ratecheck, *stats, min_checkpoint)
 
 
+def _ensemble(spec, epsilon: float, delta: float, points: int, seed: int, ctx: RunContext):
+    """The series and rate tables of the run's points, mapped over its workers."""
+    members = functools.partial(pmap, workers=ctx.workers)
+    series, tables, symbols = averages.ensemble(spec, points, epsilon, delta, seed, members)
+    ctx.count("symbols_sampled", symbols)
+    ctx.count("orbits", points)
+    return series, tables
+
+
 def run_average(
     spec, epsilon: float, delta: float, points: int, seed: int, ctx: RunContext
 ) -> dict:
-    tasks = averages.orbit_tasks(spec, seed, points)
-    series_list, symbols = zip(*pmap(averages.orbit_series, tasks, ctx.workers))
-    ctx.count("symbols_sampled", sum(symbols))
-    header = ["seed", "N", "A_N", "S_N", "rate_statistic"]
-    rows = []
-    for index, series in enumerate(series_list):
-        stats = averages.rate_statistic(series, epsilon, delta, series.target)
-        table = dict(stats.rows)
-        for n, a_n, s_n in series.entries:
-            rows.append([index, n, a_n, s_n, table.get(n, "")])
-    ctx.csv("average.csv", header, rows)
-    ctx.count("orbits", len(series_list))
-    first = series_list[0]
+    series, tables = _ensemble(spec, epsilon, delta, points, seed, ctx)
+
+    def rows():  # streamed: one point's rows at a time
+        for index, (one, table) in enumerate(zip(series, tables)):
+            rates = dict(table)
+            for n, a_n, s_n in one.entries:
+                yield [index, n, a_n, s_n, rates.get(n, "")]
+
+    ctx.csv("average.csv", ["seed", "N", "A_N", "S_N", "rate_statistic"], rows())
+    first = series[0]
     ctx.chart(
         "average.svg",
         [n for n, _, _ in first.entries],
@@ -782,43 +795,32 @@ def run_average(
     return {
         "target": first.target,
         "points": points,
-        "final": {str(i): s.entries[-1][1] for i, s in enumerate(series_list)},
+        "final": {str(i): s.entries[-1][1] for i, s in enumerate(series)},
     }
 
 
 def run_ratecheck(
     spec, epsilon: float, delta: float, points: int, seed: int, min_checkpoint, ctx: RunContext
 ) -> dict:
-    members = functools.partial(pmap, workers=ctx.workers)
-    summary = averages.ensemble_rate_experiment(
-        spec, points, epsilon, delta, seed, min_checkpoint, members
-    )
-    ctx.count("symbols_sampled", summary.symbols_sampled)
+    _, tables = _ensemble(spec, epsilon, delta, points, seed, ctx)
+    trends = averages.rate_trends(tables, min_checkpoint)
+    trends.update(epsilon=epsilon, delta=delta, target=spec.target())
+    columns = ("checkpoints", "fractions_above_own", "fractions_above_median", "medians")
     header = ["checkpoint", "fraction_above_own", "fraction_above_median", "median"]
-    rows = [
-        [n, fo, fm, md]
-        for n, fo, fm, md in zip(
-            summary.checkpoints,
-            summary.fractions_above_own,
-            summary.fractions_above_median,
-            summary.medians,
-        )
-    ]
-    ctx.csv("ratecheck.csv", header, rows)
-    ctx.json("ratecheck_summary.json", summary.to_json_dict())
-    ctx.count("orbits", points)
+    ctx.csv("ratecheck.csv", header, zip(*(trends[c] for c in columns)))
+    ctx.json("ratecheck_summary.json", trends)
     ctx.chart(
         "ratecheck.svg",
-        list(summary.checkpoints),
+        trends["checkpoints"],
         [
-            ("median statistic", list(summary.medians)),
-            ("fraction > median ref", list(summary.fractions_above_median)),
+            ("median statistic", trends["medians"]),
+            ("fraction > median ref", trends["fractions_above_median"]),
         ],
         "rate statistic trend",
         log_x=True,
         log_y=True,
     )
-    return summary.to_json_dict()
+    return trends
 
 
 EXCEPTIONAL = {

@@ -78,8 +78,11 @@ class ShiftSystem(ReadOnly):
         return self._powers[gap]
 
     def word_probability(self, word: Sequence[int]) -> float:
-        """Stationary probability of a finite admissible word; 0 otherwise."""
+        """Stationary probability of a finite admissible word; 0 otherwise,
+        as for a word with a symbol outside the alphabet."""
         w = list(word)
+        if not all(0 <= s < self.alphabet_size for s in w):
+            return 0.0
         p = float(self.stationary[w[0]])
         for a, b in zip(w, w[1:]):
             p *= float(self.transition[a, b])

@@ -167,11 +167,11 @@ def test_criterion_06_variance_exponent(bernoulli):
 
 
 def _trend_checks(summary, label):
-    medians = summary.medians
+    medians = summary["medians"]
     assert all(
         b <= a + 1e-15 for a, b in zip(medians[-3:], medians[-2:])
     ), f"{label}: medians not non-increasing across the last three checkpoints"
-    fraction = summary.fractions_above_median[-1]
+    fraction = summary["fractions_above_median"][-1]
     assert fraction <= 0.05, f"{label}: final fraction {fraction} above 0.05"
 
 
@@ -179,16 +179,15 @@ def test_criterion_07_pointwise_rate_trend(bernoulli):
     with Budget(7, "ensemble statistic shrinks below its level at N = 2^7", 600):
         for kind in ("linear", "primes"):
             spec = _pair_product_spec(bernoulli, 1 << 13, kind=kind)
-            summary = averages.ensemble_rate_experiment(
-                spec, 200, epsilon=1.0, delta=2.0, seed=707, min_checkpoint=1 << 7
-            )
-            assert summary.reference_checkpoint == 1 << 7
+            _, tables, _ = averages.ensemble(spec, 200, epsilon=1.0, delta=2.0, seed=707)
+            summary = averages.rate_trends(tables, min_checkpoint=1 << 7)
+            assert summary["reference_checkpoint"] == 1 << 7
             _trend_checks(summary, kind)
             print(
                 f"    [{kind}] final fraction above median ref: "
-                f"{summary.fractions_above_median[-1]:.4f}; "
+                f"{summary['fractions_above_median'][-1]:.4f}; "
                 f"above own ref (heavy-tailed, reported not asserted): "
-                f"{summary.fractions_above_own[-1]:.4f}"
+                f"{summary['fractions_above_own'][-1]:.4f}"
             )
 
 

@@ -324,7 +324,7 @@ class TestStream:
 def log_log_slope(table) -> float:
     """Least-squares slope of log statistic against log N over the rows
     with a positive statistic."""
-    ns, values = np.array([row for row in table.rows if row[1] > 0.0]).T
+    ns, values = np.array([row for row in table if row[1] > 0.0]).T
     return float(np.polyfit(np.log(ns), np.log(values), 1)[0])
 
 
@@ -333,8 +333,8 @@ class TestRateStatistic:
         obs = systems.cylinder_observable(0, {(0,): 1.0, (1,): 1.0})
         spec = make_spec(markov, [obs], (1,), 256)
         series = _orbit(spec, 0, 0)
-        table = rate_statistic(series, 1.0, 2.0, series.target)
-        assert all(v == 0.0 for v in table.values())
+        table = rate_statistic(series, 1.0, 2.0)
+        assert all(v == 0.0 for _, v in table)
 
     def test_centered_slope_negative_majority(self, bernoulli):
         f = systems.centered_cylinder_indicator(bernoulli, [1])
@@ -342,7 +342,7 @@ class TestRateStatistic:
         negative = 0
         for seed in range(15):
             series = _orbit(spec, seed, seed)
-            table = rate_statistic(series, 1.0, 2.0, series.target)
+            table = rate_statistic(series, 1.0, 2.0)
             if log_log_slope(table) < 0:
                 negative += 1
         assert negative > 7
@@ -360,34 +360,39 @@ class TestRateStatistic:
             checkpoints=tuple(1 << j for j in range(8, 16)),
         )
         series = _orbit(spec, 2, 0)
-        table = rate_statistic(series, 1.0, 2.0, series.target + 0.1)
+        table = rate_statistic(series._replace(target=series.target + 0.1), 1.0, 2.0)
         assert log_log_slope(table) > 0
+
+
+def trends_of(spec, point_count, seed, min_checkpoint=None):
+    """``ergolab run ratecheck``'s trends of an ensemble at epsilon 1 and
+    delta 2."""
+    _, tables, _ = averages.ensemble(spec, point_count, 1.0, 2.0, seed)
+    return averages.rate_trends(tables, min_checkpoint)
 
 
 class TestEnsemble:
     def test_constant_fractions_zero(self, markov):
         obs = systems.cylinder_observable(0, {(0,): 1.0, (1,): 1.0})
         spec = make_spec(markov, [obs], (1,), 64)
-        summary = averages.ensemble_rate_experiment(spec, 10, 1.0, 2.0, seed=5)
-        assert all(f == 0.0 for f in summary.fractions_above_own)
-        assert all(m == 0.0 for m in summary.medians)
+        summary = trends_of(spec, 10, seed=5)
+        assert all(f == 0.0 for f in summary["fractions_above_own"])
+        assert all(m == 0.0 for m in summary["medians"])
 
     def test_min_checkpoint_filter(self, bernoulli):
         f = systems.centered_cylinder_indicator(bernoulli, [1])
         spec = make_spec(bernoulli, [f], (1,), 256)
-        summary = averages.ensemble_rate_experiment(
-            spec, 10, 1.0, 2.0, seed=5, min_checkpoint=32
-        )
-        assert summary.checkpoints[0] == 32
-        assert summary.reference_checkpoint == 32
-        assert summary.fractions_above_own[0] == 0.0
+        summary = trends_of(spec, 10, seed=5, min_checkpoint=32)
+        assert summary["checkpoints"][0] == 32
+        assert summary["reference_checkpoint"] == 32
+        assert summary["fractions_above_own"][0] == 0.0
 
     def test_determinism(self, bernoulli):
         f = systems.centered_cylinder_indicator(bernoulli, [1])
         spec = make_spec(bernoulli, [f], (1,), 128)
-        a = averages.ensemble_rate_experiment(spec, 12, 1.0, 2.0, seed=8)
-        b = averages.ensemble_rate_experiment(spec, 12, 1.0, 2.0, seed=8)
-        assert np.array_equal(a.statistics, b.statistics)
+        a = averages.ensemble(spec, 12, 1.0, 2.0, seed=8)
+        b = averages.ensemble(spec, 12, 1.0, 2.0, seed=8)
+        assert a[1] == b[1]
 
     @pytest.mark.parametrize("points", [1, 2, 10, 11, 20, 200, 201])
     def test_medians_match_numpy_median(self, points):
@@ -417,14 +422,14 @@ class TestEnsemble:
         monkeypatch.setattr(averages, "generate", counting)
         f = systems.centered_cylinder_indicator(bernoulli, [1])
         spec = make_spec(bernoulli, [f], (1,), 1024, kind="primes")
-        averages.ensemble_rate_experiment(spec, 20, 1.0, 2.0, seed=3)
+        trends_of(spec, 20, seed=3)
         assert calls == [1024]
 
     def test_point_count_floor(self, bernoulli):
         f = systems.centered_cylinder_indicator(bernoulli, [1])
         spec = make_spec(bernoulli, [f], (1,), 64)
         with pytest.raises(DomainError):
-            averages.ensemble_rate_experiment(spec, 5, 1.0, 2.0, seed=1)
+            trends_of(spec, 5, seed=1)
 
     @pytest.mark.parametrize("kind", ["linear", "primes"])
     def test_fraction_trend_over_last_checkpoints(self, bernoulli, kind):
@@ -439,11 +444,9 @@ class TestEnsemble:
             sequence=SequenceSpec(kind=kind),
             n_max=1 << 11,
         )
-        summary = averages.ensemble_rate_experiment(
-            spec, 60, 1.0, 2.0, seed=17, min_checkpoint=16
-        )
-        tolerance = 1.0 / summary.point_count
-        tail = summary.fractions_above_own[-3:]
+        summary = trends_of(spec, 60, seed=17, min_checkpoint=16)
+        tolerance = 1.0 / summary["point_count"]
+        tail = summary["fractions_above_own"][-3:]
         assert all(b <= a + tolerance for a, b in zip(tail, tail[1:]))
 
 

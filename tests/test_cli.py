@@ -1004,12 +1004,16 @@ class TestRun:
                 tmp_path / "b" / "summary.json"
             ).read_bytes()
 
-    @pytest.mark.parametrize("case", ["shipped-ratecheck", "markov-average", 128, 64])
+    @pytest.mark.parametrize("case", ["shipped-ratecheck", "markov-average", 128, 64, "many-points"])
     def test_memory_estimate_bounds_the_run_step(self, tmp_path, case):
         # estimated_memory_bytes bounds what one orbit holds, and a process
-        # runs its points one at a time, so the figure bounds the run step
-        # at one worker and does not grow with the point count.
-        if case == "shipped-ratecheck":
+        # runs its points one at a time, plus what the run keeps of every
+        # point, so the figure bounds the run step at one worker. With many
+        # points on a short torus orbit, the kept points are most of it.
+        if case == "many-points":
+            params = {"multipliers": [1, 2], "n_max": 16, "point_count": 200}
+            cfg = torus_config("average", params, bits=64)
+        elif case == "shipped-ratecheck":
             cfg = json.loads((CONFIGS_DIR / "bernoulli_ratecheck.json").read_text())
         elif case == "markov-average":
             cfg = {
@@ -1038,8 +1042,6 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert peak <= estimate, (peak, estimate)
-        cfg["params"]["point_count"] = 10 * cfg["params"].get("point_count", 1)
-        assert cli.validate_config(cfg)[1]["derived"]["estimated_memory_bytes"] == estimate
 
     def test_counting_run(self, tmp_path):
         cfg = {
@@ -1422,6 +1424,10 @@ RATIONAL_STRINGS = [
     "1/0", "-3/0", "1/-2", "1 / 2", "1.5/2", "1/2.5", "1e2/3", "nan", "inf", "-inf", "1e400",
     "17976931348623159e292", "", " ", "a/b", "1_", "_1", "1__0", "1.d", "+-1", "0x10", "1,5",
     "1/2/3", "\u0663/\u0664",
+    # Either side of the scales past which a decimal is answered without
+    # forming 10^exp: it overflows at 10^309 and rounds to zero below 10^-324.
+    "1e308", "10e308", "0.1e309", "1e309", "-1.5e309", "9e-324", "99999e-328", "1e-324",
+    "1e-325", "-1e-325", "1_0e-326", "0.001e-321", "0e99999", "-0.0e-99999", "1.25e-330",
 ]
 
 
@@ -1441,6 +1447,22 @@ def test_parse_exact_reads_strings_as_fraction_does():
             assert str(info.value) == f"{where}: cannot parse {text!r}: {exc}"
         else:
             assert cli.parse_exact(text, where).hex() == want.hex(), text
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [("1e1000000000", "integer division result too large for a float"),
+     ("-1e-1000000000", -0.0), ("0e1000000000", 0.0)],
+)
+def test_parse_exact_answers_huge_exponents_at_once(text, want):
+    # Fraction(text) would form 10^(10^9), about 415 MB, to give this answer.
+    started = time.perf_counter()
+    if isinstance(want, str):
+        with pytest.raises(ConfigError, match=want):
+            cli.parse_exact(text, "params.epsilon")
+    else:
+        assert cli.parse_exact(text, "params.epsilon").hex() == want.hex()
+    assert time.perf_counter() - started < 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -1904,3 +1926,122 @@ def test_shipped_configs_keep_their_artifacts(tmp_path):
         manifest = json.loads((out / "manifest.json").read_text())
         got[config.name] = {a["name"]: a["sha256"] for a in manifest["artifacts"]}
     assert got == SHIPPED_ARTIFACTS, f"pinned on numpy {PINNED_NUMPY}, run on {np.__version__}"
+
+
+def ensemble_configs() -> dict:
+    """Small ``average`` and ``ratecheck`` configs, none of which a shipped
+    config covers: an i.i.d. shift along primes, a non-i.i.d. chain with a
+    radius-1 factor, the cat map at q = 64 and 128, and ratecheck with and
+    without ``min_checkpoint``."""
+    chain = dict(BERNOULLI_SYSTEM, transition=MARKOV_TRANSITION)
+    radius_1 = {
+        "variant": "cylinder",
+        "radius": 1,
+        "table": [{"word": [0, 1, 0], "value": 2.0}, {"word": [1, 1, 0], "value": -1.0}],
+        "default": 0.25,
+    }
+    bernoulli = dict(ratecheck_config(), experiment="average", seed=11)
+    bernoulli["params"] = {
+        "multipliers": [1, 2], "sequence": {"kind": "primes"}, "n_max": 1500, "point_count": 5
+    }
+    markov = dict(bernoulli, system=chain, observables=[radius_1, INDICATOR_0], seed=12)
+    markov["params"] = dict(bernoulli["params"], multipliers=[1, -2], n_max=500, point_count=4)
+    configs = {"bernoulli-average": bernoulli, "chain-average": markov}
+    for bits in (64, 128):
+        params = {"multipliers": [1, 2], "n_max": 384, "point_count": 3}
+        configs[f"torus-average-q{bits}"] = torus_config("average", params, bits=bits)
+    for min_checkpoint in (None, 32):
+        cfg = dict(ratecheck_config(), system=chain, seed=13)
+        cfg["params"] = dict(cfg["params"], point_count=11, min_checkpoint=min_checkpoint)
+        configs[f"ratecheck-from-{min_checkpoint}"] = cfg
+    return configs
+
+
+# Recorded like SHIPPED_ARTIFACTS, at --workers 1 and 2 with SVG charts.
+ENSEMBLE_ARTIFACTS = {
+    "bernoulli-average": {
+        "average.csv": "16c73924a9160cfd74224273e0f71b00f21acd38ae469981f3baee84a4a1d582",
+        "average.svg": "a2de97f3f0c69e49eaab159ee5e7699a63fb2c4c6889eab5bbe1e32a633197f2",
+        "summary.json": "a71adcbfb9f3103dca44662262a8f18bccf503c3834db0c65c5b5c219e6b38e4",
+    },
+    "chain-average": {
+        "average.csv": "5b39d37f24546fb102746ae8afe6abde851dde83bebbdc7496907bb5b01908d1",
+        "average.svg": "299ba520faf07b931a4cd7bc5a5fdd5d91e8ebdf7ff699ef6a007061a963866e",
+        "summary.json": "3b16316de4c26a48134282f1ff69e6cde2d098a6f431c333b7a0bee8db38e48f",
+    },
+    "torus-average-q64": {
+        "average.csv": "49c7a402fe0523e4d90305b02b9f2b2190f6601097188666ed467ac0993c2cb4",
+        "average.svg": "b412a87e618ad86067e36e8f72e42d57c53c2c513aa6d68035e471f2f74ad703",
+        "summary.json": "a21c760c96a5015ec46cc437ca04935594cde76d0713a737dc3341a8407c9ffc",
+    },
+    "torus-average-q128": {
+        "average.csv": "61e6b6508c646f6c400ab585e7495b12ae2d856ce4e0860bf3319ea206c9583e",
+        "average.svg": "7af1aa8ce8c37c3cc3fee272e263a59e02398bb3c6215439551ccb0ff03b4a42",
+        "summary.json": "97fa6daf4445ea58611edc7e2a364fb3f9009a842254cb920a22d4883848546e",
+    },
+    "ratecheck-from-None": {
+        "ratecheck.csv": "02601e4c933f0c0454ace2375df89f239a771ea3d1feaf6d45b13b1f45668e92",
+        "ratecheck_summary.json": "080a57274cc91cc00a03858ecb4397b3eb4ea188fdd519c631281bc1cf2a6c1a",
+        "ratecheck.svg": "9c181817ef627406da77aa9d37c72baa31c46a8245e543ee82c228fe7e1020b4",
+        "summary.json": "0659c8f5cac327d16d5cd994fd95300f33f6a7cbde3e4bcbc1fe98349e0a18c5",
+    },
+    "ratecheck-from-32": {
+        "ratecheck.csv": "3a4d91d8fda27e42dce78fef9b42a0357a591caf65f6164432c67623b35d92fb",
+        "ratecheck_summary.json": "ce03cd9e5569b99a4fbbbc98143ad12e047f9216ab72f09153dcecb8e2b1c342",
+        "ratecheck.svg": "9e49acd554c6d26842bac1fed1ed3de3fdd91bc12fae736c7b8db7d918199447",
+        "summary.json": "f9b1f791e0cc4f5e6c13370858d2a867311cc146f87278afe1c7608fe47fc7cf",
+    },
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_configs_keep_their_artifacts(tmp_path, workers):
+    got = {}
+    for name, cfg in ensemble_configs().items():
+        out = tmp_path / name
+        path = write_config(tmp_path, cfg, f"{name}.json")
+        assert cli.main(["run", str(path), "--out", str(out), "--workers", str(workers)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        got[name] = {a["name"]: a["sha256"] for a in manifest["artifacts"]}
+    assert got == ENSEMBLE_ARTIFACTS, f"pinned on numpy {PINNED_NUMPY}, run on {np.__version__}"
+
+
+def readme_artifacts() -> dict:
+    """{experiment: {file: its CSV columns, or None}} as the Artifacts table
+    of README.md lists them."""
+    text = (CONFIGS_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Artifacts\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].startswith("`"):
+            experiment, name, columns, _ = cells
+            columns = re.findall(r"`([^`]+)`", columns) or None
+            table.setdefault(experiment.strip("`"), {})[name.strip("`")] = columns
+    return table
+
+
+def test_readme_lists_every_artifact_and_its_columns(tmp_path):
+    # The table names exactly the files, and the CSV columns, that the
+    # shipped configs, the pinned ensemble configs and a growth config with
+    # a balance bound write; t_0, t_1, ... are its t_i.
+    configs = {path.stem: json.loads(path.read_text()) for path in CONFIGS}
+    configs.update(ensemble_configs())
+    pair = {"g": [[1, -1], [-1, 2]], "h": [[2, 1], [1, 1]], "m_grid": 4, "k_max": 64, "n_max": 64}
+    configs["growth-balance"] = {
+        "schema_version": 1,
+        "experiment": "growth",
+        "params": {"pair": dict(pair, balance={"m": 3, "n_max": 8})},
+    }
+    written = {}
+    for name, cfg in configs.items():
+        out = tmp_path / name
+        assert cli.run(write_config(tmp_path, cfg, f"{name}.json"), out, 1, emit_svg=True) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        files = written.setdefault(summary["experiment"], {})
+        for artifact in summary["artifacts"]:
+            columns = summary["csv_columns"].get(artifact)
+            files[artifact] = columns and list(
+                dict.fromkeys(re.sub(r"\At_\d+\Z", "t_i", column) for column in columns)
+            )
+    assert readme_artifacts() == written

@@ -225,6 +225,18 @@ class TestExactShift:
         value = co.exact_correlation_shift(query(markov, [g], (5,)))
         assert value == pytest.approx(systems.exact_mean(g, markov), abs=1e-14)
 
+    @pytest.mark.parametrize("word", [(-1,), (2,), (0, 2, 1), (1, -1, 0)])
+    def test_word_outside_the_alphabet_never_occurs(self, markov, word):
+        # The exact mean agrees with the dense table that the samplers, the
+        # term generator and the transfer oracle read, which leaves it out.
+        assert markov.word_probability(word) == 0.0
+        radius = len(word) // 2
+        obs = systems.cylinder_observable(radius, {word: 1.0, (0,) * len(word): 0.5}, 0.25)
+        value = co.exact_correlation_shift(query(markov, [obs], (0,)))
+        assert value == pytest.approx(systems.exact_mean(obs, markov), abs=1e-15)
+        centered = systems.centered_cylinder_indicator(markov, word)
+        assert not systems.cylinder_table(centered, markov.alphabet_size).any()
+
     def test_factors_completing_at_same_position(self, markov):
         # Radius-1 factor at time 0 and radius-0 factor at time 1 both close
         # their windows at position 1.
