@@ -26,6 +26,7 @@ from .errors import DomainError, ReadOnly, VariantMismatch
 from .seeding import ROLE_POINT, ROLE_TERMS, Streams, rng_for
 from .sequences import SequenceSpec, generate
 from .systems import (
+    LANES,
     SLAB_ITEMS,
     TORUS_SLAB,
     Observable,
@@ -337,12 +338,16 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     the rows of F in point order, in slabs of max(1, ``SLAB_ITEMS`` //
     len(ks)) rows, each made from start to finish when it is asked for:
     the slab's symbols (``sample_rows``), its factor values and its terms.
-    The term slab, word codes and values are arrays the generator keeps
+    The term slab and the factor scratch are arrays the generator keeps
     across calls and makes again only for a larger slab, so a slab holds
     its terms until the next is asked for, in this call or the next.  The
-    products are elementwise, so every entry is the float one full-width
-    pass gives.  ``term_bytes`` bounds what a call holds, and its per-point
-    figure sizes the point batches of ``dyadic.ensemble_moments``.
+    factor scratch, word codes, gathered letters and later-factor values,
+    holds at most ``LANES`` entries: ``cylinder_products`` runs the factors
+    over lane blocks of the slab's rows, or column blocks of one row wider
+    than ``LANES``.  The products are elementwise, so every entry is the
+    float one full-width pass gives.  ``term_bytes`` bounds what a call
+    holds, and its per-point figure sizes the point batches of
+    ``dyadic.ensemble_moments``.
     """
     return _term_generator(spec, master_seed, ROLE_TERMS)
 
@@ -364,11 +369,14 @@ def _term_generator(spec: AverageSpec, master_seed: int, role: int):
             if not scratch or scratch[0].size < rows * width:
                 # The first slab of a call is its largest: allocated after
                 # it is sampled, scratch never meets a whole block of uniforms.
-                dtypes = (np.float64, np.float64, np.intp, symbols.dtype)
-                scratch[:] = [np.empty(rows * width, dtype=dtype) for dtype in dtypes]
-            out, values, codes, gathered = (a[: rows * width].reshape(rows, width) for a in scratch)
+                # The factors run a lane block at a time (cylinder_products).
+                lanes = min(rows * width, LANES)
+                scratch[:] = [np.empty(rows * width), np.empty(lanes),
+                              np.empty(lanes, dtype=np.intp), np.empty(lanes, dtype=symbols.dtype)]
+            out, values, codes, gathered = scratch
             yield cylinder_products(
-                symbols, factors, system.alphabet_size, out, values, (codes, gathered)
+                symbols, factors, system.alphabet_size, out[: rows * width].reshape(rows, width),
+                values, (codes, gathered),
             )
 
     def generator(point_indices: np.ndarray, ks: np.ndarray):
@@ -397,12 +405,15 @@ def term_bytes(spec: AverageSpec, width: int, positions: int | None = None) -> t
     also holds the sequence terms with their generation scratch (64 bytes
     a column covers the prime sieve and polynomial terms), the positions
     with their sort and gap scratch, the factor tables and the slab
-    scratch, which ``64 * SLAB_ITEMS`` bounds.  The read plan of the
-    call's ks (``AverageSpec.resolve``) stays with the spec for later calls
-    with the same ks, on both roles of the generator.  An average or
-    rate-check point is one call of one point over k = 1..n_max, so the
-    sum of the two figures bounds a shift orbit (``orbit_bytes``).
-    Not counted: the P^g that a non-i.i.d. chain caches per distinct gap
+    scratch, which ``64 * SLAB_ITEMS`` bounds.  The factor scratch takes
+    one lane block (``LANES`` entries), not a slab, so both figures bound
+    a call loosely; they stay as they are, as the per-point figure decides
+    the point batches.  The read plan of the call's ks
+    (``AverageSpec.resolve``) stays with the spec for later calls with the
+    same ks, on both roles of the generator.  An average or rate-check
+    point is one call of one point over k = 1..n_max, so the sum of the
+    two figures bounds a shift orbit (``orbit_bytes``).  Not counted: the
+    P^g that a non-i.i.d. chain caches per distinct gap
     (``transition_power``).
     """
     if positions is None:

@@ -111,8 +111,9 @@ def _mc_products_shift(query: CorrelationQuery, chunk: int):
     Every array is allocated here once and reused by every call, so each
     call returns its products in the same array, and every call reads its
     words through the query's ``plan``.  The products take the uniforms'
-    array once the symbols are drawn, and the factors are evaluated
-    ``LANES`` sequences at a time, so word codes and values stay small."""
+    array once the symbols are drawn.  Word codes, gathered letters and
+    values hold at most ``LANES`` entries, so ``cylinder_products``
+    evaluates the factors ``LANES`` sequences at a time in one call."""
     system, (positions, columns) = query.system, query.plan
     m = system.alphabet_size
     factors = [(cols, cylinder_table(obs, m)) for cols, obs in zip(columns, query.observables)]
@@ -125,13 +126,9 @@ def _mc_products_shift(query: CorrelationQuery, chunk: int):
 
     def kernel(count: int, rng: np.random.Generator) -> np.ndarray:
         sample_at(system, positions, count, rng, symbols[:count], uniforms)
-        prod = uniforms[:count]
-        for lo in range(0, count, lanes):
-            block = symbols[lo:min(lo + lanes, count)]
-            rows = block.shape[0]
-            scratch = codes[:rows], gathered[:rows]
-            cylinder_products(block, factors, m, prod[lo:lo + rows], values[:rows], scratch)
-        return prod
+        return cylinder_products(
+            symbols[:count], factors, m, uniforms[:count], values, (codes, gathered)
+        )
 
     return kernel
 

@@ -236,7 +236,9 @@ def shift_apply(point: ShiftPoint, n: int) -> ShiftPoint:
 # uniforms and yields slices of its symbols.
 SLAB_ITEMS = 1 << 16
 # Most sequences one path-kernel call steps at once, which keeps its
-# per-step temporaries small on wide batches.
+# per-step temporaries small on wide batches; also the most entries the
+# term generator's and the Monte Carlo kernel's factor scratch (word codes,
+# letters, values) takes, so ``cylinder_products`` runs in lane blocks.
 LANES = SLAB_ITEMS >> 3
 
 
@@ -967,9 +969,34 @@ def cylinder_products(
     """``out`` = the product over ``factors``, (columns, table) pairs of a
     factor's ``word_columns`` and ``cylinder_table``, of the factor values
     of ``symbols``, a sequence or a block of sequences.  ``values`` and
-    ``scratch`` hold each later factor's values and word codes
-    (``_word_values``).  The first factor's values are written to ``out``:
-    1.0 times them is exact, so no array of ones is made."""
+    ``scratch`` (``_word_values``' codes and gathered letters) are
+    contiguous arrays of one size that hold each later factor's values and
+    word codes, and they may hold fewer entries than ``out``: the factors
+    then run over consecutive blocks that fit in them, whole sequences
+    while one sequence's entries fit, otherwise column blocks of one
+    sequence.  Every product is elementwise, so each entry is the float
+    one full-width pass gives.  The first factor's values are written to
+    ``out``: 1.0 times them is exact, so no array of ones is made."""
+    lanes = values.size
+    if out.size > lanes:
+        if symbols.ndim == 1:  # column blocks of the one sequence
+            blocks = (
+                (symbols, [(cols[..., c:c + lanes], table) for cols, table in factors],
+                 out[c:c + lanes])
+                for c in range(0, out.size, lanes)
+            )
+        elif out[0].size <= lanes:  # blocks of whole sequences
+            step = lanes // out[0].size
+            blocks = (
+                (symbols[a:a + step], factors, out[a:a + step]) for a in range(0, len(out), step)
+            )
+        else:  # one sequence at a time, each in column blocks
+            blocks = zip(symbols, itertools.repeat(factors), out)
+        for block, block_factors, dest in blocks:
+            cylinder_products(block, block_factors, alphabet_size, dest, values, scratch)
+        return out
+    if values.shape != out.shape:
+        values, *scratch = (a.reshape(-1)[:out.size].reshape(out.shape) for a in (values, *scratch))
     for i, (columns, table) in enumerate(factors):
         _word_values(symbols, columns, table, alphabet_size, values if i else out, scratch)
         if i:

@@ -1,6 +1,7 @@
 """Averages: rate scale, streaming, rate statistics, ensembles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -534,3 +535,32 @@ class TestTermGenerator:
         generator = averages.product_term_generator(spec, master_seed=1)
         block = _rows_of(generator(np.arange(8), np.arange(1, 33, dtype=np.int64)))
         assert np.all(np.abs(block) <= 0.25 + 1e-12)
+
+    def test_wide_orbit_factor_scratch_is_one_lane_block(self, bernoulli):
+        # One point over n_max = W = 2^16 is one row wider than LANES, so the
+        # factors run over column blocks. A call holds ks (8 W bytes) and a
+        # row of uniforms and symbols at P = 1.5 W positions (9 P): 1.34 MiB.
+        # A generator's first call also makes the term row (8 W) and the
+        # word codes, letters and values (17 bytes an entry), and each call
+        # takes temporaries of 8 bytes an entry. With lane-sized blocks the
+        # first call peaks at 2.05 MiB and the next at 1.41 MiB; with
+        # W-sized ones at 3.41 and 1.85 MiB. The ceilings allow 0.2 and
+        # 0.09 MiB above the lane figures.
+        import numpy.random  # noqa: F401 - a first stream imports it
+
+        f = systems.centered_cylinder_indicator(bernoulli, [1])
+        g = systems.centered_cylinder_indicator(bernoulli, [0])
+        spec = make_spec(bernoulli, [f, g], (1, 2), 1 << 16)
+        averages.orbit_series(averages.orbit_tasks(spec, 3, 1)[0])  # caches the read plan
+        tasks = averages.orbit_tasks(spec, 3, 2)  # a new generator: new scratch
+        peaks = []
+        for task in tasks:
+            tracemalloc.start()
+            try:
+                averages.orbit_series(task)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        first, second = peaks
+        assert first <= 2.25 * (1 << 20)
+        assert second <= 1.5 * (1 << 20)

@@ -754,6 +754,17 @@ class TestBatchMemory:
         peak = _traced_peak(dyadic.batch_moments, generator, 0, 512, ns, (6, 7, 8, 9, 10))
         assert peak <= (14.14 + 0.5) * (1 << 20)
 
+    def test_iid_batch_factor_scratch_is_one_lane_block(self):
+        # Word codes, gathered letters and later-factor values take LANES
+        # entries (8192 x 17 bytes), not one per term of the 32 x 2048 slab
+        # (2^16 x 17 bytes, 1.06 MiB): the batch peaked at 2.33 MiB with
+        # slab-sized scratch and at 1.40 MiB with lane-sized scratch.
+        spec = _pair_spec(BERNOULLI, systems.centered_cylinder_indicator(BERNOULLI, [1]), 2048)
+        generator = averages.product_term_generator(spec, master_seed=7)
+        ns = (64, 128, 256, 512, 1024, 2048)
+        peak = _traced_peak(dyadic.batch_moments, generator, 0, 512, ns, (6, 7, 8, 9, 10))
+        assert peak <= 1.5 * (1 << 20)
+
     @pytest.mark.parametrize("width", [256, 1 << 14])
     @pytest.mark.parametrize("radius", [0, 2])
     def test_validate_bounds_one_batch(self, radius, width):
