@@ -849,6 +849,9 @@ def parse_dyadic(cfg: dict):
     if not isinstance(system, systems.ShiftSystem):
         raise ConfigError("dyadic needs a shift system: its terms are sampled on shift paths")
     n_grid, points = params["n_grid"], params["point_count"]
+    for j, n in enumerate(n_grid):
+        if n in n_grid[:j]:
+            raise ConfigError(f"params.n_grid[{j}] repeats {n}: the sigma fit needs distinct N")
     spec = parse_average_spec(cfg, max(n_grid))
     s_values, thresholds = (), None
     if params["exceptional"] is not None:

@@ -404,9 +404,41 @@ class RateFit(NamedTuple):
 
 def least_squares(columns: Sequence[np.ndarray], y: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares coefficients of y against the design ``columns``, in
-    their order, and the residual sum of squares."""
-    design = np.vstack(columns).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    their order, and the residual sum of squares.
+
+    Householder QR with back substitution (Golub & Van Loan, *Matrix
+    Computations*, 4th ed., section 5.3), in numpy array operations: each
+    reflector I - 2 v v^T / v^T v zeroes one column below the diagonal and
+    is applied to y as it goes, then R coef = (Q^T y)[:n].  The lab's
+    designs have at most a few hundred rows and 3 columns, which this
+    solves in well under a millisecond.  LAPACK's solver (``lstsq``)
+    faults in about 1 MB of its code on its first call, and that set the
+    peak RSS of a dyadic run.  A non-finite entry of the design or of y,
+    named by its index, and a design with dependent columns raise
+    ``DomainError``."""
+    design = np.vstack(columns).T.astype(np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    for name, data in (("design", design), ("target", y)):
+        bad = np.flatnonzero(~np.isfinite(data))
+        if bad.size:
+            index = np.unravel_index(bad[0], data.shape)
+            raise DomainError(f"non-finite {name} entry at index {list(map(int, index))}")
+    rows, n = design.shape
+    r, qty = design.copy(), y.copy()
+    for k in range(n):
+        v = r[k:, k].copy()
+        # Adding the sign of v[0] keeps v[0] free of cancellation.
+        v[0] += np.copysign(np.sqrt(v @ v), v[0])
+        vv = v @ v
+        if vv > 0.0:
+            r[k:, k:] -= np.outer(v, v @ r[k:, k:]) * (2.0 / vv)
+            qty[k:] -= v * (2.0 * (v @ qty[k:]) / vv)
+    diag = np.abs(np.diagonal(r))
+    if diag.min() <= np.finfo(np.float64).eps * rows * diag.max():
+        raise DomainError("design columns are linearly dependent")
+    coef = np.zeros(n)
+    for k in reversed(range(n)):
+        coef[k] = (qty[k] - r[k, k + 1 :] @ coef[k + 1 :]) / r[k, k]
     resid = y - design @ coef
     return coef, float(resid @ resid)
 
@@ -431,11 +463,14 @@ def _fit_nonzero(xs: np.ndarray, ys: np.ndarray, fit) -> RateFit:
     """``fit(xs, ys, dropped)`` on the points whose ys is not an exact zero,
     with ``dropped`` the count of those that are (log of an exact zero is
     the honest failure mode of exact cancellation, not noise).  Fewer than
-    2 points left give the degenerate fit: amplitude 0 and no exponent
-    over the range of all ``xs``."""
-    keep = ys > 0.0
+    2 distinct xs left give the degenerate fit: amplitude 0 and no exponent
+    over the range of all ``xs``.  A NaN or infinite ys is kept, and the
+    fit refuses it."""
+    keep = ys != 0.0
     dropped = int((~keep).sum())
-    if keep.sum() < 2:
+    kept = xs[keep]
+    # min == max, not np.unique, which faults in about 1.6 MB of code.
+    if kept.size < 2 or kept.min() == kept.max():
         return RateFit(
             model=DEGENERATE_MODEL,
             exponent=None,

@@ -385,6 +385,8 @@ class TestValidate:
                 {"s_values": [3, 40]},
                 "params.exceptional.s_values[1] needs 1099511627776 term columns",
             ),
+            # A repeated N left the sigma fit without a slope.
+            (("params", "n_grid", 2), 32, "params.n_grid[2] repeats 32"),
         ],
     )
     def test_bad_value_names_json_path(self, tmp_path, capsys, path_to, value, message):
@@ -1875,11 +1877,11 @@ PINNED_NUMPY = "2.4.6"
 SHIPPED_ARTIFACTS = {
     "bernoulli_dyadic.json": {
         "dyadic_e.csv": "8798dcdefd232580ba90c843cd0d6678868da721bd88c00d7d9a9f526370959c",
-        "sigma_fit.json": "dece5418cdee3ebf69b04e3179a8eec761be88e916727276a114ea87dda521bb",
+        "sigma_fit.json": "1990707355d1869e2afc2ac3ae5e98bf87942597a139c2d8be3e571b2ece63f6",
         "dyadic_variance_profile.csv": "75144d1043b1c8845fdb1ae667c723314773da666afa73f13b0c8afd4b116ec6",
         "dyadic_exceptional.csv": "eccd3b6fb0ac973834a70581ad647dc9db46d4ac024ad47ff00ab65344f38d52",
         "dyadic_e.svg": "1c0537846e3925422cf4d1f0cb5eca8dafe9aa39557fd3120ec443a9a57b274c",
-        "summary.json": "0210b5fc4c37d863fef1eb852da654e37b3bba49bb3b3b27c11d87760e10f99d",
+        "summary.json": "545ad595beb0537e6889971e0a3d59dec9d9d8a075ce4632bc585fb137842cb4",
     },
     "bernoulli_ratecheck.json": {
         "ratecheck.csv": "756667ddac51e56013aedcecc32a37a9ce6886865707984b5726199d4edba72d",
@@ -1899,15 +1901,15 @@ SHIPPED_ARTIFACTS = {
     },
     "markov_cumulants.json": {
         "cumulants.csv": "062de99a1ca41933d6c843d16dbd0f852a45daa7867f6ba3fdc38005d6b34bca",
-        "cumulant_fit.json": "004af6db2a5423fcdad104a7d7465f302159f47ba0702c0b440ece7acd034926",
+        "cumulant_fit.json": "9fd837ea632bd9299ddced34af8cff4286f1a9afb3adcdce9645843b80bbcf03",
         "cumulants.svg": "9499926c294dc859383366785211511028d717a3cf989670d39f8fade7035d1a",
-        "summary.json": "9d5844fe9d3d90b1c21befe390055bf05997483a91c1b172d6932b767634bda2",
+        "summary.json": "55d24c5990d9f30236cf2f06f45bd59b4252527c89e38225b9538ed7b78de8a2",
     },
     "matrix_growth.json": {
         "growth_curves.csv": "f5e0dc2af2d5d2339d163ae7f8fcb7232db719d3b13e68f30d899bd7654f53dc",
         "growth_curves.svg": "1e67eccb314b9c32987a578515dbdd5c5ffbc52f4ffe345589c60e86a11e16f8",
         "pair_counting.csv": "a275923d714dccab946569b463b2bc76b9f56bfd2cd499d56ebba4ab6dd7a338",
-        "summary.json": "c040753a6a2fe2068a3e41cbf55dbd4ff8f60b5180c6173c41fbbf2c1b2b146b",
+        "summary.json": "13389700702c0896dddf16de949ba1cfa0560120e1fbd2405c481171f8154bc4",
     },
     "prime_counting.json": {
         "counting.csv": "66f8b3304cc9e697a134ef20df752ff636a7ec6be7b8871c7a17e55000bc3746",
@@ -1925,7 +1927,62 @@ def test_shipped_configs_keep_their_artifacts(tmp_path):
         assert cli.main(["run", str(config), "--out", str(out), "--workers", "1"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         got[config.name] = {a["name"]: a["sha256"] for a in manifest["artifacts"]}
-    assert got == SHIPPED_ARTIFACTS, f"pinned on numpy {PINNED_NUMPY}, run on {np.__version__}"
+    assert got == SHIPPED_ARTIFACTS, moved_message(got, SHIPPED_ARTIFACTS)
+
+
+def moved_artifacts(got: dict, pinned: dict) -> list[tuple]:
+    """The (config, artifact) pairs whose SHA-256 in ``got`` differs from
+    ``pinned`` or that only one table has, sorted; (config, None) for a
+    config only one table has."""
+    configs = sorted(got.keys() | pinned.keys())
+    moved = [(c, None) for c in configs if (c in got) != (c in pinned)]
+    for c in configs:
+        ours, theirs = got.get(c, {}), pinned.get(c, {})
+        moved += [(c, a) for a in sorted(ours.keys() | theirs.keys()) if ours.get(a) != theirs.get(a)]
+    return moved
+
+
+def moved_message(got: dict, pinned: dict) -> str:
+    return (
+        f"moved: {moved_artifacts(got, pinned)}; "
+        f"pinned on numpy {PINNED_NUMPY}, run on {np.__version__}"
+    )
+
+
+def test_moved_artifacts_names_every_differing_pair():
+    pinned = {"a.json": {"x.csv": "1", "y.csv": "2"}, "b.json": {"z.csv": "3"}}
+    got = {"a.json": {"x.csv": "1", "y.csv": "9", "w.csv": "4"}, "c.json": {}}
+    assert moved_artifacts(got, pinned) == [
+        ("b.json", None),
+        ("c.json", None),
+        ("a.json", "w.csv"),
+        ("a.json", "y.csv"),
+        ("b.json", "z.csv"),
+    ]
+    assert moved_artifacts(pinned, pinned) == []
+
+
+# The fits solve their least squares in numpy: a run whose fit calls
+# LAPACK's lstsq fails here instead of only faulting in its code.
+FITTING_CONFIGS = ["bernoulli_dyadic.json", "markov_cumulants.json", "matrix_growth.json"]
+
+
+@pytest.mark.parametrize("name", FITTING_CONFIGS)
+def test_fitting_configs_run_without_lapack_lstsq(tmp_path, name):
+    script = (
+        "import runpy, sys\n"
+        "import numpy\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise RuntimeError('numpy.linalg.lstsq called')\n"
+        "numpy.linalg.lstsq = refuse\n"
+        f"sys.argv = ['ergolab', 'run', {str(CONFIGS_DIR / name)!r}, '--out', 'out', '--workers', '1']\n"
+        "runpy.run_module('ergolab.cli', run_name='__main__')\n"
+    )
+    proc = _cli_process(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    got = {a["name"]: a["sha256"] for a in manifest["artifacts"]}
+    assert got == SHIPPED_ARTIFACTS[name], moved_message({name: got}, {name: SHIPPED_ARTIFACTS[name]})
 
 
 def ensemble_configs() -> dict:
@@ -2003,7 +2060,7 @@ def test_ensemble_configs_keep_their_artifacts(tmp_path, workers):
         assert cli.main(["run", str(path), "--out", str(out), "--workers", str(workers)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         got[name] = {a["name"]: a["sha256"] for a in manifest["artifacts"]}
-    assert got == ENSEMBLE_ARTIFACTS, f"pinned on numpy {PINNED_NUMPY}, run on {np.__version__}"
+    assert got == ENSEMBLE_ARTIFACTS, moved_message(got, ENSEMBLE_ARTIFACTS)
 
 
 def readme_artifacts() -> dict:

@@ -497,6 +497,29 @@ class TestMinGapDecay:
             co.min_gap_decay_check(markov, [f, f], [(0, 3), (0, 2), (0, 4), (0, 5)])
 
 
+class TestFitData:
+    def test_nan_datum_is_refused_not_dropped(self):
+        with pytest.raises(DomainError, match=r"non-finite target entry at index \[2\]"):
+            co.fit_decay([1, 2, 3, 4], [1, 2, np.nan, 4])
+
+    def test_exact_zero_is_dropped_and_counted(self):
+        fit = co.fit_decay([1, 2, 3, 4], [0.5, 0.0, 0.125, 0.0625])
+        assert fit.dropped_zeros == 1 and fit.n_points == 3
+
+    def test_non_finite_design_entry_is_named(self):
+        with pytest.raises(DomainError, match=r"non-finite design entry at index \[1, 0\]"):
+            co.least_squares([np.array([1.0, np.inf, 3.0]), np.ones(3)], np.zeros(3))
+
+    def test_dependent_columns_are_refused(self):
+        x = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(DomainError, match="linearly dependent"):
+            co.least_squares([x, 2 * x], np.ones(3))
+
+    def test_one_distinct_x_gives_the_degenerate_fit(self):
+        fit = co.fit_decay([2, 2, 2], [1, 2, 4])
+        assert fit.model == co.DEGENERATE_MODEL and fit.exponent is None
+
+
 def full_table(order, rng):
     keys = [
         frozenset(c)

@@ -842,6 +842,12 @@ class TestSigmaFit:
         with pytest.raises(DomainError):
             sigma_fit([16, 32, 48, 64], [1.0, 2.0, 3.0, 4.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_e_value_is_refused(self, bad):
+        # NaN passes a positivity check, and its fit would write a bare NaN.
+        with pytest.raises(DomainError, match=r"non-finite target entry at index \[2\]"):
+            sigma_fit([16, 32, 64, 128], [1.0, 2.0, bad, 4.0])
+
 
 class TestPowerGap:
     def test_example(self):

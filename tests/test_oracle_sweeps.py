@@ -1,5 +1,5 @@
 """Seeded sweeps that hold the exact oracles to brute-force sums over small
-random systems."""
+random systems, and the lab's least-squares fit to LAPACK's."""
 
 import itertools
 
@@ -199,3 +199,49 @@ def test_blocked_cylinder_products_match_full_width_pass():
                 symbols, factors, m, np.empty(want.shape), np.empty(size), scratch
             )
             assert got.shape == want.shape and np.array_equal(got, want), (case, shape, size)
+
+
+def _fit_designs(rng):
+    """The design columns of the lab's three fits, 200 each: [log N, 1] on
+    dyadic grids (``sigma_fit``), [t, 1] at 2-20 scaled times (the
+    exponential decay model) and [n, log n, 1] for n = 1..n_max, n_max in
+    16..600 (``growth_profile``).  The times spread over six decades and
+    come in config order, every other case largest first: a first row that
+    dominates its column is where a reflector's sign rule matters."""
+    for _ in range(200):
+        start = int(rng.integers(1, 6))
+        log_n = np.log(2.0 ** np.arange(start, start + int(rng.integers(4, 13))))
+        yield [log_n, np.ones_like(log_n)]
+    cases = 0
+    while cases < 200:
+        times = np.round(10.0 ** rng.uniform(0, 6, size=int(rng.integers(2, 21))))
+        if np.unique(times).size < 2:
+            continue
+        if cases % 2:
+            times = -np.sort(-times)
+        t = 10.0 ** rng.uniform(-3, 3) * times
+        cases += 1
+        yield [t, np.ones_like(t)]
+    for _ in range(200):
+        n = np.arange(1.0, int(rng.integers(16, 601)) + 1)
+        yield [n, np.log(n), np.ones_like(n)]
+
+
+def test_least_squares_matches_lapack_reference():
+    # Random coefficients over four decades, plus noise from 1e-14 to 1.
+    # Both solvers are backward stable, so they differ by at most a small
+    # multiple of cond(design) * eps in the coefficients, and the residual
+    # norms by that much of ||y|| + ||design|| ||coef||.
+    rng = np.random.default_rng(5003)
+    eps = np.finfo(np.float64).eps
+    for case, columns in enumerate(_fit_designs(rng)):
+        design = np.vstack(columns).T
+        coef = rng.normal(size=design.shape[1]) * 10.0 ** rng.uniform(-2, 2, design.shape[1])
+        y = design @ coef + 10.0 ** rng.uniform(-14, 0) * rng.normal(size=design.shape[0])
+        want, *_ = np.linalg.lstsq(design, y, rcond=None)
+        got, rss = co.least_squares(columns, y)
+        bound = 16 * np.linalg.cond(design) * eps
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want)), (case, got, want)
+        scale = np.linalg.norm(y) + np.linalg.norm(design, 2) * np.linalg.norm(want)
+        want_norm = np.linalg.norm(y - design @ want)
+        assert abs(np.sqrt(rss) - want_norm) <= bound * scale, (case, rss, want_norm**2)
