@@ -485,9 +485,12 @@ def _fit_nonzero(xs: np.ndarray, ys: np.ndarray, fit) -> RateFit:
 
 def _better_decay_fit(xs: np.ndarray, ys: np.ndarray, dropped: int) -> RateFit:
     """The decay model with the smaller residual; ties within 1e-9 attach
-    the other fit."""
-    poly = fit_model(xs, ys, POLYNOMIAL_MODEL, dropped)
+    the other fit.  The polynomial model takes log x, so an x <= 0 leaves
+    the exponential model alone."""
     expo = fit_model(xs, ys, EXPONENTIAL_MODEL, dropped)
+    if xs.min() <= 0.0:
+        return expo
+    poly = fit_model(xs, ys, POLYNOMIAL_MODEL, dropped)
     if abs(poly.rss - expo.rss) <= RSS_TIE * max(1.0, poly.rss, expo.rss):
         best, other = (expo, poly) if expo.rss <= poly.rss else (poly, expo)
         return best._replace(alternate=other)

@@ -103,10 +103,10 @@ def decompose(n: int, s: int) -> list[DyadicInterval]:
 # in {1..2^s}, so the rows of one (points, W) term block with W = max(max N,
 # 2^max s) feed every E(0, N) and every L_s profile.  Given the terms, no
 # statistic depends on W or on how the rows are cut into slabs: each row
-# prefix and each block is summed on its own, batch moments are merged
-# pairwise in point order and level means are taken over all points at
-# once, so the results are the same floats as a separate pass per N or per
-# s over the whole block.
+# prefix is numpy's sum over it and each block of L_s the row's pairwise
+# tree over it, batch moments are merged pairwise in point order and level
+# means are taken over all points at once, so the results are the same
+# floats as a separate pass per N or per s over the whole block.
 
 # Term generators are vectorized callbacks (point_indices, ks) -> the term
 # rows of those points over those ks: a 2-D array, or an iterable of 2-D
@@ -195,15 +195,11 @@ def _squared_levels(head: np.ndarray, scratch: np.ndarray):
     of ``scratch``, which holds rows 2^top floats, valid until the next
     level is asked for.
 
-    Each block sum is the float ``head.reshape(rows, -1, 2^r).sum(axis=2)``
-    gives, built in numpy's own pairwise order: numpy sums fewer than 8
-    terms left to right, 8 to 128 terms in 8 interleaved running sums
-    combined pairwise, and more as the sum of their two halves.  So blocks
-    of 2, 4 and 8 are strided adds, blocks of 16 to 128 are that sum, and
-    blocks of 256 or more add two blocks of the level below.  With N
-    entries of scratch, level r's sums take entries N - 2 N_r to N - N_r
-    and their squares the last N_r, N_r = N / 2^r, so levels 1 and r - 1
-    are intact while level r is built.
+    Each level-r block sum is the sum of the two level r - 1 sums it
+    covers, so a block of 2^r terms is summed as the row's pairwise tree.
+    With N entries of scratch, level r's sums take entries N - 2 N_r to
+    N - N_r and their squares the last N_r, N_r = N / 2^r, so level r - 1
+    is intact while level r is built.
     """
     rows, width = head.shape
     # ``head`` is often a prefix of wider rows, and numpy allocates buffers
@@ -211,28 +207,14 @@ def _squared_levels(head: np.ndarray, scratch: np.ndarray):
     squares = scratch.reshape(rows, width)
     squares[...] = head
     yield np.square(squares, out=squares)
-    pairs = sums = None
+    sums = head
     for r in range(1, width.bit_length() - 1):
         n = scratch.size >> r
         below, sums = sums, scratch[-2 * n:-n].reshape(rows, width >> r)
+        sums[...] = below[:, 0::2]
+        sums += below[:, 1::2]
         squares = scratch[-n:].reshape(rows, width >> r)
-        if r == 1:
-            sums[...] = head[:, 0::2]
-            sums += head[:, 1::2]
-            pairs = sums
-        elif r == 2:  # ((x0 + x1) + x2) + x3
-            np.add(pairs[:, 0::2], head[:, 2::4], out=sums)
-            sums += head[:, 3::4]
-        elif r == 3:  # ((x0 + x1) + (x2 + x3)) + ((x4 + x5) + (x6 + x7))
-            np.add(pairs[:, 0::4], pairs[:, 1::4], out=sums)
-            np.add(pairs[:, 2::4], pairs[:, 3::4], out=squares)
-            sums += squares
-        elif r < 8:
-            head.reshape(rows, width >> r, 1 << r).sum(axis=2, out=sums)
-        else:
-            np.add(below[:, 0::2], below[:, 1::2], out=sums)
-        np.square(sums, out=squares)
-        yield squares
+        yield np.square(sums, out=squares)
 
 
 def block_moments(terms, ns: Sequence[int], s_values: Sequence[int] = ()) -> BlockMoments:
@@ -241,9 +223,10 @@ def block_moments(terms, ns: Sequence[int], s_values: Sequence[int] = ()) -> Blo
     ``terms`` is the block's rows in point order, as an iterable of 2-D row
     slabs of equal width; a 2-D array is one slab.  Each slab is reduced
     when it comes and only each row's prefix sums and level totals are
-    kept, so the block is never held whole.  Every prefix and every level
-    block is summed in the order numpy's ``sum`` over it would use
-    (``_squared_levels``), so the totals are its floats.
+    kept, so the block is never held whole.  Each prefix S_N is numpy's
+    ``sum`` over the row's first N terms, and each level block sum is the
+    row's pairwise tree over the block (``_squared_levels``), so neither
+    depends on how the rows are cut into slabs.
     """
     width = term_columns(ns, s_values)
     top = max(s_values, default=0)

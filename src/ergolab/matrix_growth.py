@@ -158,33 +158,31 @@ def growth_radius(matrix) -> float:
 
 
 def growth_profile(matrix, n_max: int = 64) -> GrowthProfile:
-    """Fit log ||M^n|| = a n + p log n + c and cross-check both parameters.
+    """Take the base from the spectral radius r and fit
+    log ||M^n|| - n log r = p log n + c over n = n_max / 2 .. n_max.
 
-    The base e^a must agree with the spectral radius within 1%, and the
-    rounded degree p with the largest Jordan block on the top eigenvalue
-    shell; disagreement raises rather than guessing.
+    The rounded degree p must agree with the largest Jordan block on the
+    top eigenvalue shell; disagreement raises rather than guessing.  The
+    base is not fitted: with a free a n term, the lower-order terms of
+    ||M^n|| at small n bias it.
     """
     if n_max < 16:
         raise DomainError("need n_max >= 16")
     arr = _as_matrix(matrix)
     radius = growth_radius(arr)
-    ns = np.arange(1, n_max + 1, dtype=np.float64)
     steps = _running_products(np.eye(arr.shape[0])[None], np.zeros(1), arr)
     logs = np.array([log[0] for _, log in islice(steps, n_max)])
     norms = tuple(NormPower.from_log(log) for log in logs.tolist())
-    coef, rss = least_squares([ns, np.log(ns), np.ones_like(ns)], logs)
-    base = float(math.exp(coef[0]))
-    degree = int(round(coef[1]))
-    if abs(base - radius) > 0.01 * max(radius, 1.0):
-        raise FitInconsistent(
-            f"fitted base {base:.6g} disagrees with spectral radius {radius:.6g}"
-        )
+    ns = np.arange(n_max // 2, n_max + 1, dtype=np.float64)
+    tail = logs[n_max // 2 - 1 :] - ns * math.log(radius)
+    coef, rss = least_squares([np.log(ns), np.ones_like(ns)], tail)
+    degree = int(round(coef[0]))
     expected_degree = _max_jordan_block(arr, radius) - 1
     if degree != expected_degree:
         raise FitInconsistent(
             f"fitted degree {degree} disagrees with Jordan structure {expected_degree}"
         )
-    return GrowthProfile(base=base, poly_degree=degree, residual=rss, norms=norms)
+    return GrowthProfile(base=radius, poly_degree=degree, residual=rss, norms=norms)
 
 
 # ---------------------------------------------------------------------------

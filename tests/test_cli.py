@@ -24,6 +24,7 @@ import ergolab
 from ergolab import averages, cli, correlations, dyadic
 from ergolab.errors import ConfigError, DomainError
 from ergolab.seeding import rng_for
+from pairwise_sums import tree_block_sums
 
 CONFIGS_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -1373,16 +1374,13 @@ def _streams_per_point(calls):
 
 
 def _plain_level_sums(calls):
-    """The level builder before bottom-up sums: numpy's sum over every
-    block of every level, straight from the row slab."""
+    """The level builder without shared scratch: every level's pairwise
+    tree sums built afresh from the row slab."""
 
     def squared_levels(head, scratch):
         calls.append(head.shape)
-        rows, width = head.shape
-        for r in range(width.bit_length() - 1):
-            squares = scratch[: (rows * width) >> r].reshape(rows, width >> r)
-            head.reshape(rows, width >> r, 1 << r).sum(axis=2, out=squares)
-            yield np.square(squares, out=squares)
+        for r in range(head.shape[1].bit_length() - 1):
+            yield np.square(tree_block_sums(head, r))
 
     return squared_levels
 
@@ -1392,7 +1390,8 @@ def test_dyadic_artifacts_match_per_point_streams_and_plain_level_sums(
     tmp_path, monkeypatch, transition
 ):
     # One-pass seeding and bottom-up level sums give the artifacts that a
-    # stream per point and numpy's sum per level block give, byte for byte.
+    # stream per point and a fresh pairwise tree per level give, byte for
+    # byte.
     cfg = json.loads((CONFIGS_DIR / "bernoulli_dyadic.json").read_text())
     cfg["params"]["point_count"] = 300
     if transition is not None:
@@ -1909,7 +1908,7 @@ SHIPPED_ARTIFACTS = {
         "growth_curves.csv": "f5e0dc2af2d5d2339d163ae7f8fcb7232db719d3b13e68f30d899bd7654f53dc",
         "growth_curves.svg": "1e67eccb314b9c32987a578515dbdd5c5ffbc52f4ffe345589c60e86a11e16f8",
         "pair_counting.csv": "a275923d714dccab946569b463b2bc76b9f56bfd2cd499d56ebba4ab6dd7a338",
-        "summary.json": "13389700702c0896dddf16de949ba1cfa0560120e1fbd2405c481171f8154bc4",
+        "summary.json": "887ed72079c93b9c2f5a8a027f8a78f0fb9409c54dc1e1b788f4e1db2eccfffd",
     },
     "prime_counting.json": {
         "counting.csv": "66f8b3304cc9e697a134ef20df752ff636a7ec6be7b8871c7a17e55000bc3746",

@@ -3,6 +3,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -518,6 +519,14 @@ class TestFitData:
     def test_one_distinct_x_gives_the_degenerate_fit(self):
         fit = co.fit_decay([2, 2, 2], [1, 2, 4])
         assert fit.model == co.DEGENERATE_MODEL and fit.exponent is None
+
+    def test_x_at_zero_fits_the_exponential_model_alone(self):
+        # log 0 would put -inf into the polynomial model's design.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = co.fit_decay([0, 1, 2, 3], [1, 0.5, 0.25, 0.125])
+        assert fit.model == co.EXPONENTIAL_MODEL and fit.alternate is None
+        assert fit.exponent == pytest.approx(math.log(2), abs=1e-12)
 
 
 def full_table(order, rng):

@@ -24,6 +24,7 @@ from ergolab.errors import DomainError, InsufficientData, ShapeMismatch
 from ergolab.seeding import ROLE_TERMS, rng_for
 
 from false_alarm import z_for
+from pairwise_sums import tree_block_sums
 
 
 class TestIntervals:
@@ -229,8 +230,7 @@ def _reference_profile(generator, n_points, s):
     level_means = np.empty(s, dtype=np.float64)
     totals = np.zeros(n_points, dtype=np.float64)
     for r in range(s):
-        block_sums = arr.reshape(n_points, 1 << (s - r), 1 << r).sum(axis=2)
-        level_totals = (block_sums ** 2).sum(axis=1)
+        level_totals = (tree_block_sums(arr, r) ** 2).sum(axis=1)
         totals += level_totals
         level_means[r] = level_totals.mean()
     return level_means, float(totals.mean()), totals
@@ -447,8 +447,7 @@ def _reference_level_totals(arr, s_values):
         head = arr[:, : 1 << s]
         totals = np.empty((s, points), dtype=np.float64)
         for r in range(s):
-            block_sums = head.reshape(points, 1 << (s - r), 1 << r).sum(axis=2)
-            totals[r] = (block_sums ** 2).sum(axis=1)
+            totals[r] = (tree_block_sums(head, r) ** 2).sum(axis=1)
         levels.append(totals)
     return levels
 
@@ -475,13 +474,15 @@ class TestSharedLevels:
     @pytest.mark.parametrize("top", range(1, 18))
     @pytest.mark.parametrize("rows", [1, 7, 32])
     def test_levels_are_numpy_block_sums(self, rows, top):
-        # Each level is built from the ones below in numpy's own summation
-        # order, so its block sums are the floats numpy's sum over each
-        # block gives.  They are only ever squared, so comparing squares
-        # hides nothing but the sign of a zero.  Magnitudes spread over
-        # twelve decades make any other order show.  Odd tops read a
-        # prefix of wider rows, as a block wider than 2^top does.  32 rows
-        # stop at top = 16 (16 MiB a block).
+        # Each level is built from the one below, so its block sums are the
+        # row's pairwise tree, bit for bit.  They are only ever squared, so
+        # comparing squares hides nothing but the sign of a zero.
+        # Magnitudes spread over twelve decades make any other order show.
+        # Each tree sum of 2^r terms lies within 2 (2^r - 1) eps sum |x| of
+        # numpy's sum over its block, a bound that holds for any two
+        # summation orders.  Odd tops read a prefix of wider rows, as a
+        # block wider than 2^top does.  32 rows stop at top = 16 (16 MiB a
+        # block).
         if rows << top > 1 << 21:
             pytest.skip("block above 16 MiB")
         rng = np.random.default_rng(top)
@@ -490,9 +491,13 @@ class TestSharedLevels:
         head = arr[:, : 1 << top]
         scratch = np.empty(rows << top)
         levels = 0
+        eps = np.finfo(np.float64).eps
         for r, squares in enumerate(dyadic._squared_levels(head, scratch)):
-            block_sums = head.reshape(rows, 1 << (top - r), 1 << r).sum(axis=2)
-            assert squares.tobytes() == np.square(block_sums).tobytes(), r
+            tree = tree_block_sums(head, r)
+            assert squares.tobytes() == np.square(tree).tobytes(), r
+            blocks = head.reshape(rows, 1 << (top - r), 1 << r)
+            bound = 2 * ((1 << r) - 1) * eps * np.abs(blocks).sum(axis=2)
+            assert (np.abs(tree - blocks.sum(axis=2)) <= bound).all(), r
             levels += 1
         assert levels == top
 
@@ -515,8 +520,7 @@ def _whole_block_moments(terms, ns, s_values=()):
         head = arr[lo:lo + step, : 1 << top]
         rows = head.shape[0]
         for r in range(top):
-            squares = head.reshape(rows, 1 << (top - r), 1 << r).sum(axis=2)
-            np.square(squares, out=squares)
+            squares = np.square(tree_block_sums(head, r))
             for s, totals in zip(s_values, levels):
                 if r < s:
                     totals[r, lo:lo + rows] = squares[:, : 1 << (s - r)].sum(axis=1)

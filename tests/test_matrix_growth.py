@@ -118,6 +118,20 @@ class TestGrowthProfile:
         assert profile.base == pytest.approx(1.0, abs=0.01)
         assert profile.poly_degree == 2
 
+    def test_jordan_block_sweep_classifies_every_case(self):
+        # Jordan blocks of size 1-4 at eigenvalue +-1, +-1.5 and the golden
+        # ratio, over n_max from the floor 16 to 1024: 200 cases, each read
+        # as base |lambda| and degree size - 1, the 3x3 block at eigenvalue 1
+        # and the default n_max 64 among them.
+        golden = (1 + math.sqrt(5)) / 2
+        for lam in (1.0, -1.0, 1.5, -1.5, golden):
+            for size in (1, 2, 3, 4):
+                block = lam * np.eye(size) + np.eye(size, k=1)
+                for n_max in (16, 17, 24, 31, 32, 64, 100, 128, 256, 1024):
+                    profile = mg.growth_profile(block, n_max)
+                    got = (profile.base, profile.poly_degree)
+                    assert got == (abs(lam), size - 1), (lam, size, n_max, got)
+
     def test_split_double_eigenvalue_keeps_its_block(self):
         # eigvals splits the double eigenvalue 2 of this one 2x2 block into
         # 2 +- 1.5e-8, and M - lambda I at either half keeps full rank.
@@ -130,8 +144,6 @@ class TestGrowthProfile:
         # default_rng(1). A 2x2 integer matrix has a 2x2 Jordan block iff
         # its discriminant is 0 and it is not scalar; five such matrices
         # raised a degree disagreement when eigvals split the eigenvalue.
-        # The fit of a block with eigenvalue +-3 still misses the base at
-        # n_max = 64 (the 3x3 unipotent block's defect), so those may raise.
         rng = np.random.default_rng(1)
         seen, refused = 0, []
         for _ in range(1000):
@@ -148,7 +160,7 @@ class TestGrowthProfile:
                 continue
             assert profile.poly_degree == int(block), matrix.tolist()
         assert seen == 875
-        assert len(refused) <= 5 and all(m.startswith("fitted base") for m in refused), refused
+        assert refused == []
 
     def test_n_max_floor(self):
         with pytest.raises(DomainError):

@@ -1,11 +1,14 @@
 """Seeded sweeps that hold the exact oracles to brute-force sums over small
-random systems, and the lab's least-squares fit to LAPACK's."""
+random systems, the lab's least-squares fit to LAPACK's, the dyadic block
+moments to the pairwise tree and the counting checkers to plain loops."""
 
 import itertools
+import math
 
 import numpy as np
+from pairwise_sums import tree_block_sums
 
-from ergolab import correlations as co, systems
+from ergolab import correlations as co, dyadic, sequences, systems
 from ergolab.errors import DomainError, ErgolabError
 
 # Largest number of words the enumeration sums over in one case.
@@ -245,3 +248,125 @@ def test_least_squares_matches_lapack_reference():
         scale = np.linalg.norm(y) + np.linalg.norm(design, 2) * np.linalg.norm(want)
         want_norm = np.linalg.norm(y - design @ want)
         assert abs(np.sqrt(rss) - want_norm) <= bound * scale, (case, rss, want_norm**2)
+
+
+def _reference_block_moments(arr, ns, s_values):
+    """Each row's prefix sums S_N, one row at a time, with the moments of
+    S^2 over the points; and each s's per-point level totals of squared
+    pairwise-tree block sums over {1..2^s}."""
+    prefix = []
+    for n in ns:
+        sums_sq = np.array([row[:n].sum() for row in arr]) ** 2
+        mean = float(sums_sq.mean())
+        prefix.append((arr.shape[0], mean, float(((sums_sq - mean) ** 2).sum())))
+    levels = [
+        np.array([(tree_block_sums(arr[:, : 1 << s], r) ** 2).sum(axis=1) for r in range(s)])
+        for s in s_values
+    ]
+    return tuple(prefix), levels
+
+
+def test_block_moments_match_pairwise_reference():
+    # Random term matrices whose magnitudes spread over twelve decades, grids
+    # of N below, at and above 2^max s, s values in any order (or none), and
+    # blocks wider than they need, given whole or in random row slabs: every
+    # prefix moment and every level total is the reference's, bit for bit.
+    rng = np.random.default_rng(6006)
+    for case in range(150):
+        s_values = tuple(rng.permutation(np.arange(1, 11))[: int(rng.integers(0, 4))].tolist())
+        ns = tuple(rng.integers(1, 1100, size=int(rng.integers(0 if s_values else 1, 5))).tolist())
+        width = dyadic.term_columns(ns, s_values) + int(rng.integers(0, 3)) * 5
+        points = int(rng.integers(1, 100))
+        arr = rng.standard_normal((points, width)) * 10.0 ** rng.integers(-6, 7, (points, width))
+        if case % 2:
+            cuts = [0, *np.sort(rng.integers(0, points, size=3)).tolist(), points]
+            terms = (arr[lo:hi] for lo, hi in zip(cuts, cuts[1:]) if hi > lo)
+        else:
+            terms = arr
+        got = dyadic.block_moments(terms, ns, s_values)
+        prefix, levels = _reference_block_moments(arr, ns, s_values)
+        assert (got.points, got.columns) == arr.shape, case
+        assert got.prefix_moments == prefix, case
+        assert [t.tobytes() for t in got.level_totals] == [t.tobytes() for t in levels], case
+
+
+def _plain_witness(values, n_max):
+    """(max over n <= n_max of |{k : value_k <= n}| / n, its first argmax n,
+    the count there), counted by a loop over n and k; (0, 1, 0) when no
+    value counts."""
+    best = (0.0, 1, 0)
+    for n in range(1, n_max + 1):
+        count = sum(1 for v in values if v <= n)
+        if count / n > best[0]:
+            best = (count / n, n, count)
+    return best
+
+
+def _plain_stability(values, n_max):
+    """(witness, its n, its count, passed, ratio) of one row: the ratio of
+    the witness to the first half's, which must stay within the factor."""
+    witness, worst_n, count = _plain_witness(values, n_max)
+    half = _plain_witness(values[: len(values) // 2], n_max)[0]
+    if witness == 0.0:
+        return witness, worst_n, count, True, None
+    if half == 0.0:
+        return witness, worst_n, count, False, math.inf
+    ratio = witness / half
+    return witness, worst_n, count, ratio <= sequences.STABILITY_FACTOR, ratio
+
+
+def _counting_values(rng, size, top):
+    """Values >= 1 up to about ``top``: integers, which tie with the grid,
+    fractions, and some +inf and NaN entries, which never count."""
+    values = np.where(
+        rng.random(size) < 0.5,
+        rng.integers(1, top + 1, size),
+        1.0 + rng.random(size) * top,
+    )
+    values[rng.random(size) < 0.1] = math.inf
+    values[rng.random(size) < 0.02] = math.nan
+    return values
+
+
+def test_counting_checkers_match_plain_loops():
+    # K up to 200 values at grids up to 40: check_c_condition, both
+    # orientations of check_b_condition and check_band_condition, every
+    # report field against loops over the grid and the values.
+    rng = np.random.default_rng(7117)
+    for case in range(120):
+        k_max = int(rng.integers(2, 201))
+        n_max = int(rng.integers(1, 41))
+        values = _counting_values(rng, k_max, int(rng.integers(1, 2 * n_max + 2)))
+        witness, worst_n, count, passed, ratio = _plain_stability(values.tolist(), n_max)
+        assert vars(sequences.check_c_condition(values, n_max)) == dict(
+            condition="c", witness=witness, passed=passed, worst_n=worst_n, worst_m=None,
+            worst_count=count, grid={"K": k_max, "n_max": n_max}, stability_ratio=ratio,
+        ), case
+
+        m_grid = rng.permutation(np.arange(1, 30))[: int(rng.integers(1, 5))].tolist()
+        grid = np.array([_counting_values(rng, k_max, 2 * n_max) for _ in m_grid])
+        rows = [_plain_stability(row.tolist(), n_max) for row in grid]
+        witness, worst = 0.0, (1, m_grid[0], 0)
+        for m, row in zip(m_grid, rows):
+            if row[0] > witness:
+                witness, worst = row[0], (row[1], m, row[2])
+        ratios = [row[4] for row in rows if row[4] is not None]
+        for orientation in ("row", "column"):
+            assert vars(sequences.check_b_condition(grid, orientation, m_grid, n_max)) == dict(
+                condition=f"b-{orientation}", witness=witness,
+                passed=all(row[3] for row in rows), worst_n=worst[0], worst_m=worst[1],
+                worst_count=worst[2],
+                grid={"K": k_max, "n_max": n_max, "m_grid": [min(m_grid), max(m_grid)]},
+                stability_ratio=max(ratios, default=None),
+            ), (case, orientation)
+
+        s_max = int(rng.integers(1, 31))
+        claim = int(rng.integers(0, 8))
+        values = _counting_values(rng, k_max, s_max + 2)
+        counts = [sum(1 for v in values.tolist() if s <= v <= s + 1) for s in range(1, s_max + 1)]
+        band = counts.index(max(counts)) + 1
+        assert vars(sequences.check_band_condition(values, s_max, claim)) == dict(
+            condition="band", witness=float(max(counts)), passed=max(counts) <= claim,
+            worst_n=band, worst_m=None, worst_count=max(counts),
+            grid={"K": k_max, "s_max": s_max, "M_claim": claim}, stability_ratio=None,
+        ), case
