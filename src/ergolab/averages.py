@@ -26,7 +26,6 @@ from .errors import DomainError, ReadOnly, VariantMismatch
 from .seeding import ROLE_POINT, ROLE_TERMS, Streams, rng_for
 from .sequences import SequenceSpec, generate
 from .systems import (
-    LANES,
     SLAB_ITEMS,
     TORUS_SLAB,
     Observable,
@@ -39,6 +38,7 @@ from .systems import (
     cylinder_products,
     cylinder_table_size,
     evaluate,
+    factor_scratch,
     product_of_means,
     read_plan,
     required_variant,
@@ -342,12 +342,12 @@ def product_term_generator(spec: AverageSpec, master_seed: int):
     across calls and makes again only for a larger slab, so a slab holds
     its terms until the next is asked for, in this call or the next.  The
     factor scratch, word codes, gathered letters and later-factor values,
-    holds at most ``LANES`` entries: ``cylinder_products`` runs the factors
-    over lane blocks of the slab's rows, or column blocks of one row wider
-    than ``LANES``.  The products are elementwise, so every entry is the
-    float one full-width pass gives.  ``term_bytes`` bounds what a call
-    holds, and its per-point figure sizes the point batches of
-    ``dyadic.ensemble_moments``.
+    is one lane block (``systems.factor_scratch``): ``cylinder_products``
+    runs the factors over blocks of the slab's rows that fit in it, or
+    column blocks of one row wider than it.  The products are elementwise,
+    so every entry is the float one full-width pass gives.  ``term_bytes``
+    bounds what a call holds, and its per-point figure sizes the point
+    batches of ``dyadic.ensemble_moments``.
     """
     return _term_generator(spec, master_seed, ROLE_TERMS)
 
@@ -360,7 +360,7 @@ def _term_generator(spec: AverageSpec, master_seed: int, role: int):
     system = spec.system
     tables = [cylinder_table(obs, system.alphabet_size) for obs in spec.observables]
 
-    scratch = []  # flat term, value, code and symbol buffers, kept across calls
+    scratch = []  # flat terms and the factor scratch, kept across calls
 
     def slabs(positions: np.ndarray, factors: list, streams, step: int):
         width = factors[0][0].shape[1]
@@ -369,14 +369,10 @@ def _term_generator(spec: AverageSpec, master_seed: int, role: int):
             if not scratch or scratch[0].size < rows * width:
                 # The first slab of a call is its largest: allocated after
                 # it is sampled, scratch never meets a whole block of uniforms.
-                # The factors run a lane block at a time (cylinder_products).
-                lanes = min(rows * width, LANES)
-                scratch[:] = [np.empty(rows * width), np.empty(lanes),
-                              np.empty(lanes, dtype=np.intp), np.empty(lanes, dtype=symbols.dtype)]
-            out, values, codes, gathered = scratch
+                scratch[:] = [np.empty(rows * width), *factor_scratch(rows * width, symbols.dtype)]
             yield cylinder_products(
-                symbols, factors, system.alphabet_size, out[: rows * width].reshape(rows, width),
-                values, (codes, gathered),
+                symbols, factors, system.alphabet_size,
+                scratch[0][: rows * width].reshape(rows, width), *scratch[1:],
             )
 
     def generator(point_indices: np.ndarray, ks: np.ndarray):
@@ -406,9 +402,9 @@ def term_bytes(spec: AverageSpec, width: int, positions: int | None = None) -> t
     a column covers the prime sieve and polynomial terms), the positions
     with their sort and gap scratch, the factor tables and the slab
     scratch, which ``64 * SLAB_ITEMS`` bounds.  The factor scratch takes
-    one lane block (``LANES`` entries), not a slab, so both figures bound
-    a call loosely; they stay as they are, as the per-point figure decides
-    the point batches.  The read plan of the call's ks
+    one lane block (``systems.factor_scratch``), not a slab, so both
+    figures bound a call loosely; they stay as they are, as the per-point
+    figure decides the point batches.  The read plan of the call's ks
     (``AverageSpec.resolve``) stays with the spec for later calls with the
     same ks, on both roles of the generator.  An average or rate-check
     point is one call of one point over k = 1..n_max, so the sum of the

@@ -614,6 +614,9 @@ def parse_correlate(cfg: dict):
     derived = {}
     if isinstance(system, systems.TorusAutomorphism):
         derived["torus_precision_bits"] = system.precision_bits
+        if method != "mc":
+            for q, query in enumerate(queries):
+                build_at(f"params.queries[{q}]", correlations.character_tuples, query)
     else:
         # Each sample draws, and the oracle walks, exactly the read positions.
         derived["symbols_per_sample"] = max(q.plan[0].size for q in queries)
@@ -688,15 +691,16 @@ def parse_cumulants(cfg: dict):
             f"{correlations.MAX_CUMULANT_ORDER + 1}, got {len(observables)}"
         )
     time_tuples = params["time_tuples"]
-    # Each query checks its times and their count.
+    # Each query checks its times and their count, and on a torus the
+    # oracle's tuple count of the largest moment.
     for r, times in enumerate(time_tuples):
-        build_at(
-            f"params.time_tuples[{r}]",
-            correlations.CorrelationQuery,
-            system=system,
-            observables=observables,
-            times=times,
+        where = f"params.time_tuples[{r}]"
+        query = build_at(
+            where, correlations.CorrelationQuery,
+            system=system, observables=observables, times=times,
         )
+        if isinstance(system, systems.TorusAutomorphism):
+            build_at(where, correlations.character_tuples, query)
     return {}, functools.partial(run_cumulants, system, observables, time_tuples)
 
 

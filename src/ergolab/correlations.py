@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -32,8 +33,8 @@ from .errors import (
 )
 from .seeding import MC_CHUNK, ROLE_MC, rng_for
 from .systems import (
-    LANES,
     SLAB_ITEMS,
+    STATE_LIMIT,
     TORUS_SLAB,
     Observable,
     ShiftSystem,
@@ -42,6 +43,7 @@ from .systems import (
     cylinder_products,
     cylinder_table,
     cylinder_table_size,
+    factor_scratch,
     product_of_means,
     read_plan,
     required_variant,
@@ -111,24 +113,20 @@ def _mc_products_shift(query: CorrelationQuery, chunk: int):
     Every array is allocated here once and reused by every call, so each
     call returns its products in the same array, and every call reads its
     words through the query's ``plan``.  The products take the uniforms'
-    array once the symbols are drawn.  Word codes, gathered letters and
-    values hold at most ``LANES`` entries, so ``cylinder_products``
-    evaluates the factors ``LANES`` sequences at a time in one call."""
+    array once the symbols are drawn.  The factor scratch of word codes,
+    gathered letters and values is ``factor_scratch``'s lane block, so
+    ``cylinder_products`` evaluates the factors a lane block of sequences
+    at a time in one call."""
     system, (positions, columns) = query.system, query.plan
     m = system.alphabet_size
     factors = [(cols, cylinder_table(obs, m)) for cols, obs in zip(columns, query.observables)]
     uniforms = np.empty(max(SLAB_ITEMS, chunk), dtype=np.float64)
     symbols = np.empty((chunk, positions.size), dtype=_symbol_dtype(m))
-    lanes = min(chunk, LANES)
-    codes = np.empty(lanes, dtype=np.intp)
-    gathered = np.empty(lanes, dtype=symbols.dtype)
-    values = np.empty(lanes, dtype=np.float64)
+    values, scratch = factor_scratch(chunk, symbols.dtype)
 
     def kernel(count: int, rng: np.random.Generator) -> np.ndarray:
         sample_at(system, positions, count, rng, symbols[:count], uniforms)
-        return cylinder_products(
-            symbols[:count], factors, m, uniforms[:count], values, (codes, gathered)
-        )
+        return cylinder_products(symbols[:count], factors, m, uniforms[:count], values, scratch)
 
     return kernel
 
@@ -299,6 +297,22 @@ def _exponential_terms(
     return out
 
 
+def character_tuples(query: CorrelationQuery) -> int:
+    """Tuples of exponential terms the exact torus oracle walks: the product
+    over factors of 2 per trig term, 1 for a zero frequency.  Raises
+    DomainError above ``STATE_LIMIT``, the bound the shift oracle's tables
+    keep."""
+    count = math.prod(
+        sum(2 if any(freq) else 1 for freq, _a, _b in obs.terms) for obs in query.observables
+    )
+    if count > STATE_LIMIT:
+        raise DomainError(
+            f"the exact torus oracle would walk {count} character tuples, "
+            f"more than the {STATE_LIMIT} it allows"
+        )
+    return count
+
+
 def exact_correlation_torus(query: CorrelationQuery) -> float:
     """Exact correlation by matching pushed-forward character frequencies.
 
@@ -313,6 +327,7 @@ def exact_correlation_torus(query: CorrelationQuery) -> float:
     auto = query.system
     if not isinstance(auto, TorusAutomorphism):
         raise NotTrig("exact torus oracle requires a TorusAutomorphism")
+    character_tuples(query)
     factor_terms = [
         _exponential_terms(_transformed_terms(auto, obs, t))
         for obs, t in zip(query.observables, query.effective_times())

@@ -236,9 +236,10 @@ def shift_apply(point: ShiftPoint, n: int) -> ShiftPoint:
 # uniforms and yields slices of its symbols.
 SLAB_ITEMS = 1 << 16
 # Most sequences one path-kernel call steps at once, which keeps its
-# per-step temporaries small on wide batches; also the most entries the
-# term generator's and the Monte Carlo kernel's factor scratch (word codes,
-# letters, values) takes, so ``cylinder_products`` runs in lane blocks.
+# per-step temporaries small on wide batches; also the most entries of
+# factor scratch (word codes, letters, values) that ``factor_scratch`` gives
+# the term generator and the Monte Carlo kernel, so ``cylinder_products``
+# runs in lane blocks.
 LANES = SLAB_ITEMS >> 3
 
 
@@ -944,23 +945,13 @@ def cylinder_table(observable: Observable, alphabet_size: int) -> np.ndarray:
     return lookup
 
 
-def _word_values(symbols, columns, table, alphabet_size: int, out, scratch) -> np.ndarray:
-    """``out`` = ``table`` at the base-``alphabet_size`` code of the words
-    whose letters ``symbols`` holds in ``columns`` (``word_columns``);
-    ``scratch`` is a pair of an intp array for the codes and one of the
-    symbols' dtype for the gathered letters, both of ``out``'s shape."""
-    codes, gathered = scratch
-    for j, cols in enumerate(columns):
-        # np.take writes into its ``out`` directly with mode="clip", where
-        # the default mode writes into a copy; every column and code here
-        # is in range, so nothing is clipped.
-        np.take(symbols, cols, axis=-1, out=gathered, mode="clip")
-        if j == 0:
-            codes[...] = gathered
-        else:
-            codes *= alphabet_size
-            codes += gathered
-    return np.take(table, codes, out=out, mode="clip")
+def factor_scratch(entries: int, symbol_dtype) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """``cylinder_products``' ``values`` and ``scratch`` (word codes and
+    gathered letters of ``symbol_dtype``) for products over ``entries``
+    entries: min(``entries``, ``LANES``) each, so the factors of a wider
+    block run a lane block at a time."""
+    lanes = min(entries, LANES)
+    return np.empty(lanes), (np.empty(lanes, dtype=np.intp), np.empty(lanes, dtype=symbol_dtype))
 
 
 def cylinder_products(
@@ -969,36 +960,40 @@ def cylinder_products(
     """``out`` = the product over ``factors``, (columns, table) pairs of a
     factor's ``word_columns`` and ``cylinder_table``, of the factor values
     of ``symbols``, a sequence or a block of sequences.  ``values`` and
-    ``scratch`` (``_word_values``' codes and gathered letters) are
-    contiguous arrays of one size that hold each later factor's values and
-    word codes, and they may hold fewer entries than ``out``: the factors
-    then run over consecutive blocks that fit in them, whole sequences
-    while one sequence's entries fit, otherwise column blocks of one
-    sequence.  Every product is elementwise, so each entry is the float
-    one full-width pass gives.  The first factor's values are written to
-    ``out``: 1.0 times them is exact, so no array of ones is made."""
-    lanes = values.size
-    if out.size > lanes:
-        if symbols.ndim == 1:  # column blocks of the one sequence
-            blocks = (
-                (symbols, [(cols[..., c:c + lanes], table) for cols, table in factors],
-                 out[c:c + lanes])
-                for c in range(0, out.size, lanes)
-            )
-        elif out[0].size <= lanes:  # blocks of whole sequences
-            step = lanes // out[0].size
-            blocks = (
-                (symbols[a:a + step], factors, out[a:a + step]) for a in range(0, len(out), step)
-            )
-        else:  # one sequence at a time, each in column blocks
-            blocks = zip(symbols, itertools.repeat(factors), out)
-        for block, block_factors, dest in blocks:
-            cylinder_products(block, block_factors, alphabet_size, dest, values, scratch)
+    ``scratch`` (word codes and gathered letters, ``factor_scratch``) are
+    flat arrays of one size that hold a block's later-factor values and
+    word codes, and they may hold fewer entries than ``out``.  The
+    factors run over blocks that fit in them: as many whole sequences as
+    fit, or else column blocks of one sequence; a factor with 0-d columns
+    (one entry per sequence) reads one column.  Every product is
+    elementwise, so each entry is the float one full-width pass gives.
+    The first factor's values are written to ``out``: 1.0 times them is
+    exact, so no array of ones is made."""
+    if not out.size:  # no sequences or no entries: no block to cut
         return out
-    if values.shape != out.shape:
-        values, *scratch = (a.reshape(-1)[:out.size].reshape(out.shape) for a in (values, *scratch))
-    for i, (columns, table) in enumerate(factors):
-        _word_values(symbols, columns, table, alphabet_size, values if i else out, scratch)
-        if i:
-            out *= values
+    rows = np.atleast_2d(symbols)
+    dest = out.reshape(len(rows), -1)
+    cut = min(dest.shape[1], values.size)
+    step = values.size // cut
+    factors = [(columns.reshape(len(columns), -1), table) for columns, table in factors]
+    for a in range(0, len(rows), step):
+        for c in range(0, dest.shape[1], cut):
+            block = dest[a:a + step, c:c + cut]
+            held, words, letters = (
+                x[:block.size].reshape(block.shape) for x in (values, *scratch)
+            )
+            for i, (columns, table) in enumerate(factors):
+                for j, cols in enumerate(columns[:, c:c + cut]):
+                    # np.take writes into its ``out`` directly with
+                    # mode="clip", where the default mode writes into a
+                    # copy; every column and code here is in range.
+                    np.take(rows[a:a + step], cols, axis=-1, out=letters, mode="clip")
+                    if j:
+                        words *= alphabet_size
+                        words += letters
+                    else:
+                        words[...] = letters
+                np.take(table, words, out=held if i else block, mode="clip")
+                if i:
+                    block *= held
     return out

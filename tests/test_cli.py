@@ -304,6 +304,35 @@ class TestValidate:
             assert key not in derived
 
     @pytest.mark.parametrize(
+        "experiment, method, where",
+        [
+            ("correlate", "exact", "params.queries[0]"),
+            ("correlate", "both", "params.queries[0]"),
+            ("correlate", "mc", None),
+            ("cumulants", None, "params.time_tuples[0]"),
+        ],
+    )
+    def test_exact_torus_oracle_over_state_limit_is_config_error(self, experiment, method, where):
+        # Five factors of 20 nonzero trig terms: the exact oracle would walk
+        # 40^5 (about 1.0e8) tuples of exponential terms, which did not
+        # finish in 20 s.  Monte Carlo walks none, so an mc query passes.
+        terms = [{"freq": [j, 1], "cos": 1.0} for j in range(20)]
+        times = [0, 1, 2, 3, 4]
+        if experiment == "correlate":
+            params = {"queries": [{"times": times}], "method": method, "samples": 100}
+        else:
+            params = {"time_tuples": [times]}
+        cfg = torus_config(experiment, params)
+        cfg["observables"] = [{"variant": "trig", "terms": terms}] * 5
+        _, report = cli.validate_config(cfg)
+        if where is None:
+            assert report["ok"], report["errors"]
+        else:
+            assert not report["ok"]
+            assert report["errors"][0].startswith(f"{where}: ")
+            assert "102400000 character tuples" in report["errors"][0]
+
+    @pytest.mark.parametrize(
         "exceptional, message",
         [
             ({"s_values": ["x"]}, "params.exceptional.s_values[0] must be an integer"),

@@ -325,6 +325,20 @@ class TestExactTorus:
         mirrored = co.exact_correlation_torus(query(cat, [c0, c1], (0, 1)))
         assert mirrored == pytest.approx(base, abs=1e-12)
 
+    def test_tuple_count_is_bounded_by_state_limit(self, cat):
+        # Two factors of 1024 nonzero terms walk 2048^2 = STATE_LIMIT tuples;
+        # a zero frequency adds one exponential term, and one more tuple
+        # row is over the bound.  The oracle refuses before its loop.
+        terms = [((j, 1), 1.0, 0.0) for j in range(1024)]
+        wide = systems.trig_observable(terms)
+        assert co.character_tuples(query(cat, [wide, wide], (0, 1))) == systems.STATE_LIMIT
+        constant = systems.trig_observable(terms + [((0, 0), 1.0, 0.0)])
+        over = query(cat, [constant, wide], (0, 1))
+        with pytest.raises(DomainError, match="4196352 character tuples"):
+            co.character_tuples(over)
+        with pytest.raises(DomainError, match="character tuples"):
+            co.exact_correlation_torus(over)
+
     def test_lattice_characters_at_low_precision(self):
         # On the q = 4 lattice A^12 = I mod 16 for the cat map, so
         # cos 2 pi x_1 at times 0 and 12 is the same function and the

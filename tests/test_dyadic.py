@@ -628,15 +628,15 @@ class TestBernoulliOracle:
             assert abs(e - n / 64) <= z * se, (n, e, se, z)
 
 
-def _exact_e(spec, ns):
-    """Exact E(0, N) = sum over k, l <= N of E[F_k F_l] for each N in ns,
-    for radius-0 factors along r_n = n on a shift.
+def _pair_rows(spec, n_max):
+    """(k, E[F_k F_l] for l = k..n_max) for k = 1..n_max, for radius-0
+    factors along r_n = n on a shift.
 
     Each E[F_k F_l] starts from the stationary vector and walks the sorted
     positions m_i k and m_i l, crossing each gap g with P^g
     (``transition_power``; P^0 = I merges positions that coincide) and
     multiplying by the factor read there.  Pairs are symmetric, so row k
-    takes l = k..max N, all at once.
+    takes l = k..n_max, all at once.
     """
     system = spec.system
     tables = np.array(
@@ -644,12 +644,10 @@ def _exact_e(spec, ns):
     )
     multipliers = np.array(spec.multipliers)
     factors = np.tile(np.arange(multipliers.size), 2)
-    n_max = max(ns)
     powers = np.stack(
         [np.eye(system.alphabet_size)]
         + [system.transition_power(g) for g in range(1, multipliers.max() * n_max)]
     )
-    totals = np.zeros(len(ns))
     for k in range(1, n_max + 1):
         ls = np.arange(k, n_max + 1)
         positions = np.concatenate(
@@ -662,12 +660,31 @@ def _exact_e(spec, ns):
         for i in range(1, positions.shape[1]):
             step = powers[positions[:, i] - positions[:, i - 1]]
             state = np.einsum("pi,pij->pj", state, step) * tables[read[:, i]]
-        pairs = state.sum(axis=1)  # E[F_k F_l] for l = k..n_max
+        yield k, state.sum(axis=1)
+
+
+def _exact_e(spec, ns):
+    """Exact E(0, N) = sum over k, l <= N of E[F_k F_l] for each N in ns."""
+    totals = np.zeros(len(ns))
+    for k, pairs in _pair_rows(spec, max(ns)):
         partial = np.cumsum(pairs)
         for j, n in enumerate(ns):
             if n >= k:
                 totals[j] += 2 * partial[n - k] - pairs[0]
     return totals
+
+
+def _exact_levels(spec, s):
+    """Exact means of the L_s level totals: entry r is the sum over the
+    2^(s - r) level-r blocks B of E[(sum of F_k over B)^2], so row k adds
+    its pairs with l in k's own block, which ends at the next multiple of
+    2^r."""
+    means = np.zeros(s)
+    for k, pairs in _pair_rows(spec, 1 << s):
+        for r in range(s):
+            end = (((k - 1) >> r) + 1) << r
+            means[r] += 2 * pairs[: end - k + 1].sum() - pairs[0]
+    return means
 
 
 class TestMarkovOracle:
@@ -704,6 +721,38 @@ class TestMarkovOracle:
         z = z_for(len(ns))
         for n, want, (e, se) in zip(ns, exact, moments.e_values):
             assert abs(e - want) <= z * se, (n, e, se, want, z)
+
+
+class TestLevelMeans:
+    S = 9
+
+    def test_reference_level_means_on_bernoulli(self):
+        # Only the pairs k = l survive (TestBernoulliOracle), so each level
+        # of L_s sums 2^s squares of mean 1/16.
+        f = systems.centered_cylinder_indicator(BERNOULLI, [1])
+        spec = _pair_spec(BERNOULLI, f, 1 << self.S)
+        want = np.full(self.S, (1 << self.S) / 16)
+        assert np.allclose(_exact_levels(spec, self.S), want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("system", [BERNOULLI, MARKOV], ids=["bernoulli", "markov"])
+    def test_ensemble_level_means_match_exact(self, system):
+        # Each level's per-point totals and the L_s total over 1024 points,
+        # from the product term generator seeded 2024, lie within z standard
+        # errors of their exact means, z for s + 1 checks at the
+        # FALSE_ALARM_PER_TEST rate.
+        s, points = self.S, 1024
+        spec = _pair_spec(system, systems.centered_cylinder_indicator(system, [1]), 1 << s)
+        exact = _exact_levels(spec, s)
+        generator = averages.product_term_generator(spec, 2024)
+        slabs = generator(np.arange(points), np.arange(1, (1 << s) + 1))
+        levels = dyadic.block_moments(slabs, (1 << s,), (s,)).level_totals[0]
+        per_point = np.vstack([levels, levels.sum(axis=0)])
+        want = np.append(exact, exact.sum())
+        means = per_point.mean(axis=1)
+        errors = per_point.std(axis=1, ddof=1) / np.sqrt(points)
+        z = z_for(s + 1)
+        for r, (mean, se, exact_mean) in enumerate(zip(means, errors, want)):
+            assert abs(mean - exact_mean) <= z * se, (r, mean, se, exact_mean, z)
 
 
 def _traced_peak(fn, *args):

@@ -2,6 +2,7 @@
 random systems, the lab's least-squares fit to LAPACK's, the dyadic block
 moments to the pairwise tree and the counting checkers to plain loops."""
 
+import bisect
 import itertools
 import math
 
@@ -202,6 +203,95 @@ def test_blocked_cylinder_products_match_full_width_pass():
                 symbols, factors, m, np.empty(want.shape), np.empty(size), scratch
             )
             assert got.shape == want.shape and np.array_equal(got, want), (case, shape, size)
+
+
+def _sampler_chain(rng):
+    """A chain on 2-6 states: every fourth an i.i.d. chain, the others
+    aperiodic with some zero transitions."""
+    while True:
+        m = int(rng.integers(2, 7))
+        if rng.random() < 0.25:
+            return systems.bernoulli_system(rng.dirichlet(np.ones(m)))
+        adjacency = (rng.random((m, m)) < 0.7).astype(np.int64)
+        if not adjacency.any(axis=1).all():
+            continue
+        weights = rng.random((m, m)) * adjacency
+        try:
+            return systems.build_shift(adjacency, weights / weights.sum(axis=1, keepdims=True))
+        except ErgolabError:  # periodic, or a stationary weight too small
+            continue
+
+
+def _sampler_positions(rng):
+    """The read plan of 1-3 factors of radius 0-2 at random multipliers
+    along the first 1-40 terms of a linear, prime or polynomial sequence."""
+    kind = ("linear", "primes", "polynomial")[int(rng.integers(0, 3))]
+    spec = sequences.SequenceSpec(kind=kind, coefficients=(int(rng.integers(-1, 4)), 1, 1))
+    terms = sequences.generate(spec, int(rng.integers(1, 41)))
+    count = int(rng.integers(1, 4))
+    multipliers = rng.choice(np.arange(-4, 5), size=count, replace=False)
+    radii = rng.integers(0, 3, count)
+    factors = [systems.cylinder_indicator([0] * (2 * int(r) + 1)) for r in radii]
+    return systems.read_plan(factors, [m * terms for m in multipliers])[0]
+
+
+def _bisect_sample(system, positions, count, rng):
+    """Symbols of ``count`` sequences at sorted ``positions`` by a
+    ``bisect`` per symbol: position 0 by the stationary thresholds, every
+    later one by row P^g[previous] for its gap g; uniform c * count + j
+    resolves position c of sequence j."""
+    u = rng.random((len(positions), count))
+    rows = {0: [list(np.cumsum(system.stationary)[:-1])] * system.alphabet_size}
+    gaps = [0] + [int(b - a) for a, b in zip(positions, positions[1:])]
+    for g in set(gaps[1:]):
+        rows[g] = [list(np.cumsum(row)[:-1]) for row in system.transition_power(g)]
+    out = np.empty((count, len(positions)), dtype=np.int64)
+    for j in range(count):
+        state = 0
+        for c, g in enumerate(gaps):
+            state = out[j, c] = bisect.bisect_right(rows[g][state], u[c, j])
+    return out
+
+
+def test_samplers_match_bisect_reference():
+    # Counts of 1-64 sequences over plans of up to a few hundred positions:
+    # a count below 1/16 of the positions runs ``_markov_path``'s blocked
+    # scheme, a wider one its per-step loop.  ``sample_rows`` reads row j
+    # from its own generator and yields slabs of ``slab_rows`` rows.
+    rng = np.random.default_rng(3404)
+    for case in range(40):
+        system = _sampler_chain(rng)
+        positions = _sampler_positions(rng)
+        count = int(rng.integers(1, 65)) if case % 2 else int(rng.integers(1, 9))
+        seed = int(rng.integers(1 << 30))
+        want = _bisect_sample(system, positions, count, np.random.default_rng(seed))
+        got = systems.sample_at(system, positions, count, np.random.default_rng(seed))
+        assert np.array_equal(got, want), (case, "sample_at")
+        seeds = rng.integers(1 << 30, size=count)
+        want = np.concatenate(
+            [_bisect_sample(system, positions, 1, np.random.default_rng(s)) for s in seeds]
+        )
+        slab_rows = int(rng.integers(1, count + 2))
+        rngs = [np.random.default_rng(s) for s in seeds]
+        # An i.i.d. chain's slabs are views of one reused block.
+        slabs = [slab.copy() for slab in systems.sample_rows(system, positions, rngs, slab_rows)]
+        assert all(len(slab) <= slab_rows for slab in slabs), case
+        got = np.concatenate(slabs)
+        assert np.array_equal(got, want), (case, "sample_rows")
+
+
+def test_cylinder_products_of_no_entries():
+    # No sequences, no columns, or no Monte Carlo sequences: an empty
+    # product of the right shape.
+    table = np.arange(2.0)
+    scratch = np.empty(4, dtype=np.intp), np.empty(4, dtype=np.int8)
+    for rows, columns in ((0, np.zeros((1, 3), dtype=np.int64)),
+                          (2, np.zeros((1, 0), dtype=np.int64)),
+                          (0, np.zeros(1, dtype=np.int64))):
+        symbols = np.zeros((rows, 5), dtype=np.int8)
+        out = np.empty((rows,) + columns.shape[1:])
+        got = systems.cylinder_products(symbols, [(columns, table)], 2, out, np.empty(4), scratch)
+        assert got is out
 
 
 def _fit_designs(rng):
